@@ -33,7 +33,6 @@ from .fem import (
     Spectrum,
     assemble,
     build_mesh,
-    per_edge_functionals,
     solve_graph,
     solve_spectrum,
 )

@@ -14,6 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def _add_common(p: argparse.ArgumentParser, graph_required: bool = True) -> None
     p.add_argument("--out-dir", default="out", help="output directory (sole write location)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     p.add_argument("--tol", type=float, default=None, help="override check tolerance")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes for sweeps")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,11 +112,11 @@ def _load(args) -> MetricGraph:
     return graph
 
 
-def _solve(graph: MetricGraph, args, default_k: int) -> fem.Spectrum:
+def _solve(graph: MetricGraph, args, default_k: int) -> tuple[fem.AssembledSystem, fem.Spectrum]:
     k = args.k or default_k
     mesh = fem.build_mesh(graph, _default_h(graph, k, args.h))
     system = fem.assemble(mesh)
-    return fem.solve_spectrum(system, min(k, system.ndof))
+    return system, fem.solve_spectrum(system, min(k, system.ndof))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def _solve(graph: MetricGraph, args, default_k: int) -> fem.Spectrum:
 def cmd_spectrum(args) -> int:
     out = _prepare_out(args)
     graph = _load(args)
-    spectrum = _solve(graph, args, default_k=8)
+    _, spectrum = _solve(graph, args, default_k=8)
     n_edges = len(graph.edges)
 
     header = ["j", "energy"]
@@ -156,18 +157,33 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+_G, _E, _I = "guaranteed", "expected_violation", "informational"
+
 
 @dataclass
-class CheckOutcome:
-    name: str
-    role: str  # guaranteed | expected_violation | informational
-    verdict: str
-    passed: bool
+class SolveContext:
+    """What the checks of one ``verify`` run read: one assembly, one spectrum."""
+
+    graph: MetricGraph
+    tol: float
+    system: fem.AssembledSystem
+    spectrum: fem.Spectrum
+    trusted: np.ndarray
+    roles: dict[str, str]  # role of each check in this graph's POLICY row
+
+    @cached_property
+    def loop_pair(self) -> bool:
+        try:
+            ineq.loop_structure(self.graph)
+        except ValueError:
+            return False
+        return True
 
 
-def _yang_report(check: ineq.YangCheck, name: str) -> CheckReport:
+def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
+    check = ineq.yang_from_spectrum(ctx.spectrum, tol_rel=ctx.tol, coeff_ratio=ratio)
     return CheckReport(
-        check=name,
+        check="yang" if ratio == 1.0 else "weak_yang",
         params={"coeff_ratio": check.coeff_ratio, "tol_rel": check.tol_rel},
         grid=[float(z) for z in check.z_grid],
         values={"s": [float(v) for v in check.values]},
@@ -176,221 +192,230 @@ def _yang_report(check: ineq.YangCheck, name: str) -> CheckReport:
     )
 
 
-def _judge(name: str, role: str, verdict: str) -> CheckOutcome:
-    if role == "guaranteed":
-        passed = verdict == "holds"
-    elif role == "expected_violation":
-        passed = verdict == "violated"
+def _weak_yang(ctx: SolveContext) -> CheckReport | None:
+    family = circuits.g_family_verdict(ctx.graph)
+    if not family.exists_full_support:
+        return None
+    return _yang_report(ctx, float(family.a_max / family.a_min))
+
+
+def _weyl(ctx: SolveContext) -> CheckReport:
+    weyl = ineq.weyl_check(ctx.trusted, ctx.graph.total_length)
+    return CheckReport(
+        check="weyl",
+        params={"total_length": ctx.graph.total_length, "tol": weyl.tol},
+        grid=[float(n) for n in weyl.ns],
+        values={"normalized": list(weyl.values)},
+        verdict=weyl.verdict,
+        worst_margin=abs(weyl.final_value - 1.0) - weyl.tol,
+        notes=[f"final {fmt_float(weyl.final_value)} at n={weyl.ns[-1]}"],
+    )
+
+
+def _riesz(ctx: SolveContext) -> CheckReport:
+    riesz = ineq.riesz_suite(ctx.trusted, ctx.graph.total_length, tol_rel=ctx.tol)
+    return CheckReport(
+        check="riesz",
+        params={"sample_js": list(riesz.sample_js), "tol_rel": ctx.tol},
+        grid=[float(z) for z in riesz.z_grid],
+        values={
+            "r1": [float(v) for v in riesz.r1],
+            "r2": [float(v) for v in riesz.r2],
+            "ind": [float(v) for v in riesz.ind],
+        },
+        verdict=riesz.verdict,
+        worst_margin=min(riesz.worst.values()) if riesz.worst else 0.0,
+        notes=[f"failed: {riesz.failures}"] if riesz.failures else [],
+    )
+
+
+def _mean_ratio(ctx: SolveContext) -> CheckReport:
+    pairs = [(j, k) for j, k in ((1, 2), (2, 5), (5, 10), (1, 12), (10, 20), (20, 40)) if k <= len(ctx.trusted)]
+    bounds = ineq.mean_ratio_bounds(ctx.trusted, pairs, tol_rel=ctx.tol)
+    return CheckReport(
+        check="mean_ratio",
+        params={"pairs": [[b.j, b.k] for b in bounds]},
+        grid=[],
+        values={},
+        verdict="holds" if all(b.holds for b in bounds) else "violated",
+        worst_margin=min(
+            min(b.bound_loose - b.ratio for b in bounds),
+            min((b.bound_tight - b.ratio for b in bounds if b.bound_tight is not None), default=0.0),
+        ),
+        notes=[f"({b.j},{b.k}): ratio {fmt_float(b.ratio)}" for b in bounds],
+    )
+
+
+def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
+    if ctx.system.mesh.min_potential >= 0:
+        return None
+    name = f"lt_quotient_gamma_{gamma}"
+    q = ineq.lt_quotient(ctx.spectrum, gamma, tol_rel=ctx.tol)
+    verdict = "violated" if q.exceeds_classical else "holds"
+    notes = [q.note] if q.note else []
+    if verdict == "violated":
+        notes.append("violation observed (expected)" if ctx.roles[name] == _E else "exceeds classical constant")
+    return CheckReport(
+        check=name,
+        params={"gamma": gamma, "classical": q.classical_constant},
+        grid=[],
+        values={
+            "quotient": [q.quotient],
+            "moment": [q.moment],
+            "integral": [q.integral],
+        },
+        verdict=verdict,
+        worst_margin=q.classical_constant - q.quotient,
+        notes=notes,
+    )
+
+
+def _stubbe(ctx: SolveContext) -> CheckReport | None:
+    if ctx.system.mesh.min_potential >= 0:
+        return None
+    stubbe = ineq.stubbe_monotonicity(ctx.system, np.geomspace(0.5, 4.0, 8), k=16)
+    return CheckReport(
+        check="stubbe_monotonicity",
+        params={"classical_bound": stubbe.classical_bound},
+        grid=[float(a) for a in stubbe.alphas],
+        values={"value": [float(v) for v in stubbe.values]},
+        verdict=stubbe.verdict,
+        worst_margin=-stubbe.worst_increase_rel,
+    )
+
+
+def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
+    if not ctx.loop_pair:
+        return None
+    e1 = float(ctx.spectrum.energies[0])
+    if e1 < 0:
+        zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
     else:
-        passed = True
-    return CheckOutcome(name, role, verdict, passed)
+        zs = np.linspace(-1.0, -0.1, 6)
+    shifted = ineq.one_loop_shifted_check(
+        ctx.system,
+        np.geomspace(0.5, 2.0, 6),
+        zs,
+        k=max(16, min(32, ctx.system.ndof)),
+        tol_rel=ctx.tol,
+    )
+    return CheckReport(
+        check="one_loop_shifted",
+        params={"q": shifted.q, "alphas": [float(a) for a in shifted.alphas]},
+        grid=[float(z) for z in shifted.zs],
+        values={
+            f"map_alpha_{i}": [float(v) for v in shifted.map_values[:, i]]
+            for i in range(len(shifted.alphas))
+        },
+        verdict=shifted.verdict,
+        worst_margin=-shifted.worst_increase_rel,
+        notes=[f"skipped {shifted.skipped} positive-shift windows"] if shifted.skipped else [],
+    )
+
+
+def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
+    if not ctx.loop_pair:
+        return None
+    m = len(ctx.trusted)
+    energies = ctx.spectrum.energies
+    zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in (0, 1, 2, 4, 7) if j + 1 < m]
+    steps = [ineq.sum_rule_steps_check(ctx.spectrum, z, tol_rel=ctx.tol) for z in zsamples]
+    return CheckReport(
+        check="sum_rule_steps",
+        params={},
+        grid=[s.z for s in steps],
+        values={
+            "in1": [s.in1_value for s in steps],
+            "perid_lhs": [s.perid_lhs for s in steps],
+            "perid_rhs": [s.perid_rhs for s in steps],
+        },
+        verdict="holds" if all(s.verdict == "holds" for s in steps) else "violated",
+        worst_margin=max((s.in1_value for s in steps), default=0.0),
+    )
+
+
+#: Every check ``verify`` can run, by report name.  A check returns ``None``
+#: when the graph lacks its precondition: a negative part of V (moment
+#: quotients, Stubbe), a loop of two equal semicircles with one lead at each
+#: junction (one-loop checks), or a full-support slope family (weak_yang).
+CHECKS = {
+    "yang": partial(_yang_report, ratio=1.0),
+    "weak_yang": _weak_yang,
+    "weyl": _weyl,
+    "riesz": _riesz,
+    "mean_ratio": _mean_ratio,
+    "lt_quotient_gamma_1.5": partial(_lt_quotient, gamma=1.5),
+    "lt_quotient_gamma_2.0": partial(_lt_quotient, gamma=2.0),
+    "stubbe_monotonicity": _stubbe,
+    "one_loop_shifted": _one_loop_shifted,
+    "sum_rule_steps": _sum_rule_steps,
+}
+
+_LT = [("lt_quotient_gamma_1.5", _I), ("lt_quotient_gamma_2.0", _I), ("stubbe_monotonicity", _I)]
+_ONE_LOOP = [("one_loop_shifted", _G), ("sum_rule_steps", _G)]
+
+#: The checks ``verify`` runs, in order, with their roles, by topology and
+#: whether ``V == 0``.  The README table mirrors this.
+POLICY: dict[tuple[TopologyClass, bool], list[tuple[str, str]]] = {
+    (TopologyClass.TREE, True): [("yang", _G), ("weyl", _G), ("riesz", _G), ("mean_ratio", _G)],
+    (TopologyClass.TREE, False): [
+        ("yang", _G), ("lt_quotient_gamma_1.5", _I), ("lt_quotient_gamma_2.0", _G), ("stubbe_monotonicity", _G),
+    ],
+    (TopologyClass.CUT_VERTEX_CYCLE, True): [("yang", _E), ("weyl", _G)],
+    (TopologyClass.CUT_VERTEX_CYCLE, False): [
+        ("yang", _I), ("lt_quotient_gamma_1.5", _E), ("lt_quotient_gamma_2.0", _E), ("stubbe_monotonicity", _I),
+    ],
+    (TopologyClass.ONE_LOOP_WITH_LEADS, True): [("weak_yang", _G), ("weyl", _G), *_ONE_LOOP],
+    (TopologyClass.ONE_LOOP_WITH_LEADS, False): [("weak_yang", _G), *_LT, *_ONE_LOOP],
+    (TopologyClass.GENERAL, True): [("weak_yang", _I), ("weyl", _G)],
+    (TopologyClass.GENERAL, False): [("weak_yang", _I), *_LT],
+}
+
+#: A check that returns ``None`` is skipped, except the weak sum rule: without
+#: a full-support slope family the plain one runs, for information only.
+FALLBACK = {"weak_yang": ("yang", _I)}
+
+#: Verdicts that pass under each role.
+PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
 def cmd_verify(args) -> int:
     out = _prepare_out(args)
     graph = _load(args)
     topo = classify_topology(graph)
-    vzero = graph.potential_is_zero()
-    tol = args.tol if args.tol is not None else ineq.TOL_FEM
-
-    spectrum = _solve(graph, args, default_k=90)
+    system, spectrum = _solve(graph, args, default_k=90)
     if args.corrupt_spectrum:
         spectrum.edge_dirichlet *= 0.1
 
-    trusted = ineq.trusted_energies(spectrum)
-    outcomes: list[CheckOutcome] = []
-    reports: list[CheckReport] = []
+    policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
+    tol = args.tol if args.tol is not None else ineq.TOL_FEM
+    ctx = SolveContext(graph, tol, system, spectrum, ineq.trusted_energies(spectrum), dict(policy))
+    ran: list[tuple[CheckReport, str]] = []
+    for name, role in policy:
+        report = CHECKS[name](ctx)
+        if report is None and name in FALLBACK:
+            name, role = FALLBACK[name]
+            report = CHECKS[name](ctx)
+        if report is not None:
+            ran.append((report, role))
 
-    def add(report: CheckReport, role: str) -> None:
-        reports.append(report)
-        outcomes.append(_judge(report.check, role, report.verdict))
-
-    cls = topo.topology_class
-
-    # quadratic sum-rule check (plain or weakened, depending on topology)
-    if cls is TopologyClass.TREE:
-        yang_role = "guaranteed"
-        ratio = 1.0
-    elif cls is TopologyClass.CUT_VERTEX_CYCLE:
-        yang_role = "expected_violation" if vzero else "informational"
-        ratio = 1.0
-    else:
-        verdict_g = circuits.g_family_verdict(graph)
-        ratio = float(verdict_g.a_max / verdict_g.a_min) if verdict_g.exists_full_support else 1.0
-        yang_role = "guaranteed" if cls is TopologyClass.ONE_LOOP_WITH_LEADS and verdict_g.exists_full_support else "informational"
-    yang = ineq.yang_from_spectrum(spectrum, tol_rel=tol, coeff_ratio=ratio)
-    add(_yang_report(yang, "yang" if ratio == 1.0 else "weak_yang"), yang_role)
-
-    if vzero:
-        # counting asymptotics hold for every finite graph
-        weyl = ineq.weyl_check(trusted, graph.total_length)
-        add(
-            CheckReport(
-                check="weyl",
-                params={"total_length": graph.total_length, "tol": weyl.tol},
-                grid=[float(n) for n in weyl.ns],
-                values={"normalized": list(weyl.values)},
-                verdict=weyl.verdict,
-                worst_margin=abs(weyl.final_value - 1.0) - weyl.tol,
-                notes=[f"final {fmt_float(weyl.final_value)} at n={weyl.ns[-1]}"],
-            ),
-            "guaranteed",
-        )
-
-    if cls is TopologyClass.TREE and vzero:
-        riesz = ineq.riesz_suite(trusted, graph.total_length, tol_rel=tol)
-        add(
-            CheckReport(
-                check="riesz",
-                params={"sample_js": list(riesz.sample_js), "tol_rel": tol},
-                grid=[float(z) for z in riesz.z_grid],
-                values={
-                    "r1": [float(v) for v in riesz.r1],
-                    "r2": [float(v) for v in riesz.r2],
-                    "ind": [float(v) for v in riesz.ind],
-                },
-                verdict=riesz.verdict,
-                worst_margin=min(riesz.worst.values()) if riesz.worst else 0.0,
-                notes=[f"failed: {riesz.failures}"] if riesz.failures else [],
-            ),
-            "guaranteed",
-        )
-        pairs = [(j, k) for j, k in ((1, 2), (2, 5), (5, 10), (1, 12), (10, 20), (20, 40)) if k <= len(trusted)]
-        bounds = ineq.mean_ratio_bounds(trusted, pairs, tol_rel=tol)
-        add(
-            CheckReport(
-                check="mean_ratio",
-                params={"pairs": [[b.j, b.k] for b in bounds]},
-                grid=[],
-                values={},
-                verdict="holds" if all(b.holds for b in bounds) else "violated",
-                worst_margin=min(
-                    min(b.bound_loose - b.ratio for b in bounds),
-                    min((b.bound_tight - b.ratio for b in bounds if b.bound_tight is not None), default=0.0),
-                ),
-                notes=[f"({b.j},{b.k}): ratio {fmt_float(b.ratio)}" for b in bounds],
-            ),
-            "guaranteed",
-        )
-
-    if not vzero:
-        has_negative_part = ineq.integrate_potential_power(spectrum.mesh, 1.0) > 0
-        if has_negative_part:
-            lt_role = {
-                TopologyClass.TREE: {"1.5": "informational", "2.0": "guaranteed"},
-                TopologyClass.CUT_VERTEX_CYCLE: {"1.5": "expected_violation", "2.0": "expected_violation"},
-            }.get(cls, {"1.5": "informational", "2.0": "informational"})
-            for gamma in (1.5, 2.0):
-                q = ineq.lt_quotient(spectrum, gamma, tol_rel=tol)
-                verdict = "violated" if q.exceeds_classical else "holds"
-                notes = [q.note] if q.note else []
-                if verdict == "violated":
-                    notes.append("violation observed (expected)" if lt_role[str(gamma)] == "expected_violation" else "exceeds classical constant")
-                add(
-                    CheckReport(
-                        check=f"lt_quotient_gamma_{gamma}",
-                        params={"gamma": gamma, "classical": q.classical_constant},
-                        grid=[],
-                        values={
-                            "quotient": [q.quotient],
-                            "moment": [q.moment],
-                            "integral": [q.integral],
-                        },
-                        verdict=verdict,
-                        worst_margin=q.classical_constant - q.quotient,
-                        notes=notes,
-                    ),
-                    lt_role[str(gamma)],
-                )
-            stubbe_role = "guaranteed" if cls is TopologyClass.TREE else "informational"
-            stubbe = ineq.stubbe_monotonicity(
-                graph, np.geomspace(0.5, 4.0, 8), target_h=_default_h(graph, args.k or 90, args.h), k=16
-            )
-            add(
-                CheckReport(
-                    check="stubbe_monotonicity",
-                    params={"classical_bound": stubbe.classical_bound},
-                    grid=[float(a) for a in stubbe.alphas],
-                    values={"value": [float(v) for v in stubbe.values]},
-                    verdict=stubbe.verdict,
-                    worst_margin=-stubbe.worst_increase_rel,
-                    notes=[],
-                ),
-                stubbe_role,
-            )
-
-    if cls is TopologyClass.ONE_LOOP_WITH_LEADS:
-        try:
-            ineq.loop_structure(graph)
-            has_loop_pair = True
-        except ValueError:
-            has_loop_pair = False
-        if has_loop_pair:
-            e1 = float(spectrum.energies[0])
-            if e1 < 0:
-                zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
-            else:
-                zs = np.linspace(-1.0, -0.1, 6)
-            shifted = ineq.one_loop_shifted_check(
-                graph,
-                np.geomspace(0.5, 2.0, 6),
-                zs,
-                target_h=_default_h(graph, args.k or 90, args.h),
-                k=max(16, min(32, spectrum.mesh.ndof)),
-                tol_rel=tol,
-            )
-            add(
-                CheckReport(
-                    check="one_loop_shifted",
-                    params={"q": shifted.q, "alphas": [float(a) for a in shifted.alphas]},
-                    grid=[float(z) for z in shifted.zs],
-                    values={
-                        f"map_alpha_{i}": [float(v) for v in shifted.map_values[:, i]]
-                        for i in range(len(shifted.alphas))
-                    },
-                    verdict=shifted.verdict,
-                    worst_margin=-shifted.worst_increase_rel,
-                    notes=[f"skipped {shifted.skipped} positive-shift windows"] if shifted.skipped else [],
-                ),
-                "guaranteed",
-            )
-            m = len(trusted)
-            zsamples = [0.5 * (spectrum.energies[j] + spectrum.energies[j + 1]) for j in (0, 1, 2, 4, 7) if j + 1 < m]
-            steps = [ineq.sum_rule_steps_check(spectrum, z, tol_rel=tol) for z in zsamples]
-            add(
-                CheckReport(
-                    check="sum_rule_steps",
-                    params={},
-                    grid=[s.z for s in steps],
-                    values={
-                        "in1": [s.in1_value for s in steps],
-                        "perid_lhs": [s.perid_lhs for s in steps],
-                        "perid_rhs": [s.perid_rhs for s in steps],
-                    },
-                    verdict="holds" if all(s.verdict == "holds" for s in steps) else "violated",
-                    worst_margin=max((s.in1_value for s in steps), default=0.0),
-                    notes=[],
-                ),
-                "guaranteed",
-            )
-
-    for report in reports:
+    for report, _ in ran:
         write_report(report, out, f"verify_{report.check}", args.format)
+    checks = [
+        {"name": r.check, "role": role, "verdict": r.verdict, "pass": r.verdict in PASSING[role]} for r, role in ran
+    ]
+    code = EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK
     summary = {
         "graph": args.graph,
-        "topology": cls.value,
+        "topology": topo.topology_class.value,
         "betti": topo.betti,
-        "checks": [
-            {"name": o.name, "role": o.role, "verdict": o.verdict, "pass": o.passed}
-            for o in outcomes
-        ],
+        "checks": checks,
+        "exit_code": code,
     }
-    all_pass = all(o.passed for o in outcomes)
-    summary["exit_code"] = EXIT_OK if all_pass else EXIT_CHECK
     write_json(os.path.join(out, "verify_summary.json"), summary)
-    for o in outcomes:
-        print(f"[{o.role}] {o.name}: {o.verdict} -> {'pass' if o.passed else 'FAIL'}")
-    return EXIT_OK if all_pass else EXIT_CHECK
+    for c in checks:
+        print(f"[{c['role']}] {c['name']}: {c['verdict']} -> {'pass' if c['pass'] else 'FAIL'}")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +448,7 @@ def _fancy_point(payload) -> list[float]:
 def _alpha_point(payload) -> list[float]:
     gdict, alpha, h, k = payload
     graph = graph_from_dict(gdict)
-    mesh = fem.build_mesh(graph, h)
-    system = fem.assemble(mesh)
-    kk = min(k, system.ndof)
-    spec = fem.solve_spectrum(system, kk, alpha=alpha)
+    spec = fem.solve_bound_states(fem.assemble(fem.build_mesh(graph, h)), k, alpha)
     neg = spec.energies[spec.energies < 0]
     moment = float(np.sum(neg**2))
     return [alpha, moment, math.sqrt(alpha) * moment]

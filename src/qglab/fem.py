@@ -13,7 +13,7 @@ invisible, so this changes nothing but makes assembly uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,14 @@ class Mesh:
     vertex_dof: np.ndarray  # -1 marks an eliminated Dirichlet vertex
     interior_start: list[int]
     ndof: int
+    #: ``V`` at the mesh nodes of each segment, evaluated once on construction
+    node_potential: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.node_potential = []
+        for si, seg in enumerate(self.segments):
+            edge = self.graph.edges[seg.edge_id]
+            self.node_potential.append(edge.potential.evaluate(self.node_positions(si), edge.length))
 
     def node_dofs(self, si: int) -> np.ndarray:
         """Global DOF per mesh node of segment ``si`` (-1 where eliminated)."""
@@ -83,8 +91,8 @@ class Mesh:
         return seg.offset + np.linspace(0.0, seg.length, c + 1)
 
     @property
-    def h_max(self) -> float:
-        return max(s.length / c for s, c in zip(self.segments, self.cells))
+    def min_potential(self) -> float:
+        return min(float(v.min()) for v in self.node_potential)
 
 
 def _expand_segments(graph: MetricGraph) -> tuple[list[Segment], int]:
@@ -140,9 +148,8 @@ def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
 class AssembledSystem:
     """Sparse symmetric matrices of the discrete form.
 
-    ``stiffness`` carries the coupling ``alpha``; ``base_stiffness`` does not,
-    which makes coupling sweeps a rescale instead of a reassembly and feeds
-    the per-edge derivative norms.
+    ``base_stiffness`` does not carry the coupling ``alpha``, which makes
+    coupling sweeps a rescale instead of a reassembly.
     """
 
     mesh: Mesh
@@ -150,19 +157,13 @@ class AssembledSystem:
     potential: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
     alpha: float
-    min_node_potential: float
-
-    @property
-    def stiffness(self) -> scipy.sparse.csr_matrix:
-        return self.alpha * self.base_stiffness
 
     @property
     def ndof(self) -> int:
         return self.mesh.ndof
 
-    def hamiltonian(self, alpha: float | None = None) -> scipy.sparse.csr_matrix:
-        a = self.alpha if alpha is None else alpha
-        return (a * self.base_stiffness + self.potential).tocsr()
+    def hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
+        return (alpha * self.base_stiffness + self.potential).tocsr()
 
 
 def assemble(mesh: Mesh) -> AssembledSystem:
@@ -170,18 +171,14 @@ def assemble(mesh: Mesh) -> AssembledSystem:
     the Hamiltonian), consistent mass ``(h/6)[[2,1],[1,2]]``, and potential
     from the P1 interpolant of V against the consistent mass weights, which
     reproduces ``W = c*M`` exactly for constant potentials."""
-    graph = mesh.graph
     rows, cols = [], []
     k_vals, m_vals, w_vals = [], [], []
-    min_v = 0.0
 
     for si, seg in enumerate(mesh.segments):
         c = mesh.cells[si]
         h = seg.length / c
         dofs = mesh.node_dofs(si)
-        edge = graph.edges[seg.edge_id]
-        vnode = edge.potential.evaluate(mesh.node_positions(si), edge.length)
-        min_v = min(min_v, float(vnode.min()))
+        vnode = mesh.node_potential[si]
 
         a, b = dofs[:-1], dofs[1:]
         va, vb = vnode[:-1], vnode[1:]
@@ -211,8 +208,7 @@ def assemble(mesh: Mesh) -> AssembledSystem:
         base_stiffness=build(k_vals),
         potential=build(w_vals),
         mass=build(m_vals),
-        alpha=graph.alpha,
-        min_node_potential=min_v,
+        alpha=mesh.graph.alpha,
     )
 
 
@@ -238,17 +234,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.energies)
-
-
-@dataclass
-class EdgeFunctionals:
-    mass: np.ndarray
-    dirichlet: np.ndarray
-
-
-def per_edge_functionals(spectrum: Spectrum) -> EdgeFunctionals:
-    """Per-edge restrictions of the mass and derivative quadratic forms."""
-    return EdgeFunctionals(spectrum.edge_mass, spectrum.edge_dirichlet)
 
 
 def _edge_tables(mesh: Mesh, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +288,7 @@ def solve_spectrum(
                 ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1)
             )
         else:
-            sigma = min(0.0, system.min_node_potential) - 1.0
+            sigma = min(0.0, system.mesh.min_potential) - 1.0
             w, vecs = scipy.sparse.linalg.eigsh(
                 ham,
                 k=k,
@@ -334,6 +319,21 @@ def solve_spectrum(
         edge_mass=mass,
         edge_dirichlet=dirich,
     )
+
+
+def solve_bound_states(system: AssembledSystem, k: int, alpha: float) -> Spectrum:
+    """Lowest eigenpairs at coupling ``alpha`` that include every negative one.
+
+    Starts from ``k`` pairs and doubles the count until the top computed
+    eigenvalue is nonnegative or the whole system is solved, so moments of
+    the negative spectrum are never truncated.
+    """
+    kk = min(k, system.ndof)
+    while True:
+        spec = solve_spectrum(system, kk, alpha=alpha)
+        if spec.energies[-1] >= 0.0 or kk == system.ndof:
+            return spec
+        kk = min(2 * kk, system.ndof)
 
 
 def solve_graph(
@@ -422,8 +422,6 @@ def integrate_potential_power(mesh: Mesh, power: float, shift: float = 0.0) -> f
     for si, seg in enumerate(mesh.segments):
         c = mesh.cells[si]
         h = seg.length / c
-        edge = mesh.graph.edges[seg.edge_id]
-        v = edge.potential.evaluate(mesh.node_positions(si), edge.length)
-        neg = np.maximum(-(v - shift), 0.0) ** power
+        neg = np.maximum(-(mesh.node_potential[si] - shift), 0.0) ** power
         total += h * (neg.sum() - 0.5 * (neg[0] + neg[-1]))
     return float(total)

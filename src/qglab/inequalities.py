@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import classical_lt_constant
-from .fem import Spectrum, build_mesh, assemble, integrate_potential_power, solve_spectrum
+from .fem import AssembledSystem, Spectrum, integrate_potential_power, solve_bound_states
 from .graphs import MetricGraph, PoschlTeller, Zero, TopologyClass, classify_topology
 
 TOL_ANALYTIC = 1e-6
@@ -186,21 +186,16 @@ class LTQuotient:
 def lt_quotient(spectrum: Spectrum, gamma: float, tol_rel: float = TOL_FEM) -> LTQuotient:
     """Moment quotient of the negative spectrum against the potential integral.
 
-    The classical constant is the sharp line constant; exceeding it
-    witnesses that the graph's connectivity, not the method, changes the
-    inequality.
+    For ``-alpha d^2/dx^2 + V`` the semiclassical bound reads
+    ``sum |E|^gamma <= L^cl alpha^(-1/2) int V_-^(gamma + 1/2)``, so the
+    quotient is ``sqrt(alpha) * moment / integral``.  The classical constant
+    is the sharp line constant; exceeding it witnesses that the graph's
+    connectivity, not the method, changes the inequality.
     """
     if gamma not in (1.5, 2.0):
         raise ValueError("gamma restricted to 3/2 and 2")
     mesh = spectrum.mesh
-    min_v = min(
-        float(
-            e.potential.evaluate(mesh.node_positions(si), e.length).min()
-        )
-        for si, seg in enumerate(mesh.segments)
-        for e in (mesh.graph.edges[seg.edge_id],)
-    )
-    if min_v >= 0:
+    if mesh.min_potential >= 0:
         raise ValueError("potential has no negative part")
     neg = spectrum.energies[spectrum.energies < 0.0]
     moment = float(np.sum(np.abs(neg) ** gamma))
@@ -210,7 +205,7 @@ def lt_quotient(spectrum: Spectrum, gamma: float, tol_rel: float = TOL_FEM) -> L
     note = ""
     if len(neg) == 0:
         note = "no negative eigenvalues; quotient is 0"
-    quotient = moment / integral if integral > 0 else 0.0
+    quotient = math.sqrt(spectrum.alpha) * moment / integral if integral > 0 else 0.0
     return LTQuotient(
         gamma=gamma,
         moment=moment,
@@ -243,33 +238,22 @@ class StubbeReport:
 
 
 def stubbe_monotonicity(
-    graph: MetricGraph,
+    system: AssembledSystem,
     alpha_grid,
-    target_h: float = 0.02,
     k: int = 16,
-    gamma: float = 2.0,
     tol_rel: float = 1e-6,
 ) -> StubbeReport:
     """Track ``sqrt(alpha) * sum (-E_j(alpha))^2`` over an ascending grid.
 
-    Also compares every value against the semiclassical ceiling
-    ``L^cl * int V_-^(5/2)``.
+    Each coupling re-solves the already assembled ``system``.  Also compares
+    every value against the semiclassical ceiling ``L^cl * int V_-^(5/2)``.
     """
-    if gamma != 2.0:
-        raise ValueError("monotonicity tracked for the second moment only")
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if len(alphas) < 3 or np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be ascending with at least 3 points")
-    mesh = build_mesh(graph, target_h)
-    system = assemble(mesh)
     moments = []
     for a in alphas:
-        kk = min(k, system.ndof)
-        while True:
-            spec = solve_spectrum(system, kk, alpha=float(a))
-            if spec.energies[-1] >= 0.0 or kk == system.ndof:
-                break
-            kk = min(2 * kk, system.ndof)
+        spec = solve_bound_states(system, k, float(a))
         neg = spec.energies[spec.energies < 0.0]
         moments.append(float(np.sum(neg**2)))
     moments = np.asarray(moments)
@@ -277,7 +261,7 @@ def stubbe_monotonicity(
     diffs = np.diff(values)
     floor = np.maximum(values[:-1], 1e-300)
     worst = float((diffs / floor).max()) if len(diffs) else 0.0
-    bound = classical_lt_constant(2.0) * integrate_potential_power(mesh, 2.5)
+    bound = classical_lt_constant(2.0) * integrate_potential_power(system.mesh, 2.5)
     return StubbeReport(
         alphas=alphas,
         moments=moments,
@@ -348,14 +332,14 @@ class OneLoopShiftReport:
 
 
 def one_loop_shifted_check(
-    graph: MetricGraph,
+    system: AssembledSystem,
     alpha_grid,
     z_grid,
-    target_h: float = 0.02,
     k: int = 16,
     tol_rel: float = TOL_FEM,
 ) -> OneLoopShiftReport:
-    """Shifted monotone map and shifted moment bound on the one-loop graph.
+    """Shifted monotone map and shifted moment bound on the one-loop graph
+    assembled in ``system``.
 
     With ``q = 2 pi / semicircle length`` and shift ``(3/16) q^2 alpha``,
     checks that ``alpha -> sqrt(alpha) sum (z - shift - E_j(alpha))_+^2`` is
@@ -364,7 +348,7 @@ def one_loop_shifted_check(
     there the integral grows with the lead length, so only the
     negative-energy regime is meaningful on a truncated graph.
     """
-    loop = loop_structure(graph)
+    loop = loop_structure(system.mesh.graph)
     alphas = np.asarray(list(alpha_grid), dtype=float)
     zs = np.asarray(list(z_grid), dtype=float)
     if np.any(np.diff(alphas) <= 0) or len(alphas) < 2:
@@ -372,17 +356,7 @@ def one_loop_shifted_check(
     if zs.max() > 0:
         raise CoverageError("shifted one-loop windows must satisfy z <= 0")
     q = loop.q
-    mesh = build_mesh(graph, target_h)
-    system = assemble(mesh)
-    spectra = []
-    for a in alphas:
-        kk = min(k, system.ndof)
-        while True:
-            spec = solve_spectrum(system, kk, alpha=float(a))
-            if spec.energies[-1] >= 0.0 or kk == system.ndof:
-                break
-            kk = min(2 * kk, system.ndof)
-        spectra.append(spec)
+    spectra = [solve_bound_states(system, k, float(a)) for a in alphas]
 
     map_values = np.zeros((len(zs), len(alphas)))
     for ia, (a, spec) in enumerate(zip(alphas, spectra)):
@@ -406,7 +380,7 @@ def one_loop_shifted_check(
                 skipped += 1
                 continue
             lhs = float(np.sum(np.maximum(z - spec.energies, 0.0) ** 2))
-            rhs = lcl / math.sqrt(a) * integrate_potential_power(mesh, 2.5, shift=c)
+            rhs = lcl / math.sqrt(a) * integrate_potential_power(system.mesh, 2.5, shift=c)
             lt_margins[iz, ia] = rhs - lhs
             if lhs > rhs + tol_rel * max(lhs, rhs, 1e-12):
                 lt_ok = False

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from qglab.cli import main
+from qglab.cli import POLICY, main
+from qglab.graphs import TopologyClass
 from qglab.reports import fmt_float
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -197,3 +199,51 @@ def test_sweep_fancy_cli(tmp_path, capsys):
     last = rows[-1].split(",")
     assert float(last[0]) == 50
     assert 0.85 <= float(last[4]) <= 1.0
+
+
+def test_verify_lt_quotient_scales_with_alpha(tmp_path, capsys):
+    # sum |E|^2 <= L^cl alpha^(-1/2) int V_-^(5/2): at alpha = 1/4 the raw
+    # quotient is 0.299 > L^cl = 0.170, the alpha-scaled one 0.150
+    graph = json.loads(open(fixture("tree_well.json")).read())
+    graph["alpha"] = 0.25
+    path = tmp_path / "tree_well_quarter.json"
+    path.write_text(json.dumps(graph))
+    code = main(["verify", "--graph", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "verify_lt_quotient_gamma_2.0.json").read_text())
+    assert report["values"]["quotient"][0] == pytest.approx(0.1496, abs=1e-3)
+
+
+def test_sweep_alpha_moments_independent_of_k(tmp_path, capsys):
+    # at alpha = 0.01 the well holds more than 4 bound states
+    columns = []
+    for k in ("4", "64"):
+        out = tmp_path / k
+        code = main(
+            ["sweep", "--sweep", "alpha", "--range", "0.01:0.1", "--steps", "4",
+             "--graph", fixture("tree_well.json"), "--h", "0.02", "--k", k,
+             "--out-dir", str(out)]
+        )
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        columns.append([row.split(",")[1] for row in rows])
+    assert columns[0] == columns[1]
+
+
+def test_readme_verify_table_matches_policy():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    roles = ("guaranteed", "expected_violation", "informational")
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("`"):
+            continue
+        key = (TopologyClass(cells[0].strip("`")), cells[1] == "`= 0`")
+        table[key] = {
+            role: [n.strip() for n in re.sub(r"\[[^\]]*\]", "", cell).split(",") if n.strip() != "--"]
+            for role, cell in zip(roles, cells[2:])
+        }
+    expected = {
+        key: {role: [n for n, r in rows if r == role] for role in roles} for key, rows in POLICY.items()
+    }
+    assert table == expected

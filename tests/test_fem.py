@@ -115,13 +115,6 @@ def test_mass_normalization_and_rayleigh_identity():
     assert np.allclose(spec.total_dirichlet(), spec.energies, rtol=1e-10)
 
 
-def test_per_edge_functionals_view():
-    spec = fem.solve_graph(families.y_graph(), 0.05, 3)
-    tables = fem.per_edge_functionals(spec)
-    assert tables.mass.shape == (3, 3)
-    assert tables.dirichlet.shape == (3, 3)
-
-
 def test_kirchhoff_residual_decays():
     g = families.y_graph()
     res = []

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_potentials_evaluate():
 def test_scale_graph_maps_eigenvalues():
     from qglab import fem
 
-    g = load_graph("fixtures/tree_well.json")
+    g = load_graph(os.path.join(os.path.dirname(__file__), "..", "fixtures", "tree_well.json"))
     spec = fem.solve_graph(g, 0.02, 4)
     spec2 = fem.solve_graph(scale_graph(g, 2.0), 0.04, 4)
     assert np.allclose(spec2.energies, spec.energies / 4.0, rtol=1e-10)

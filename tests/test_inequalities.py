@@ -1,10 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from qglab import analytic, families, fem, inequalities as ineq
-from qglab.graphs import DIRICHLET, Edge, MetricGraph, SquareWell, scale_graph
+from qglab.graphs import DIRICHLET, Edge, MetricGraph, SquareWell, load_graph, scale_graph
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def assembled(graph, h):
+    return fem.assemble(fem.build_mesh(graph, h))
 
 
 def interval_energies(n=40):
@@ -106,10 +113,8 @@ def test_lt_quotient_truncation_independence():
 
 
 def test_stubbe_tree_with_well():
-    from qglab.graphs import load_graph
-
-    g = load_graph("fixtures/tree_well.json")
-    rep = ineq.stubbe_monotonicity(g, np.geomspace(0.5, 4.0, 8), target_h=0.02, k=12)
+    g = load_graph(os.path.join(FIXTURES, "tree_well.json"))
+    rep = ineq.stubbe_monotonicity(assembled(g, 0.02), np.geomspace(0.5, 4.0, 8), k=12)
     assert rep.nonincreasing
     assert rep.below_bound
     assert rep.classical_bound > rep.values.max() > 0
@@ -117,7 +122,7 @@ def test_stubbe_tree_with_well():
 
 def test_stubbe_trivial_for_nonnegative_potential():
     rep = ineq.stubbe_monotonicity(
-        families.y_graph(), np.array([0.5, 1.0, 2.0]), target_h=0.05, k=6
+        assembled(families.y_graph(), 0.05), np.array([0.5, 1.0, 2.0]), k=6
     )
     assert np.all(rep.values == 0.0)
     assert rep.verdict == "holds"
@@ -125,7 +130,7 @@ def test_stubbe_trivial_for_nonnegative_potential():
 
 def test_stubbe_grid_validation():
     with pytest.raises(ValueError, match="ascending"):
-        ineq.stubbe_monotonicity(families.y_graph(), np.array([1.0, 0.5, 2.0]))
+        ineq.stubbe_monotonicity(assembled(families.y_graph(), 0.02), np.array([1.0, 0.5, 2.0]))
 
 
 # --- one-loop graph ----------------------------------------------------------
@@ -157,10 +162,9 @@ def test_loop_structure_rejects_unequal_semicircles():
 
 def test_one_loop_shifted_check_holds():
     rep = ineq.one_loop_shifted_check(
-        _loop_instance(),
+        assembled(_loop_instance(), 0.02),
         np.geomspace(0.5, 2.0, 4),
         np.linspace(-5.0, -1.6, 4),
-        target_h=0.02,
         k=12,
     )
     assert rep.skipped == 0
@@ -173,7 +177,7 @@ def test_one_loop_shifted_check_holds():
 def test_one_loop_rejects_positive_windows():
     with pytest.raises(ineq.CoverageError):
         ineq.one_loop_shifted_check(
-            _loop_instance(), np.array([0.5, 1.0]), np.array([-1.0, 0.5])
+            assembled(_loop_instance(), 0.02), np.array([0.5, 1.0]), np.array([-1.0, 0.5])
         )
 
 
@@ -294,7 +298,7 @@ def test_scaling_covariance_of_ratios_and_quotients():
 
 def test_stubbe_pt_balloon_exceeds_classical_bound():
     g = families.poschl_teller_balloon(40.0)
-    rep = ineq.stubbe_monotonicity(g, np.array([0.5, 1.0, 2.0]), target_h=0.02, k=8)
+    rep = ineq.stubbe_monotonicity(assembled(g, 0.02), np.array([0.5, 1.0, 2.0]), k=8)
     # at alpha = 1 the quotient 0.2009 / 0.16977 > 1 shows up as a value above
     # the semiclassical ceiling; loops break the tree-side guarantee
     assert rep.values[1] > rep.classical_bound
