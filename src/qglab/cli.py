@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -25,8 +24,6 @@ from .graphs import (
     MetricGraph,
     TopologyClass,
     classify_topology,
-    graph_from_dict,
-    graph_to_dict,
     load_graph,
     validate,
 )
@@ -45,7 +42,7 @@ def _add_common(p: argparse.ArgumentParser, graph_required: bool = True) -> None
     p.add_argument("--out-dir", default="out", help="output directory (sole write location)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     p.add_argument("--tol", type=float, default=None, help="override check tolerance")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: sweeps run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,14 +91,31 @@ def _prepare_out(args) -> str:
     return args.out_dir
 
 
-def _default_h(graph: MetricGraph, k: int, requested: float | None) -> float:
+#: Largest default mesh size as a fraction of the bound-state length
+#: ``sqrt(alpha / max|V_-|)``.  The deepest fixture well at ``alpha = 1``
+#: (``tree_well``, depth 14) allows ``h = 0.0214``, above the 0.02 ceiling,
+#: so no ``alpha = 1`` fixture's default mesh depends on it.
+H_PER_WELL_LENGTH = 0.08
+
+
+def _mesh(graph: MetricGraph, k: int, requested: float | None, alpha_min: float) -> fem.Mesh:
+    """The mesh at ``--h``, or at a default that resolves the lowest ``k``
+    eigenfunctions and, at every coupling down to ``alpha_min``, the bound
+    states of the deepest well."""
     if requested is not None:
         if requested <= 0:
             raise InvalidGraphError("mesh size must be positive")
-        return requested
+        return fem.build_mesh(graph, requested)
     # keep the discretization error of the trusted eigenvalues below the
     # 1e-3 margin discipline of the sign checks
-    return min(0.02, 0.05 * graph.total_length / k)
+    h = min(0.02, 0.05 * graph.total_length / k)
+    mesh = fem.build_mesh(graph, h)
+    depth = -mesh.min_potential
+    if depth > 0:
+        h_well = H_PER_WELL_LENGTH * math.sqrt(alpha_min / depth)
+        if h_well < h:
+            mesh = fem.build_mesh(graph, h_well)
+    return mesh
 
 
 def _load(args) -> MetricGraph:
@@ -114,8 +128,7 @@ def _load(args) -> MetricGraph:
 
 def _solve(graph: MetricGraph, args, default_k: int) -> tuple[fem.AssembledSystem, fem.Spectrum]:
     k = args.k or default_k
-    mesh = fem.build_mesh(graph, _default_h(graph, k, args.h))
-    system = fem.assemble(mesh)
+    system = fem.assemble(_mesh(graph, k, args.h, graph.alpha))
     return system, fem.solve_spectrum(system, min(k, system.ndof))
 
 
@@ -422,8 +435,7 @@ def cmd_verify(args) -> int:
 # sweep
 
 
-def _balloon_point(payload) -> list[float]:
-    L, engine, h, k = payload
+def _balloon_point(L: float, engine: str, h: float, k: int) -> list[float]:
     if engine == "oracle":
         modes = analytic.balloon_eigenvalues(L, 2)
         e1, e2 = modes[0].energy, modes[1].energy
@@ -433,32 +445,22 @@ def _balloon_point(payload) -> list[float]:
     return [L, e1, e2, e2 / e1]
 
 
-def _fancy_point(payload) -> list[float]:
-    n, engine, h, k = payload
+def _fancy_point(n: int, engine: str, h: float, k: int) -> list[float]:
     if engine == "oracle":
-        e = analytic.fancy_balloon_eigenvalues(int(n), 2)
+        e = analytic.fancy_balloon_eigenvalues(n, 2)
         e1, e2 = float(e[0]), float(e[1])
     else:
-        spec = fem.solve_graph(families.fancy_balloon(int(n)), h, k)
+        spec = fem.solve_graph(families.fancy_balloon(n), h, k)
         e1, e2 = float(spec.energies[0]), float(spec.energies[1])
     ratio = e2 / e1
     return [n, e1, e2, ratio, ratio / (math.pi**2 * n)]
 
 
-def _alpha_point(payload) -> list[float]:
-    gdict, alpha, h, k = payload
-    graph = graph_from_dict(gdict)
-    spec = fem.solve_bound_states(fem.assemble(fem.build_mesh(graph, h)), k, alpha)
+def _alpha_point(system: fem.AssembledSystem, alpha: float, k: int) -> list[float]:
+    spec = fem.solve_bound_states(system, k, alpha)
     neg = spec.energies[spec.energies < 0]
     moment = float(np.sum(neg**2))
     return [alpha, moment, math.sqrt(alpha) * moment]
-
-
-def _run_points(func, payloads, jobs: int):
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(func, payloads))
-    return [func(p) for p in payloads]
 
 
 def cmd_sweep(args) -> int:
@@ -471,8 +473,7 @@ def cmd_sweep(args) -> int:
     if args.sweep == "balloon-L":
         engine = args.engine or "fem"
         h = args.h if args.h is not None else 0.01
-        values = np.linspace(lo, hi, args.steps)
-        rows = _run_points(_balloon_point, [(float(L), engine, h, args.k or 6) for L in values], args.jobs)
+        rows = [_balloon_point(float(L), engine, h, args.k or 6) for L in np.linspace(lo, hi, args.steps)]
         write_csv(os.path.join(out, "sweep.csv"), ["L", "E1", "E2", "ratio"], rows)
         best = max(range(len(rows)), key=lambda i: rows[i][3])
         print(f"max ratio {fmt_float(rows[best][3])} at L = {fmt_float(rows[best][0])}")
@@ -480,17 +481,19 @@ def cmd_sweep(args) -> int:
         engine = args.engine or "oracle"
         h = args.h if args.h is not None else 0.02
         values = range(int(lo), int(hi) + 1, max(1, (int(hi) - int(lo)) // max(args.steps - 1, 1)))
-        rows = _run_points(_fancy_point, [(int(n), engine, h, args.k or 6) for n in values], args.jobs)
+        rows = [_fancy_point(n, engine, h, args.k or 6) for n in values]
         write_csv(os.path.join(out, "sweep.csv"), ["N", "E1", "E2", "ratio", "ratio_over_pi2N"], rows)
         print(f"last ratio/(pi^2 N) = {fmt_float(rows[-1][4])}")
     else:
         if not args.graph:
             raise InvalidGraphError("alpha sweep needs --graph")
+        if lo <= 0:
+            raise InvalidGraphError("coupling range must be positive")
         graph = _load(args)
-        gdict = graph_to_dict(graph)
-        h = _default_h(graph, args.k or 16, args.h)
-        values = np.linspace(lo, hi, args.steps)
-        rows = _run_points(_alpha_point, [(gdict, float(a), h, args.k or 16) for a in values], args.jobs)
+        k = args.k or 16
+        # one assembly serves every coupling: alpha only rescales the stiffness
+        system = fem.assemble(_mesh(graph, k, args.h, lo))
+        rows = [_alpha_point(system, float(a), k) for a in np.linspace(lo, hi, args.steps)]
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)
         stubbe = [r[2] for r in rows]
         mono = all(b <= a * (1 + 1e-6) + 1e-300 for a, b in zip(stubbe[:-1], stubbe[1:]))

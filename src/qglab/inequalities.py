@@ -50,7 +50,7 @@ def make_z_grid(energies: np.ndarray, npoints: int = 60, trust_fraction: float =
     lo = energies[0] / 2.0
     hi = energies[m - 1]
     if not hi > lo:
-        raise ValueError("spectrum too short for a z grid")
+        raise CoverageError("spectrum too short for a z grid; request more eigenvalues")
     if lo > 0:
         return np.geomspace(lo, hi, npoints)
     return np.linspace(lo, hi, npoints)
@@ -190,13 +190,19 @@ def lt_quotient(spectrum: Spectrum, gamma: float, tol_rel: float = TOL_FEM) -> L
     ``sum |E|^gamma <= L^cl alpha^(-1/2) int V_-^(gamma + 1/2)``, so the
     quotient is ``sqrt(alpha) * moment / integral``.  The classical constant
     is the sharp line constant; exceeding it witnesses that the graph's
-    connectivity, not the method, changes the inequality.
+    connectivity, not the method, changes the inequality.  A spectrum whose
+    top eigenvalue is negative may miss bound states and is refused.
     """
     if gamma not in (1.5, 2.0):
         raise ValueError("gamma restricted to 3/2 and 2")
     mesh = spectrum.mesh
     if mesh.min_potential >= 0:
         raise ValueError("potential has no negative part")
+    if spectrum.energies[-1] < 0.0 and len(spectrum) < mesh.ndof:
+        raise CoverageError(
+            f"all {len(spectrum)} computed eigenvalues are negative, so the moment may be truncated;"
+            " request more eigenvalues"
+        )
     neg = spectrum.energies[spectrum.energies < 0.0]
     moment = float(np.sum(np.abs(neg) ** gamma))
     integral = integrate_potential_power(mesh, gamma + 0.5)

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from qglab.cli import POLICY, main
-from qglab.graphs import TopologyClass
+from qglab import fem, inequalities as ineq
+from qglab.cli import CHECKS, POLICY, SolveContext, main
+from qglab.graphs import TopologyClass, classify_topology, load_graph
 from qglab.reports import fmt_float
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -228,6 +229,42 @@ def test_sweep_alpha_moments_independent_of_k(tmp_path, capsys):
         rows = (out / "sweep.csv").read_text().splitlines()
         columns.append([row.split(",")[1] for row in rows])
     assert columns[0] == columns[1]
+
+
+def test_sweep_alpha_default_mesh_resolves_weak_coupling(tmp_path, capsys):
+    # at h = 0.02 the alpha = 0.001 bound states are unresolved and the
+    # Stubbe column rises; the default mesh scales with sqrt(alpha)
+    code = main(
+        ["sweep", "--sweep", "alpha", "--range", "0.001:0.01", "--steps", "4",
+         "--graph", fixture("tree_well.json"), "--k", "4", "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    assert "nonincreasing: True" in capsys.readouterr().out
+
+
+def test_verify_negative_spectrum_too_short_is_numeric(tmp_path, capsys):
+    # at alpha = 0.002 all 6 eigenvalues are bound states: no z grid fits
+    graph = json.loads(open(fixture("tree_well.json")).read())
+    graph["alpha"] = 0.002
+    path = tmp_path / "tree_well_weak.json"
+    path.write_text(json.dumps(graph))
+    code = main(["verify", "--graph", str(path), "--k", "6", "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "spectrum too short" in capsys.readouterr().err
+
+
+def test_checks_report_under_their_keys():
+    covered = set()
+    for name in ("y_graph", "tree_well", "circle_two_leads"):
+        graph = load_graph(fixture(f"{name}.json"))
+        system = fem.assemble(fem.build_mesh(graph, 0.02))
+        spectrum = fem.solve_spectrum(system, 90)
+        policy = POLICY[(classify_topology(graph).topology_class, graph.potential_is_zero())]
+        ctx = SolveContext(graph, ineq.TOL_FEM, system, spectrum, ineq.trusted_energies(spectrum), dict(policy))
+        for key, _ in policy:
+            assert CHECKS[key](ctx).check == key
+            covered.add(key)
+    assert covered == set(CHECKS)
 
 
 def test_readme_verify_table_matches_policy():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from qglab import families, fem
-from qglab.graphs import DIRICHLET, NEUMANN, Edge, MetricGraph, SquareWell
+from qglab.graphs import DIRICHLET, NEUMANN, ZERO, Edge, MetricGraph, SquareWell
 
 from conftest import make_path
 
@@ -109,6 +111,7 @@ def test_fancy_balloon_exact_values():
 
 def test_mass_normalization_and_rayleigh_identity():
     spec = fem.solve_graph(families.y_graph(), 0.01, 8)
+    assert spec.edge_mass.shape == (3, 8)  # one row per edge, one column per state
     assert np.allclose(spec.edge_mass.sum(axis=0), 1.0, atol=1e-12)
     # V = 0, alpha = 1: the derivative form reproduces the eigenvalue exactly
     # at the discrete level
@@ -138,10 +141,66 @@ def test_sparse_path_matches_dense():
     g = families.balloon()
     mesh = fem.build_mesh(g, 0.01)
     system = fem.assemble(mesh)
-    dense = fem.solve_spectrum(system, 6)
+    dense = fem.solve_spectrum(system, 6, dense_cap=system.ndof)
     sparse = fem.solve_spectrum(system, 6, dense_cap=10)
     assert np.allclose(dense.energies, sparse.energies, rtol=1e-9)
     assert np.allclose(dense.edge_mass, sparse.edge_mass, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "graph, h, k, repeated",
+    [
+        (families.y_graph(), 0.005, 6, {math.pi**2: 2, 4 * math.pi**2: 2}),
+        (families.star([1.0] * 5), 0.005, 6, {math.pi**2: 4}),
+        (families.fancy_balloon(4), 0.01, 7, {1.0: 3}),
+    ],
+    ids=["y", "star5", "fancy4"],
+)
+def test_sparse_path_keeps_multiplicities(graph, h, k, repeated):
+    # symmetric graphs: the antisymmetric copies are what a symmetric
+    # Lanczos start vector never reaches
+    system = fem.assemble(fem.build_mesh(graph, h))
+    dense = fem.solve_spectrum(system, k, dense_cap=system.ndof)
+    sparse = fem.solve_spectrum(system, k, dense_cap=10)
+    assert np.allclose(dense.energies, sparse.energies, rtol=1e-9)
+    for energy, multiplicity in repeated.items():
+        assert np.count_nonzero(np.isclose(sparse.energies, energy, rtol=1e-3)) == multiplicity
+    # inside a degenerate cluster only the sums are basis independent
+    for cluster in fem.degenerate_clusters(dense.energies):
+        cols = list(cluster)
+        assert np.allclose(dense.edge_mass[:, cols].sum(axis=1), sparse.edge_mass[:, cols].sum(axis=1), atol=1e-7)
+
+
+def test_certificate_rejects_symmetric_start_vector(monkeypatch):
+    # a start vector invariant under the Y graph's leg permutations spans no
+    # antisymmetric state, so Lanczos misses the second copies of pi^2 and 4 pi^2
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def symmetric_start(*args, **kwargs):
+        return eigsh(*args, **{**kwargs, "v0": np.ones(len(kwargs["v0"]))})
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", symmetric_start)
+    with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
+        fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha=st.floats(0.05, 20.0),
+    depth=st.floats(-30.0, -0.1),
+    left=st.floats(0.0, 0.8),
+)
+def test_alpha_scaling_of_the_spectrum(alpha, depth, left):
+    # -alpha d^2/dx^2 + V = alpha (-d^2/dx^2 + V/alpha), on the same mesh
+    def y_with_well(d):
+        well = SquareWell(depth=d, left=left, right=left + 0.2)
+        return families.star([1.0, 1.0, 1.3], potentials=[well, well, ZERO])
+
+    mesh = fem.build_mesh(y_with_well(depth), 0.01)
+    scaled = fem.build_mesh(y_with_well(depth / alpha), 0.01)
+    spec = fem.solve_spectrum(fem.assemble(mesh), 6, alpha=alpha)
+    unit = fem.solve_spectrum(fem.assemble(scaled), 6, alpha=1.0)
+    assert np.allclose(spec.energies, alpha * unit.energies, rtol=1e-9, atol=1e-9 * alpha)
 
 
 def test_solves_are_deterministic():

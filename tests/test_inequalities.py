@@ -91,6 +91,22 @@ def test_lt_quotient_no_bound_state_note():
     assert "no negative eigenvalues" in q.note
 
 
+def test_lt_quotient_refuses_truncated_moment():
+    # at alpha = 0.01 the tree's well binds far more than 4 states
+    g = load_graph(os.path.join(FIXTURES, "tree_well.json"))
+    system = assembled(g, 0.02)
+    with pytest.raises(ineq.CoverageError, match="all 4 computed eigenvalues are negative"):
+        ineq.lt_quotient(fem.solve_spectrum(system, 4, alpha=0.01), 2.0)
+    full = fem.solve_bound_states(system, 4, 0.01)
+    assert ineq.lt_quotient(full, 2.0).quotient == pytest.approx(0.1646, abs=1e-3)
+
+
+def test_z_grid_on_negative_spectrum_is_a_coverage_error():
+    # the grid starts at E1 / 2, above the whole batch when every E is below it
+    with pytest.raises(ineq.CoverageError, match="too short"):
+        ineq.make_z_grid(np.array([-14.0, -13.9, -13.7, -13.4, -13.0, -12.5]))
+
+
 def test_lt_quotient_pt_balloon_short_string():
     spec = fem.solve_graph(families.poschl_teller_balloon(40.0), 0.02, 6, dense_cap=100)
     q = ineq.lt_quotient(spec, 1.5)
