@@ -286,7 +286,7 @@ def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
 def _stubbe(ctx: SolveContext) -> CheckReport | None:
     if ctx.system.mesh.min_potential >= 0:
         return None
-    stubbe = ineq.stubbe_monotonicity(ctx.system, np.geomspace(0.5, 4.0, 8), k=16)
+    stubbe = ineq.stubbe_monotonicity(ctx.system, np.geomspace(0.5, 4.0, 8))
     return CheckReport(
         check="stubbe_monotonicity",
         params={"classical_bound": stubbe.classical_bound},
@@ -305,13 +305,7 @@ def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
         zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
     else:
         zs = np.linspace(-1.0, -0.1, 6)
-    shifted = ineq.one_loop_shifted_check(
-        ctx.system,
-        np.geomspace(0.5, 2.0, 6),
-        zs,
-        k=max(16, min(32, ctx.system.ndof)),
-        tol_rel=ctx.tol,
-    )
+    shifted = ineq.one_loop_shifted_check(ctx.system, np.geomspace(0.5, 2.0, 6), zs, tol_rel=ctx.tol)
     return CheckReport(
         check="one_loop_shifted",
         params={"q": shifted.q, "alphas": [float(a) for a in shifted.alphas]},
@@ -456,10 +450,8 @@ def _fancy_point(n: int, engine: str, h: float, k: int) -> list[float]:
     return [n, e1, e2, ratio, ratio / (math.pi**2 * n)]
 
 
-def _alpha_point(system: fem.AssembledSystem, alpha: float, k: int) -> list[float]:
-    spec = fem.solve_bound_states(system, k, alpha)
-    neg = spec.energies[spec.energies < 0]
-    moment = float(np.sum(neg**2))
+def _alpha_point(system: fem.AssembledSystem, alpha: float) -> list[float]:
+    moment = float(np.sum(fem.solve_bound_states(system, alpha) ** 2))
     return [alpha, moment, math.sqrt(alpha) * moment]
 
 
@@ -490,10 +482,9 @@ def cmd_sweep(args) -> int:
         if lo <= 0:
             raise InvalidGraphError("coupling range must be positive")
         graph = _load(args)
-        k = args.k or 16
         # one assembly serves every coupling: alpha only rescales the stiffness
-        system = fem.assemble(_mesh(graph, k, args.h, lo))
-        rows = [_alpha_point(system, float(a), k) for a in np.linspace(lo, hi, args.steps)]
+        system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
+        rows = [_alpha_point(system, float(a)) for a in np.linspace(lo, hi, args.steps)]
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)
         stubbe = [r[2] for r in rows]
         mono = all(b <= a * (1 + 1e-6) + 1e-300 for a, b in zip(stubbe[:-1], stubbe[1:]))
@@ -625,6 +616,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.k is not None and args.k < 1:
+            raise ValueError(f"--k must be at least 1, got {args.k}")
         return _COMMANDS[args.command](args)
     except (GraphFormatError, InvalidGraphError, FileNotFoundError, IsADirectoryError,
             colorings.ColoringError, circuits.CircuitError) as exc:

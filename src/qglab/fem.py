@@ -12,7 +12,9 @@ invisible, so this changes nothing but makes assembly uniform.
 Eigenpairs come from shift-invert Lanczos, or from dense LAPACK for small
 systems and large shares of the spectrum.  Every Lanczos result is certified
 complete, multiplicities included, by counting eigenvalues with Sylvester's
-law of inertia; a result that fails the count raises ``SolverError``.
+law of inertia; a result that fails the count raises ``SolverError``.  The
+negative eigenvalues alone come from one such count at 0 and one solve of
+exactly that many.
 """
 
 from __future__ import annotations
@@ -332,8 +334,12 @@ def solve_spectrum(
     """Lowest ``k`` eigenpairs of the assembled generalized problem.
 
     Dense LAPACK when ``n <= dense_cap`` or ``k / n > DENSE_K_FRACTION``;
-    otherwise shift-invert Lanczos below the spectrum, from a start vector
-    seeded by ``n``, certified complete by two inertia counts.  Vectors are
+    otherwise shift-invert Lanczos from a start vector seeded by ``n``,
+    certified complete by two inertia counts.  The shift
+    ``min(0, min V) - alpha (pi / L)^2`` (``L`` the total length) lies below
+    ``E_1``, since ``H - (min V) M`` is positive semidefinite for the P1
+    interpolant of ``V``, and scales with the graph's own level spacing, so
+    a shallow band of wanted eigenvalues is not crowded together.  Vectors are
     mass-orthonormal with the first nonzero coefficient positive, so repeat
     runs are reproducible.
     """
@@ -345,7 +351,7 @@ def solve_spectrum(
         raise ValueError("alpha must be positive")
     ham = system.hamiltonian(a_coupling)
     dense = n <= dense_cap or k > DENSE_K_FRACTION * n
-    sigma = min(0.0, system.mesh.min_potential) - 1.0
+    sigma = min(0.0, system.mesh.min_potential) - a_coupling * (math.pi / system.mesh.graph.total_length) ** 2
 
     try:
         if dense:
@@ -390,16 +396,17 @@ def solve_spectrum(
     )
 
 
-def solve_bound_states(system: AssembledSystem, k: int, alpha: float) -> Spectrum:
-    """Lowest eigenpairs at coupling ``alpha`` that include every negative one.
+def solve_bound_states(system: AssembledSystem, alpha: float) -> np.ndarray:
+    """Every negative eigenvalue at coupling ``alpha``, ascending.
 
-    One inertia count gives the number of negative eigenvalues; one solve
-    then returns at least ``k`` pairs and one nonnegative eigenvalue above
-    them (or the whole system), so moments of the negative spectrum are
-    never truncated.
+    One inertia count at 0 gives their number ``m``; one ``solve_spectrum``
+    of exactly ``m`` eigenvalues then returns them, and none is solved for
+    when ``m == 0``.  Moments of the negative spectrum are never truncated.
     """
     negative = _count_below(system.hamiltonian(alpha), system.mass, 0.0)
-    return solve_spectrum(system, min(max(k, negative + 1), system.ndof), alpha=alpha)
+    if negative == 0:
+        return np.empty(0)
+    return solve_spectrum(system, negative, alpha=alpha).energies
 
 
 def solve_graph(

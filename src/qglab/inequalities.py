@@ -246,23 +246,18 @@ class StubbeReport:
 def stubbe_monotonicity(
     system: AssembledSystem,
     alpha_grid,
-    k: int = 16,
     tol_rel: float = 1e-6,
 ) -> StubbeReport:
     """Track ``sqrt(alpha) * sum (-E_j(alpha))^2`` over an ascending grid.
 
-    Each coupling re-solves the already assembled ``system``.  Also compares
-    every value against the semiclassical ceiling ``L^cl * int V_-^(5/2)``.
+    Each coupling solves the assembled ``system`` for its negative
+    eigenvalues only.  Also compares every value against the semiclassical
+    ceiling ``L^cl * int V_-^(5/2)``.
     """
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if len(alphas) < 3 or np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be ascending with at least 3 points")
-    moments = []
-    for a in alphas:
-        spec = solve_bound_states(system, k, float(a))
-        neg = spec.energies[spec.energies < 0.0]
-        moments.append(float(np.sum(neg**2)))
-    moments = np.asarray(moments)
+    moments = np.array([np.sum(solve_bound_states(system, float(a)) ** 2) for a in alphas])
     values = np.sqrt(alphas) * moments
     diffs = np.diff(values)
     floor = np.maximum(values[:-1], 1e-300)
@@ -341,7 +336,6 @@ def one_loop_shifted_check(
     system: AssembledSystem,
     alpha_grid,
     z_grid,
-    k: int = 16,
     tol_rel: float = TOL_FEM,
 ) -> OneLoopShiftReport:
     """Shifted monotone map and shifted moment bound on the one-loop graph
@@ -362,12 +356,13 @@ def one_loop_shifted_check(
     if zs.max() > 0:
         raise CoverageError("shifted one-loop windows must satisfy z <= 0")
     q = loop.q
-    spectra = [solve_bound_states(system, k, float(a)) for a in alphas]
+    # only bound states enter: z - shift - E > 0 and z - E > 0 need E < z <= 0
+    bound = [solve_bound_states(system, float(a)) for a in alphas]
 
     map_values = np.zeros((len(zs), len(alphas)))
-    for ia, (a, spec) in enumerate(zip(alphas, spectra)):
+    for ia, (a, energies) in enumerate(zip(alphas, bound)):
         shift = (3.0 / 16.0) * q * q * a
-        pos = np.maximum(zs[:, None] - shift - spec.energies[None, :], 0.0)
+        pos = np.maximum(zs[:, None] - shift - energies[None, :], 0.0)
         map_values[:, ia] = math.sqrt(a) * (pos**2).sum(axis=1)
 
     diffs = np.diff(map_values, axis=1)
@@ -378,14 +373,14 @@ def one_loop_shifted_check(
     lt_margins = np.full((len(zs), len(alphas)), np.nan)
     lt_ok = True
     skipped = 0
-    for ia, (a, spec) in enumerate(zip(alphas, spectra)):
+    for ia, (a, energies) in enumerate(zip(alphas, bound)):
         shift = (3.0 / 16.0) * q * q * a
         for iz, z in enumerate(zs):
             c = z + shift
             if c > 0:
                 skipped += 1
                 continue
-            lhs = float(np.sum(np.maximum(z - spec.energies, 0.0) ** 2))
+            lhs = float(np.sum(np.maximum(z - energies, 0.0) ** 2))
             rhs = lcl / math.sqrt(a) * integrate_potential_power(system.mesh, 2.5, shift=c)
             lt_margins[iz, ia] = rhs - lhs
             if lhs > rhs + tol_rel * max(lhs, rhs, 1e-12):

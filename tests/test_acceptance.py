@@ -131,7 +131,7 @@ def test_07_stubbe_monotonicity():
         tree = families.random_tree(rng, int(rng.integers(4, 8)), length_range=(0.5, 2.0))
         longest = int(np.argmax([e.length for e in tree.edges]))
         graph = families.with_square_well(tree, longest, depth=-15.0, width_fraction=0.7)
-        rep = ineq.stubbe_monotonicity(fem.assemble(fem.build_mesh(graph, 0.02)), alphas, k=12)
+        rep = ineq.stubbe_monotonicity(fem.assemble(fem.build_mesh(graph, 0.02)), alphas)
         ok = ok and rep.worst_increase_rel <= 1e-6
         ok = ok and rep.values[0] > 0.0
         ok = ok and bool(np.all(rep.values < rep.classical_bound))
@@ -143,7 +143,7 @@ def test_08_one_loop_shifted():
     graph = load_graph(fixture("loop_leads_well.json"))
     alphas = np.geomspace(0.5, 2.0, 6)
     zs = np.linspace(-6.0, -1.6, 6)
-    rep = ineq.one_loop_shifted_check(fem.assemble(fem.build_mesh(graph, 0.02)), alphas, zs, k=16)
+    rep = ineq.one_loop_shifted_check(fem.assemble(fem.build_mesh(graph, 0.02)), alphas, zs)
     ok = rep.skipped == 0 and rep.monotone and rep.lt_holds and rep.map_values.max() > 0
     spec = fem.solve_graph(graph, 0.02, 24)
     steps_ok = True

@@ -86,6 +86,15 @@ def test_invalid_graph_exits_2(tmp_path):
     assert "nonpositive length" in result.stderr
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_nonpositive_k_exits_2(tmp_path, capsys, k):
+    # 0 once fell back to the subcommand's default k and exited 0
+    code = main(["verify", "--graph", fixture("y_graph.json"), "--k", k, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_tree_green(tmp_path, capsys):
     code = main(
         ["verify", "--graph", fixture("y_graph.json"), "--out-dir", str(tmp_path)]

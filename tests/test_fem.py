@@ -171,6 +171,42 @@ def test_sparse_path_keeps_multiplicities(graph, h, k, repeated):
         assert np.allclose(dense.edge_mass[:, cols].sum(axis=1), sparse.edge_mass[:, cols].sum(axis=1), atol=1e-7)
 
 
+def _count_solves(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    solve = fem.solve_spectrum
+
+    def counted(system, k, **kwargs):
+        calls.append(k)
+        return solve(system, k, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_spectrum", counted)
+    return calls
+
+
+def test_bound_states_are_the_negative_spectrum(monkeypatch):
+    # one well per leg: a symmetric ground state and a double from the two
+    # combinations that are antisymmetric across legs
+    star = families.star([1.5, 1.5, 1.5])
+    for leg in range(3):
+        star = families.with_square_well(star, leg, depth=-12.0, width_fraction=0.5)
+    system = fem.assemble(fem.build_mesh(star, 0.01))
+    assert system.ndof == 448 > fem.DENSE_DOF_CAP
+    calls = _count_solves(monkeypatch)
+    bound = fem.solve_bound_states(system, 1.0)
+    assert calls == [3]
+    assert bound == pytest.approx([-6.8328, -5.8101, -5.8101], abs=1e-4)
+    dense = fem.solve_spectrum(system, system.ndof, dense_cap=system.ndof).energies
+    assert np.allclose(bound, dense[dense < 0.0], rtol=1e-9, atol=0.0)
+
+
+def test_no_bound_states_means_no_solve(monkeypatch):
+    system = fem.assemble(fem.build_mesh(families.y_graph(), 0.01))
+    calls = _count_solves(monkeypatch)
+    bound = fem.solve_bound_states(system, 1.0)
+    assert bound.shape == (0,)
+    assert calls == []
+
+
 def test_certificate_rejects_symmetric_start_vector(monkeypatch):
     # a start vector invariant under the Y graph's leg permutations spans no
     # antisymmetric state, so Lanczos misses the second copies of pi^2 and 4 pi^2
