@@ -45,7 +45,11 @@ def interval_eigenvalues(length: float, bc: str = "DD", n: int = 10) -> np.ndarr
     return k**2
 
 
-def bisect(f, lo: float, hi: float, iters: int = 120) -> float:
+#: Halvings per bisection: the bracket shrinks by a factor 2**120.
+BISECT_STEPS = 120
+
+
+def bisect(f, lo: float, hi: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -53,7 +57,7 @@ def bisect(f, lo: float, hi: float, iters: int = 120) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(iters):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:

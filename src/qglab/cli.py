@@ -19,7 +19,6 @@ import numpy as np
 
 from . import analytic, circuits, colorings, families, fem, inequalities as ineq
 from .graphs import (
-    GraphFormatError,
     InvalidGraphError,
     MetricGraph,
     TopologyClass,
@@ -86,6 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _require(ok: bool, option: str, value, rule: str) -> None:
+    """Refuse an out-of-range option value as an input error that names it."""
+    if not ok:
+        raise ValueError(f"{option} must be {rule}, got {value}")
+
+
 def _prepare_out(args) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return args.out_dir
@@ -103,8 +108,6 @@ def _mesh(graph: MetricGraph, k: int, requested: float | None, alpha_min: float)
     eigenfunctions and, at every coupling down to ``alpha_min``, the bound
     states of the deepest well."""
     if requested is not None:
-        if requested <= 0:
-            raise InvalidGraphError("mesh size must be positive")
         return fem.build_mesh(graph, requested)
     # keep the discretization error of the trusted eigenvalues below the
     # 1e-3 margin discipline of the sign checks
@@ -456,6 +459,9 @@ def _alpha_point(system: fem.AssembledSystem, alpha: float) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    engine = args.engine or ("fem" if args.sweep == "balloon-L" else "oracle")
+    if args.sweep != "alpha" and engine == "fem":
+        _require(args.k is None or args.k >= 2, "--k", args.k, "at least 2 for E2/E1 on the fem engine")
     out = _prepare_out(args)
     lo, _, hi = args.sweep_range.partition(":")
     lo, hi = float(lo), float(hi)
@@ -463,14 +469,12 @@ def cmd_sweep(args) -> int:
         raise InvalidGraphError("sweep range must be lo:hi with at least 2 steps")
 
     if args.sweep == "balloon-L":
-        engine = args.engine or "fem"
         h = args.h if args.h is not None else 0.01
         rows = [_balloon_point(float(L), engine, h, args.k or 6) for L in np.linspace(lo, hi, args.steps)]
         write_csv(os.path.join(out, "sweep.csv"), ["L", "E1", "E2", "ratio"], rows)
         best = max(range(len(rows)), key=lambda i: rows[i][3])
         print(f"max ratio {fmt_float(rows[best][3])} at L = {fmt_float(rows[best][0])}")
     elif args.sweep == "fancy-N":
-        engine = args.engine or "oracle"
         h = args.h if args.h is not None else 0.02
         values = range(int(lo), int(hi) + 1, max(1, (int(hi) - int(lo)) // max(args.steps - 1, 1)))
         rows = [_fancy_point(n, engine, h, args.k or 6) for n in values]
@@ -487,7 +491,7 @@ def cmd_sweep(args) -> int:
         rows = [_alpha_point(system, float(a)) for a in np.linspace(lo, hi, args.steps)]
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)
         stubbe = [r[2] for r in rows]
-        mono = all(b <= a * (1 + 1e-6) + 1e-300 for a, b in zip(stubbe[:-1], stubbe[1:]))
+        mono = all(b <= a * (1 + ineq.STUBBE_TOL) + 1e-300 for a, b in zip(stubbe[:-1], stubbe[1:]))
         print(f"stubbe column nonincreasing: {mono}")
         if not mono:
             return EXIT_CHECK
@@ -499,6 +503,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require(args.n >= 1, "--n", args.n, "at least 1")
     out = _prepare_out(args)
     if args.family == "interval":
         e = analytic.interval_eigenvalues(args.length, args.bc, args.n)
@@ -570,6 +575,7 @@ def cmd_colorings(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    _require(0 < args.lead_resistance < math.inf, "--lead-resistance", args.lead_resistance, "finite and positive")
     out = _prepare_out(args)
     graph = _load(args)
     terminals = None
@@ -616,17 +622,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.k is not None and args.k < 1:
-            raise ValueError(f"--k must be at least 1, got {args.k}")
+        _require(args.k is None or args.k >= 1, "--k", args.k, "at least 1")
+        _require(args.h is None or 0 < args.h < math.inf, "--h", args.h, "finite and positive")
+        _require(args.tol is None or 0 <= args.tol < math.inf, "--tol", args.tol, "finite and nonnegative")
         return _COMMANDS[args.command](args)
-    except (GraphFormatError, InvalidGraphError, FileNotFoundError, IsADirectoryError,
-            colorings.ColoringError, circuits.CircuitError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # CoverageError is a ValueError, so the numeric clause comes first; the
+    # graph, coloring and circuit errors are ValueErrors too
     except (fem.SolverError, ineq.CoverageError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -126,10 +126,11 @@ class GFunction:
 def realize_g(graph: MetricGraph, coloring: Coloring) -> GFunction:
     """Deterministic affine representative of an admissible tree coloring.
 
-    Walking the tree from the root, the colored edges at each vertex get
-    outward slopes that alternate starting with -1 (after accounting for the
-    already-fixed parent slope), in ascending edge order; uncolored edges get
-    slope 0.  Vertex values propagate from value 0 at the root.
+    Walking the tree from the root, the colored child edges at each vertex,
+    in ascending edge order, get outward slopes that alternate -1, +1 while
+    both signs are still needed to balance the already-fixed parent slope,
+    then the sign that remains; uncolored edges get slope 0.  Vertex values
+    propagate from value 0 at the root.
     """
     root, order, parent_edge, adj, degrees = _tree_structure(graph)
     slopes = [0] * len(graph.edges)
@@ -156,19 +157,9 @@ def realize_g(graph: MetricGraph, coloring: Coloring) -> GFunction:
                 raise ColoringError(f"coloring violates parity at vertex {v}")
             n_minus = (c + parent_out) // 2
             n_plus = c - n_minus
-            sign = -1
-            for eid in colored_children:
-                if sign == -1 and n_minus > 0:
-                    out = -1
-                    n_minus -= 1
-                elif sign == +1 and n_plus > 0:
-                    out = +1
-                    n_plus -= 1
-                else:
-                    out = -1 if n_minus > 0 else +1
-                    n_minus -= 1 if out == -1 else 0
-                    n_plus -= 1 if out == +1 else 0
-                sign = -sign
+            m = min(n_minus, n_plus)
+            outs = [-1, +1] * m + [-1] * (n_minus - m) + [+1] * (n_plus - m)
+            for eid, out in zip(colored_children, outs):
                 e = graph.edges[eid]
                 slopes[eid] = out if e.u == v else -out
         for eid, w in adj[v]:

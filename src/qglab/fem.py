@@ -7,7 +7,8 @@ the form and needs no vertex stencils.  Dirichlet leaf values are eliminated.
 
 Self-loops are expanded into two half-edges of equal length joined at a
 synthetic midpoint vertex; a degree-2 Kirchhoff vertex is spectrally
-invisible, so this changes nothing but makes assembly uniform.
+invisible, so this changes nothing but makes assembly uniform.  Every mesh
+segment owns its node arrays: arclength, degree of freedom and potential.
 
 Eigenpairs come from shift-invert Lanczos, or from dense LAPACK for small
 systems and large shares of the spectrum.  Every Lanczos result is certified
@@ -20,7 +21,7 @@ exactly that many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,116 +51,97 @@ class SolverError(RuntimeError):
     """Eigensolver failure, or a result that fails the completeness certificate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """One meshed piece of an edge, oriented by the edge's own arclength.
 
-    ``offset`` is the arclength of the segment's start within its parent
-    edge, so node positions on the parent edge are ``offset + t``.
+    A segment owns its mesh nodes: ``x`` is their arclength within the
+    parent edge, ``dofs`` their global degrees of freedom (-1 at an
+    eliminated Dirichlet vertex) and ``v`` the potential there, evaluated
+    once when the mesh is built.
     """
 
     edge_id: int
     start: int
     end: int
     length: float
-    offset: float
+    x: np.ndarray
+    dofs: np.ndarray
+    v: np.ndarray
+
+    @property
+    def cells(self) -> int:
+        return len(self.x) - 1
+
+    @property
+    def h(self) -> float:
+        return self.length / self.cells
+
+    def values(self, vectors: np.ndarray) -> np.ndarray:
+        """Rows of ``vectors`` at this segment's nodes, zero where eliminated."""
+        vals = np.zeros((len(self.dofs),) + vectors.shape[1:])
+        mask = self.dofs >= 0
+        vals[mask] = vectors[self.dofs[mask]]
+        return vals
 
 
 @dataclass
 class Mesh:
+    """Segments that cover the graph, and the size of the discrete system.
+
+    The ``n_solver_vertices`` solver vertices are the graph's vertices, then
+    self-loop midpoints.  Their degrees of freedom come first, in that order
+    and without Dirichlet leaves; interior nodes follow segment by segment.
+    """
+
     graph: MetricGraph
     segments: list[Segment]
-    cells: list[int]
     n_solver_vertices: int
-    vertex_dof: np.ndarray  # -1 marks an eliminated Dirichlet vertex
-    interior_start: list[int]
     ndof: int
-    #: ``V`` at the mesh nodes of each segment, evaluated once on construction
-    node_potential: list[np.ndarray] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.node_potential = []
-        for si, seg in enumerate(self.segments):
-            edge = self.graph.edges[seg.edge_id]
-            self.node_potential.append(edge.potential.evaluate(self.node_positions(si), edge.length))
-
-    def node_dofs(self, si: int) -> np.ndarray:
-        """Global DOF per mesh node of segment ``si`` (-1 where eliminated)."""
-        c = self.cells[si]
-        seg = self.segments[si]
-        dofs = np.empty(c + 1, dtype=int)
-        dofs[0] = self.vertex_dof[seg.start]
-        dofs[-1] = self.vertex_dof[seg.end]
-        dofs[1:-1] = np.arange(c - 1) + self.interior_start[si]
-        return dofs
-
-    def node_values(self, si: int, vectors: np.ndarray) -> np.ndarray:
-        """Mesh-node values of eigenvector columns, zeros at Dirichlet nodes."""
-        dofs = self.node_dofs(si)
-        cols = vectors.shape[1] if vectors.ndim == 2 else 1
-        vals = np.zeros((len(dofs), cols) if vectors.ndim == 2 else len(dofs))
-        mask = dofs >= 0
-        vals[mask] = vectors[dofs[mask]]
-        return vals
-
-    def node_positions(self, si: int) -> np.ndarray:
-        """Arclength of segment nodes within the parent edge."""
-        seg = self.segments[si]
-        c = self.cells[si]
-        return seg.offset + np.linspace(0.0, seg.length, c + 1)
+    @property
+    def cells(self) -> list[int]:
+        return [seg.cells for seg in self.segments]
 
     @property
     def min_potential(self) -> float:
-        return min(float(v.min()) for v in self.node_potential)
-
-
-def _expand_segments(graph: MetricGraph) -> tuple[list[Segment], int]:
-    """Non-loop edges map to one segment; self-loops to two half-edges joined
-    at a fresh midpoint vertex."""
-    segments: list[Segment] = []
-    next_vertex = graph.num_vertices
-    for i, e in enumerate(graph.edges):
-        if e.is_loop:
-            mid = next_vertex
-            next_vertex += 1
-            half = 0.5 * e.length
-            segments.append(Segment(i, e.u, mid, half, 0.0))
-            segments.append(Segment(i, mid, e.v, half, half))
-        else:
-            segments.append(Segment(i, e.u, e.v, e.length, 0.0))
-    return segments, next_vertex
+        return min(float(seg.v.min()) for seg in self.segments)
 
 
 def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
     """Uniform subdivision per edge: ``max(2, ceil(length / target_h))`` cells,
-    overridden by an edge's ``cells`` hint (split evenly across loop halves)."""
+    overridden by an edge's ``cells`` hint (split evenly across loop halves).
+
+    A self-loop becomes two half-edges joined at a fresh midpoint vertex.
+    """
     if target_h <= 0:
         raise ValueError("target_h must be positive")
     require_valid(graph)
 
-    segments, n_solver_vertices = _expand_segments(graph)
-    cells = []
-    for seg in segments:
-        hint = graph.edges[seg.edge_id].cells
-        if hint is not None:
-            is_loop_half = graph.edges[seg.edge_id].is_loop
-            cells.append(max(1, math.ceil(hint / 2)) if is_loop_half else hint)
+    pieces = []  # (edge id, edge, start vertex, end vertex, length, x0 = arclength of the start, cells)
+    n_solver_vertices = graph.num_vertices
+    for i, e in enumerate(graph.edges):
+        if e.is_loop:
+            mid = n_solver_vertices
+            n_solver_vertices += 1
+            half = 0.5 * e.length
+            c = max(2, math.ceil(half / target_h)) if e.cells is None else max(1, math.ceil(e.cells / 2))
+            pieces += [(i, e, e.u, mid, half, 0.0, c), (i, e, mid, e.v, half, half, c)]
         else:
-            cells.append(max(2, math.ceil(seg.length / target_h)))
+            c = max(2, math.ceil(e.length / target_h)) if e.cells is None else e.cells
+            pieces.append((i, e, e.u, e.v, e.length, 0.0, c))
 
-    vertex_dof = np.full(n_solver_vertices, -1, dtype=int)
-    ndof = 0
-    for v in range(n_solver_vertices):
-        if v < graph.num_vertices and graph.boundary.get(v) == DIRICHLET:
-            continue
-        vertex_dof[v] = ndof
-        ndof += 1
-    interior_start = []
-    for c in cells:
-        interior_start.append(ndof)
+    free = [v for v in range(n_solver_vertices) if graph.boundary.get(v) != DIRICHLET]
+    dof_of = np.full(n_solver_vertices, -1, dtype=int)
+    dof_of[free] = np.arange(len(free))
+    ndof = len(free)
+    segments = []
+    for i, e, start, end, length, x0, c in pieces:
+        x = x0 + np.linspace(0.0, length, c + 1)
+        dofs = np.concatenate(([dof_of[start]], np.arange(ndof, ndof + c - 1), [dof_of[end]]))
         ndof += c - 1
-
-    return Mesh(graph, segments, cells, n_solver_vertices, vertex_dof, interior_start, ndof)
+        segments.append(Segment(i, start, end, length, x, dofs, e.potential.evaluate(x, e.length)))
+    return Mesh(graph, segments, n_solver_vertices, ndof)
 
 
 @dataclass
@@ -174,7 +156,6 @@ class AssembledSystem:
     base_stiffness: scipy.sparse.csr_matrix
     potential: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
-    alpha: float
 
     @property
     def ndof(self) -> int:
@@ -192,24 +173,17 @@ def assemble(mesh: Mesh) -> AssembledSystem:
     rows, cols = [], []
     k_vals, m_vals, w_vals = [], [], []
 
-    for si, seg in enumerate(mesh.segments):
-        c = mesh.cells[si]
-        h = seg.length / c
-        dofs = mesh.node_dofs(si)
-        vnode = mesh.node_potential[si]
-
-        a, b = dofs[:-1], dofs[1:]
-        va, vb = vnode[:-1], vnode[1:]
-        ones = np.ones(c)
+    for seg in mesh.segments:
+        a, b = seg.dofs[:-1], seg.dofs[1:]
+        va, vb = seg.v[:-1], seg.v[1:]
+        ones = np.ones(seg.cells)
 
         # entry order: (a,a), (a,b), (b,a), (b,b)
         rows.append(np.concatenate([a, a, b, b]))
         cols.append(np.concatenate([a, b, a, b]))
-        k_vals.append(np.concatenate([ones, -ones, -ones, ones]) / h)
-        m_vals.append(np.concatenate([2 * ones, ones, ones, 2 * ones]) * (h / 6.0))
-        w_vals.append(
-            np.concatenate([3 * va + vb, va + vb, va + vb, va + 3 * vb]) * (h / 12.0)
-        )
+        k_vals.append(np.concatenate([ones, -ones, -ones, ones]) / seg.h)
+        m_vals.append(np.concatenate([2 * ones, ones, ones, 2 * ones]) * (seg.h / 6.0))
+        w_vals.append(np.concatenate([3 * va + vb, va + vb, va + vb, va + 3 * vb]) * (seg.h / 12.0))
 
     r = np.concatenate(rows)
     c_ = np.concatenate(cols)
@@ -221,13 +195,7 @@ def assemble(mesh: Mesh) -> AssembledSystem:
         v = np.concatenate(vals)[keep]
         return scipy.sparse.coo_matrix((v, (r, c_)), shape=shape).tocsr()
 
-    return AssembledSystem(
-        mesh=mesh,
-        base_stiffness=build(k_vals),
-        potential=build(w_vals),
-        mass=build(m_vals),
-        alpha=mesh.graph.alpha,
-    )
+    return AssembledSystem(mesh, build(k_vals), build(w_vals), build(m_vals))
 
 
 @dataclass
@@ -256,16 +224,13 @@ class Spectrum:
 
 def _edge_tables(mesh: Mesh, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_edges = len(mesh.graph.edges)
-    k = vectors.shape[1]
-    mass = np.zeros((n_edges, k))
-    dirich = np.zeros((n_edges, k))
-    for si, seg in enumerate(mesh.segments):
-        c = mesh.cells[si]
-        h = seg.length / c
-        vals = mesh.node_values(si, vectors)
+    mass = np.zeros((n_edges, vectors.shape[1]))
+    dirich = np.zeros_like(mass)
+    for seg in mesh.segments:
+        vals = seg.values(vectors)
         a, b = vals[:-1], vals[1:]
-        mass[seg.edge_id] += ((2 * a * a + 2 * a * b + 2 * b * b) * (h / 6.0)).sum(axis=0)
-        dirich[seg.edge_id] += (((b - a) ** 2) / h).sum(axis=0)
+        mass[seg.edge_id] += ((2 * a * a + 2 * a * b + 2 * b * b) * (seg.h / 6.0)).sum(axis=0)
+        dirich[seg.edge_id] += (((b - a) ** 2) / seg.h).sum(axis=0)
     return mass, dirich
 
 
@@ -346,7 +311,7 @@ def solve_spectrum(
     n = system.ndof
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    a_coupling = system.alpha if alpha is None else alpha
+    a_coupling = system.mesh.graph.alpha if alpha is None else alpha
     if a_coupling <= 0:
         raise ValueError("alpha must be positive")
     ham = system.hamiltonian(a_coupling)
@@ -451,13 +416,12 @@ def kirchhoff_residuals(spectrum: Spectrum) -> np.ndarray:
     """
     mesh = spectrum.mesh
     res = np.zeros((mesh.n_solver_vertices, len(spectrum)))
-    for si, seg in enumerate(mesh.segments):
-        h = seg.length / mesh.cells[si]
-        vals = mesh.node_values(si, spectrum.vectors)
-        if mesh.vertex_dof[seg.start] >= 0:
-            res[seg.start] += (vals[1] - vals[0]) / h
-        if mesh.vertex_dof[seg.end] >= 0:
-            res[seg.end] += (vals[-2] - vals[-1]) / h
+    for seg in mesh.segments:
+        vals = seg.values(spectrum.vectors)
+        if seg.dofs[0] >= 0:
+            res[seg.start] += (vals[1] - vals[0]) / seg.h
+        if seg.dofs[-1] >= 0:
+            res[seg.end] += (vals[-2] - vals[-1]) / seg.h
     return res
 
 
@@ -468,21 +432,13 @@ def eigenfunction_samples(spectrum: Spectrum, j: int) -> list[tuple[np.ndarray, 
     midpoint node of an expanded self-loop is dropped.
     """
     mesh = spectrum.mesh
-    per_edge: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for si, seg in enumerate(mesh.segments):
-        x = mesh.node_positions(si)
-        y = mesh.node_values(si, spectrum.vectors[:, [j]])[:, 0]
-        per_edge.setdefault(seg.edge_id, []).append((x, y))
-    out = []
-    for eid in range(len(mesh.graph.edges)):
-        pieces = per_edge[eid]
-        xs = [pieces[0][0]]
-        ys = [pieces[0][1]]
-        for x, y in pieces[1:]:
-            xs.append(x[1:])
-            ys.append(y[1:])
-        out.append((np.concatenate(xs), np.concatenate(ys)))
-    return out
+    xs: list[list[np.ndarray]] = [[] for _ in mesh.graph.edges]
+    ys: list[list[np.ndarray]] = [[] for _ in mesh.graph.edges]
+    for seg in mesh.segments:
+        first = 1 if xs[seg.edge_id] else 0
+        xs[seg.edge_id].append(seg.x[first:])
+        ys[seg.edge_id].append(seg.values(spectrum.vectors[:, j])[first:])
+    return [(np.concatenate(x), np.concatenate(y)) for x, y in zip(xs, ys)]
 
 
 def integrate_potential_power(mesh: Mesh, power: float, shift: float = 0.0) -> float:
@@ -492,9 +448,7 @@ def integrate_potential_power(mesh: Mesh, power: float, shift: float = 0.0) -> f
     assembly are used.
     """
     total = 0.0
-    for si, seg in enumerate(mesh.segments):
-        c = mesh.cells[si]
-        h = seg.length / c
-        neg = np.maximum(-(mesh.node_potential[si] - shift), 0.0) ** power
-        total += h * (neg.sum() - 0.5 * (neg[0] + neg[-1]))
+    for seg in mesh.segments:
+        neg = np.maximum(-(seg.v - shift), 0.0) ** power
+        total += seg.h * (neg.sum() - 0.5 * (neg[0] + neg[-1]))
     return float(total)

@@ -28,32 +28,49 @@ from .graphs import MetricGraph, PoschlTeller, Zero, TopologyClass, classify_top
 TOL_ANALYTIC = 1e-6
 TOL_FEM = 1e-3
 
+#: Relative rise allowed between neighbouring values of the Stubbe map; no
+#: tolerance option reaches it.
+STUBBE_TOL = 1e-6
+
+#: Share of a finite element batch that is trusted (the top third is noise).
+TRUST_FRACTION = 2.0 / 3.0
+
+#: Points of the default ``z`` grid.
+Z_GRID_POINTS = 60
+
+#: The Weyl check samples every ``WEYL_STEP`` indices and judges the last
+#: sample against ``WEYL_TOL``; no tolerance option reaches it.
+WEYL_STEP = 25
+WEYL_TOL = 0.05
+
 
 class CoverageError(ValueError):
     """The provided spectrum does not cover the requested energy window."""
 
 
-def trusted_energies(spectrum: Spectrum, fraction: float = 2.0 / 3.0) -> np.ndarray:
+def _trusted_count(n: int) -> int:
+    return max(1, int(math.floor(n * TRUST_FRACTION)))
+
+
+def trusted_energies(spectrum: Spectrum) -> np.ndarray:
     """Leading eigenvalues that sit safely inside the resolved range."""
-    m = max(1, int(math.floor(len(spectrum) * fraction)))
-    return spectrum.energies[:m]
+    return spectrum.energies[: _trusted_count(len(spectrum))]
 
 
-def make_z_grid(energies: np.ndarray, npoints: int = 60, trust_fraction: float = 2.0 / 3.0) -> np.ndarray:
+def make_z_grid(energies: np.ndarray) -> np.ndarray:
     """Geometric grid from half the ground state up to the trusted top.
 
     Falls back to a linear grid when the lower end is not positive
     (spectra with bound states).
     """
     energies = np.asarray(energies, dtype=float)
-    m = max(1, int(math.floor(len(energies) * trust_fraction)))
     lo = energies[0] / 2.0
-    hi = energies[m - 1]
+    hi = energies[_trusted_count(len(energies)) - 1]
     if not hi > lo:
         raise CoverageError("spectrum too short for a z grid; request more eigenvalues")
     if lo > 0:
-        return np.geomspace(lo, hi, npoints)
-    return np.linspace(lo, hi, npoints)
+        return np.geomspace(lo, hi, Z_GRID_POINTS)
+    return np.linspace(lo, hi, Z_GRID_POINTS)
 
 
 def _require_coverage(energies: np.ndarray, z_max: float) -> None:
@@ -243,11 +260,7 @@ class StubbeReport:
         return "holds" if (self.nonincreasing and self.below_bound) else "violated"
 
 
-def stubbe_monotonicity(
-    system: AssembledSystem,
-    alpha_grid,
-    tol_rel: float = 1e-6,
-) -> StubbeReport:
+def stubbe_monotonicity(system: AssembledSystem, alpha_grid) -> StubbeReport:
     """Track ``sqrt(alpha) * sum (-E_j(alpha))^2`` over an ascending grid.
 
     Each coupling solves the assembled ``system`` for its negative
@@ -269,8 +282,8 @@ def stubbe_monotonicity(
         values=values,
         classical_bound=bound,
         worst_increase_rel=worst,
-        nonincreasing=worst <= tol_rel,
-        below_bound=bool(np.all(values <= bound * (1.0 + tol_rel))),
+        nonincreasing=worst <= STUBBE_TOL,
+        below_bound=bool(np.all(values <= bound * (1.0 + STUBBE_TOL))),
     )
 
 
@@ -604,18 +617,18 @@ class WeylReport:
     verdict: str
 
 
-def weyl_check(energies: np.ndarray, total_length: float, step: int = 25, tol: float = 0.05) -> WeylReport:
+def weyl_check(energies: np.ndarray, total_length: float) -> WeylReport:
     """Counting asymptotics: ``sqrt(E_n) / n -> pi / |Gamma|``.
 
-    Sampled every ``step`` indices plus the last trusted index; the verdict
-    only judges the largest one.
+    Sampled every ``WEYL_STEP`` indices plus the last trusted index; the
+    verdict only judges the largest one.
     """
     energies = np.asarray(energies, dtype=float)
     n_max = len(energies)
-    if n_max < step:
-        raise CoverageError(f"need at least {step} eigenvalues")
-    ns = sorted(set(list(range(step, n_max + 1, step)) + [n_max]))
+    if n_max < WEYL_STEP:
+        raise CoverageError(f"need at least {WEYL_STEP} eigenvalues")
+    ns = sorted(set(list(range(WEYL_STEP, n_max + 1, WEYL_STEP)) + [n_max]))
     values = tuple(float(math.sqrt(energies[n - 1]) * total_length / (n * math.pi)) for n in ns)
     final = values[-1]
-    verdict = "holds" if abs(final - 1.0) <= tol else "violated"
-    return WeylReport(tuple(ns), values, final, tol, verdict)
+    verdict = "holds" if abs(final - 1.0) <= WEYL_TOL else "violated"
+    return WeylReport(tuple(ns), values, final, WEYL_TOL, verdict)

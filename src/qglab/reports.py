@@ -31,10 +31,11 @@ def fmt_float(x) -> str:
     return f"{x:.11e}"
 
 
-def round_sig(x: float, digits: int = 12) -> float:
+def round_sig(x: float) -> float:
+    """``x`` rounded to the 12 significant digits that reports print."""
     if not isinstance(x, float) or x == 0.0 or x != x or math.isinf(x):
         return x
-    return float(f"{x:.{digits - 1}e}")
+    return float(f"{x:.11e}")
 
 
 def _round_deep(obj):

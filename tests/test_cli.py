@@ -86,12 +86,41 @@ def test_invalid_graph_exits_2(tmp_path):
     assert "nonpositive length" in result.stderr
 
 
-@pytest.mark.parametrize("k", ["0", "-2"])
-def test_nonpositive_k_exits_2(tmp_path, capsys, k):
-    # 0 once fell back to the subcommand's default k and exited 0
-    code = main(["verify", "--graph", fixture("y_graph.json"), "--k", k, "--out-dir", str(tmp_path / "out")])
+Y = ["--graph", fixture("y_graph.json")]
+BALLOON_SWEEP = ["sweep", "--sweep", "balloon-L", "--range", "1:2", "--steps", "2"]
+FANCY_SWEEP = ["sweep", "--sweep", "fancy-N", "--engine", "fem", "--range", "2:3", "--steps", "2"]
+CIRCUIT = ["circuit", *Y, "--terminals", "0,1", "--lead-resistance"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 0 once fell back to the subcommand's default k and exited 0
+        (["verify", *Y, "--k", "0"], "--k must be at least 1, got 0"),
+        (["verify", *Y, "--k", "-2"], "--k must be at least 1, got -2"),
+        # the following raised IndexError, ZeroDivisionError or OverflowError
+        # (exit 1), exited 0 with an empty table, or failed every check
+        ([*BALLOON_SWEEP, "--k", "1"], "--k must be at least 2 for E2/E1 on the fem engine, got 1"),
+        ([*FANCY_SWEEP, "--k", "1"], "--k must be at least 2 for E2/E1 on the fem engine, got 1"),
+        (["oracle", "--family", "interval", "--n", "0"], "--n must be at least 1, got 0"),
+        (["oracle", "--family", "balloon", "--n", "0"], "--n must be at least 1, got 0"),
+        ([*CIRCUIT, "0"], "--lead-resistance must be finite and positive, got 0.0"),
+        ([*CIRCUIT, "inf"], "--lead-resistance must be finite and positive, got inf"),
+        ([*CIRCUIT, "-1"], "--lead-resistance must be finite and positive, got -1.0"),
+        (["verify", *Y, "--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
+        (["verify", *Y, "--tol", "-0.5"], "--tol must be finite and nonnegative, got -0.5"),
+        (["verify", *Y, "--h", "nan"], "--h must be finite and positive, got nan"),
+        (["spectrum", *Y, "--h", "0"], "--h must be finite and positive, got 0.0"),
+    ],
+    ids=[
+        "k-0", "k-neg", "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0", "lead-0", "lead-inf",
+        "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0",
+    ],
+)
+def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
+    code = main([*argv, "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    assert f"input error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

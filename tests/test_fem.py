@@ -118,14 +118,19 @@ def test_mass_normalization_and_rayleigh_identity():
     assert np.allclose(spec.total_dirichlet(), spec.energies, rtol=1e-10)
 
 
-def test_kirchhoff_residual_decays():
-    g = families.y_graph()
+@pytest.mark.parametrize(
+    "graph, row",
+    [(families.y_graph(), 0), (families.balloon(), 0), (families.balloon(), 2)],
+    ids=["y-center", "balloon-junction", "balloon-loop-midpoint"],
+)
+def test_kirchhoff_residual_decays(graph, row):
+    # the balloon's row 2 is the synthetic midpoint that splits its self-loop
     res = []
     hs = [0.04, 0.02, 0.01]
     for h in hs:
-        spec = fem.solve_graph(g, h, 1)
+        spec = fem.solve_graph(graph, h, 1)
         r = fem.kirchhoff_residuals(spec)
-        res.append(abs(r[0, 0]))  # center vertex, ground state
+        res.append(abs(r[row, 0]))  # ground state
     slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
     assert slope >= 0.8
 

@@ -147,6 +147,35 @@ def test_scale_graph_maps_eigenvalues():
     assert np.allclose(spec2.energies, spec.energies / 4.0, rtol=1e-10)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n_edges=st.integers(0, 5),  # 0 stands for the balloon
+    seed=st.integers(0, 2**16),
+    depth=st.floats(-15.0, -2.0),
+    s=st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+)
+def test_scale_graph_covariance(n_edges, seed, depth, s):
+    # lengths times s and V(x/s)/s^2 map every eigenvalue to E/s^2 and leave
+    # the moment quotient alone; powers of two keep every node position exact
+    from qglab import fem, inequalities
+
+    if n_edges == 0:
+        g = families.with_square_well(families.balloon(), 0, depth)  # well on the loop
+    else:
+        g = families.with_square_well(families.random_tree(np.random.default_rng(seed), n_edges), 0, depth)
+    mesh = fem.build_mesh(g, 0.02)
+    scaled = fem.build_mesh(scale_graph(g, s), 0.02 * s)
+    assert scaled.cells == mesh.cells
+    system = fem.assemble(mesh)
+    k = len(fem.solve_bound_states(system, 1.0)) + 1
+    spec = fem.solve_spectrum(system, k)
+    spec_s = fem.solve_spectrum(fem.assemble(scaled), k)
+    scale = np.abs(spec.energies).max() / s**2
+    assert np.allclose(spec_s.energies, spec.energies / s**2, rtol=1e-9, atol=1e-9 * scale)
+    q = inequalities.lt_quotient(spec, 2.0).quotient
+    assert inequalities.lt_quotient(spec_s, 2.0).quotient == pytest.approx(q, rel=1e-9)
+
+
 # --- description file schema ---------------------------------------------
 
 
