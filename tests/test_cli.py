@@ -92,12 +92,18 @@ FANCY_SWEEP = ["sweep", "--sweep", "fancy-N", "--engine", "fem", "--range", "2:3
 CIRCUIT = ["circuit", *Y, "--terminals", "0,1", "--lead-resistance"]
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_nonpositive_k_exits_2(tmp_path, capsys, k):
+    # 0 once fell back to the subcommand's default k and exited 0
+    code = main(["verify", *Y, "--k", k, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"input error: --k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # 0 once fell back to the subcommand's default k and exited 0
-        (["verify", *Y, "--k", "0"], "--k must be at least 1, got 0"),
-        (["verify", *Y, "--k", "-2"], "--k must be at least 1, got -2"),
         # the following raised IndexError, ZeroDivisionError or OverflowError
         # (exit 1), exited 0 with an empty table, or failed every check
         ([*BALLOON_SWEEP, "--k", "1"], "--k must be at least 2 for E2/E1 on the fem engine, got 1"),
@@ -113,7 +119,7 @@ CIRCUIT = ["circuit", *Y, "--terminals", "0,1", "--lead-resistance"]
         (["spectrum", *Y, "--h", "0"], "--h must be finite and positive, got 0.0"),
     ],
     ids=[
-        "k-0", "k-neg", "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0", "lead-0", "lead-inf",
+        "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0", "lead-0", "lead-inf",
         "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0",
     ],
 )
