@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 
 class BracketError(RuntimeError):
@@ -71,9 +70,6 @@ def bisect(f, lo: float, hi: float) -> float:
 
 # ---------------------------------------------------------------------------
 # balloon: loop of length 2*pi plus a string of length L
-
-#: loop length is fixed; other scales follow from E -> E / s^2 under length scaling
-BALLOON_LOOP_LENGTH = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -181,6 +177,33 @@ def fancy_balloon_eigenvalues(n_parallel: int, n: int = 10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sech-squared well on the loop (single bound state)
 
+#: Junction angle of the sech-squared well that binds exactly one state on a
+#: loop of length 2*pi with a single attached string: tanh(a*pi) = 1/2.
+PT_BALLOON_A = math.atanh(0.5) / math.pi
+
+
+def pt_negative_part_integral(a: float, center: float, length: float, power: float) -> float:
+    """Closed form of ``int_0^length |V|^power`` for the sech-squared well
+    ``V = -2 a^2 / cosh^2(a (x - center))``, from the sech-power reduction
+    formulas (powers 2 and 5/2 only)."""
+    lo, hi = a * (0.0 - center), a * (length - center)
+    amp = (2.0 * a * a) ** power / a
+
+    def f4(y: float) -> float:
+        t = math.tanh(y)
+        return t - t**3 / 3.0
+
+    def f5(y: float) -> float:
+        t = math.tanh(y)
+        s = 1.0 / math.cosh(y)
+        return 0.25 * s**3 * t + 0.375 * s * t + 0.375 * math.atan(math.sinh(y))
+
+    if power == 2.0:
+        return amp * (f4(hi) - f4(lo))
+    if power == 2.5:
+        return amp * (f5(hi) - f5(lo))
+    raise ValueError("closed form only for powers 2 and 5/2")
+
 
 @dataclass(frozen=True)
 class PoschlTellerBalloonOracle:
@@ -195,18 +218,12 @@ def poschl_teller_balloon_oracle() -> PoschlTellerBalloonOracle:
 
     The junction condition pins ``tanh(a pi) = 1/2``; the single bound state
     sits at ``-a^2``.  The moment quotients
-    ``Q(gamma) = |E|^gamma / int |V|^(gamma + 1/2)`` come from adaptive
-    quadrature of the well over the loop (the string carries no potential).
+    ``Q(gamma) = |E|^gamma / int |V|^(gamma + 1/2)`` take the integral of the
+    well over the loop (the string carries no potential) in closed form.
     """
-    a = math.atanh(0.5) / math.pi
+    a = PT_BALLOON_A
 
     def quotient(gamma: float) -> float:
-        power = gamma + 0.5
-
-        def integrand(x: float) -> float:
-            return (2.0 * a * a / math.cosh(a * x) ** 2) ** power
-
-        val, _ = scipy.integrate.quad(integrand, -math.pi, math.pi, epsabs=1e-14, epsrel=1e-13)
-        return a ** (2.0 * gamma) / val
+        return a ** (2.0 * gamma) / pt_negative_part_integral(a, math.pi, 2.0 * math.pi, gamma + 0.5)
 
     return PoschlTellerBalloonOracle(a=a, energy=-a * a, q32=quotient(1.5), q2=quotient(2.0))

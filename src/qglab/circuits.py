@@ -156,7 +156,6 @@ def solve_nodal(circuit: CircuitModel, voltages: dict[int, Fraction | int]) -> C
 @dataclass
 class SupportAnalysis:
     dead_edges: tuple[int, ...]  # graph edge ids with zero current in all probes
-    live_edges: tuple[int, ...]
     a_min: Fraction | None
     a_max: Fraction | None
     probes: list[CurrentSolution]
@@ -176,7 +175,6 @@ def support_analysis(circuit: CircuitModel) -> SupportAnalysis:
     if len(circuit.terminals) < 2:
         return SupportAnalysis(
             dead_edges=tuple(graph_edge_ids),
-            live_edges=(),
             a_min=None,
             a_max=None,
             probes=[],
@@ -187,13 +185,11 @@ def support_analysis(circuit: CircuitModel) -> SupportAnalysis:
         voltages = {s: Fraction(1 if s == t else 0) for s in circuit.terminals}
         probes.append(solve_nodal(circuit, voltages))
 
-    dead, live = [], []
+    dead = []
     for gid in graph_edge_ids:
         rows = [i for i, e in enumerate(circuit.edges) if e.graph_edge == gid]
         if all(p.currents[i] == 0 for p in probes for i in rows):
             dead.append(gid)
-        else:
-            live.append(gid)
 
     a_min = a_max = None
     if not dead:
@@ -208,14 +204,13 @@ def support_analysis(circuit: CircuitModel) -> SupportAnalysis:
                 per_edge_max[gid] = max(per_edge_max[gid], val)
         a_min = min(per_edge_max.values())
         a_max = max(per_edge_max.values())
-    return SupportAnalysis(tuple(dead), tuple(live), a_min, a_max, probes)
+    return SupportAnalysis(tuple(dead), a_min, a_max, probes)
 
 
 @dataclass
 class GFamilyVerdict:
     exists_full_support: bool
     condition_a: bool
-    cycle_cut_vertices: tuple[int, ...]
     dead_edges: tuple[int, ...]
     a_min: Fraction | None
     a_max: Fraction | None
@@ -245,7 +240,6 @@ def g_family_verdict(graph: MetricGraph) -> GFamilyVerdict:
     return GFamilyVerdict(
         exists_full_support=exists,
         condition_a=condition_a,
-        cycle_cut_vertices=tuple(topo.cycle_cut_vertices),
         dead_edges=support.dead_edges,
         a_min=support.a_min,
         a_max=support.a_max,

@@ -24,7 +24,7 @@ from .graphs import (
     TopologyClass,
     classify_topology,
     load_graph,
-    validate,
+    require_valid,
 )
 from .reports import CheckReport, fmt_float, write_csv, write_json, write_report
 
@@ -34,36 +34,43 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _add_common(p: argparse.ArgumentParser, graph_required: bool = True) -> None:
-    p.add_argument("--graph", required=graph_required, help="graph description file (JSON)")
-    p.add_argument("--h", type=float, default=None, help="mesh target cell size")
-    p.add_argument("--k", type=int, default=None, help="number of eigenpairs")
+#: Options that several subcommands read; each takes only those it reads.
+_SHARED = {
+    "--graph": dict(required=True, help="graph description file (JSON)"),
+    "--h": dict(type=float, default=None, help="mesh target cell size"),
+    "--k": dict(type=int, default=None, help="number of eigenpairs"),
+}
+
+
+def _add_parser(sub, name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+    # no abbreviations: "--h" would otherwise mean "--help" where --h is not taken
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for option in shared:
+        p.add_argument(option, **_SHARED[option])
     p.add_argument("--out-dir", default="out", help="output directory (sole write location)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-    p.add_argument("--tol", type=float, default=None, help="override check tolerance")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: sweeps run serially")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qglab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="solve and export eigenvalues/eigenfunctions")
-    _add_common(p)
+    _add_parser(sub, "spectrum", "solve and export eigenvalues/eigenfunctions", "--graph", "--h", "--k")
 
-    p = sub.add_parser("verify", help="run the inequality suite for the graph's topology")
-    _add_common(p)
+    p = _add_parser(sub, "verify", "run the inequality suite for the graph's topology", "--graph", "--h", "--k")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
+    p.add_argument("--tol", type=float, default=None, help="override check tolerance")
     p.add_argument("--corrupt-spectrum", action="store_true", help=argparse.SUPPRESS)
 
-    p = sub.add_parser("sweep", help="parameter sweeps with CSV output")
-    _add_common(p, graph_required=False)
+    p = _add_parser(sub, "sweep", "parameter sweeps with CSV output", "--h", "--k")
+    p.add_argument("--graph", help="graph description file (JSON), for the alpha sweep")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: sweeps run serially")
     p.add_argument("--sweep", required=True, choices=("balloon-L", "fancy-N", "alpha"))
     p.add_argument("--range", dest="sweep_range", required=True, help="lo:hi")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--engine", choices=("fem", "oracle"), default=None)
 
-    p = sub.add_parser("oracle", help="closed-form/secular spectra of the model families")
-    _add_common(p, graph_required=False)
+    p = _add_parser(sub, "oracle", "closed-form/secular spectra of the model families")
     p.add_argument(
         "--family",
         required=True,
@@ -74,12 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="number of eigenvalues")
     p.add_argument("--rungs", type=int, default=3, help="parallel edge count for fancy-balloon")
 
-    p = sub.add_parser("colorings", help="admissible colorings of a tree")
-    _add_common(p)
+    p = _add_parser(sub, "colorings", "admissible colorings of a tree", "--graph")
     p.add_argument("--with-g", action="store_true", help="also export one affine function per coloring")
 
-    p = sub.add_parser("circuit", help="exact nodal analysis and dead-edge detection")
-    _add_common(p)
+    p = _add_parser(sub, "circuit", "exact nodal analysis and dead-edge detection", "--graph")
     p.add_argument("--terminals", default=None, help="comma-separated vertex ids (default: leaf ends)")
     p.add_argument("--lead-resistance", type=float, default=1.0)
     return ap
@@ -123,9 +128,7 @@ def _mesh(graph: MetricGraph, k: int, requested: float | None, alpha_min: float)
 
 def _load(args) -> MetricGraph:
     graph = load_graph(args.graph)
-    report = validate(graph)
-    if not report.valid:
-        raise InvalidGraphError("; ".join(report.errors))
+    require_valid(graph)
     return graph
 
 
@@ -453,11 +456,6 @@ def _fancy_point(n: int, engine: str, h: float, k: int) -> list[float]:
     return [n, e1, e2, ratio, ratio / (math.pi**2 * n)]
 
 
-def _alpha_point(system: fem.AssembledSystem, alpha: float) -> list[float]:
-    moment = float(np.sum(fem.solve_bound_states(system, alpha) ** 2))
-    return [alpha, moment, math.sqrt(alpha) * moment]
-
-
 def cmd_sweep(args) -> int:
     engine = args.engine or ("fem" if args.sweep == "balloon-L" else "oracle")
     if args.sweep != "alpha" and engine == "fem":
@@ -488,12 +486,11 @@ def cmd_sweep(args) -> int:
         graph = _load(args)
         # one assembly serves every coupling: alpha only rescales the stiffness
         system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
-        rows = [_alpha_point(system, float(a)) for a in np.linspace(lo, hi, args.steps)]
+        stubbe = ineq.stubbe_monotonicity(system, np.linspace(lo, hi, args.steps))
+        rows = zip(stubbe.alphas, stubbe.moments, stubbe.values)
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)
-        stubbe = [r[2] for r in rows]
-        mono = all(b <= a * (1 + ineq.STUBBE_TOL) + 1e-300 for a, b in zip(stubbe[:-1], stubbe[1:]))
-        print(f"stubbe column nonincreasing: {mono}")
-        if not mono:
+        print(f"stubbe column nonincreasing: {stubbe.nonincreasing}")
+        if not stubbe.nonincreasing:
             return EXIT_CHECK
     return EXIT_OK
 
@@ -621,16 +618,22 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    k, h, tol = (getattr(args, name, None) for name in ("k", "h", "tol"))
     try:
-        _require(args.k is None or args.k >= 1, "--k", args.k, "at least 1")
-        _require(args.h is None or 0 < args.h < math.inf, "--h", args.h, "finite and positive")
-        _require(args.tol is None or 0 <= args.tol < math.inf, "--tol", args.tol, "finite and nonnegative")
+        _require(k is None or k >= 1, "--k", k, "at least 1")
+        _require(h is None or 0 < h < math.inf, "--h", h, "finite and positive")
+        _require(tol is None or 0 <= tol < math.inf, "--tol", tol, "finite and nonnegative")
         return _COMMANDS[args.command](args)
-    # CoverageError is a ValueError, so the numeric clause comes first; the
-    # graph, coloring and circuit errors are ValueErrors too
+    # CoverageError and MemoryBudgetError are ValueErrors, so their clauses
+    # come first; the graph, coloring and circuit errors are ValueErrors too
     except (fem.SolverError, ineq.CoverageError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except fem.MemoryBudgetError as exc:
+        # a mesh is too fine for --h, or for --k when the mesh size defaults from it
+        blame = "--h too small" if exc.param == "target_h" and h is not None else "--k too large"
+        print(f"input error: {blame}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -170,7 +170,7 @@ def realize_g(graph: MetricGraph, coloring: Coloring) -> GFunction:
     return GFunction(tuple(slopes), tuple(values))
 
 
-def validate_g(g: GFunction, graph: MetricGraph, coloring: Coloring | None = None, tol: float = 1e-9) -> list[str]:
+def validate_g(g: GFunction, graph: MetricGraph, coloring: Coloring | None = None) -> list[str]:
     """Invariant check for a piecewise-affine function; empty list means valid."""
     problems = []
     if coloring is not None:
@@ -194,7 +194,7 @@ def validate_g(g: GFunction, graph: MetricGraph, coloring: Coloring | None = Non
         if e.is_loop:
             continue
         expect = g.vertex_values[e.u] + g.slopes[eid] * e.length
-        if abs(expect - g.vertex_values[e.v]) > tol * max(1.0, abs(expect)):
+        if abs(expect - g.vertex_values[e.v]) > 1e-9 * max(1.0, abs(expect)):
             problems.append(f"edge {eid}: values not continuous")
     return problems
 
@@ -202,8 +202,6 @@ def validate_g(g: GFunction, graph: MetricGraph, coloring: Coloring | None = Non
 @dataclass
 class AveragedYangReport:
     z_grid: np.ndarray
-    averaged: np.ndarray
-    plain: np.ndarray  # p * S(z)
     count: int
     max_rel_deviation: float
     verdict: str
@@ -216,7 +214,6 @@ def averaged_yang(
     alpha: float,
     colorings: list[Coloring],
     z_grid: np.ndarray,
-    tol_rel: float = 1e-3,
 ) -> AveragedYangReport:
     """Sum the per-coloring sum-rule expressions and compare with ``p * S(z)``.
 
@@ -245,6 +242,6 @@ def averaged_yang(
 
     scale = np.maximum(np.abs(plain), p * np.maximum((pos**2).sum(axis=1), 1e-300))
     dev = float(np.max(np.abs(averaged - plain) / scale)) if len(z) else 0.0
-    holds = bool(np.all(plain <= p * tol_rel * z * z))
+    holds = bool(np.all(plain <= p * 1e-3 * z * z))
     verdict = "holds" if holds else "violated"
-    return AveragedYangReport(z, averaged, plain, p, dev, verdict)
+    return AveragedYangReport(z, p, dev, verdict)

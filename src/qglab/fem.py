@@ -46,9 +46,24 @@ DENSE_K_FRACTION = 1.0 / 6.0
 #: were exact at a tenth of this distance from every eigenvalue.
 CERT_RTOL = 1e-8
 
+#: Smallest Lanczos basis, in vectors, that a sparse solve asks for.
+MIN_NCV = 40
+
+#: Bytes a solve may hold: the dense ``H`` and ``M``, or the Lanczos basis.  The
+#: largest default ``verify`` basis on the fixtures is 5.5 MiB (``pt_interval``).
+MEMORY_BUDGET = 1 << 30
+
 
 class SolverError(RuntimeError):
     """Eigensolver failure, or a result that fails the completeness certificate."""
+
+
+class MemoryBudgetError(ValueError):
+    """A mesh or solve over ``MEMORY_BUDGET``; ``param`` (``target_h`` or ``k``) asked for it."""
+
+    def __init__(self, param: str, what: str, need: int):
+        super().__init__(f"{what} needs {need / 2**30:.3g} GiB, above the {MEMORY_BUDGET / 2**30:g} GiB memory budget")
+        self.param = param
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +127,8 @@ def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
     """Uniform subdivision per edge: ``max(2, ceil(length / target_h))`` cells,
     overridden by an edge's ``cells`` hint (split evenly across loop halves).
 
-    A self-loop becomes two half-edges joined at a fresh midpoint vertex.
+    A self-loop becomes two half-edges joined at a fresh midpoint vertex.  A
+    mesh whose smallest solve exceeds ``MEMORY_BUDGET`` is refused first.
     """
     if target_h <= 0:
         raise ValueError("target_h must be positive")
@@ -130,6 +146,9 @@ def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
         else:
             c = max(2, math.ceil(e.length / target_h)) if e.cells is None else e.cells
             pieces.append((i, e, e.u, e.v, e.length, 0.0, c))
+    cells = sum(piece[-1] for piece in pieces)
+    if cells * MIN_NCV * 8 > MEMORY_BUDGET:
+        raise MemoryBudgetError("target_h", f"the smallest solve on {cells} cells", cells * MIN_NCV * 8)
 
     free = [v for v in range(n_solver_vertices) if graph.boundary.get(v) != DIRICHLET]
     dof_of = np.full(n_solver_vertices, -1, dtype=int)
@@ -306,7 +325,7 @@ def solve_spectrum(
     interpolant of ``V``, and scales with the graph's own level spacing, so
     a shallow band of wanted eigenvalues is not crowded together.  Vectors are
     mass-orthonormal with the first nonzero coefficient positive, so repeat
-    runs are reproducible.
+    runs are reproducible.  A solve over ``MEMORY_BUDGET`` is refused first.
     """
     n = system.ndof
     if not 1 <= k <= n:
@@ -317,6 +336,11 @@ def solve_spectrum(
     ham = system.hamiltonian(a_coupling)
     dense = n <= dense_cap or k > DENSE_K_FRACTION * n
     sigma = min(0.0, system.mesh.min_potential) - a_coupling * (math.pi / system.mesh.graph.total_length) ** 2
+    ncv = min(n - 1, max(2 * k + 1, MIN_NCV))
+    if dense and 2 * n * n * 8 > MEMORY_BUDGET:
+        raise MemoryBudgetError("k", f"a dense solve of {n} unknowns", 2 * n * n * 8)
+    if not dense and n * ncv * 8 > MEMORY_BUDGET:
+        raise MemoryBudgetError("k", f"a Lanczos basis of {ncv} vectors of length {n}", n * ncv * 8)
 
     try:
         if dense:
@@ -334,7 +358,7 @@ def solve_spectrum(
                 # is invariant under graph automorphisms and misses the
                 # antisymmetric ones
                 v0=np.random.default_rng(n).standard_normal(n),
-                ncv=min(n - 1, max(2 * k + 1, 40)),
+                ncv=ncv,
                 tol=0,
             )
     except (np.linalg.LinAlgError, RuntimeError) as exc:
@@ -378,12 +402,11 @@ def solve_graph(
     graph: MetricGraph,
     target_h: float,
     k: int,
-    alpha: float | None = None,
     dense_cap: int = DENSE_DOF_CAP,
 ) -> Spectrum:
-    """Mesh, assemble, and solve in one call."""
+    """Mesh, assemble, and solve in one call, at the graph's own coupling."""
     mesh = build_mesh(graph, target_h)
-    return solve_spectrum(assemble(mesh), k, alpha=alpha, dense_cap=dense_cap)
+    return solve_spectrum(assemble(mesh), k, dense_cap=dense_cap)
 
 
 def degenerate_clusters(energies: np.ndarray, rtol: float = 1e-8) -> list[tuple[int, ...]]:

@@ -205,7 +205,6 @@ def scale_graph(graph: MetricGraph, s: float) -> MetricGraph:
 @dataclass
 class ValidationReport:
     errors: list[str]
-    connected: bool
     degrees: dict[int, int]
     total_length: float
 
@@ -253,10 +252,9 @@ def validate(graph: MetricGraph) -> ValidationReport:
             if not (0 <= v < n):
                 errors.append(f"boundary condition on unknown vertex {v}")
 
-    connected = graph.is_connected() if n >= 1 else False
-    if not connected:
+    if not (n >= 1 and graph.is_connected()):
         errors.append("graph is not connected")
-    return ValidationReport(errors, connected, degrees, graph.total_length)
+    return ValidationReport(errors, degrees, graph.total_length)
 
 
 def require_valid(graph: MetricGraph) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def fmt_float(x) -> str:
@@ -74,17 +74,6 @@ class CheckReport:
     worst_margin: float
     notes: list[str] = field(default_factory=list)
 
-    def to_payload(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "grid": list(self.grid),
-            "values": {k: list(v) for k, v in self.values.items()},
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "notes": list(self.notes),
-        }
-
     def csv_rows(self) -> tuple[list[str], list[list]]:
         names = sorted(self.values)
         header = ["grid"] + names
@@ -98,7 +87,7 @@ def write_report(report: CheckReport, out_dir, stem: str, fmt: str = "csv") -> l
     """Write the JSON report, plus a CSV mirror when requested."""
     paths = []
     jpath = os.path.join(out_dir, f"{stem}.json")
-    write_json(jpath, report.to_payload())
+    write_json(jpath, asdict(report))
     paths.append(jpath)
     if fmt == "csv" and report.grid:
         header, rows = report.csv_rows()

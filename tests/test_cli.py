@@ -130,6 +130,61 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--family", "balloon", "--k", "5"],
+        ["colorings", *Y, "--tol", "1"],
+        ["circuit", *Y, "--h", "0.1"],
+        ["spectrum", *Y, "--format", "json"],
+        ["verify", *Y, "--jobs", "2"],
+    ],
+    ids=["oracle-k", "colorings-tol", "circuit-h", "spectrum-format", "verify-jobs"],
+)
+def test_unread_option_exits_2(tmp_path, capsys, argv):
+    # each subcommand takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # the default mesh at k = 5000 has n = 100000, where ARPACK would ask for a
+    # Lanczos basis of 10001 vectors (8 GB)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the eigensolver was called")
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", unreachable)
+    monkeypatch.setattr("scipy.linalg.eigh", unreachable)
+    code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "input error: --k too large: a Lanczos basis of 10001 vectors" in capsys.readouterr().err
+
+
+def test_h_beyond_memory_budget_exits_2(tmp_path):
+    # 3e9 nodes would take 24 GB; under a 2 GiB address space a missing
+    # guard fails fast instead of exhausting the machine
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from qglab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["spectrum", *Y, "--h", "1e-9", "--out-dir", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "input error: --h too small: the smallest solve on 3000000000 cells" in result.stderr
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    script = "import sys, qglab.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_verify_tree_green(tmp_path, capsys):
     code = main(
         ["verify", "--graph", fixture("y_graph.json"), "--out-dir", str(tmp_path)]
@@ -210,14 +265,22 @@ def test_oracle_cli_families(tmp_path, capsys):
     assert "Q(3/2) = 0.272727272727" in out
 
 
-def test_sweep_alpha_cli(tmp_path, capsys):
+def _sweep_alpha_cli(tmp_path, capsys, steps):
     code = main(
-        ["sweep", "--sweep", "alpha", "--range", "0.5:4", "--steps", "5",
+        ["sweep", "--sweep", "alpha", "--range", "0.5:4", "--steps", steps,
          "--graph", fixture("tree_well.json"), "--jobs", "1",
          "--out-dir", str(tmp_path)]
     )
     assert code == 0
     assert "nonincreasing: True" in capsys.readouterr().out
+
+
+def test_sweep_alpha_cli(tmp_path, capsys):
+    _sweep_alpha_cli(tmp_path, capsys, "5")
+
+
+def test_sweep_alpha_cli_two_steps(tmp_path, capsys):
+    _sweep_alpha_cli(tmp_path, capsys, "2")
 
 
 def test_spectrum_output_is_deterministic(tmp_path):

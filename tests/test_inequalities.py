@@ -168,6 +168,8 @@ def test_stubbe_trivial_for_nonnegative_potential():
 def test_stubbe_grid_validation():
     with pytest.raises(ValueError, match="ascending"):
         ineq.stubbe_monotonicity(assembled(families.y_graph(), 0.02), np.array([1.0, 0.5, 2.0]))
+    with pytest.raises(ValueError, match="at least 2 points"):
+        ineq.stubbe_monotonicity(assembled(families.y_graph(), 0.02), np.array([1.0]))
 
 
 # --- one-loop graph ----------------------------------------------------------
