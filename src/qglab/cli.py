@@ -96,11 +96,6 @@ def _require(ok: bool, option: str, value, rule: str) -> None:
         raise ValueError(f"{option} must be {rule}, got {value}")
 
 
-def _prepare_out(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
-
-
 #: Largest default mesh size as a fraction of the bound-state length
 #: ``sqrt(alpha / max|V_-|)``.  The deepest fixture well at ``alpha = 1``
 #: (``tree_well``, depth 14) allows ``h = 0.0214``, above the 0.02 ceiling,
@@ -143,7 +138,7 @@ def _solve(graph: MetricGraph, args, default_k: int) -> tuple[fem.AssembledSyste
 
 
 def cmd_spectrum(args) -> int:
-    out = _prepare_out(args)
+    out = args.out_dir
     graph = _load(args)
     _, spectrum = _solve(graph, args, default_k=8)
     n_edges = len(graph.edges)
@@ -393,7 +388,7 @@ PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
 def cmd_verify(args) -> int:
-    out = _prepare_out(args)
+    out = args.out_dir
     graph = _load(args)
     topo = classify_topology(graph)
     system, spectrum = _solve(graph, args, default_k=90)
@@ -460,22 +455,26 @@ def cmd_sweep(args) -> int:
     engine = args.engine or ("fem" if args.sweep == "balloon-L" else "oracle")
     if args.sweep != "alpha" and engine == "fem":
         _require(args.k is None or args.k >= 2, "--k", args.k, "at least 2 for E2/E1 on the fem engine")
-    out = _prepare_out(args)
+    out = args.out_dir
     lo, _, hi = args.sweep_range.partition(":")
     lo, hi = float(lo), float(hi)
     if args.steps < 2 or hi <= lo:
         raise InvalidGraphError("sweep range must be lo:hi with at least 2 steps")
+    grid = np.linspace(lo, hi, args.steps)
 
     if args.sweep == "balloon-L":
         h = args.h if args.h is not None else 0.01
-        rows = [_balloon_point(float(L), engine, h, args.k or 6) for L in np.linspace(lo, hi, args.steps)]
+        rows = [_balloon_point(float(L), engine, h, args.k or 6) for L in grid]
         write_csv(os.path.join(out, "sweep.csv"), ["L", "E1", "E2", "ratio"], rows)
         best = max(range(len(rows)), key=lambda i: rows[i][3])
         print(f"max ratio {fmt_float(rows[best][3])} at L = {fmt_float(rows[best][0])}")
     elif args.sweep == "fancy-N":
         h = args.h if args.h is not None else 0.02
-        values = range(int(lo), int(hi) + 1, max(1, (int(hi) - int(lo)) // max(args.steps - 1, 1)))
-        rows = [_fancy_point(n, engine, h, args.k or 6) for n in values]
+        ns = [int(n) for n in np.rint(grid)]
+        _require(ns[0] >= 2, "--range", args.sweep_range, "lo:hi with lo at least 2 for fancy-N")
+        whole = f"at most {ns[-1] - ns[0] + 1} (the whole N in --range {args.sweep_range})"
+        _require(len(set(ns)) == args.steps, "--steps", args.steps, whole)
+        rows = [_fancy_point(n, engine, h, args.k or 6) for n in ns]
         write_csv(os.path.join(out, "sweep.csv"), ["N", "E1", "E2", "ratio", "ratio_over_pi2N"], rows)
         print(f"last ratio/(pi^2 N) = {fmt_float(rows[-1][4])}")
     else:
@@ -486,7 +485,7 @@ def cmd_sweep(args) -> int:
         graph = _load(args)
         # one assembly serves every coupling: alpha only rescales the stiffness
         system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
-        stubbe = ineq.stubbe_monotonicity(system, np.linspace(lo, hi, args.steps))
+        stubbe = ineq.stubbe_monotonicity(system, grid)
         rows = zip(stubbe.alphas, stubbe.moments, stubbe.values)
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)
         print(f"stubbe column nonincreasing: {stubbe.nonincreasing}")
@@ -501,7 +500,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     _require(args.n >= 1, "--n", args.n, "at least 1")
-    out = _prepare_out(args)
+    out = args.out_dir
     if args.family == "interval":
         e = analytic.interval_eigenvalues(args.length, args.bc, args.n)
         rows = [[i + 1, v] for i, v in enumerate(e)]
@@ -537,7 +536,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_colorings(args) -> int:
-    out = _prepare_out(args)
+    out = args.out_dir
     graph = _load(args)
     cols = colorings.enumerate_admissible(graph)
     counts = colorings.edge_counts(cols)
@@ -573,7 +572,7 @@ def cmd_colorings(args) -> int:
 
 def cmd_circuit(args) -> int:
     _require(0 < args.lead_resistance < math.inf, "--lead-resistance", args.lead_resistance, "finite and positive")
-    out = _prepare_out(args)
+    out = args.out_dir
     graph = _load(args)
     terminals = None
     if args.terminals:

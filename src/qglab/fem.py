@@ -133,6 +133,8 @@ def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
     if target_h <= 0:
         raise ValueError("target_h must be positive")
     require_valid(graph)
+    if not math.isfinite(graph.total_length / target_h):  # a subnormal target_h
+        raise MemoryBudgetError("target_h", "the smallest solve on infinitely many cells", math.inf)
 
     pieces = []  # (edge id, edge, start vertex, end vertex, length, x0 = arclength of the start, cells)
     n_solver_vertices = graph.num_vertices

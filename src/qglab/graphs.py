@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Union
+from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,18 +34,28 @@ class InvalidGraphError(ValueError):
 
 # ---------------------------------------------------------------------------
 # potentials
+#
+# A potential kind is one class: ``kind`` is its ``type`` in graph files, its
+# dataclass fields are its other file keys, and ``scaled(s)`` is the
+# potential ``V(x/s)/s^2`` on the edge stretched by ``s``.
 
 
 @dataclass(frozen=True)
 class Zero:
+    kind = "zero"
+
     def evaluate(self, x: np.ndarray, length: float) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
+
+    def scaled(self, s: float) -> Zero:
+        return self
 
 
 @dataclass(frozen=True)
 class PoschlTeller:
     """Attractive sech-squared well ``-2 a^2 / cosh^2(a (x - center))``."""
 
+    kind = "poschl_teller"
     a: float
     center: float
 
@@ -53,11 +63,15 @@ class PoschlTeller:
         x = np.asarray(x, dtype=float)
         return -2.0 * self.a**2 / np.cosh(self.a * (x - self.center)) ** 2
 
+    def scaled(self, s: float) -> PoschlTeller:
+        return PoschlTeller(a=self.a / s, center=self.center * s)
+
 
 @dataclass(frozen=True)
 class SquareWell:
     """Constant ``depth`` on ``[left, right]``, zero elsewhere on the edge."""
 
+    kind = "square_well"
     depth: float
     left: float
     right: float
@@ -66,6 +80,9 @@ class SquareWell:
         x = np.asarray(x, dtype=float)
         inside = (x >= self.left) & (x <= self.right)
         return np.where(inside, self.depth, 0.0)
+
+    def scaled(self, s: float) -> SquareWell:
+        return SquareWell(depth=self.depth / s**2, left=self.left * s, right=self.right * s)
 
 
 @dataclass(frozen=True)
@@ -77,6 +94,7 @@ class Sampled:
     potentials on their own grid.
     """
 
+    kind = "sampled"
     values: tuple[float, ...]
 
     def evaluate(self, x: np.ndarray, length: float) -> np.ndarray:
@@ -84,8 +102,12 @@ class Sampled:
         grid = np.linspace(0.0, length, len(self.values))
         return np.interp(x, grid, np.asarray(self.values, dtype=float))
 
+    def scaled(self, s: float) -> Sampled:
+        return Sampled(tuple(v / s**2 for v in self.values))
+
 
 PotentialSpec = Union[Zero, PoschlTeller, SquareWell, Sampled]
+_POTENTIALS = {cls.kind: cls for cls in get_args(PotentialSpec)}
 
 ZERO = Zero()
 
@@ -153,20 +175,29 @@ class MetricGraph:
             adj[e.v].append((i, e.u))
         return adj
 
-    def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return False
+    def components(self, removed: int | None = None) -> list[list[int]]:
+        """Vertex lists of the connected pieces left when vertex ``removed``
+        and its incident edges are deleted (none when ``removed`` is None)."""
         adj = self.adjacency()
         seen = [False] * self.num_vertices
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for _, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
+        if removed is not None:
+            seen[removed] = True
+        pieces = []
+        for start in range(self.num_vertices):
+            if seen[start]:
+                continue
+            seen[start] = True
+            piece = [start]
+            for v in piece:
+                for _, w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        piece.append(w)
+            pieces.append(piece)
+        return pieces
+
+    def is_connected(self) -> bool:
+        return len(self.components()) == 1
 
     def potential_is_zero(self) -> bool:
         return all(isinstance(e.potential, Zero) for e in self.edges)
@@ -181,21 +212,8 @@ def scale_graph(graph: MetricGraph, s: float) -> MetricGraph:
     """
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    edges = []
-    for e in graph.edges:
-        p = e.potential
-        if isinstance(p, Zero):
-            q: PotentialSpec = p
-        elif isinstance(p, PoschlTeller):
-            q = PoschlTeller(a=p.a / s, center=p.center * s)
-        elif isinstance(p, SquareWell):
-            q = SquareWell(depth=p.depth / s**2, left=p.left * s, right=p.right * s)
-        elif isinstance(p, Sampled):
-            q = Sampled(tuple(v / s**2 for v in p.values))
-        else:  # pragma: no cover - union is closed
-            raise TypeError(f"unknown potential {p!r}")
-        edges.append(Edge(e.u, e.v, e.length * s, q, e.cells))
-    return MetricGraph(graph.num_vertices, tuple(edges), dict(graph.boundary), graph.alpha)
+    edges = tuple(replace(e, length=e.length * s, potential=e.potential.scaled(s)) for e in graph.edges)
+    return MetricGraph(graph.num_vertices, edges, dict(graph.boundary), graph.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +242,10 @@ def validate(graph: MetricGraph) -> ValidationReport:
     if not (graph.alpha > 0 and math.isfinite(graph.alpha)):
         errors.append(f"nonpositive alpha {graph.alpha}")
 
+    endpoints_ok = True
     for i, e in enumerate(graph.edges):
         if not (0 <= e.u < n and 0 <= e.v < n):
+            endpoints_ok = False
             errors.append(f"edge {i}: endpoint out of range ({e.u}, {e.v})")
         if not (e.length > 0 and math.isfinite(e.length)):
             errors.append(f"edge {i}: nonpositive length {e.length}")
@@ -237,7 +257,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
             errors.append(f"edge {i}: sampled potential needs at least 2 values")
 
     degrees = {}
-    if not errors or all("endpoint out of range" not in m for m in errors):
+    if endpoints_ok:
         deg = graph.degrees() if n >= 1 else np.zeros(0, dtype=int)
         degrees = {v: int(d) for v, d in enumerate(deg)}
         for v, d in degrees.items():
@@ -252,7 +272,8 @@ def validate(graph: MetricGraph) -> ValidationReport:
             if not (0 <= v < n):
                 errors.append(f"boundary condition on unknown vertex {v}")
 
-    if not (n >= 1 and graph.is_connected()):
+    # the search indexes vertices by edge endpoints
+    if endpoints_ok and not graph.is_connected():
         errors.append("graph is not connected")
     return ValidationReport(errors, degrees, graph.total_length)
 
@@ -281,35 +302,6 @@ class TopologyReport:
     cycle_cut_vertices: list[int]
 
 
-def _has_leaf_free_component(graph: MetricGraph, removed: int, leaves: set[int]) -> bool:
-    # Components of the combinatorial graph after deleting `removed` and its
-    # incident edges.  A component that contains no leaf vertex is, as a point
-    # set of the metric graph, cut off from every leaf by the single point
-    # `removed` (and its closure necessarily contains a cycle).
-    n = graph.num_vertices
-    adj = graph.adjacency()
-    seen = [False] * n
-    seen[removed] = True
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp_has_leaf = start in leaves
-        while stack:
-            v = stack.pop()
-            for _, w in adj[v]:
-                if w == removed or seen[w]:
-                    continue
-                seen[w] = True
-                if w in leaves:
-                    comp_has_leaf = True
-                stack.append(w)
-        if not comp_has_leaf:
-            return True
-    return False
-
-
 def classify_topology(graph: MetricGraph) -> TopologyReport:
     """Classify the graph by its cycle structure relative to its leaves.
 
@@ -330,7 +322,10 @@ def classify_topology(graph: MetricGraph) -> TopologyReport:
             if v in leaves:
                 # removing the last leaf makes "cut off from all leaves" vacuous
                 continue
-            if v in loop_bases or _has_leaf_free_component(graph, v, leaves):
+            # A piece left by deleting v that holds no leaf is, as a point set
+            # of the metric graph, cut off from every leaf by the single point
+            # v (and its closure necessarily contains a cycle).
+            if v in loop_bases or any(leaves.isdisjoint(piece) for piece in graph.components(removed=v)):
                 cut.append(v)
 
     if betti == 0:
@@ -350,12 +345,6 @@ def classify_topology(graph: MetricGraph) -> TopologyReport:
 _TOP_KEYS = {"alpha", "vertices", "edges"}
 _VERTEX_KEYS = {"id", "bc"}
 _EDGE_KEYS = {"from", "to", "length", "potential", "cells"}
-_POTENTIAL_KEYS = {
-    "zero": {"type"},
-    "poschl_teller": {"type", "a", "center"},
-    "square_well": {"type", "depth", "left", "right"},
-    "sampled": {"type", "values"},
-}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -370,33 +359,19 @@ def _potential_from_obj(obj, where: str) -> PotentialSpec:
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{where}: potential must be an object")
     kind = obj.get("type")
-    if kind not in _POTENTIAL_KEYS:
+    cls = _POTENTIALS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise GraphFormatError(f"{where}: unknown potential type {kind!r}")
-    _reject_unknown(obj, _POTENTIAL_KEYS[kind], where)
+    types = get_type_hints(cls)  # field name -> float or tuple[float, ...]
+    _reject_unknown(obj, {"type", *types}, where)
     try:
-        if kind == "zero":
-            return ZERO
-        if kind == "poschl_teller":
-            return PoschlTeller(a=float(obj["a"]), center=float(obj["center"]))
-        if kind == "square_well":
-            return SquareWell(
-                depth=float(obj["depth"]), left=float(obj["left"]), right=float(obj["right"])
-            )
-        return Sampled(tuple(float(v) for v in obj["values"]))
+        return cls(**{k: float(obj[k]) if t is float else tuple(map(float, obj[k])) for k, t in types.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{where}: bad potential ({exc})") from exc
 
 
-def potential_to_obj(p: PotentialSpec) -> dict:
-    if isinstance(p, Zero):
-        return {"type": "zero"}
-    if isinstance(p, PoschlTeller):
-        return {"type": "poschl_teller", "a": p.a, "center": p.center}
-    if isinstance(p, SquareWell):
-        return {"type": "square_well", "depth": p.depth, "left": p.left, "right": p.right}
-    if isinstance(p, Sampled):
-        return {"type": "sampled", "values": list(p.values)}
-    raise TypeError(f"unknown potential {p!r}")
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_from_dict(data: dict) -> MetricGraph:
@@ -421,7 +396,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
         if "id" not in v:
             raise GraphFormatError(f"{where}: missing 'id'")
         vid = v["id"]
-        if not isinstance(vid, int) or isinstance(vid, bool):
+        if not _is_int(vid):
             raise GraphFormatError(f"{where}: 'id' must be an integer")
         ids.append(vid)
         bc = v.get("bc")
@@ -441,18 +416,18 @@ def graph_from_dict(data: dict) -> MetricGraph:
         if not isinstance(e, dict):
             raise GraphFormatError(f"{where}: expected an object")
         _reject_unknown(e, _EDGE_KEYS, where)
+        for key in ("from", "to"):
+            if not _is_int(e.get(key)):
+                raise GraphFormatError(f"{where}: {key!r} must be an integer")
         try:
-            u = int(e["from"])
-            v = int(e["to"])
             length = float(e["length"])
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"{where}: missing or bad field ({exc})") from exc
         cells = e.get("cells")
-        if cells is not None:
-            if not isinstance(cells, int) or isinstance(cells, bool) or cells < 1:
-                raise GraphFormatError(f"{where}: 'cells' must be a positive integer")
+        if cells is not None and not (_is_int(cells) and cells >= 1):
+            raise GraphFormatError(f"{where}: 'cells' must be a positive integer")
         potential = _potential_from_obj(e.get("potential"), where)
-        edges.append(Edge(u, v, length, potential, cells))
+        edges.append(Edge(e["from"], e["to"], length, potential, cells))
 
     return MetricGraph(len(ids), tuple(edges), boundary, alpha)
 
@@ -468,7 +443,7 @@ def graph_to_dict(graph: MetricGraph) -> dict:
                 "from": e.u,
                 "to": e.v,
                 "length": e.length,
-                "potential": potential_to_obj(e.potential),
+                "potential": {"type": e.potential.kind, **asdict(e.potential)},
                 "cells": e.cells,
             }
         )

@@ -49,12 +49,14 @@ def _round_deep(obj):
 
 
 def write_json(path, payload: dict) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_round_deep(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -84,6 +84,20 @@ def test_invalid_graph_exits_2(tmp_path):
     result = run_cli(["spectrum", "--graph", str(bad), "--out-dir", str(tmp_path / "o")])
     assert result.returncode == 2
     assert "nonpositive length" in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_endpoint_out_of_range_exits_2(tmp_path):
+    # validate once ran its connectivity search on this edge and raised IndexError
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"alpha": 1, "vertices": [{"id": 0, "bc": "dirichlet"}, {"id": 1}],'
+        ' "edges": [{"from": 0, "to": 1, "length": 1.0}, {"from": 1, "to": 5, "length": 1.0}]}'
+    )
+    result = run_cli(["verify", "--graph", str(bad), "--out-dir", str(tmp_path / "o")])
+    assert result.returncode == 2
+    assert "edge 1: endpoint out of range (1, 5)" in result.stderr
+    assert not (tmp_path / "o").exists()
 
 
 Y = ["--graph", fixture("y_graph.json")]
@@ -117,10 +131,19 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         (["verify", *Y, "--tol", "-0.5"], "--tol must be finite and nonnegative, got -0.5"),
         (["verify", *Y, "--h", "nan"], "--h must be finite and positive, got nan"),
         (["spectrum", *Y, "--h", "0"], "--h must be finite and positive, got 0.0"),
+        (["spectrum", *Y, "--h", "5e-324"], "--h too small: the smallest solve on infinitely many cells"),
+        (
+            ["sweep", "--sweep", "fancy-N", "--range", "2:4", "--steps", "5"],
+            "--steps must be at most 3 (the whole N in --range 2:4), got 5",
+        ),
+        (
+            ["sweep", "--sweep", "fancy-N", "--range", "1:4", "--steps", "3"],
+            "--range must be lo:hi with lo at least 2 for fancy-N, got 1:4",
+        ),
     ],
     ids=[
         "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0", "lead-0", "lead-inf",
-        "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0",
+        "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
     ],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
@@ -161,6 +184,7 @@ def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
     code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "input error: --k too large: a Lanczos basis of 10001 vectors" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_h_beyond_memory_budget_exits_2(tmp_path):
@@ -307,6 +331,14 @@ def test_sweep_fancy_cli(tmp_path, capsys):
     last = rows[-1].split(",")
     assert float(last[0]) == 50
     assert 0.85 <= float(last[4]) <= 1.0
+
+
+def test_sweep_fancy_cli_takes_steps_whole_n(tmp_path, capsys):
+    # N once ran over range(lo, hi + 1, (hi - lo) // (steps - 1)): 5 rows here
+    code = main(["sweep", "--sweep", "fancy-N", "--range", "2:10", "--steps", "4", "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["2", "5", "7", "10"]
 
 
 def test_verify_lt_quotient_scales_with_alpha(tmp_path, capsys):

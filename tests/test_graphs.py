@@ -16,6 +16,7 @@ from qglab.graphs import (
     PoschlTeller,
     Sampled,
     SquareWell,
+    ZERO,
     TopologyClass,
     classify_topology,
     graph_from_dict,
@@ -229,3 +230,117 @@ def test_not_json_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(GraphFormatError, match="JSON"):
         load_graph(path)
+
+
+# --- the graph layer, pinned kind by kind and message by message ----------
+
+POTENTIALS = [
+    ZERO,
+    PoschlTeller(a=0.55, center=1.25),
+    SquareWell(depth=-3.0, left=0.25, right=0.75),
+    Sampled((0.0, -1.5, 2.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("p", POTENTIALS, ids=lambda p: type(p).__name__)
+def test_potential_roundtrips_through_file(tmp_path, p):
+    g = families.interval(2.0, potential=p)
+    save_graph(g, tmp_path / "g.json")
+    assert load_graph(tmp_path / "g.json") == g
+
+
+@pytest.mark.parametrize("p", POTENTIALS, ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("s", [0.5, 3.0])
+def test_scale_graph_maps_each_potential(p, s):
+    # lengths map to s*length and potentials to V(x/s)/s^2
+    g = families.interval(2.0, potential=p)
+    e = scale_graph(g, s).edges[0]
+    assert e.length == pytest.approx(2.0 * s)
+    assert type(e.potential) is type(p)
+    x = np.linspace(0.0, 2.0, 17)
+    assert np.allclose(e.potential.evaluate(s * x, e.length), p.evaluate(x, 2.0) / s**2, rtol=1e-12, atol=0.0)
+
+
+_D2 = {0: DIRICHLET, 1: DIRICHLET}
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (MetricGraph(0, (), {}), "graph has no vertices"),
+        (MetricGraph(2, (), _D2), "graph has no edges"),
+        (MetricGraph(2, (Edge(0, 1, 1.0),), _D2, alpha=0.0), "nonpositive alpha 0.0"),
+        (MetricGraph(2, (Edge(0, -1, 1.0),), _D2), "edge 0: endpoint out of range (0, -1)"),
+        (MetricGraph(2, (Edge(0, 1, 1.0, cells=0),), _D2), "edge 0: nonpositive cell count 0"),
+        (
+            MetricGraph(2, (Edge(0, 1, 1.0, PoschlTeller(a=0.0, center=0.5)),), _D2),
+            "edge 0: Poschl-Teller parameter must be positive",
+        ),
+        (
+            MetricGraph(2, (Edge(0, 1, 1.0, Sampled((1.0,))),), _D2),
+            "edge 0: sampled potential needs at least 2 values",
+        ),
+        (MetricGraph(2, (Edge(0, 1, 1.0),), {0: DIRICHLET, 1: "robin"}), "vertex 1: unknown boundary condition 'robin'"),
+        (MetricGraph(2, (Edge(0, 1, 1.0),), {**_D2, 7: DIRICHLET}), "boundary condition on unknown vertex 7"),
+    ],
+    ids=[
+        "no-vertices", "no-edges", "alpha", "endpoint", "cells", "poschl-teller", "sampled", "unknown-bc",
+        "bc-unknown-vertex",
+    ],
+)
+def test_validate_reports_each_problem(graph, message):
+    assert message in validate(graph).errors
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+_WELL = SquareWell(depth=-12.0, left=0.5 * (math.pi - 2.0), right=0.5 * (math.pi + 2.0))
+
+#: Each fixture file with the builder call ``fixtures/README.md`` gives for it.
+FIXTURE_BUILDERS = {
+    "interval_unit": lambda: families.interval(1.0),
+    "balloon_pi": families.balloon,
+    "fancy_balloon_3": lambda: families.fancy_balloon(3),
+    "pt_balloon": lambda: families.poschl_teller_balloon(60.0),
+    "pt_interval": lambda: families.poschl_teller_interval(40.0),
+    "y_graph": families.y_graph,
+    "circle_two_leads": families.circle_with_leads,
+    "loop_leads_well": lambda: families.circle_with_leads(lead=20.0, well=_WELL),
+    "wheatstone_balanced": families.wheatstone,
+    "wheatstone_unbalanced": lambda: families.wheatstone(arms=(2.0, 1.0, 1.0, 1.0)),
+    "hash_graph": lambda: families.hash_graph()[0],
+    "tree_well": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_fixture_file_matches_its_builder(tmp_path, name):
+    path = os.path.join(FIXTURES, f"{name}.json")
+    with open(path, "rb") as fh:
+        expected = fh.read()
+    save_graph(load_graph(path), tmp_path / "roundtrip.json")
+    assert (tmp_path / "roundtrip.json").read_bytes() == expected
+    builder = FIXTURE_BUILDERS[name]
+    if builder is not None:
+        save_graph(builder(), tmp_path / "built.json")
+        assert (tmp_path / "built.json").read_bytes() == expected
+
+
+def test_validate_reports_out_of_range_endpoint_without_raising():
+    g = MetricGraph(2, (Edge(0, 1, 1.0), Edge(1, 5, 1.0)), {0: DIRICHLET})
+    assert validate(g).errors == ["edge 1: endpoint out of range (1, 5)"]
+
+
+@pytest.mark.parametrize("key, value", [("to", 1.9), ("from", True), ("to", "2")])
+def test_non_integer_endpoint_rejected(key, value):
+    # int() once turned these into vertices 1, 1 and 2
+    d = graph_to_dict(families.star([1.0, 1.0]))
+    d["edges"][1][key] = value
+    with pytest.raises(GraphFormatError, match=f"edges\\[1\\]: '{key}' must be an integer"):
+        graph_from_dict(d)
+
+
+def test_unhashable_potential_type_rejected():
+    d = graph_to_dict(families.interval())
+    d["edges"][0]["potential"] = {"type": ["zero"]}
+    with pytest.raises(GraphFormatError, match="unknown potential type"):
+        graph_from_dict(d)
