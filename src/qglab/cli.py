@@ -127,12 +127,6 @@ def _load(args) -> MetricGraph:
     return graph
 
 
-def _solve(graph: MetricGraph, args, default_k: int) -> tuple[fem.AssembledSystem, fem.Spectrum]:
-    k = args.k or default_k
-    system = fem.assemble(_mesh(graph, k, args.h, graph.alpha))
-    return system, fem.solve_spectrum(system, min(k, system.ndof))
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -140,7 +134,9 @@ def _solve(graph: MetricGraph, args, default_k: int) -> tuple[fem.AssembledSyste
 def cmd_spectrum(args) -> int:
     out = args.out_dir
     graph = _load(args)
-    _, spectrum = _solve(graph, args, default_k=8)
+    k = args.k or 8
+    system = fem.assemble(_mesh(graph, k, args.h, graph.alpha))
+    spectrum = fem.solve_spectrum(system, min(k, system.ndof))
     n_edges = len(graph.edges)
 
     header = ["j", "energy"]
@@ -176,7 +172,12 @@ _G, _E, _I = "guaranteed", "expected_violation", "informational"
 
 @dataclass
 class SolveContext:
-    """What the checks of one ``verify`` run read: one assembly, one spectrum."""
+    """What the checks of one ``verify`` run read: one assembly, one spectrum.
+
+    ``trusted`` is the lowest ``trusted_count(k)`` energies of a mesh that
+    resolves ``k``.  ``spectrum`` holds them and one more, or all ``k`` when
+    those are all bound states.
+    """
 
     graph: MetricGraph
     tol: float
@@ -195,7 +196,8 @@ class SolveContext:
 
 
 def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
-    check = ineq.yang_from_spectrum(ctx.spectrum, tol_rel=ctx.tol, coeff_ratio=ratio)
+    z_grid = ineq.make_z_grid(ctx.trusted)
+    check = ineq.yang_from_spectrum(ctx.spectrum, z_grid, tol_rel=ctx.tol, coeff_ratio=ratio)
     return CheckReport(
         check="yang" if ratio == 1.0 else "weak_yang",
         params={"coeff_ratio": check.coeff_ratio, "tol_rel": check.tol_rel},
@@ -391,13 +393,23 @@ def cmd_verify(args) -> int:
     out = args.out_dir
     graph = _load(args)
     topo = classify_topology(graph)
-    system, spectrum = _solve(graph, args, default_k=90)
+    k = args.k or 90
+    system = fem.assemble(_mesh(graph, k, args.h, graph.alpha))
+    resolved = min(k, system.ndof)
+    trusted = ineq.trusted_count(resolved)
+    # the checks read only the trusted energies; one more shows what lies
+    # above them (yang's coverage, lt_quotient's nonnegative top)
+    spectrum = fem.solve_spectrum(system, min(trusted + 1, resolved))
+    if spectrum.energies[-1] < 0 and len(spectrum) < resolved:
+        # the mesh resolves bound states above the trusted share too, and
+        # lt_quotient's moment needs all of them
+        spectrum = fem.solve_spectrum(system, resolved)
     if args.corrupt_spectrum:
         spectrum.edge_dirichlet *= 0.1
 
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
     tol = args.tol if args.tol is not None else ineq.TOL_FEM
-    ctx = SolveContext(graph, tol, system, spectrum, ineq.trusted_energies(spectrum), dict(policy))
+    ctx = SolveContext(graph, tol, system, spectrum, spectrum.energies[:trusted], dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
         report = CHECKS[name](ctx)

@@ -364,24 +364,37 @@ def _potential_from_obj(obj, where: str) -> PotentialSpec:
         raise GraphFormatError(f"{where}: unknown potential type {kind!r}")
     types = get_type_hints(cls)  # field name -> float or tuple[float, ...]
     _reject_unknown(obj, {"type", *types}, where)
-    try:
-        return cls(**{k: float(obj[k]) if t is float else tuple(map(float, obj[k])) for k, t in types.items()})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"{where}: bad potential ({exc})") from exc
+    fields = {}
+    for key, t in types.items():
+        value = obj.get(key)
+        if t is float:
+            fields[key] = _number(value, f"{where}: potential {key!r}")
+        elif isinstance(value, (list, tuple)):
+            fields[key] = tuple(_number(v, f"{where}: potential {key!r} entry") for v in value)
+        else:
+            raise GraphFormatError(f"{where}: potential {key!r} must be a list of numbers, got {value!r}")
+    return cls(**fields)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool, a string or a list is refused."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise GraphFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{what} must fit a float") from None
+
+
 def graph_from_dict(data: dict) -> MetricGraph:
     if not isinstance(data, dict):
         raise GraphFormatError("top level: expected an object")
     _reject_unknown(data, _TOP_KEYS, "top level")
-    try:
-        alpha = float(data.get("alpha", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise GraphFormatError(f"top level: bad alpha ({exc})") from exc
+    alpha = _number(data.get("alpha", 1.0), "top level: 'alpha'")
 
     vertices = data.get("vertices")
     if not isinstance(vertices, list):
@@ -419,10 +432,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
         for key in ("from", "to"):
             if not _is_int(e.get(key)):
                 raise GraphFormatError(f"{where}: {key!r} must be an integer")
-        try:
-            length = float(e["length"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"{where}: missing or bad field ({exc})") from exc
+        length = _number(e.get("length"), f"{where}: 'length'")
         cells = e.get("cells")
         if cells is not None and not (_is_int(cells) and cells >= 1):
             raise GraphFormatError(f"{where}: 'cells' must be a positive integer")

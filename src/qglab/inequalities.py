@@ -3,9 +3,10 @@ coupling monotonicity, the shifted one-loop bound, and Riesz-mean bounds.
 
 Conventions shared by all checks:
 
-* ``energies`` are ascending; callers pass only eigenvalues they trust
-  (for finite element spectra, the top third of a computed batch is noise
-  and must not be used as ``z`` values).
+* ``energies`` are ascending; callers pass only eigenvalues they trust.
+  A mesh built to resolve the lowest ``k`` eigenvalues trusts the lowest
+  ``trusted_count(k)`` (two thirds); the rest is noise and must not be used
+  as ``z`` values, so a caller need not solve for it.
 * Sign checks guaranteed by theory are asserted with a relative tolerance:
   1e-6 for closed-form spectra, 1e-3 for finite element spectra.  Genuine
   violations (the point of the counterexample families) exceed these by
@@ -32,7 +33,8 @@ TOL_FEM = 1e-3
 #: tolerance option reaches it.
 STUBBE_TOL = 1e-6
 
-#: Share of a finite element batch that is trusted (the top third is noise).
+#: Share of the eigenvalues a mesh resolves that is trusted (the top third is
+#: noise).
 TRUST_FRACTION = 2.0 / 3.0
 
 #: Points of the default ``z`` grid.
@@ -48,24 +50,26 @@ class CoverageError(ValueError):
     """The provided spectrum does not cover the requested energy window."""
 
 
-def _trusted_count(n: int) -> int:
-    return max(1, int(math.floor(n * TRUST_FRACTION)))
+def trusted_count(k: int) -> int:
+    """How many of the lowest ``k`` eigenvalues a mesh that resolves ``k`` trusts."""
+    return max(1, int(math.floor(k * TRUST_FRACTION)))
 
 
 def trusted_energies(spectrum: Spectrum) -> np.ndarray:
-    """Leading eigenvalues that sit safely inside the resolved range."""
-    return spectrum.energies[: _trusted_count(len(spectrum))]
+    """The trusted part of a batch solved for every eigenvalue its mesh resolves."""
+    return spectrum.energies[: trusted_count(len(spectrum))]
 
 
-def make_z_grid(energies: np.ndarray) -> np.ndarray:
-    """Geometric grid from half the ground state up to the trusted top.
+def make_z_grid(trusted: np.ndarray) -> np.ndarray:
+    """Geometric grid from half the ground state up to the top trusted eigenvalue.
 
+    ``trusted`` is already cut to its trusted part; no share is cut here.
     Falls back to a linear grid when the lower end is not positive
     (spectra with bound states).
     """
-    energies = np.asarray(energies, dtype=float)
-    lo = energies[0] / 2.0
-    hi = energies[_trusted_count(len(energies)) - 1]
+    trusted = np.asarray(trusted, dtype=float)
+    lo = trusted[0] / 2.0
+    hi = trusted[-1]
     if not hi > lo:
         raise CoverageError("spectrum too short for a z grid; request more eigenvalues")
     if lo > 0:
@@ -131,13 +135,15 @@ def yang_from_spectrum(
     tol_rel: float = TOL_FEM,
     coeff_ratio: float = 1.0,
 ) -> YangCheck:
-    """Yang check with the default grid over the trusted part of a spectrum.
+    """Yang check of a spectrum on ``z_grid``.
 
-    The grid tops out below the trusted index, so the untrusted tail only
-    certifies coverage and never contributes to the sums.
+    The default grid is ``make_z_grid`` over ``trusted_energies``, for a
+    batch solved for every eigenvalue its mesh resolves.  A grid that tops
+    out at a trusted eigenvalue reads nothing above it: the eigenvalues
+    there only certify coverage and never contribute to the sums.
     """
     if z_grid is None:
-        z_grid = make_z_grid(spectrum.energies)
+        z_grid = make_z_grid(trusted_energies(spectrum))
     return yang_check(
         spectrum.energies,
         spectrum.total_dirichlet(),
@@ -469,13 +475,15 @@ def riesz_suite(
     the higher-index lower bounds for sampled ``j``, and the discriminant
     root bound ``z_0 <= 5 * mean``.  The derivative identity
     ``R_2' = 2 R_1`` is checked on windows free of eigenvalue crossings,
-    where both sides are exact polynomials.
+    where both sides are exact polynomials.  ``energies`` are trusted, yet
+    the default grid cuts ``trusted_count`` again and tops out at the last
+    of their lowest two thirds.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
     if energies[0] <= 0:
         raise ValueError("potential-free spectra must be positive")
     if z_grid is None:
-        z_grid = make_z_grid(energies)
+        z_grid = make_z_grid(energies[: trusted_count(len(energies))])
     z = np.asarray(z_grid, dtype=float)
     _require_coverage(energies, float(z.max()))
     r1, r2, ind = riesz_means(energies, z)

@@ -115,7 +115,7 @@ def test_06_tree_yang_suite():
             cols = colorings.enumerate_admissible(graph)
             avg = colorings.averaged_yang(
                 spec.energies, spec.edge_mass, spec.edge_dirichlet, spec.alpha,
-                cols, ineq.make_z_grid(spec.energies),
+                cols, ineq.make_z_grid(ineq.trusted_energies(spec)),
             )
             worst_dev = max(worst_dev, avg.max_rel_deviation)
             ok = ok and avg.max_rel_deviation <= 1e-10

@@ -174,8 +174,9 @@ def test_unread_option_exits_2(tmp_path, capsys, argv):
 
 
 def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # the default mesh at k = 5000 has n = 100000, where ARPACK would ask for a
-    # Lanczos basis of 10001 vectors (8 GB)
+    # the default mesh at k = 5000 has n = 100000, where verify's solve of the
+    # 3333 trusted eigenpairs plus one would ask ARPACK for a Lanczos basis of
+    # 6669 vectors (4.97 GiB)
     def unreachable(*args, **kwargs):
         raise AssertionError("the eigensolver was called")
 
@@ -183,7 +184,7 @@ def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("scipy.linalg.eigh", unreachable)
     code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert "input error: --k too large: a Lanczos basis of 10001 vectors" in capsys.readouterr().err
+    assert "input error: --k too large: a Lanczos basis of 6669 vectors" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -382,7 +383,8 @@ def test_sweep_alpha_default_mesh_resolves_weak_coupling(tmp_path, capsys):
 
 
 def test_verify_negative_spectrum_too_short_is_numeric(tmp_path, capsys):
-    # at alpha = 0.002 all 6 eigenvalues are bound states: no z grid fits
+    # at alpha = 0.002 the 4 trusted of --k 6 are bound states below E1/2:
+    # no z grid fits
     graph = json.loads(open(fixture("tree_well.json")).read())
     graph["alpha"] = 0.002
     path = tmp_path / "tree_well_weak.json"
@@ -390,6 +392,53 @@ def test_verify_negative_spectrum_too_short_is_numeric(tmp_path, capsys):
     code = main(["verify", "--graph", str(path), "--k", "6", "--out-dir", str(tmp_path / "out")])
     assert code == 3
     assert "spectrum too short" in capsys.readouterr().err
+
+
+def _record_solves(monkeypatch):
+    """Wrap ``fem.solve_spectrum`` to record each call's system, ``k`` and result."""
+    calls = []
+    solve = fem.solve_spectrum
+
+    def recording(system, k, *args, **kwargs):
+        spectrum = solve(system, k, *args, **kwargs)
+        calls.append((system, k, spectrum))
+        return spectrum
+
+    monkeypatch.setattr(fem, "solve_spectrum", recording)
+    return calls
+
+
+@pytest.mark.parametrize("k, solved", [(None, 61), ("6", 5), ("1", 1)])
+def test_verify_solves_trusted_eigenpairs_plus_one(tmp_path, monkeypatch, k, solved):
+    # the mesh resolves k (90 by default) and the lowest floor(2k/3) are trusted
+    calls = _record_solves(monkeypatch)
+    main(["verify", *Y, *(["--k", k] if k else []), "--out-dir", str(tmp_path)])
+    assert calls[0][1] == solved
+
+
+@pytest.mark.parametrize("name", ["y_graph", "tree_well"])
+def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkeypatch, name):
+    calls = _record_solves(monkeypatch)
+    assert main(["verify", "--graph", fixture(f"{name}.json"), "--format", "json", "--out-dir", str(tmp_path)]) == 0
+    system, k, spectrum = calls[0]
+    full = fem.solve_spectrum(system, 90)
+    assert (k, ineq.trusted_count(90)) == (61, 60)
+    assert spectrum.energies[:60] == pytest.approx(full.energies[:60], rel=1e-9, abs=0)
+    reference = ineq.yang_from_spectrum(full)
+    report = json.loads((tmp_path / "verify_yang.json").read_text())
+    assert report["grid"] == pytest.approx(reference.z_grid, rel=1e-9, abs=0)
+    assert report["values"]["s"] == pytest.approx(reference.values, rel=1e-9, abs=0)
+
+
+def test_verify_solves_every_resolved_eigenpair_when_the_trusted_ones_are_bound(tmp_path, capsys):
+    # at alpha = 0.002 the well holds 28 bound states; --k 36 trusts 24, so
+    # the moment needs bound states above the trusted share, all resolved
+    graph = json.loads(open(fixture("tree_well.json")).read())
+    graph["alpha"] = 0.002
+    path = tmp_path / "tree_well_weak.json"
+    path.write_text(json.dumps(graph))
+    code = main(["verify", "--graph", str(path), "--k", "36", "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
 
 
 def test_checks_report_under_their_keys():

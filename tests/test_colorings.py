@@ -149,9 +149,9 @@ def test_averaged_yang_reproduces_plain_form():
     yg = families.y_graph()
     spec = fem.solve_graph(yg, 0.01, 24)
     cols = enumerate_admissible(yg)
-    from qglab.inequalities import make_z_grid, yang_from_spectrum
+    from qglab.inequalities import make_z_grid, trusted_energies, yang_from_spectrum
 
-    z = make_z_grid(spec.energies)
+    z = make_z_grid(trusted_energies(spec))
     rep = averaged_yang(
         spec.energies, spec.edge_mass, spec.edge_dirichlet, spec.alpha, cols, z
     )
@@ -164,11 +164,11 @@ def test_averaged_yang_single_edge():
     g = families.interval(1.0)
     spec = fem.solve_graph(g, 0.01, 12)
     cols = enumerate_admissible(g)
-    from qglab.inequalities import make_z_grid
+    from qglab.inequalities import make_z_grid, trusted_energies
 
     rep = averaged_yang(
         spec.energies, spec.edge_mass, spec.edge_dirichlet, spec.alpha, cols,
-        make_z_grid(spec.energies),
+        make_z_grid(trusted_energies(spec)),
     )
     assert rep.count == 1
     assert rep.max_rel_deviation < 1e-12

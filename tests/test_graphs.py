@@ -344,3 +344,50 @@ def test_unhashable_potential_type_rejected():
     d["edges"][0]["potential"] = {"type": ["zero"]}
     with pytest.raises(GraphFormatError, match="unknown potential type"):
         graph_from_dict(d)
+
+
+def _sampled(values):
+    return {"type": "sampled", "values": values}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["edges"][0].update(length=True), "edges[0]: 'length' must be a number, got True"),
+        (lambda d: d["edges"][0].update(length="1.5"), "edges[0]: 'length' must be a number, got '1.5'"),
+        (lambda d: d["edges"][0].pop("length"), "edges[0]: 'length' must be a number, got None"),
+        (lambda d: d["edges"][0].update(length=10**400), "edges[0]: 'length' must fit a float"),
+        (lambda d: d.update(alpha="2"), "top level: 'alpha' must be a number, got '2'"),
+        (lambda d: d.update(alpha=False), "top level: 'alpha' must be a number, got False"),
+        (
+            lambda d: d["edges"][0].update(potential=_sampled("123")),
+            "edges[0]: potential 'values' must be a list of numbers, got '123'",
+        ),
+        (
+            lambda d: d["edges"][0].update(potential=_sampled([0.0, True])),
+            "edges[0]: potential 'values' entry must be a number, got True",
+        ),
+        (
+            lambda d: d["edges"][0].update(potential={"type": "poschl_teller", "a": "2", "center": 0.5}),
+            "edges[0]: potential 'a' must be a number, got '2'",
+        ),
+    ],
+    ids=["length-bool", "length-str", "length-missing", "length-huge", "alpha-str", "alpha-bool", "sampled-str",
+         "sampled-bool", "pt-str"],
+)
+def test_non_number_field_rejected(mutate, message):
+    # float() once turned True into 1.0, "2" into 2.0 and "123" into (1.0, 2.0, 3.0)
+    d = graph_to_dict(families.interval())
+    mutate(d)
+    with pytest.raises(GraphFormatError) as exc:
+        graph_from_dict(d)
+    assert str(exc.value) == message
+
+
+def test_integer_fields_load_as_floats():
+    d = graph_to_dict(families.interval())
+    d["alpha"] = 2
+    d["edges"][0].update(length=3, potential=_sampled([0, -1, 2]))
+    g = graph_from_dict(d)
+    assert (g.alpha, g.edges[0].length, g.edges[0].potential) == (2.0, 3.0, Sampled((0.0, -1.0, 2.0)))
+    assert {type(x) for x in (g.alpha, g.edges[0].length, *g.edges[0].potential.values)} == {float}
