@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -172,32 +172,52 @@ _G, _E, _I = "guaranteed", "expected_violation", "informational"
 
 @dataclass
 class SolveContext:
-    """What the checks of one ``verify`` run read: one assembly, one spectrum.
+    """What the checks of one ``verify`` run read: one assembly, one solve.
 
-    ``trusted`` is the lowest ``trusted_count(k)`` energies of a mesh that
-    resolves ``k``.  ``spectrum`` holds them and one more, or all ``k`` when
-    those are all bound states.
+    ``energies`` holds the lowest ``trusted_count(k)`` energies of a mesh
+    that resolves ``k`` and one more, or all ``k`` when those are all bound
+    states; ``trusted`` is the trusted part.  ``grad_norms`` is each state's
+    ``int |phi'|^2``.  ``spectrum`` holds the eigenpairs when a check in the
+    row reads eigenvectors (``_reads_vectors``), and is ``None`` otherwise.
     """
 
     graph: MetricGraph
     tol: float
     system: fem.AssembledSystem
-    spectrum: fem.Spectrum
+    energies: np.ndarray
+    grad_norms: np.ndarray
+    spectrum: fem.Spectrum | None
     trusted: np.ndarray
     roles: dict[str, str]  # role of each check in this graph's POLICY row
 
-    @cached_property
-    def loop_pair(self) -> bool:
-        try:
-            ineq.loop_structure(self.graph)
-        except ValueError:
-            return False
-        return True
+
+def _has_loop_pair(graph: MetricGraph) -> bool:
+    try:
+        ineq.loop_structure(graph)
+    except ValueError:
+        return False
+    return True
+
+
+def _reads_vectors(name: str, graph: MetricGraph) -> bool:
+    """Whether check ``name`` reads eigenvectors on ``graph``; every other
+    check reads energies alone.
+
+    The sum rules read each state's ``int |phi'|^2``, which is ``E / alpha``
+    when ``V = 0``, and ``sum_rule_steps`` reads per-edge tables.
+    ``lt_quotient`` is handed the ``fem.Spectrum``; it runs only where
+    ``V != 0``, beside a sum rule that reads eigenvectors anyway.
+    """
+    if name in ("yang", "weak_yang") or name.startswith("lt_quotient"):
+        return not graph.potential_is_zero()
+    return name == "sum_rule_steps" and _has_loop_pair(graph)
 
 
 def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
     z_grid = ineq.make_z_grid(ctx.trusted)
-    check = ineq.yang_from_spectrum(ctx.spectrum, z_grid, tol_rel=ctx.tol, coeff_ratio=ratio)
+    check = ineq.yang_check(
+        ctx.energies, ctx.grad_norms, ctx.graph.alpha, z_grid, tol_rel=ctx.tol, coeff_ratio=ratio
+    )
     return CheckReport(
         check="yang" if ratio == 1.0 else "weak_yang",
         params={"coeff_ratio": check.coeff_ratio, "tol_rel": check.tol_rel},
@@ -301,9 +321,9 @@ def _stubbe(ctx: SolveContext) -> CheckReport | None:
 
 
 def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
-    if not ctx.loop_pair:
+    if not _has_loop_pair(ctx.graph):
         return None
-    e1 = float(ctx.spectrum.energies[0])
+    e1 = float(ctx.energies[0])
     if e1 < 0:
         zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
     else:
@@ -324,10 +344,10 @@ def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
 
 
 def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
-    if not ctx.loop_pair:
+    if not _has_loop_pair(ctx.graph):
         return None
     m = len(ctx.trusted)
-    energies = ctx.spectrum.energies
+    energies = ctx.energies
     zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in (0, 1, 2, 4, 7) if j + 1 < m]
     steps = [ineq.sum_rule_steps_check(ctx.spectrum, z, tol_rel=ctx.tol) for z in zsamples]
     return CheckReport(
@@ -389,27 +409,42 @@ FALLBACK = {"weak_yang": ("yang", _I)}
 PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
+def _solve(system: fem.AssembledSystem, k: int, vectors: bool) -> tuple[np.ndarray, fem.Spectrum | None]:
+    """The lowest ``k`` energies, and the eigenpairs only when ``vectors``."""
+    if vectors:
+        spectrum = fem.solve_spectrum(system, k)
+        return spectrum.energies, spectrum
+    return fem.solve_energies(system, k), None
+
+
 def cmd_verify(args) -> int:
     out = args.out_dir
     graph = _load(args)
     topo = classify_topology(graph)
+    policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
     k = args.k or 90
     system = fem.assemble(_mesh(graph, k, args.h, graph.alpha))
     resolved = min(k, system.ndof)
     trusted = ineq.trusted_count(resolved)
+    vectors = any(_reads_vectors(name, graph) for name, _ in policy)
     # the checks read only the trusted energies; one more shows what lies
     # above them (yang's coverage, lt_quotient's nonnegative top)
-    spectrum = fem.solve_spectrum(system, min(trusted + 1, resolved))
-    if spectrum.energies[-1] < 0 and len(spectrum) < resolved:
+    energies, spectrum = _solve(system, min(trusted + 1, resolved), vectors)
+    if energies[-1] < 0 and len(energies) < resolved:
         # the mesh resolves bound states above the trusted share too, and
         # lt_quotient's moment needs all of them
-        spectrum = fem.solve_spectrum(system, resolved)
+        energies, spectrum = _solve(system, resolved, vectors)
+    # with V = 0, H = alpha K, so a mass-normalized eigenvector has
+    # v^T K v = E / alpha exactly, in the discrete problem too
+    grad_norms = energies / graph.alpha if graph.potential_is_zero() else spectrum.total_dirichlet()
     if args.corrupt_spectrum:
-        spectrum.edge_dirichlet *= 0.1
+        # no Dirichlet energy: every sum rule fails, whatever its coefficient ratio
+        grad_norms = np.zeros_like(grad_norms)
+        if spectrum is not None:
+            spectrum.edge_dirichlet[:] = 0.0
 
-    policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
     tol = args.tol if args.tol is not None else ineq.TOL_FEM
-    ctx = SolveContext(graph, tol, system, spectrum, spectrum.energies[:trusted], dict(policy))
+    ctx = SolveContext(graph, tol, system, energies, grad_norms, spectrum, energies[:trusted], dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
         report = CHECKS[name](ctx)
@@ -468,10 +503,12 @@ def cmd_sweep(args) -> int:
     if args.sweep != "alpha" and engine == "fem":
         _require(args.k is None or args.k >= 2, "--k", args.k, "at least 2 for E2/E1 on the fem engine")
     out = args.out_dir
-    lo, _, hi = args.sweep_range.partition(":")
-    lo, hi = float(lo), float(hi)
-    if args.steps < 2 or hi <= lo:
-        raise InvalidGraphError("sweep range must be lo:hi with at least 2 steps")
+    try:
+        lo, hi = (float(end) for end in args.sweep_range.split(":"))
+    except ValueError:  # not two numbers
+        lo = hi = math.nan
+    _require(-math.inf < lo < hi < math.inf, "--range", args.sweep_range, "lo:hi with finite lo < hi")
+    _require(args.steps >= 2, "--steps", args.steps, "at least 2")
     grid = np.linspace(lo, hi, args.steps)
 
     if args.sweep == "balloon-L":

@@ -13,9 +13,11 @@ segment owns its node arrays: arclength, degree of freedom and potential.
 Eigenpairs come from shift-invert Lanczos, or from dense LAPACK for small
 systems and large shares of the spectrum.  Every Lanczos result is certified
 complete, multiplicities included, by counting eigenvalues with Sylvester's
-law of inertia; a result that fails the count raises ``SolverError``.  The
-negative eigenvalues alone come from one such count at 0 and one solve of
-exactly that many.
+law of inertia; a result that fails the count raises ``SolverError``.
+``solve_spectrum`` returns eigenpairs with their per-edge tables;
+``solve_energies`` returns the energies alone, through the same solver path
+without eigenvector extraction.  The negative eigenvalues alone come from one
+inertia count at 0 and one energies-only solve of exactly that many.
 """
 
 from __future__ import annotations
@@ -311,13 +313,11 @@ def _certify(ham: scipy.sparse.spmatrix, mass: scipy.sparse.spmatrix, energies: 
         )
 
 
-def solve_spectrum(
-    system: AssembledSystem,
-    k: int,
-    alpha: float | None = None,
-    dense_cap: int = DENSE_DOF_CAP,
-) -> Spectrum:
-    """Lowest ``k`` eigenpairs of the assembled generalized problem.
+def _eigensolve(
+    system: AssembledSystem, k: int, alpha: float, dense_cap: int, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one eigensolver path: the lowest ``k`` energies, ascending, and
+    their raw eigenvectors as columns when ``vectors`` (else ``None``).
 
     Dense LAPACK when ``n <= dense_cap`` or ``k / n > DENSE_K_FRACTION``;
     otherwise shift-invert Lanczos from a start vector seeded by ``n``,
@@ -325,19 +325,17 @@ def solve_spectrum(
     ``min(0, min V) - alpha (pi / L)^2`` (``L`` the total length) lies below
     ``E_1``, since ``H - (min V) M`` is positive semidefinite for the P1
     interpolant of ``V``, and scales with the graph's own level spacing, so
-    a shallow band of wanted eigenvalues is not crowded together.  Vectors are
-    mass-orthonormal with the first nonzero coefficient positive, so repeat
-    runs are reproducible.  A solve over ``MEMORY_BUDGET`` is refused first.
+    a shallow band of wanted eigenvalues is not crowded together.  A solve
+    over ``MEMORY_BUDGET`` is refused first.
     """
     n = system.ndof
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    a_coupling = system.mesh.graph.alpha if alpha is None else alpha
-    if a_coupling <= 0:
+    if alpha <= 0:
         raise ValueError("alpha must be positive")
-    ham = system.hamiltonian(a_coupling)
+    ham = system.hamiltonian(alpha)
     dense = n <= dense_cap or k > DENSE_K_FRACTION * n
-    sigma = min(0.0, system.mesh.min_potential) - a_coupling * (math.pi / system.mesh.graph.total_length) ** 2
+    sigma = min(0.0, system.mesh.min_potential) - alpha * (math.pi / system.mesh.graph.total_length) ** 2
     ncv = min(n - 1, max(2 * k + 1, MIN_NCV))
     if dense and 2 * n * n * 8 > MEMORY_BUDGET:
         raise MemoryBudgetError("k", f"a dense solve of {n} unknowns", 2 * n * n * 8)
@@ -346,11 +344,11 @@ def solve_spectrum(
 
     try:
         if dense:
-            w, vecs = scipy.linalg.eigh(
-                ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1)
+            result = scipy.linalg.eigh(
+                ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors
             )
         else:
-            w, vecs = scipy.sparse.linalg.eigsh(
+            result = scipy.sparse.linalg.eigsh(
                 ham,
                 k=k,
                 M=system.mass.tocsc(),
@@ -362,15 +360,34 @@ def solve_spectrum(
                 v0=np.random.default_rng(n).standard_normal(n),
                 ncv=ncv,
                 tol=0,
+                return_eigenvectors=vectors,
             )
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SolverError(f"eigensolver failed: {exc}") from exc
 
+    w, vecs = result if vectors else (result, None)
     order = np.argsort(w, kind="stable")
     w = np.asarray(w)[order]
-    vecs = np.asarray(vecs)[:, order]
     if not dense:
         _certify(ham, system.mass, w, sigma)
+    return w, None if vecs is None else np.asarray(vecs)[:, order]
+
+
+def solve_spectrum(
+    system: AssembledSystem,
+    k: int,
+    alpha: float | None = None,
+    dense_cap: int = DENSE_DOF_CAP,
+) -> Spectrum:
+    """Lowest ``k`` eigenpairs of the assembled generalized problem.
+
+    ``alpha`` defaults to the graph's coupling, and ``dense_cap`` moves the
+    dense/Lanczos threshold of ``_eigensolve``.  Vectors are mass-orthonormal
+    with the first nonzero coefficient positive, so repeat runs are
+    reproducible.
+    """
+    alpha = system.mesh.graph.alpha if alpha is None else alpha
+    w, vecs = _eigensolve(system, k, alpha, dense_cap, vectors=True)
     # enforce mass-orthonormal columns regardless of backend
     mnorm = np.sqrt(np.einsum("ij,ij->j", vecs, system.mass @ vecs))
     vecs = vecs / mnorm
@@ -381,23 +398,34 @@ def solve_spectrum(
         energies=w,
         vectors=vecs,
         mesh=system.mesh,
-        alpha=a_coupling,
+        alpha=alpha,
         edge_mass=mass,
         edge_dirichlet=dirich,
     )
 
 
+def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) -> np.ndarray:
+    """The lowest ``k`` energies alone, ascending, from the same backend,
+    start vector, shift and certificate as ``solve_spectrum``.
+
+    The eigensolver skips its eigenvector extraction, and no vector is
+    normalized or tabulated.
+    """
+    alpha = system.mesh.graph.alpha if alpha is None else alpha
+    return _eigensolve(system, k, alpha, DENSE_DOF_CAP, vectors=False)[0]
+
+
 def solve_bound_states(system: AssembledSystem, alpha: float) -> np.ndarray:
     """Every negative eigenvalue at coupling ``alpha``, ascending.
 
-    One inertia count at 0 gives their number ``m``; one ``solve_spectrum``
+    One inertia count at 0 gives their number ``m``; one ``solve_energies``
     of exactly ``m`` eigenvalues then returns them, and none is solved for
     when ``m == 0``.  Moments of the negative spectrum are never truncated.
     """
     negative = _count_below(system.hamiltonian(alpha), system.mass, 0.0)
     if negative == 0:
         return np.empty(0)
-    return solve_spectrum(system, negative, alpha=alpha).energies
+    return solve_energies(system, negative, alpha=alpha)
 
 
 def solve_graph(

@@ -475,15 +475,15 @@ def riesz_suite(
     the higher-index lower bounds for sampled ``j``, and the discriminant
     root bound ``z_0 <= 5 * mean``.  The derivative identity
     ``R_2' = 2 R_1`` is checked on windows free of eigenvalue crossings,
-    where both sides are exact polynomials.  ``energies`` are trusted, yet
-    the default grid cuts ``trusted_count`` again and tops out at the last
-    of their lowest two thirds.
+    where both sides are exact polynomials.  ``energies`` are trusted, and
+    the default grid is ``make_z_grid(energies)``, topping out at the last
+    of them.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
     if energies[0] <= 0:
         raise ValueError("potential-free spectra must be positive")
     if z_grid is None:
-        z_grid = make_z_grid(energies[: trusted_count(len(energies))])
+        z_grid = make_z_grid(energies)
     z = np.asarray(z_grid, dtype=float)
     _require_coverage(energies, float(z.max()))
     r1, r2, ind = riesz_means(energies, z)

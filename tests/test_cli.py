@@ -104,6 +104,8 @@ Y = ["--graph", fixture("y_graph.json")]
 BALLOON_SWEEP = ["sweep", "--sweep", "balloon-L", "--range", "1:2", "--steps", "2"]
 FANCY_SWEEP = ["sweep", "--sweep", "fancy-N", "--engine", "fem", "--range", "2:3", "--steps", "2"]
 CIRCUIT = ["circuit", *Y, "--terminals", "0,1", "--lead-resistance"]
+ALPHA_SWEEP = ["sweep", "--sweep", "alpha", "--graph", fixture("tree_well.json"), "--steps", "3", "--range"]
+BALLOON_RANGE = ["sweep", "--sweep", "balloon-L", "--steps", "3", "--range"]
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -140,10 +142,24 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
             ["sweep", "--sweep", "fancy-N", "--range", "1:4", "--steps", "3"],
             "--range must be lo:hi with lo at least 2 for fancy-N, got 1:4",
         ),
+        # a non-finite --range failed an inertia count (exit 3) or a float
+        # conversion, with a message that did not name the option
+        *(
+            ([*ALPHA_SWEEP, r], f"--range must be lo:hi with finite lo < hi, got {r}")
+            for r in ("nan:1", "0.5:inf", "1:nan")
+        ),
+        *(
+            ([*BALLOON_RANGE, r], f"--range must be lo:hi with finite lo < hi, got {r}")
+            for r in ("nan:1", "0.5", "2:1", "1:2:3")
+        ),
+        ([*BALLOON_SWEEP[:-1], "1"], "--steps must be at least 2, got 1"),
     ],
     ids=[
         "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0", "lead-0", "lead-inf",
         "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
+        "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi",
+        "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
+        "sweep-steps-1",
     ],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
@@ -223,11 +239,13 @@ def test_verify_tree_green(tmp_path, capsys):
 
 
 def test_verify_corrupt_hook_exits_1(tmp_path, capsys):
-    code = main(
-        ["verify", "--graph", fixture("y_graph.json"), "--out-dir", str(tmp_path),
-         "--corrupt-spectrum"]
-    )
-    assert code == 1
+    # y_graph's yang and hash_graph's weak_yang read E / alpha, not eigenvectors
+    for name, check in (("y_graph", "yang"), ("hash_graph", "weak_yang")):
+        out = tmp_path / name
+        code = main(["verify", "--graph", fixture(f"{name}.json"), "--out-dir", str(out), "--corrupt-spectrum"])
+        assert code == 1
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert [c["name"] for c in summary["checks"] if not c["pass"]] == [check]
 
 
 def test_verify_pt_balloon_expected_violation(tmp_path, capsys):
@@ -395,16 +413,17 @@ def test_verify_negative_spectrum_too_short_is_numeric(tmp_path, capsys):
 
 
 def _record_solves(monkeypatch):
-    """Wrap ``fem.solve_spectrum`` to record each call's system, ``k`` and result."""
+    """Wrap ``fem._eigensolve``, which every certified solve goes through, to
+    record each call's system, ``k`` and energies."""
     calls = []
-    solve = fem.solve_spectrum
+    solve = fem._eigensolve
 
     def recording(system, k, *args, **kwargs):
-        spectrum = solve(system, k, *args, **kwargs)
-        calls.append((system, k, spectrum))
-        return spectrum
+        energies, vectors = solve(system, k, *args, **kwargs)
+        calls.append((system, k, energies))
+        return energies, vectors
 
-    monkeypatch.setattr(fem, "solve_spectrum", recording)
+    monkeypatch.setattr(fem, "_eigensolve", recording)
     return calls
 
 
@@ -420,14 +439,34 @@ def test_verify_solves_trusted_eigenpairs_plus_one(tmp_path, monkeypatch, k, sol
 def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkeypatch, name):
     calls = _record_solves(monkeypatch)
     assert main(["verify", "--graph", fixture(f"{name}.json"), "--format", "json", "--out-dir", str(tmp_path)]) == 0
-    system, k, spectrum = calls[0]
+    system, k, energies = calls[0]
     full = fem.solve_spectrum(system, 90)
     assert (k, ineq.trusted_count(90)) == (61, 60)
-    assert spectrum.energies[:60] == pytest.approx(full.energies[:60], rel=1e-9, abs=0)
+    assert energies[:60] == pytest.approx(full.energies[:60], rel=1e-9, abs=0)
     reference = ineq.yang_from_spectrum(full)
     report = json.loads((tmp_path / "verify_yang.json").read_text())
     assert report["grid"] == pytest.approx(reference.z_grid, rel=1e-9, abs=0)
     assert report["values"]["s"] == pytest.approx(reference.values, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize(
+    "name, spectrum_solves",
+    [("y_graph", 0), ("hash_graph", 0), ("circle_two_leads", 1), ("pt_interval", 1)],
+)
+def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monkeypatch, name, spectrum_solves):
+    # V = 0 sum rules read E / alpha; sum_rule_steps (circle_two_leads) reads
+    # per-edge tables and the V != 0 yang (pt_interval) Dirichlet energies;
+    # the Stubbe re-solves of pt_interval read bound-state energies alone
+    calls = []
+    solve = fem.solve_spectrum
+
+    def counted(system, k, *args, **kwargs):
+        calls.append(k)
+        return solve(system, k, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_spectrum", counted)
+    assert main(["verify", "--graph", fixture(f"{name}.json"), "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == spectrum_solves
 
 
 def test_verify_solves_every_resolved_eigenpair_when_the_trusted_ones_are_bound(tmp_path, capsys):
@@ -448,7 +487,10 @@ def test_checks_report_under_their_keys():
         system = fem.assemble(fem.build_mesh(graph, 0.02))
         spectrum = fem.solve_spectrum(system, 90)
         policy = POLICY[(classify_topology(graph).topology_class, graph.potential_is_zero())]
-        ctx = SolveContext(graph, ineq.TOL_FEM, system, spectrum, ineq.trusted_energies(spectrum), dict(policy))
+        ctx = SolveContext(
+            graph, ineq.TOL_FEM, system, spectrum.energies, spectrum.total_dirichlet(), spectrum,
+            ineq.trusted_energies(spectrum), dict(policy),
+        )
         for key, _ in policy:
             assert CHECKS[key](ctx).check == key
             covered.add(key)

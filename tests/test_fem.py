@@ -180,14 +180,15 @@ def test_sparse_path_keeps_multiplicities(graph, h, k, repeated):
 
 
 def _count_solves(monkeypatch) -> list[int]:
+    # the core that every certified solve goes through
     calls: list[int] = []
-    solve = fem.solve_spectrum
+    solve = fem._eigensolve
 
-    def counted(system, k, **kwargs):
+    def counted(system, k, *args, **kwargs):
         calls.append(k)
-        return solve(system, k, **kwargs)
+        return solve(system, k, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "solve_spectrum", counted)
+    monkeypatch.setattr(fem, "_eigensolve", counted)
     return calls
 
 
@@ -226,6 +227,18 @@ def test_certificate_rejects_symmetric_start_vector(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", symmetric_start)
     with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
         fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10)
+    system = fem.assemble(fem.build_mesh(families.y_graph(), 0.005))
+    assert system.ndof > fem.DENSE_DOF_CAP
+    with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
+        fem.solve_energies(system, 6)
+
+
+@pytest.mark.parametrize("h, k, dense", [(0.005, 12, False), (0.02, 10, True)], ids=["sparse", "dense"])
+def test_energies_alone_match_the_eigenpair_solve(h, k, dense):
+    system = fem.assemble(fem.build_mesh(families.y_graph(), h))
+    assert (system.ndof <= fem.DENSE_DOF_CAP) == dense
+    energies = fem.solve_energies(system, k)
+    assert energies == pytest.approx(fem.solve_spectrum(system, k).energies, rel=1e-12, abs=0)
 
 
 @settings(max_examples=20, deadline=None)
