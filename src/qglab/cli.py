@@ -175,10 +175,10 @@ class SolveContext:
     """What the checks of one ``verify`` run read: one assembly, one solve.
 
     ``energies`` holds the lowest ``trusted_count(k)`` energies of a mesh
-    that resolves ``k`` and one more, or all ``k`` when those are all bound
-    states; ``trusted`` is the trusted part.  ``grad_norms`` is each state's
-    ``int |phi'|^2``.  ``spectrum`` holds the eigenpairs when a check in the
-    row reads eigenvectors (``_reads_vectors``), and is ``None`` otherwise.
+    that resolves ``k`` and one more; ``trusted`` is the trusted part.
+    ``grad_norms`` is each state's ``int |phi'|^2``.  ``spectrum`` holds the
+    eigenpairs when a check in the row reads eigenvectors
+    (``_reads_vectors``), and is ``None`` otherwise.
     """
 
     graph: MetricGraph
@@ -205,10 +205,8 @@ def _reads_vectors(name: str, graph: MetricGraph) -> bool:
 
     The sum rules read each state's ``int |phi'|^2``, which is ``E / alpha``
     when ``V = 0``, and ``sum_rule_steps`` reads per-edge tables.
-    ``lt_quotient`` is handed the ``fem.Spectrum``; it runs only where
-    ``V != 0``, beside a sum rule that reads eigenvectors anyway.
     """
-    if name in ("yang", "weak_yang") or name.startswith("lt_quotient"):
+    if name in ("yang", "weak_yang"):
         return not graph.potential_is_zero()
     return name == "sum_rule_steps" and _has_loop_pair(graph)
 
@@ -286,7 +284,7 @@ def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
     if ctx.system.mesh.min_potential >= 0:
         return None
     name = f"lt_quotient_gamma_{gamma}"
-    q = ineq.lt_quotient(ctx.spectrum, gamma, tol_rel=ctx.tol)
+    q = ineq.lt_quotient(ctx.system, ctx.energies, gamma, tol_rel=ctx.tol)
     verdict = "violated" if q.exceeds_classical else "holds"
     notes = [q.note] if q.note else []
     if verdict == "violated":
@@ -428,12 +426,9 @@ def cmd_verify(args) -> int:
     trusted = ineq.trusted_count(resolved)
     vectors = any(_reads_vectors(name, graph) for name, _ in policy)
     # the checks read only the trusted energies; one more shows what lies
-    # above them (yang's coverage, lt_quotient's nonnegative top)
+    # above them (yang's coverage, and lt_quotient's bound states when the
+    # top is nonnegative)
     energies, spectrum = _solve(system, min(trusted + 1, resolved), vectors)
-    if energies[-1] < 0 and len(energies) < resolved:
-        # the mesh resolves bound states above the trusted share too, and
-        # lt_quotient's moment needs all of them
-        energies, spectrum = _solve(system, resolved, vectors)
     # with V = 0, H = alpha K, so a mass-normalized eigenvector has
     # v^T K v = E / alpha exactly, in the discrete problem too
     grad_norms = energies / graph.alpha if graph.potential_is_zero() else spectrum.total_dirichlet()
@@ -549,6 +544,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     _require(args.n >= 1, "--n", args.n, "at least 1")
+    _require(0 < args.length < math.inf, "--length", args.length, "finite and positive")
+    _require(args.rungs >= 2, "--rungs", args.rungs, "at least 2")
     out = args.out_dir
     if args.family == "interval":
         e = analytic.interval_eigenvalues(args.length, args.bc, args.n)

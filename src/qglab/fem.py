@@ -13,11 +13,13 @@ segment owns its node arrays: arclength, degree of freedom and potential.
 Eigenpairs come from shift-invert Lanczos, or from dense LAPACK for small
 systems and large shares of the spectrum.  Every Lanczos result is certified
 complete, multiplicities included, by counting eigenvalues with Sylvester's
-law of inertia; a result that fails the count raises ``SolverError``.
+law of inertia; a result that fails the count falls back to dense LAPACK, or
+raises ``SolverError`` where that would not fit the memory budget.
 ``solve_spectrum`` returns eigenpairs with their per-edge tables;
 ``solve_energies`` returns the energies alone, through the same solver path
-without eigenvector extraction.  The negative eigenvalues alone come from one
-inertia count at 0 and one energies-only solve of exactly that many.
+without eigenvector extraction.  ``solve_bound_states`` is the one rule for
+the negative eigenvalues: those of a certified solve with a nonnegative top,
+or else one inertia count at 0 and one energies-only solve of that many.
 """
 
 from __future__ import annotations
@@ -321,7 +323,9 @@ def _eigensolve(
 
     Dense LAPACK when ``n <= dense_cap`` or ``k / n > DENSE_K_FRACTION``;
     otherwise shift-invert Lanczos from a start vector seeded by ``n``,
-    certified complete by two inertia counts.  The shift
+    certified complete by two inertia counts.  A Lanczos solve that fails
+    or fails its certificate falls back to dense LAPACK when the dense
+    ``H`` and ``M`` fit ``MEMORY_BUDGET``, and raises otherwise.  The shift
     ``min(0, min V) - alpha (pi / L)^2`` (``L`` the total length) lies below
     ``E_1``, since ``H - (min V) M`` is positive semidefinite for the P1
     interpolant of ``V``, and scales with the graph's own level spacing, so
@@ -337,40 +341,49 @@ def _eigensolve(
     dense = n <= dense_cap or k > DENSE_K_FRACTION * n
     sigma = min(0.0, system.mesh.min_potential) - alpha * (math.pi / system.mesh.graph.total_length) ** 2
     ncv = min(n - 1, max(2 * k + 1, MIN_NCV))
-    if dense and 2 * n * n * 8 > MEMORY_BUDGET:
-        raise MemoryBudgetError("k", f"a dense solve of {n} unknowns", 2 * n * n * 8)
+    dense_bytes = 2 * n * n * 8
+    if dense and dense_bytes > MEMORY_BUDGET:
+        raise MemoryBudgetError("k", f"a dense solve of {n} unknowns", dense_bytes)
     if not dense and n * ncv * 8 > MEMORY_BUDGET:
         raise MemoryBudgetError("k", f"a Lanczos basis of {ncv} vectors of length {n}", n * ncv * 8)
 
-    try:
-        if dense:
-            result = scipy.linalg.eigh(
-                ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors
-            )
-        else:
-            result = scipy.sparse.linalg.eigsh(
-                ham,
-                k=k,
-                M=system.mass.tocsc(),
-                sigma=sigma,
-                which="LM",
-                # a Gaussian start vector reaches every eigenvector; ones(n)
-                # is invariant under graph automorphisms and misses the
-                # antisymmetric ones
-                v0=np.random.default_rng(n).standard_normal(n),
-                ncv=ncv,
-                tol=0,
-                return_eigenvectors=vectors,
-            )
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise SolverError(f"eigensolver failed: {exc}") from exc
+    def lowest(sparse: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        try:
+            if sparse:
+                result = scipy.sparse.linalg.eigsh(
+                    ham,
+                    k=k,
+                    M=system.mass.tocsc(),
+                    sigma=sigma,
+                    which="LM",
+                    # a Gaussian start vector reaches every eigenvector; ones(n)
+                    # is invariant under graph automorphisms and misses the
+                    # antisymmetric ones
+                    v0=np.random.default_rng(n).standard_normal(n),
+                    ncv=ncv,
+                    tol=0,
+                    return_eigenvectors=vectors,
+                )
+            else:
+                result = scipy.linalg.eigh(
+                    ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors
+                )
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        w, vecs = result if vectors else (result, None)
+        order = np.argsort(w, kind="stable")
+        w = np.asarray(w)[order]
+        if sparse:
+            _certify(ham, system.mass, w, sigma)
+        return w, None if vecs is None else np.asarray(vecs)[:, order]
 
-    w, vecs = result if vectors else (result, None)
-    order = np.argsort(w, kind="stable")
-    w = np.asarray(w)[order]
     if not dense:
-        _certify(ham, system.mass, w, sigma)
-    return w, None if vecs is None else np.asarray(vecs)[:, order]
+        try:
+            return lowest(sparse=True)
+        except SolverError:  # e.g. Lanczos missed one copy of a repeated eigenvalue
+            if dense_bytes > MEMORY_BUDGET:
+                raise
+    return lowest(sparse=False)
 
 
 def solve_spectrum(
@@ -415,13 +428,17 @@ def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) 
     return _eigensolve(system, k, alpha, DENSE_DOF_CAP, vectors=False)[0]
 
 
-def solve_bound_states(system: AssembledSystem, alpha: float) -> np.ndarray:
+def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
     """Every negative eigenvalue at coupling ``alpha``, ascending.
 
-    One inertia count at 0 gives their number ``m``; one ``solve_energies``
-    of exactly ``m`` eigenvalues then returns them, and none is solved for
-    when ``m == 0``.  Moments of the negative spectrum are never truncated.
+    ``solved`` may hold the lowest eigenvalues at ``alpha`` from a certified
+    solve; if its top is nonnegative, none below is missing and its negative
+    part is returned.  Otherwise one inertia count at 0 gives their number
+    ``m``, and one ``solve_energies`` of exactly ``m`` returns them (none when
+    ``m == 0``).  Moments of the negative spectrum are never truncated.
     """
+    if solved is not None and solved[-1] >= 0.0:
+        return solved[solved < 0.0]
     negative = _count_below(system.hamiltonian(alpha), system.mass, 0.0)
     if negative == 0:
         return np.empty(0)

@@ -13,6 +13,9 @@ Conventions shared by all checks:
   orders of magnitude.
 * ``(x)_+`` is ``max(x, 0)``; negative-part integrals use the same mesh as
   the assembly.
+* Checks of the negative spectrum (moment quotients, coupling monotonicity,
+  the shifted one-loop bound) read every bound state through
+  ``fem.solve_bound_states``, so no moment is truncated.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import classical_lt_constant, pt_negative_part_integral
+from .analytic import classical_lt_constant
 from .fem import AssembledSystem, Spectrum, integrate_potential_power, solve_bound_states
-from .graphs import MetricGraph, PoschlTeller, Zero, TopologyClass, classify_topology
+from .graphs import MetricGraph, TopologyClass, classify_topology
 
 TOL_ANALYTIC = 1e-6
 TOL_FEM = 1e-3
@@ -158,74 +161,69 @@ def yang_from_spectrum(
 # moment quotients
 
 
-def closed_form_negative_integral(graph: MetricGraph, power: float) -> float | None:
-    """Exact ``int (V_-)^power`` when every potential is zero or sech-squared."""
-    total = 0.0
-    for e in graph.edges:
-        if isinstance(e.potential, Zero):
-            continue
-        if isinstance(e.potential, PoschlTeller):
-            total += pt_negative_part_integral(e.potential.a, e.potential.center, e.length, power)
-        else:
-            return None
-    return total
-
-
 @dataclass
 class LTQuotient:
-    gamma: float
     moment: float  # sum over negative eigenvalues of |E|^gamma
     integral: float  # trapezoid of V_-^(gamma + 1/2) on the mesh
-    integral_closed_form: float | None
     quotient: float
     classical_constant: float
     exceeds_classical: bool
     note: str = ""
 
 
-def lt_quotient(spectrum: Spectrum, gamma: float, tol_rel: float = TOL_FEM) -> LTQuotient:
+def lt_quotient(system: AssembledSystem, energies: np.ndarray, gamma: float, tol_rel: float = TOL_FEM) -> LTQuotient:
     """Moment quotient of the negative spectrum against the potential integral.
 
     For ``-alpha d^2/dx^2 + V`` the semiclassical bound reads
     ``sum |E|^gamma <= L^cl alpha^(-1/2) int V_-^(gamma + 1/2)``, so the
-    quotient is ``sqrt(alpha) * moment / integral``.  The classical constant
-    is the sharp line constant; exceeding it witnesses that the graph's
-    connectivity, not the method, changes the inequality.  A spectrum whose
-    top eigenvalue is negative may miss bound states and is refused.
+    quotient is ``sqrt(alpha) * moment / integral`` at the graph's own
+    ``alpha``.  The classical constant is the sharp line constant; exceeding
+    it witnesses that the graph's connectivity, not the method, changes the
+    inequality.  ``energies`` are the lowest eigenvalues of ``system`` from a
+    certified solve; the moment reads every bound state through
+    ``solve_bound_states``, so it is complete however many were solved.
     """
     if gamma not in (1.5, 2.0):
         raise ValueError("gamma restricted to 3/2 and 2")
-    mesh = spectrum.mesh
+    mesh = system.mesh
     if mesh.min_potential >= 0:
         raise ValueError("potential has no negative part")
-    if spectrum.energies[-1] < 0.0 and len(spectrum) < mesh.ndof:
-        raise CoverageError(
-            f"all {len(spectrum)} computed eigenvalues are negative, so the moment may be truncated;"
-            " request more eigenvalues"
-        )
-    neg = spectrum.energies[spectrum.energies < 0.0]
+    alpha = mesh.graph.alpha
+    neg = solve_bound_states(system, alpha, solved=energies)
     moment = float(np.sum(np.abs(neg) ** gamma))
     integral = integrate_potential_power(mesh, gamma + 0.5)
-    closed = closed_form_negative_integral(mesh.graph, gamma + 0.5)
     classical = classical_lt_constant(gamma)
-    note = ""
-    if len(neg) == 0:
-        note = "no negative eigenvalues; quotient is 0"
-    quotient = math.sqrt(spectrum.alpha) * moment / integral if integral > 0 else 0.0
+    quotient = math.sqrt(alpha) * moment / integral if integral > 0 else 0.0
     return LTQuotient(
-        gamma=gamma,
         moment=moment,
         integral=integral,
-        integral_closed_form=closed,
         quotient=quotient,
         classical_constant=classical,
         exceeds_classical=quotient > classical * (1.0 + tol_rel),
-        note=note,
+        note="" if len(neg) else "no negative eigenvalues; quotient is 0",
     )
 
 
 # ---------------------------------------------------------------------------
 # coupling-constant monotonicity
+
+
+def _coupling_sweep(system: AssembledSystem, alpha_grid, zs: np.ndarray, q: float, floor: float):
+    """The couplings of an ascending grid, the bound states at each, the map
+    ``sqrt(alpha) sum (z - (3/16) q^2 alpha - E)_+^2`` (a row per ``z``, a
+    column per coupling; Stubbe's is ``q = 0``, ``z = 0``) and its largest
+    rise between neighbouring couplings, relative to ``max(value, floor)``."""
+    alphas = np.asarray(list(alpha_grid), dtype=float)
+    if len(alphas) < 2 or np.any(np.diff(alphas) <= 0):
+        raise ValueError("alpha grid must be ascending with at least 2 points")
+    bound = [solve_bound_states(system, float(a)) for a in alphas]
+    map_values = np.zeros((len(zs), len(alphas)))
+    for ia, (a, energies) in enumerate(zip(alphas, bound)):
+        shift = (3.0 / 16.0) * q * q * a
+        pos = np.maximum(zs[:, None] - shift - energies[None, :], 0.0)
+        map_values[:, ia] = math.sqrt(a) * (pos**2).sum(axis=1)
+    rises = np.diff(map_values, axis=1) / np.maximum(map_values[:, :-1], floor)
+    return alphas, bound, map_values, float(rises.max())
 
 
 @dataclass
@@ -250,14 +248,8 @@ def stubbe_monotonicity(system: AssembledSystem, alpha_grid) -> StubbeReport:
     eigenvalues only.  Also compares every value against the semiclassical
     ceiling ``L^cl * int V_-^(5/2)``.
     """
-    alphas = np.asarray(list(alpha_grid), dtype=float)
-    if len(alphas) < 2 or np.any(np.diff(alphas) <= 0):
-        raise ValueError("alpha grid must be ascending with at least 2 points")
-    moments = np.array([np.sum(solve_bound_states(system, float(a)) ** 2) for a in alphas])
-    values = np.sqrt(alphas) * moments
-    diffs = np.diff(values)
-    floor = np.maximum(values[:-1], 1e-300)
-    worst = float((diffs / floor).max()) if len(diffs) else 0.0
+    alphas, states, (values,), worst = _coupling_sweep(system, alpha_grid, np.zeros(1), 0.0, 1e-300)
+    moments = np.array([np.sum(energies**2) for energies in states])
     bound = classical_lt_constant(2.0) * integrate_potential_power(system.mesh, 2.5)
     return StubbeReport(
         alphas=alphas,
@@ -341,25 +333,12 @@ def one_loop_shifted_check(
     negative-energy regime is meaningful on a truncated graph.
     """
     loop = loop_structure(system.mesh.graph)
-    alphas = np.asarray(list(alpha_grid), dtype=float)
     zs = np.asarray(list(z_grid), dtype=float)
-    if np.any(np.diff(alphas) <= 0) or len(alphas) < 2:
-        raise ValueError("alpha grid must be ascending with at least 2 points")
     if zs.max() > 0:
         raise CoverageError("shifted one-loop windows must satisfy z <= 0")
     q = loop.q
     # only bound states enter: z - shift - E > 0 and z - E > 0 need E < z <= 0
-    bound = [solve_bound_states(system, float(a)) for a in alphas]
-
-    map_values = np.zeros((len(zs), len(alphas)))
-    for ia, (a, energies) in enumerate(zip(alphas, bound)):
-        shift = (3.0 / 16.0) * q * q * a
-        pos = np.maximum(zs[:, None] - shift - energies[None, :], 0.0)
-        map_values[:, ia] = math.sqrt(a) * (pos**2).sum(axis=1)
-
-    diffs = np.diff(map_values, axis=1)
-    floor = np.maximum(map_values[:, :-1], 1e-12)
-    worst = float((diffs / floor).max()) if diffs.size else 0.0
+    alphas, bound, map_values, worst = _coupling_sweep(system, alpha_grid, zs, q, 1e-12)
 
     lcl = classical_lt_constant(2.0)
     lt_ok = True

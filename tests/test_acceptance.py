@@ -81,9 +81,10 @@ def test_03_fancy_balloon():
 
 
 def test_04_counterexample_quotients():
-    spec = fem.solve_graph(families.poschl_teller_balloon(60.0), 0.015, 8, dense_cap=100)
-    q32 = ineq.lt_quotient(spec, 1.5)
-    q2 = ineq.lt_quotient(spec, 2.0)
+    system = fem.assemble(fem.build_mesh(families.poschl_teller_balloon(60.0), 0.015))
+    energies = fem.solve_spectrum(system, 8, dense_cap=100).energies
+    q32 = ineq.lt_quotient(system, energies, 1.5)
+    q2 = ineq.lt_quotient(system, energies, 2.0)
     ok = abs(q32.quotient - 3 / 11) <= 1e-3 and q32.quotient > 3 / 16
     ok = ok and abs(q2.quotient - 0.2009) <= 1e-3 and q2.quotient > 8 / (15 * math.pi)
     report(4, "poschl-teller-balloon-quotients", ok,
@@ -91,8 +92,8 @@ def test_04_counterexample_quotients():
 
 
 def test_05_classical_control_interval():
-    spec = fem.solve_graph(families.poschl_teller_interval(40.0), 0.02, 8, dense_cap=100)
-    q32 = ineq.lt_quotient(spec, 1.5)
+    system = fem.assemble(fem.build_mesh(families.poschl_teller_interval(40.0), 0.02))
+    q32 = ineq.lt_quotient(system, fem.solve_spectrum(system, 8, dense_cap=100).energies, 1.5)
     ok = q32.quotient <= 3 / 16 + 1e-3 and q32.quotient > 0
     report(5, "interval-control-quotient", ok, f"Q(3/2)={q32.quotient:.6f} <= 3/16")
 

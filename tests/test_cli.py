@@ -126,6 +126,13 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         ([*FANCY_SWEEP, "--k", "1"], "--k must be at least 2 for E2/E1 on the fem engine, got 1"),
         (["oracle", "--family", "interval", "--n", "0"], "--n must be at least 1, got 0"),
         (["oracle", "--family", "balloon", "--n", "0"], "--n must be at least 1, got 0"),
+        # an infinite balloon string never returned, a nan interval printed
+        # "first eigenvalue nan" and a nan balloon string failed a conversion
+        *(
+            (["oracle", "--family", family, "--length", length], f"--length must be finite and positive, got {length}")
+            for family, length in (("balloon", "inf"), ("interval", "nan"), ("balloon", "nan"), ("interval", "0.0"))
+        ),
+        (["oracle", "--family", "fancy-balloon", "--rungs", "1"], "--rungs must be at least 2, got 1"),
         ([*CIRCUIT, "0"], "--lead-resistance must be finite and positive, got 0.0"),
         ([*CIRCUIT, "inf"], "--lead-resistance must be finite and positive, got inf"),
         ([*CIRCUIT, "-1"], "--lead-resistance must be finite and positive, got -1.0"),
@@ -155,7 +162,9 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         ([*BALLOON_SWEEP[:-1], "1"], "--steps must be at least 2, got 1"),
     ],
     ids=[
-        "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0", "lead-0", "lead-inf",
+        "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0",
+        "balloon-length-inf", "interval-length-nan", "balloon-length-nan", "interval-length-0", "rungs-1",
+        "lead-0", "lead-inf",
         "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
@@ -469,15 +478,21 @@ def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monk
     assert len(calls) == spectrum_solves
 
 
-def test_verify_solves_every_resolved_eigenpair_when_the_trusted_ones_are_bound(tmp_path, capsys):
+def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(tmp_path, capsys, monkeypatch):
     # at alpha = 0.002 the well holds 28 bound states; --k 36 trusts 24, so
-    # the moment needs bound states above the trusted share, all resolved
+    # the 25 solved are all bound and lt_quotient solves the 28, not all 36
     graph = json.loads(open(fixture("tree_well.json")).read())
     graph["alpha"] = 0.002
     path = tmp_path / "tree_well_weak.json"
     path.write_text(json.dumps(graph))
+    calls = _record_solves(monkeypatch)
     code = main(["verify", "--graph", str(path), "--k", "36", "--out-dir", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
+    solved = [k for _, k, _ in calls]
+    assert solved[:2] == [25, 28] and 36 not in solved
+    report = json.loads((tmp_path / "out" / "verify_lt_quotient_gamma_2.0.json").read_text())
+    assert report["values"]["moment"] == [2897.43506769]
+    assert report["values"]["quotient"] == [0.168320869195]
 
 
 def test_checks_report_under_their_keys():

@@ -1,14 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from qglab import families, fem
-from qglab.graphs import DIRICHLET, NEUMANN, ZERO, Edge, MetricGraph, SquareWell
+from qglab.graphs import DIRICHLET, NEUMANN, ZERO, Edge, MetricGraph, SquareWell, load_graph
 
 from conftest import make_path
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_mesh_interval_counts():
@@ -216,6 +220,30 @@ def test_no_bound_states_means_no_solve(monkeypatch):
     assert calls == []
 
 
+def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
+    # a certified solve topped at or above 0 holds every bound state; one
+    # topped below 0 may miss some, so they are counted and solved anew
+    star = families.star([1.5, 1.5, 1.5])
+    for leg in range(3):
+        star = families.with_square_well(star, leg, depth=-12.0, width_fraction=0.5)
+    system = fem.assemble(fem.build_mesh(star, 0.01))
+    solved = fem.solve_energies(system, 4)
+    assert solved[2] < 0.0 <= solved[3]
+    counts, calls = [], _count_solves(monkeypatch)
+    count_below = fem._count_below
+
+    def counted(ham, mass, cutoff):
+        counts.append(cutoff)
+        return count_below(ham, mass, cutoff)
+
+    monkeypatch.setattr(fem, "_count_below", counted)
+    bound = fem.solve_bound_states(system, 1.0, solved=solved)
+    assert (counts, calls) == ([], [])
+    assert np.array_equal(bound, solved[solved < 0.0])
+    assert fem.solve_bound_states(system, 1.0, solved=solved[:2]) == pytest.approx(bound, rel=1e-9, abs=0)
+    assert (counts[0], calls) == (0.0, [3])
+
+
 def test_certificate_rejects_symmetric_start_vector(monkeypatch):
     # a start vector invariant under the Y graph's leg permutations spans no
     # antisymmetric state, so Lanczos misses the second copies of pi^2 and 4 pi^2
@@ -225,12 +253,37 @@ def test_certificate_rejects_symmetric_start_vector(monkeypatch):
         return eigsh(*args, **{**kwargs, "v0": np.ones(len(kwargs["v0"]))})
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", symmetric_start)
-    with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
-        fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10)
     system = fem.assemble(fem.build_mesh(families.y_graph(), 0.005))
     assert system.ndof > fem.DENSE_DOF_CAP
-    with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
-        fem.solve_energies(system, 6)
+    with monkeypatch.context() as budget:
+        # the dense H and M (5.5 MiB) do not fit, so the refusal stands
+        budget.setattr(fem, "MEMORY_BUDGET", 1 << 20)
+        with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
+            fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10)
+        with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
+            fem.solve_energies(system, 6)
+    # where they fit, dense LAPACK recovers the missed copies
+    expected = np.array([0.25, 1.0, 1.0, 2.25, 4.0, 4.0]) * math.pi**2
+    assert fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10).energies == pytest.approx(expected, rel=1e-4)
+    assert fem.solve_energies(system, 6) == pytest.approx(expected, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "name, h, k",
+    [("hash_graph", 0.03, 12), ("wheatstone_unbalanced", 0.025, 20), ("wheatstone_balanced", 0.021875, 30)],
+)
+def test_failed_certificate_falls_back_to_dense(monkeypatch, name, h, k):
+    # just above DENSE_DOF_CAP, single-vector Lanczos misses one copy of a
+    # repeated eigenvalue on these meshes and the certificate refuses the batch
+    system = fem.assemble(fem.build_mesh(load_graph(os.path.join(FIXTURES, f"{name}.json")), h))
+    assert fem.DENSE_DOF_CAP < system.ndof and k <= fem.DENSE_K_FRACTION * system.ndof
+    with monkeypatch.context() as budget:
+        budget.setattr(fem, "MEMORY_BUDGET", 1 << 20)
+        with pytest.raises(fem.SolverError, match="incomplete spectrum"):
+            fem.solve_spectrum(system, k)
+    spectrum = fem.solve_spectrum(system, k)
+    lapack = scipy.linalg.eigh(system.hamiltonian(1.0).toarray(), system.mass.toarray(), eigvals_only=True)[:k]
+    assert spectrum.energies == pytest.approx(lapack, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("h, k, dense", [(0.005, 12, False), (0.02, 10, True)], ids=["sparse", "dense"])

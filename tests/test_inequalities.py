@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qglab import analytic, families, fem, inequalities as ineq
-from qglab.graphs import DIRICHLET, Edge, MetricGraph, SquareWell, load_graph, scale_graph
+from qglab.graphs import DIRICHLET, Edge, MetricGraph, PoschlTeller, SquareWell, load_graph, scale_graph
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -76,30 +77,42 @@ def test_yang_tree_fem_holds(rng):
 
 
 def test_lt_quotient_rejections():
-    spec = fem.solve_graph(families.poschl_teller_balloon(20.0), 0.02, 4)
+    system = assembled(families.poschl_teller_balloon(20.0), 0.02)
     with pytest.raises(ValueError, match="gamma"):
-        ineq.lt_quotient(spec, 1.0)
-    zero = fem.solve_graph(families.interval(1.0), 0.02, 4)
+        ineq.lt_quotient(system, fem.solve_energies(system, 4), 1.0)
+    zero = assembled(families.interval(1.0), 0.02)
     with pytest.raises(ValueError, match="negative part"):
-        ineq.lt_quotient(zero, 1.5)
+        ineq.lt_quotient(zero, fem.solve_energies(zero, 4), 1.5)
 
 
 def test_lt_quotient_no_bound_state_note():
     g = families.interval(1.0, potential=SquareWell(depth=-0.5, left=0.4, right=0.6))
-    spec = fem.solve_graph(g, 0.01, 4)
-    q = ineq.lt_quotient(spec, 1.5)
+    system = assembled(g, 0.01)
+    q = ineq.lt_quotient(system, fem.solve_energies(system, 4), 1.5)
     assert q.quotient == 0.0
     assert "no negative eigenvalues" in q.note
 
 
 def test_lt_quotient_refuses_truncated_moment():
-    # at alpha = 0.01 the tree's well binds far more than 4 states
-    g = load_graph(os.path.join(FIXTURES, "tree_well.json"))
+    # at alpha = 0.01 the tree's well binds far more than 4 states; the
+    # moment is not truncated to the 4 solved but reads every bound state
+    g = dataclasses.replace(load_graph(os.path.join(FIXTURES, "tree_well.json")), alpha=0.01)
     system = assembled(g, 0.02)
-    with pytest.raises(ineq.CoverageError, match="all 4 computed eigenvalues are negative"):
-        ineq.lt_quotient(fem.solve_spectrum(system, 4, alpha=0.01), 2.0)
-    full = fem.solve_spectrum(system, len(fem.solve_bound_states(system, 0.01)) + 1, alpha=0.01)
-    assert ineq.lt_quotient(full, 2.0).quotient == pytest.approx(0.1646, abs=1e-3)
+    lowest = fem.solve_energies(system, 4)
+    assert lowest[-1] < 0.0
+    assert ineq.lt_quotient(system, lowest, 2.0).quotient == pytest.approx(0.1646, abs=1e-3)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.floats(5.0, 40.0), log_alpha=st.floats(math.log(0.05), 0.0))
+def test_lt_quotient_moment_does_not_depend_on_the_solved_count(seed, depth, log_alpha):
+    tree = families.random_tree(np.random.default_rng(seed), 4)
+    g = dataclasses.replace(families.with_square_well(tree, 0, depth=-depth), alpha=math.exp(log_alpha))
+    system = assembled(g, min(0.02, 0.08 * math.sqrt(g.alpha / depth)))
+    m = len(fem.solve_bound_states(system, g.alpha))
+    moments = [ineq.lt_quotient(system, fem.solve_energies(system, k), 2.0).moment for k in (1, 4, m + 1)]
+    assert moments[1] == pytest.approx(moments[0], rel=1e-9, abs=0)
+    assert moments[2] == pytest.approx(moments[0], rel=1e-9, abs=0)
 
 
 def test_z_grid_on_negative_spectrum_is_a_coverage_error():
@@ -109,20 +122,24 @@ def test_z_grid_on_negative_spectrum_is_a_coverage_error():
 
 
 def test_lt_quotient_pt_balloon_short_string():
-    spec = fem.solve_graph(families.poschl_teller_balloon(40.0), 0.02, 6, dense_cap=100)
-    q = ineq.lt_quotient(spec, 1.5)
+    graph = families.poschl_teller_balloon(40.0)
+    system = assembled(graph, 0.02)
+    q = ineq.lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5)
     assert q.quotient == pytest.approx(3 / 11, abs=2e-3)
     assert q.exceeds_classical
-    assert q.integral_closed_form == pytest.approx(q.integral, rel=1e-4)
+    closed = sum(
+        analytic.pt_negative_part_integral(e.potential.a, e.potential.center, e.length, 2.0)
+        for e in graph.edges
+        if isinstance(e.potential, PoschlTeller)
+    )
+    assert closed == pytest.approx(fem.integrate_potential_power(system.mesh, 2.0), rel=1e-4)
 
 
 def test_lt_quotient_truncation_independence():
     qs = []
     for string in (40.0, 60.0):
-        spec = fem.solve_graph(
-            families.poschl_teller_balloon(string), 0.02, 6, dense_cap=100
-        )
-        qs.append(ineq.lt_quotient(spec, 1.5).quotient)
+        system = assembled(families.poschl_teller_balloon(string), 0.02)
+        qs.append(ineq.lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5).quotient)
     assert abs(qs[0] - qs[1]) < 1e-6
 
 
@@ -149,11 +166,9 @@ def test_lieb_thirring_gamma_2_holds_on_trees(seed, n_edges, depth, log_alpha):
     alpha = math.exp(log_alpha)
     tree = families.random_tree(np.random.default_rng(seed), n_edges)
     longest = int(np.argmax([e.length for e in tree.edges]))
-    system = assembled(
-        families.with_square_well(tree, longest, depth=-depth), min(0.02, 0.08 * math.sqrt(alpha / depth))
-    )
-    complete = fem.solve_spectrum(system, len(fem.solve_bound_states(system, alpha)) + 1, alpha=alpha)
-    q = ineq.lt_quotient(complete, 2.0)
+    g = dataclasses.replace(families.with_square_well(tree, longest, depth=-depth), alpha=alpha)
+    system = assembled(g, min(0.02, 0.08 * math.sqrt(alpha / depth)))
+    q = ineq.lt_quotient(system, fem.solve_energies(system, 1), 2.0)
     assert q.quotient <= q.classical_constant * (1.0 + ineq.TOL_FEM)
 
 
@@ -326,11 +341,11 @@ def test_weyl_interval_exact():
 
 def test_scaling_covariance_of_ratios_and_quotients():
     g = families.poschl_teller_balloon(20.0)
-    spec = fem.solve_graph(g, 0.02, 6)
-    spec2 = fem.solve_graph(scale_graph(g, 2.0), 0.04, 6)
+    system, system2 = assembled(g, 0.02), assembled(scale_graph(g, 2.0), 0.04)
+    spec, spec2 = fem.solve_spectrum(system, 6), fem.solve_spectrum(system2, 6)
     assert np.allclose(spec2.energies, spec.energies / 4.0, rtol=1e-9)
-    q1 = ineq.lt_quotient(spec, 2.0)
-    q2 = ineq.lt_quotient(spec2, 2.0)
+    q1 = ineq.lt_quotient(system, spec.energies, 2.0)
+    q2 = ineq.lt_quotient(system2, spec2.energies, 2.0)
     assert q2.quotient == pytest.approx(q1.quotient, rel=1e-9)
 
 
