@@ -1,8 +1,16 @@
-"""Closed-form and secular-equation spectra for the named model families.
+"""Closed-form and secular-equation spectra for the named model families,
+and the exact spectrum of any graph with ``V = 0``.
 
 These serve as ground truth for the finite element solver and for the
 inequality checks.  All root finding is plain bisection on pole-free
 reformulations with brackets enumerated in closed form; no derivatives.
+
+``zero_potential_eigenvalues`` bisects the eigenvalue count of a ``V = 0``
+graph, which the vertex Dirichlet-to-Neumann matrix gives exactly (the
+Dirichlet-Neumann bracketing of L. Friedlander, Arch. Rational Mech. Anal.
+1991, on a metric graph as in G. Berkolaiko and P. Kuchment, *Introduction to
+Quantum Graphs*, AMS 2013).  It needs no mesh, counts multiplicities, and
+certifies every eigenvalue by a bracket.
 """
 
 from __future__ import annotations
@@ -11,6 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fem import SolverError, require_budget
+from .graphs import DIRICHLET, MetricGraph, require_valid
 
 
 class BracketError(RuntimeError):
@@ -227,3 +238,186 @@ def poschl_teller_balloon_oracle() -> PoschlTellerBalloonOracle:
         return a ** (2.0 * gamma) / pt_negative_part_integral(a, math.pi, 2.0 * math.pi, gamma + 0.5)
 
     return PoschlTellerBalloonOracle(a=a, energy=-a * a, q32=quotient(1.5), q2=quotient(2.0))
+
+
+# ---------------------------------------------------------------------------
+# V = 0 graphs: the exact spectrum from the vertex Dirichlet-to-Neumann count
+
+#: A bracket stops at this width relative to its top, in ``kappa = sqrt(E /
+#: alpha)``; its energy bracket is then at most 1e-13 relative.
+COUNT_RTOL = 5e-14
+
+#: Edge Dirichlet eigenvalues ``m pi / l`` of different edges that lie closer
+#: than this (relative) are one pole: commensurate lengths give coincident
+#: poles that differ by rounding alone.
+POLE_MERGE_RTOL = 4e-15
+
+#: An edge term whose half-angle ``|tan|`` or ``|cot|`` exceeds this borders
+#: the matrix (see ``_dtn_counter``); the others enter it directly and cost at
+#: most this many units of roundoff in its eigenvalues.
+BORDER_AT = 100.0
+
+
+def _dtn_counter(graph: MetricGraph):
+    """``N(kappa)``, the number of eigenvalues below ``alpha kappa^2`` of the
+    ``V = 0`` graph, for an array of ``kappa > 0`` off the poles.
+
+    ``N = sum_e #{m >= 1 : m pi / l_e < kappa} + n_+(Lambda(kappa))``, where
+    the vertex Dirichlet-to-Neumann matrix over the non-Dirichlet vertices
+    is, in half-angle form with ``phi_e = kappa l_e / 2``,
+    ``Lambda = sum_e kappa tan(phi_e) p_e p_e^T - kappa cot(phi_e) q_e q_e^T``
+    with ``p_e = (1_u + 1_v) / sqrt 2`` and ``q_e = (1_u - 1_v) / sqrt 2``.
+    That is ``Lambda_vv = -kappa sum cot(kappa l_e)``, a self-loop adding
+    ``2 kappa tan(kappa l / 2)`` instead, and ``Lambda_uv = kappa sum csc(kappa
+    l_e)``.  Near a pole one term of an edge, ``c w w^T``, is huge and would
+    drown the small eigenvalues of ``Lambda`` in roundoff.  It leaves the
+    matrix and borders it instead: by the inertia additivity of the Schur
+    complement, ``[[A, kappa w], [kappa w^T, -kappa^2 / c]]`` has one more
+    positive eigenvalue than ``A + c w w^T`` exactly when ``c < 0``, and no
+    term exceeds ``BORDER_AT kappa``.  A point with any bordered term
+    borders every edge, the others by a lone ``-kappa``, which is never
+    counted.
+    """
+    free = [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
+    slot = {v: i for i, v in enumerate(free)}
+    n, m = len(free), len(graph.edges)
+    plus, minus = np.zeros((m, n)), np.zeros((m, n))
+    for i, e in enumerate(graph.edges):
+        for v, sign in ((e.u, 1.0), (e.v, -1.0)):
+            if v in slot:
+                plus[i, slot[v]] += math.sqrt(0.5)
+                minus[i, slot[v]] += sign * math.sqrt(0.5)
+    outer = np.concatenate([np.einsum("ei,ej->eij", plus, plus), np.einsum("ei,ej->eij", minus, minus)])
+    outer = outer.reshape(2 * m, n * n)
+    lengths = np.array([e.length for e in graph.edges])
+    edges = np.arange(m)
+
+    def count(kappa: np.ndarray) -> np.ndarray:
+        kap = kappa[:, None]
+        theta = kap * lengths
+        t = np.tan(0.5 * theta)
+        tan_term, cot_term = kap * t, -kap / t
+        big = np.abs(t) >= 1.0  # the tan term is the larger one
+        border = np.abs(np.where(big, t, 1.0 / t)) > BORDER_AT
+        coef = np.concatenate([np.where(border & big, 0.0, tan_term), np.where(border & ~big, 0.0, cot_term)], axis=1)
+        lam = (coef @ outer).reshape(len(kappa), n, n)
+        total = (theta // math.pi).sum(axis=1).astype(int)
+        rows = border.any(axis=1)
+        if n and not rows.all():
+            total[~rows] += (np.linalg.eigvalsh(lam[~rows]) > 0).sum(axis=1)
+        if rows.any():
+            kap, border, big = kap[rows], border[rows], big[rows]
+            vectors = np.where(big[:, :, None], plus, minus) * (kap * border)[:, :, None]
+            diag = np.where(border, np.where(big, cot_term[rows], tan_term[rows]), -kap)
+            full = np.zeros((len(kap), n + m, n + m))
+            full[:, :n, :n] = lam[rows]
+            full[:, n:, :n] = vectors
+            full[:, :n, n:] = vectors.transpose(0, 2, 1)
+            full[:, n + edges, n + edges] = diag
+            total[rows] += (np.linalg.eigvalsh(full) > 0).sum(axis=1) - (diag > 0).sum(axis=1)
+        return total
+
+    return count, lengths, n
+
+
+def zero_potential_eigenvalues(graph: MetricGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``k`` eigenvalues of a ``V = 0`` graph, exact to roundoff,
+    and their brackets, shape ``(k, 2)``.
+
+    Every bracket ``[lo, hi]`` of the ``j``-th eigenvalue satisfies
+    ``N(lo) < j <= N(hi)`` for the count of ``_dtn_counter``, and is at most
+    1e-13 wide relative to ``hi`` (``COUNT_RTOL``) unless poles of different
+    edges lie within 1e-14 of each other.  Multiplicities come out of the
+    count.  A graph without a Dirichlet vertex has ``E_1 = 0``, the constant,
+    returned with the bracket ``[0, 0]``.
+
+    All indices are bisected together in ``kappa``, one batched count per
+    step.  No count is taken on an edge Dirichlet eigenvalue ``m pi / l_e``,
+    where ``Lambda`` has a pole: the first counts split the gaps between
+    consecutive poles, so each bracket holds at most one pole.  A bracket
+    that holds one is then counted just below and just above it, which
+    either certifies the eigenvalue at the pole or leaves a bracket free of
+    poles, and free brackets are halved.  Counts that fall as ``kappa``
+    rises raise ``SolverError``; a batch over the memory budget raises
+    ``MemoryBudgetError`` against ``k`` (``fem.require_budget``).
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    require_valid(graph)
+    if not graph.potential_is_zero():
+        raise ValueError("the exact count needs V = 0 on every edge")
+    count, lengths, n = _dtn_counter(graph)
+    # N(kappa) >= sum floor(kappa l_e / pi) >= L kappa / pi - |E| reaches k at
+    # `cap`; every edge's poles up to the lowest top are listed, and two of
+    # that edge's lie above `cap`, so the top count does too
+    cap = math.pi * (k + len(lengths)) / lengths.sum()
+    last = np.ceil(cap * lengths / math.pi) + 2.0
+    poles = np.unique(np.concatenate([np.arange(1.0, m + 1.0) * math.pi / l for m, l in zip(last, lengths)]))
+    poles = poles[poles <= (last * math.pi / lengths).min()]
+    split = np.nonzero(np.diff(poles) > POLE_MERGE_RTOL * poles[1:])[0] + 1
+    lows, highs = poles[np.r_[0, split]], poles[np.r_[split - 1, len(poles) - 1]]
+    # cut each gap between poles into parts about half an eigenvalue spacing
+    # (pi / 2L) wide, and count at their midpoints
+    starts = np.r_[0.0, highs[:-1]]
+    parts = np.maximum(1, np.rint((lows - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
+    gap = np.repeat(np.arange(len(lows)), parts)
+    part = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
+    seeds = starts[gap] + (lows - starts)[gap] * (part + 0.5) / parts[gap]
+    batch, size = max(len(seeds), 2 * k), n + len(lengths)
+    # per count: the direct and the bordered matrices, and a few dozen per-edge arrays
+    need = 8 * (batch * (2 * size * size + 16 * size) + 2 * len(lengths) * n * n)
+    require_budget("k", f"an exact count of {batch} matrices of size {size}", need)
+
+    seen_k, seen_n = [seeds], [count(seeds)]
+    zero_modes = 0 if DIRICHLET in graph.boundary.values() else 1
+    want = np.arange(zero_modes + 1, k + 1)
+    first = np.searchsorted(seen_n[0], want)
+    if len(want) and first[-1] == len(seeds):
+        raise SolverError(f"the count reaches only {seen_n[0][-1]} of {k} eigenvalues below kappa {seeds[-1]:.12g}")
+    lo, n_lo = np.where(first > 0, seeds[first - 1], 0.0), np.where(first > 0, seen_n[0][first - 1], 0)
+    hi, n_hi = seeds[first], seen_n[0][first]
+
+    def counted(points: np.ndarray) -> np.ndarray:
+        unique, index = np.unique(points, return_inverse=True)
+        seen_k.append(unique)
+        seen_n.append(count(unique))
+        return seen_n[-1][index]
+
+    # a bracket that holds a pole [a, b]: count just below and just above it;
+    # the bracket becomes [lo, below], [below, above] (done) or [above, hi]
+    pole = np.minimum(np.searchsorted(lows, lo, side="right"), len(lows) - 1)
+    a, b = lows[pole], highs[pole]
+    held = np.nonzero((lo < a) & (b < hi))[0]
+    step = 0.4 * COUNT_RTOL * a[held]
+    below = a[held] - np.minimum(step, 0.5 * (a[held] - lo[held]))
+    above = b[held] + np.minimum(step, 0.5 * (hi[held] - b[held]))
+    n_below, n_above = np.split(counted(np.r_[below, above]), 2)
+    under, at = n_below >= want[held], n_above >= want[held]
+
+    def pick(if_under, if_at, if_above):
+        return np.where(under, if_under, np.where(at, if_at, if_above))
+
+    lo[held], hi[held] = pick(lo[held], below, above), pick(below, above, hi[held])
+    n_lo[held], n_hi[held] = pick(n_lo[held], n_below, n_above), pick(n_below, n_above, n_hi[held])
+    done = np.zeros(len(want), dtype=bool)
+    done[held] = at & ~under
+
+    while True:
+        go = np.nonzero(~done & (hi - lo > COUNT_RTOL * hi))[0]
+        if not len(go):
+            break
+        mid = 0.5 * (lo[go] + hi[go])
+        n_mid = counted(mid)
+        up = n_mid >= want[go]
+        hi[go[up]], n_hi[go[up]] = mid[up], n_mid[up]
+        lo[go[~up]], n_lo[go[~up]] = mid[~up], n_mid[~up]
+
+    order = np.argsort(np.concatenate(seen_k), kind="stable")
+    if np.any(np.diff(np.concatenate(seen_n)[order]) < 0):
+        raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped Lambda")
+    if np.any(n_lo >= want) or np.any(n_hi < want):
+        raise SolverError("a bracket fails N(lo) < j <= N(hi)")
+    energies, brackets = np.zeros(k), np.zeros((k, 2))
+    energies[zero_modes:] = graph.alpha * (0.5 * (lo + hi)) ** 2
+    brackets[zero_modes:] = graph.alpha * np.stack([lo, hi], axis=1) ** 2
+    return energies, brackets

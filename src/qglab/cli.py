@@ -3,6 +3,10 @@
 Subcommands: ``spectrum``, ``verify``, ``sweep``, ``oracle``, ``colorings``,
 ``circuit``.  Exit codes: 0 success, 1 check failure, 2 input error,
 3 numeric failure.  Every subcommand writes only below ``--out-dir``.
+
+``verify`` reads the exact spectrum of ``analytic.zero_potential_eigenvalues``
+on a ``V = 0`` graph whose checks read energies alone, and solves P1 on every
+other graph; ``spectrum`` and the ``fem`` sweeps always solve P1.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -172,23 +176,29 @@ _G, _E, _I = "guaranteed", "expected_violation", "informational"
 
 @dataclass
 class SolveContext:
-    """What the checks of one ``verify`` run read: one assembly, one solve.
+    """What the checks of one ``verify`` run read: one solve.
 
-    ``energies`` holds the lowest ``trusted_count(k)`` energies of a mesh
-    that resolves ``k`` and one more; ``trusted`` is the trusted part.
-    ``grad_norms`` is each state's ``int |phi'|^2``.  ``spectrum`` holds the
-    eigenpairs when a check in the row reads eigenvectors
-    (``_reads_vectors``), and is ``None`` otherwise.
+    ``energies`` holds the lowest ``trusted_count(k)`` energies and one more;
+    ``trusted`` is the trusted part.  ``grad_norms`` is each state's
+    ``int |phi'|^2``.  ``spectrum`` holds the eigenpairs when a check in the
+    row reads eigenvectors (``_reads_vectors``), and is ``None`` otherwise.
+    ``system`` is the P1 assembly, and ``None`` on a row solved exactly.
     """
 
     graph: MetricGraph
     tol: float
-    system: fem.AssembledSystem
+    system: fem.AssembledSystem | None
     energies: np.ndarray
     grad_norms: np.ndarray
     spectrum: fem.Spectrum | None
     trusted: np.ndarray
     roles: dict[str, str]  # role of each check in this graph's POLICY row
+
+    @cached_property
+    def bound_states(self) -> np.ndarray:
+        """Every negative eigenvalue at the graph's coupling, read once for
+        all moment checks."""
+        return fem.solve_bound_states(self.system, self.graph.alpha, solved=self.energies)
 
 
 def _has_loop_pair(graph: MetricGraph) -> bool:
@@ -284,7 +294,7 @@ def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
     if ctx.system.mesh.min_potential >= 0:
         return None
     name = f"lt_quotient_gamma_{gamma}"
-    q = ineq.lt_quotient(ctx.system, ctx.energies, gamma, tol_rel=ctx.tol)
+    q = ineq.lt_quotient(ctx.system, ctx.bound_states, gamma, tol_rel=ctx.tol)
     verdict = "violated" if q.exceeds_classical else "holds"
     notes = [q.note] if q.note else []
     if verdict == "violated":
@@ -407,12 +417,30 @@ FALLBACK = {"weak_yang": ("yang", _I)}
 PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
-def _solve(system: fem.AssembledSystem, k: int, vectors: bool) -> tuple[np.ndarray, fem.Spectrum | None]:
-    """The lowest ``k`` energies, and the eigenpairs only when ``vectors``."""
-    if vectors:
-        spectrum = fem.solve_spectrum(system, k)
-        return spectrum.energies, spectrum
-    return fem.solve_energies(system, k), None
+def _solve(
+    graph: MetricGraph, k: int, h: float | None, vectors: bool
+) -> tuple[fem.AssembledSystem | None, np.ndarray, fem.Spectrum | None, dict]:
+    """The spectrum one ``verify`` run reads: the assembled system (``None``
+    on the exact path), the lowest ``trusted_count(k)`` energies and one more
+    (yang's coverage, and lt_quotient's bound states when the top is
+    nonnegative), the eigenpairs only when ``vectors``, and a record of the
+    solve for the summary.
+
+    A ``V = 0`` graph whose checks read no eigenvector takes the exact
+    energies of ``analytic.zero_potential_eigenvalues`` and builds no mesh;
+    every other graph solves P1 on a mesh that resolves ``k``.
+    """
+    if graph.potential_is_zero() and not vectors:
+        trusted = ineq.trusted_count(k)
+        energies, _ = analytic.zero_potential_eigenvalues(graph, min(trusted + 1, k))
+        return None, energies, None, {"source": "exact", "solved": len(energies), "trusted": trusted}
+    system = fem.assemble(_mesh(graph, k, h, graph.alpha))
+    resolved = min(k, system.ndof)
+    trusted = ineq.trusted_count(resolved)
+    solved = min(trusted + 1, resolved)
+    spectrum = fem.solve_spectrum(system, solved) if vectors else None
+    energies = fem.solve_energies(system, solved) if spectrum is None else spectrum.energies
+    return system, energies, spectrum, {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
 
 
 def cmd_verify(args) -> int:
@@ -420,17 +448,11 @@ def cmd_verify(args) -> int:
     graph = _load(args)
     topo = classify_topology(graph)
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
-    k = args.k or 90
-    system = fem.assemble(_mesh(graph, k, args.h, graph.alpha))
-    resolved = min(k, system.ndof)
-    trusted = ineq.trusted_count(resolved)
     vectors = any(_reads_vectors(name, graph) for name, _ in policy)
-    # the checks read only the trusted energies; one more shows what lies
-    # above them (yang's coverage, and lt_quotient's bound states when the
-    # top is nonnegative)
-    energies, spectrum = _solve(system, min(trusted + 1, resolved), vectors)
+    system, energies, spectrum, solve = _solve(graph, args.k or 90, args.h, vectors)
     # with V = 0, H = alpha K, so a mass-normalized eigenvector has
-    # v^T K v = E / alpha exactly, in the discrete problem too
+    # v^T K v = E / alpha exactly, in the discrete problem too; the exact
+    # eigenfunctions satisfy the same identity
     grad_norms = energies / graph.alpha if graph.potential_is_zero() else spectrum.total_dirichlet()
     if args.corrupt_spectrum:
         # no Dirichlet energy: every sum rule fails, whatever its coefficient ratio
@@ -439,7 +461,7 @@ def cmd_verify(args) -> int:
             spectrum.edge_dirichlet[:] = 0.0
 
     tol = args.tol if args.tol is not None else ineq.TOL_FEM
-    ctx = SolveContext(graph, tol, system, energies, grad_norms, spectrum, energies[:trusted], dict(policy))
+    ctx = SolveContext(graph, tol, system, energies, grad_norms, spectrum, energies[: solve["trusted"]], dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
         report = CHECKS[name](ctx)
@@ -459,6 +481,7 @@ def cmd_verify(args) -> int:
         "graph": args.graph,
         "topology": topo.topology_class.value,
         "betti": topo.betti,
+        "spectrum": solve,
         "checks": checks,
         "exit_code": code,
     }

@@ -70,6 +70,14 @@ class MemoryBudgetError(ValueError):
         self.param = param
 
 
+def require_budget(param: str, what: str, need: float) -> None:
+    """Refuse ``what``, which needs ``need`` bytes, before it is allocated
+    when that is over ``MEMORY_BUDGET``; ``param`` asked for it.  Every mesh
+    and solve, P1 or exact, is guarded here."""
+    if need > MEMORY_BUDGET:
+        raise MemoryBudgetError(param, what, need)
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """One meshed piece of an edge, oriented by the edge's own arclength.
@@ -153,8 +161,7 @@ def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
             c = max(2, math.ceil(e.length / target_h)) if e.cells is None else e.cells
             pieces.append((i, e, e.u, e.v, e.length, 0.0, c))
     cells = sum(piece[-1] for piece in pieces)
-    if cells * MIN_NCV * 8 > MEMORY_BUDGET:
-        raise MemoryBudgetError("target_h", f"the smallest solve on {cells} cells", cells * MIN_NCV * 8)
+    require_budget("target_h", f"the smallest solve on {cells} cells", cells * MIN_NCV * 8)
 
     free = [v for v in range(n_solver_vertices) if graph.boundary.get(v) != DIRICHLET]
     dof_of = np.full(n_solver_vertices, -1, dtype=int)
@@ -342,10 +349,10 @@ def _eigensolve(
     sigma = min(0.0, system.mesh.min_potential) - alpha * (math.pi / system.mesh.graph.total_length) ** 2
     ncv = min(n - 1, max(2 * k + 1, MIN_NCV))
     dense_bytes = 2 * n * n * 8
-    if dense and dense_bytes > MEMORY_BUDGET:
-        raise MemoryBudgetError("k", f"a dense solve of {n} unknowns", dense_bytes)
-    if not dense and n * ncv * 8 > MEMORY_BUDGET:
-        raise MemoryBudgetError("k", f"a Lanczos basis of {ncv} vectors of length {n}", n * ncv * 8)
+    if dense:
+        require_budget("k", f"a dense solve of {n} unknowns", dense_bytes)
+    else:
+        require_budget("k", f"a Lanczos basis of {ncv} vectors of length {n}", n * ncv * 8)
 
     def lowest(sparse: bool) -> tuple[np.ndarray, np.ndarray | None]:
         try:

@@ -15,7 +15,8 @@ Conventions shared by all checks:
   the assembly.
 * Checks of the negative spectrum (moment quotients, coupling monotonicity,
   the shifted one-loop bound) read every bound state through
-  ``fem.solve_bound_states``, so no moment is truncated.
+  ``fem.solve_bound_states``, so no moment is truncated; the moment
+  quotients take them from their caller, which reads them once.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ class LTQuotient:
     note: str = ""
 
 
-def lt_quotient(system: AssembledSystem, energies: np.ndarray, gamma: float, tol_rel: float = TOL_FEM) -> LTQuotient:
+def lt_quotient(
+    system: AssembledSystem, bound_states: np.ndarray, gamma: float, tol_rel: float = TOL_FEM
+) -> LTQuotient:
     """Moment quotient of the negative spectrum against the potential integral.
 
     For ``-alpha d^2/dx^2 + V`` the semiclassical bound reads
@@ -179,9 +182,9 @@ def lt_quotient(system: AssembledSystem, energies: np.ndarray, gamma: float, tol
     quotient is ``sqrt(alpha) * moment / integral`` at the graph's own
     ``alpha``.  The classical constant is the sharp line constant; exceeding
     it witnesses that the graph's connectivity, not the method, changes the
-    inequality.  ``energies`` are the lowest eigenvalues of ``system`` from a
-    certified solve; the moment reads every bound state through
-    ``solve_bound_states``, so it is complete however many were solved.
+    inequality.  ``bound_states`` are every negative eigenvalue of ``system``
+    at the graph's coupling, as ``solve_bound_states`` returns them, so the
+    moment is never truncated and one read serves every ``gamma``.
     """
     if gamma not in (1.5, 2.0):
         raise ValueError("gamma restricted to 3/2 and 2")
@@ -189,8 +192,7 @@ def lt_quotient(system: AssembledSystem, energies: np.ndarray, gamma: float, tol
     if mesh.min_potential >= 0:
         raise ValueError("potential has no negative part")
     alpha = mesh.graph.alpha
-    neg = solve_bound_states(system, alpha, solved=energies)
-    moment = float(np.sum(np.abs(neg) ** gamma))
+    moment = float(np.sum(np.abs(bound_states) ** gamma))
     integral = integrate_potential_power(mesh, gamma + 0.5)
     classical = classical_lt_constant(gamma)
     quotient = math.sqrt(alpha) * moment / integral if integral > 0 else 0.0
@@ -200,7 +202,7 @@ def lt_quotient(system: AssembledSystem, energies: np.ndarray, gamma: float, tol
         quotient=quotient,
         classical_constant=classical,
         exceeds_classical=quotient > classical * (1.0 + tol_rel),
-        note="" if len(neg) else "no negative eigenvalues; quotient is 0",
+        note="" if len(bound_states) else "no negative eigenvalues; quotient is 0",
     )
 
 

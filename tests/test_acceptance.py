@@ -83,8 +83,9 @@ def test_03_fancy_balloon():
 def test_04_counterexample_quotients():
     system = fem.assemble(fem.build_mesh(families.poschl_teller_balloon(60.0), 0.015))
     energies = fem.solve_spectrum(system, 8, dense_cap=100).energies
-    q32 = ineq.lt_quotient(system, energies, 1.5)
-    q2 = ineq.lt_quotient(system, energies, 2.0)
+    bound = fem.solve_bound_states(system, 1.0, solved=energies)
+    q32 = ineq.lt_quotient(system, bound, 1.5)
+    q2 = ineq.lt_quotient(system, bound, 2.0)
     ok = abs(q32.quotient - 3 / 11) <= 1e-3 and q32.quotient > 3 / 16
     ok = ok and abs(q2.quotient - 0.2009) <= 1e-3 and q2.quotient > 8 / (15 * math.pi)
     report(4, "poschl-teller-balloon-quotients", ok,
@@ -93,7 +94,8 @@ def test_04_counterexample_quotients():
 
 def test_05_classical_control_interval():
     system = fem.assemble(fem.build_mesh(families.poschl_teller_interval(40.0), 0.02))
-    q32 = ineq.lt_quotient(system, fem.solve_spectrum(system, 8, dense_cap=100).energies, 1.5)
+    energies = fem.solve_spectrum(system, 8, dense_cap=100).energies
+    q32 = ineq.lt_quotient(system, fem.solve_bound_states(system, 1.0, solved=energies), 1.5)
     ok = q32.quotient <= 3 / 16 + 1e-3 and q32.quotient > 0
     report(5, "interval-control-quotient", ok, f"Q(3/2)={q32.quotient:.6f} <= 3/16")
 
@@ -251,3 +253,17 @@ def test_13_determinism(tmp_path):
     )
     ok = same_stdout and same_bytes
     report(13, "determinism", ok, f"{len(outputs[0][1])} files byte-identical")
+
+
+def test_13_determinism_on_p1(tmp_path):
+    # test_13's y_graph is counted exactly; pt_interval keeps the P1 solve
+    outputs = []
+    for sub in ("run_a", "run_b"):
+        out = tmp_path / sub
+        argv = ["verify", "--graph", fixture("pt_interval.json"), "--out-dir", str(out)]
+        result = subprocess.run([sys.executable, "-m", "qglab.cli", *argv], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outputs.append((result.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    source = json.loads(outputs[0][1]["verify_summary.json"])["spectrum"]["source"]
+    ok = source == "p1" and outputs[0] == outputs[1]
+    report(13, "determinism-p1", ok, f"{len(outputs[0][1])} files byte-identical")

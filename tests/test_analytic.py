@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qglab import analytic, families, fem
+from qglab.graphs import DIRICHLET, NEUMANN, Edge, MetricGraph
 
 
 def test_classical_constants():
@@ -147,3 +148,57 @@ def test_pt_balloon_bound_state_vs_fem():
     spec = fem.solve_graph(families.poschl_teller_balloon(40.0), 0.02, 2, dense_cap=100)
     assert spec.energies[0] == pytest.approx(pt.energy, rel=1e-4)
     assert spec.energies[1] > 0  # a single bound state
+
+
+# --- the exact V = 0 spectrum ----------------------------------------------
+
+
+def _interval(bc):
+    boundary = {0: DIRICHLET, 1: DIRICHLET if bc == "DD" else NEUMANN}
+    return MetricGraph(2, (Edge(0, 1, 1.7),), boundary)
+
+
+CYCLE_3 = [(2 * math.pi * (j // 2) / 3.0) ** 2 for j in range(1, 61)]
+
+EXACT_CASES = [
+    *((f"balloon-{L:.4g}", families.balloon(L), [m.energy for m in analytic.balloon_eigenvalues(L, 60)])
+      for L in (1.0, math.pi, 4.0)),
+    *((f"fancy-{n}", families.fancy_balloon(n), analytic.fancy_balloon_eigenvalues(n, 60)) for n in (2, 3, 5)),
+    *((f"interval-{bc}", _interval(bc), analytic.interval_eigenvalues(1.7, bc, 60)) for bc in ("DD", "DN")),
+    # no Dirichlet vertex: E = 0, then (2 pi m / 3)^2 twice, on a loop of length 3
+    ("loop", MetricGraph(1, (Edge(0, 0, 3.0),)), CYCLE_3),
+    # the same cycle as edges of lengths 1 and 2: at kappa = 2 pi m both edges
+    # have a pole while the eigenfunctions do not vanish at the vertices
+    ("cycle-1-2", MetricGraph(2, (Edge(0, 1, 1.0), Edge(1, 0, 2.0))), CYCLE_3),
+]
+
+
+@pytest.mark.parametrize("graph, oracle", [case[1:] for case in EXACT_CASES], ids=[case[0] for case in EXACT_CASES])
+def test_zero_potential_spectrum_matches_the_oracles(graph, oracle):
+    # the fancy balloon's j^2 (N - 1 times) and the loop's pairs are counted with multiplicity
+    energies, _ = analytic.zero_potential_eigenvalues(graph, 60)
+    assert energies == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("graph, oracle", [case[1:] for case in EXACT_CASES], ids=[case[0] for case in EXACT_CASES])
+def test_zero_potential_brackets_are_certified_by_the_count(graph, oracle):
+    energies, brackets = analytic.zero_potential_eigenvalues(graph, 60)
+    lo, hi = brackets.T
+    positive = hi > 0  # E = 0 comes back as [0, 0]
+    assert np.array_equal(energies[~positive], np.zeros(np.count_nonzero(~positive)))
+    count = analytic._dtn_counter(graph)[0]
+    j = np.arange(1, 61)[positive]
+    assert np.all(count(np.sqrt(lo[positive] / graph.alpha)) < j)
+    assert np.all(j <= count(np.sqrt(hi[positive] / graph.alpha)))
+    assert np.all(hi - lo <= 1e-13 * hi)
+    assert np.all((lo <= energies) & (energies <= hi))
+    oracle = np.asarray(oracle)
+    assert np.all((lo * (1 - 1e-14) <= oracle) & (oracle <= hi * (1 + 1e-14)))
+
+
+def test_zero_potential_rejections():
+    with pytest.raises(ValueError, match="V = 0"):
+        analytic.zero_potential_eigenvalues(families.poschl_teller_balloon(20.0), 5)
+    with pytest.raises(ValueError, match="at least 1"):
+        analytic.zero_potential_eigenvalues(families.y_graph(), 0)
+

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qglab import fem, inequalities as ineq
+from qglab import analytic, fem, inequalities as ineq
 from qglab.cli import CHECKS, POLICY, SolveContext, main
 from qglab.graphs import TopologyClass, classify_topology, load_graph
 from qglab.reports import fmt_float
@@ -198,19 +198,56 @@ def test_unread_option_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # the default mesh at k = 5000 has n = 100000, where verify's solve of the
-    # 3333 trusted eigenpairs plus one would ask ARPACK for a Lanczos basis of
-    # 6669 vectors (4.97 GiB)
+def _no_eigensolver(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the eigensolver was called")
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", unreachable)
     monkeypatch.setattr("scipy.linalg.eigh", unreachable)
-    code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path / "out")])
+
+
+def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # tree_well's default mesh at k = 5000 has n = 100000, where verify's
+    # solve of the 3333 trusted eigenpairs plus one would ask ARPACK for a
+    # Lanczos basis of 6669 vectors (4.97 GiB)
+    _no_eigensolver(monkeypatch)
+    code = main(["verify", "--graph", fixture("tree_well.json"), "--k", "5000", "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "input error: --k too large: a Lanczos basis of 6669 vectors" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exact_verify_at_large_k_needs_no_mesh(tmp_path, capsys, monkeypatch):
+    # y_graph reads energies alone and has V = 0: its 3334 energies are
+    # counted exactly, with no mesh, assembly or eigensolver
+    _no_eigensolver(monkeypatch)
+    for name in ("build_mesh", "assemble", "_eigensolve"):
+        monkeypatch.setattr(fem, name, lambda *args, **kwargs: pytest.fail("P1 was called"))
+    code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["spectrum"] == {"source": "exact", "solved": 3334, "trusted": 3333}
+
+
+def test_exact_count_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # the stacked matrices of the exact count obey the same budget, against --k
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 1 << 20)
+    code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "input error: --k too large: an exact count of 6690 matrices of size 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exact_count_failure_exits_3(tmp_path, capsys, monkeypatch):
+    counter = analytic._dtn_counter
+
+    def falling(graph):
+        count, lengths, n = counter(graph)
+        return (lambda kappa: count(kappa) - 3 * (kappa > 5.0)), lengths, n
+
+    monkeypatch.setattr(analytic, "_dtn_counter", falling)
+    assert main(["verify", *Y, "--out-dir", str(tmp_path / "out")]) == 3
+    assert "numeric failure: the eigenvalue count falls" in capsys.readouterr().err
 
 
 def test_h_beyond_memory_budget_exits_2(tmp_path):
@@ -245,6 +282,16 @@ def test_verify_tree_green(tmp_path, capsys):
     assert all(c["pass"] for c in summary["checks"])
     names = {c["name"] for c in summary["checks"]}
     assert {"yang", "riesz", "mean_ratio", "weyl"} <= names
+
+
+def test_verify_summary_records_the_spectrum_source(tmp_path, capsys):
+    expected = {
+        "y_graph": {"source": "exact", "solved": 61, "trusted": 60},
+        "pt_interval": {"source": "p1", "ndof": 3999, "solved": 61, "trusted": 60},
+    }
+    for name, spectrum in expected.items():
+        assert main(["verify", "--graph", fixture(f"{name}.json"), "--out-dir", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / name / "verify_summary.json").read_text())["spectrum"] == spectrum
 
 
 def test_verify_corrupt_hook_exits_1(tmp_path, capsys):
@@ -436,23 +483,56 @@ def _record_solves(monkeypatch):
     return calls
 
 
+def _record_exact_solves(monkeypatch):
+    """Wrap ``analytic.zero_potential_eigenvalues`` to record each call's
+    ``k`` and energies."""
+    calls = []
+    solve = analytic.zero_potential_eigenvalues
+
+    def recording(graph, k):
+        energies, brackets = solve(graph, k)
+        calls.append((k, energies))
+        return energies, brackets
+
+    monkeypatch.setattr(analytic, "zero_potential_eigenvalues", recording)
+    return calls
+
+
 @pytest.mark.parametrize("k, solved", [(None, 61), ("6", 5), ("1", 1)])
 def test_verify_solves_trusted_eigenpairs_plus_one(tmp_path, monkeypatch, k, solved):
-    # the mesh resolves k (90 by default) and the lowest floor(2k/3) are trusted
-    calls = _record_solves(monkeypatch)
+    # k is 90 by default and the lowest floor(2k/3) are trusted; y_graph's
+    # are counted exactly
+    calls = _record_exact_solves(monkeypatch)
     main(["verify", *Y, *(["--k", k] if k else []), "--out-dir", str(tmp_path)])
-    assert calls[0][1] == solved
+    assert calls[0][0] == solved
+
+
+def test_verify_solves_p1_trusted_eigenpairs_plus_one(tmp_path, monkeypatch):
+    # the mesh resolves k = 90 and the lowest 60 are trusted
+    calls = _record_solves(monkeypatch)
+    main(["verify", "--graph", fixture("tree_well.json"), "--out-dir", str(tmp_path)])
+    assert calls[0][1] == 61
 
 
 @pytest.mark.parametrize("name", ["y_graph", "tree_well"])
 def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkeypatch, name):
-    calls = _record_solves(monkeypatch)
+    # y_graph is counted exactly and tree_well solved on P1; either way the
+    # 61 solved agree with a solve of all 90 on the trusted 60
+    graph = load_graph(fixture(f"{name}.json"))
+    exact = graph.potential_is_zero()
+    calls = _record_exact_solves(monkeypatch) if exact else _record_solves(monkeypatch)
     assert main(["verify", "--graph", fixture(f"{name}.json"), "--format", "json", "--out-dir", str(tmp_path)]) == 0
-    system, k, energies = calls[0]
-    full = fem.solve_spectrum(system, 90)
+    if exact:
+        k, energies = calls[0]
+        full = analytic.zero_potential_eigenvalues(graph, 90)[0]
+        grad_norms = full / graph.alpha
+    else:
+        system, k, energies = calls[0]
+        spectrum = fem.solve_spectrum(system, 90)
+        full, grad_norms = spectrum.energies, spectrum.total_dirichlet()
     assert (k, ineq.trusted_count(90)) == (61, 60)
-    assert energies[:60] == pytest.approx(full.energies[:60], rel=1e-9, abs=0)
-    reference = ineq.yang_from_spectrum(full)
+    assert energies[:60] == pytest.approx(full[:60], rel=1e-9, abs=0)
+    reference = ineq.yang_check(full, grad_norms, graph.alpha, ineq.make_z_grid(full[:60]))
     report = json.loads((tmp_path / "verify_yang.json").read_text())
     assert report["grid"] == pytest.approx(reference.z_grid, rel=1e-9, abs=0)
     assert report["values"]["s"] == pytest.approx(reference.values, rel=1e-9, abs=0)
@@ -493,6 +573,20 @@ def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(tmp_pat
     report = json.loads((tmp_path / "out" / "verify_lt_quotient_gamma_2.0.json").read_text())
     assert report["values"]["moment"] == [2897.43506769]
     assert report["values"]["quotient"] == [0.168320869195]
+
+
+def test_verify_reads_the_bound_states_once(tmp_path, capsys, monkeypatch):
+    # the 25 solved at alpha = 0.002 are all bound, so the 28 bound states
+    # are counted and solved once for both lt_quotient rows; the Stubbe grid
+    # follows with 2 bound states at alpha = 0.5
+    graph = json.loads(open(fixture("tree_well.json")).read())
+    graph["alpha"] = 0.002
+    path = tmp_path / "tree_well_weak.json"
+    path.write_text(json.dumps(graph))
+    calls = _record_solves(monkeypatch)
+    code = main(["verify", "--graph", str(path), "--k", "36", "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert [k for _, k, _ in calls][:3] == [25, 28, 2]
 
 
 def test_checks_report_under_their_keys():

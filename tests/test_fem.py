@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qglab import families, fem
+from qglab import analytic, families, fem
+from qglab.cli import _mesh
 from qglab.graphs import DIRICHLET, NEUMANN, ZERO, Edge, MetricGraph, SquareWell, load_graph
 
 from conftest import make_path
@@ -354,3 +355,71 @@ def test_degenerate_clusters_found_at_tolerance():
     pair = next(c for c in clusters if len(c) == 2)
     rung_mass = spec.edge_mass[1:, list(pair)].sum()
     assert rung_mass == pytest.approx(2.0, abs=1e-9)
+
+
+# --- P1 against the exact V = 0 spectrum -------------------------------------
+
+
+@st.composite
+def graphs_with_cycles_on_one_cell_size(draw):
+    """A connected multigraph with at least one cycle (a self-loop, a double
+    edge or a chord) whose every edge is a whole number of cells of one size
+    ``h``; self-loops get an even number, one per half."""
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=3))
+    h = draw(st.floats(0.03, 0.1))
+    edges = []
+    for u, v in pairs:
+        cells = draw(st.integers(1, 8))
+        cells += cells % 2 if u == v else 0
+        edges.append(Edge(u, v, cells * h, cells=cells))
+    graph = MetricGraph(n, tuple(edges))
+    boundary = {v: draw(st.sampled_from([DIRICHLET, NEUMANN])) for v in graph.leaf_vertices()}
+    return MetricGraph(n, tuple(edges), boundary, draw(st.floats(0.5, 2.0))), h
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(graphs_with_cycles_on_one_cell_size())
+def test_p1_is_the_exact_spectrum_through_the_dispersion_relation(case):
+    # with V = 0 and one cell size h, the interior stencil and the Kirchhoff
+    # rows both give E_h = (6 alpha / h^2)(1 - cos kappa h) / (2 + cos kappa h)
+    # of the exact E = alpha kappa^2, so this tests the whole P1 stack
+    graph, h = case
+    system = fem.assemble(fem.build_mesh(graph, h))
+    k = min(40, system.ndof // 4)
+    assume(k > 0)
+    p1 = fem.solve_energies(system, k)
+    exact, _ = analytic.zero_potential_eigenvalues(graph, k)
+    c = np.cos(h * np.sqrt(exact / graph.alpha))
+    dispersed = 6.0 * graph.alpha / h**2 * (1.0 - c) / (2.0 + c)
+    zero = exact == 0.0  # the constant, without a Dirichlet vertex
+    assert p1[~zero] == pytest.approx(dispersed[~zero], rel=1e-8, abs=0)
+    assert np.all(np.abs(p1[zero]) <= 1e-10 * graph.alpha / h**2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_edges=st.integers(2, 8), h=st.floats(0.02, 0.1))
+def test_p1_lies_above_the_exact_spectrum_on_trees(seed, n_edges, h):
+    # P1 is a Rayleigh-Ritz method, so by min-max each E_h is at least its E
+    tree = families.random_tree(np.random.default_rng(seed), n_edges)
+    system = fem.assemble(fem.build_mesh(tree, h))
+    assert len({round(seg.h, 12) for seg in system.mesh.segments}) > 1  # mixed cell sizes
+    k = min(30, system.ndof // 3)
+    exact, _ = analytic.zero_potential_eigenvalues(tree, k)
+    assert np.all(fem.solve_energies(system, k) >= exact)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["balloon_pi", "circle_two_leads", "fancy_balloon_3", "hash_graph", "interval_unit",
+     "wheatstone_balanced", "wheatstone_unbalanced", "y_graph"],
+)
+def test_p1_at_the_verify_mesh_sits_just_above_the_exact_spectrum(name):
+    # verify's default P1 mesh puts its 61 energies at most 1.1e-3 (relative)
+    # above the exact ones, which the V = 0 rows now read
+    graph = load_graph(os.path.join(FIXTURES, f"{name}.json"))
+    p1 = fem.solve_energies(fem.assemble(_mesh(graph, 90, None, graph.alpha)), 61)
+    exact, _ = analytic.zero_potential_eigenvalues(graph, 61)
+    assert np.all(p1 >= exact)
+    assert np.all(p1 <= exact * (1.0 + 1.1e-3))

@@ -16,6 +16,13 @@ def assembled(graph, h):
     return fem.assemble(fem.build_mesh(graph, h))
 
 
+def lt_quotient(system, energies, gamma):
+    """The moment quotient as ``verify`` computes it: every bound state is
+    read through ``solve_bound_states`` from a certified solve's energies."""
+    bound = fem.solve_bound_states(system, system.mesh.graph.alpha, solved=energies)
+    return ineq.lt_quotient(system, bound, gamma)
+
+
 def interval_energies(n=40):
     return np.arange(1, n + 1, dtype=float) ** 2 * math.pi**2
 
@@ -79,16 +86,16 @@ def test_yang_tree_fem_holds(rng):
 def test_lt_quotient_rejections():
     system = assembled(families.poschl_teller_balloon(20.0), 0.02)
     with pytest.raises(ValueError, match="gamma"):
-        ineq.lt_quotient(system, fem.solve_energies(system, 4), 1.0)
+        lt_quotient(system, fem.solve_energies(system, 4), 1.0)
     zero = assembled(families.interval(1.0), 0.02)
     with pytest.raises(ValueError, match="negative part"):
-        ineq.lt_quotient(zero, fem.solve_energies(zero, 4), 1.5)
+        lt_quotient(zero, fem.solve_energies(zero, 4), 1.5)
 
 
 def test_lt_quotient_no_bound_state_note():
     g = families.interval(1.0, potential=SquareWell(depth=-0.5, left=0.4, right=0.6))
     system = assembled(g, 0.01)
-    q = ineq.lt_quotient(system, fem.solve_energies(system, 4), 1.5)
+    q = lt_quotient(system, fem.solve_energies(system, 4), 1.5)
     assert q.quotient == 0.0
     assert "no negative eigenvalues" in q.note
 
@@ -100,7 +107,7 @@ def test_lt_quotient_refuses_truncated_moment():
     system = assembled(g, 0.02)
     lowest = fem.solve_energies(system, 4)
     assert lowest[-1] < 0.0
-    assert ineq.lt_quotient(system, lowest, 2.0).quotient == pytest.approx(0.1646, abs=1e-3)
+    assert lt_quotient(system, lowest, 2.0).quotient == pytest.approx(0.1646, abs=1e-3)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -110,7 +117,7 @@ def test_lt_quotient_moment_does_not_depend_on_the_solved_count(seed, depth, log
     g = dataclasses.replace(families.with_square_well(tree, 0, depth=-depth), alpha=math.exp(log_alpha))
     system = assembled(g, min(0.02, 0.08 * math.sqrt(g.alpha / depth)))
     m = len(fem.solve_bound_states(system, g.alpha))
-    moments = [ineq.lt_quotient(system, fem.solve_energies(system, k), 2.0).moment for k in (1, 4, m + 1)]
+    moments = [lt_quotient(system, fem.solve_energies(system, k), 2.0).moment for k in (1, 4, m + 1)]
     assert moments[1] == pytest.approx(moments[0], rel=1e-9, abs=0)
     assert moments[2] == pytest.approx(moments[0], rel=1e-9, abs=0)
 
@@ -124,7 +131,7 @@ def test_z_grid_on_negative_spectrum_is_a_coverage_error():
 def test_lt_quotient_pt_balloon_short_string():
     graph = families.poschl_teller_balloon(40.0)
     system = assembled(graph, 0.02)
-    q = ineq.lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5)
+    q = lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5)
     assert q.quotient == pytest.approx(3 / 11, abs=2e-3)
     assert q.exceeds_classical
     closed = sum(
@@ -139,7 +146,7 @@ def test_lt_quotient_truncation_independence():
     qs = []
     for string in (40.0, 60.0):
         system = assembled(families.poschl_teller_balloon(string), 0.02)
-        qs.append(ineq.lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5).quotient)
+        qs.append(lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5).quotient)
     assert abs(qs[0] - qs[1]) < 1e-6
 
 
@@ -168,7 +175,7 @@ def test_lieb_thirring_gamma_2_holds_on_trees(seed, n_edges, depth, log_alpha):
     longest = int(np.argmax([e.length for e in tree.edges]))
     g = dataclasses.replace(families.with_square_well(tree, longest, depth=-depth), alpha=alpha)
     system = assembled(g, min(0.02, 0.08 * math.sqrt(alpha / depth)))
-    q = ineq.lt_quotient(system, fem.solve_energies(system, 1), 2.0)
+    q = lt_quotient(system, fem.solve_energies(system, 1), 2.0)
     assert q.quotient <= q.classical_constant * (1.0 + ineq.TOL_FEM)
 
 
@@ -344,8 +351,8 @@ def test_scaling_covariance_of_ratios_and_quotients():
     system, system2 = assembled(g, 0.02), assembled(scale_graph(g, 2.0), 0.04)
     spec, spec2 = fem.solve_spectrum(system, 6), fem.solve_spectrum(system2, 6)
     assert np.allclose(spec2.energies, spec.energies / 4.0, rtol=1e-9)
-    q1 = ineq.lt_quotient(system, spec.energies, 2.0)
-    q2 = ineq.lt_quotient(system2, spec2.energies, 2.0)
+    q1 = lt_quotient(system, spec.energies, 2.0)
+    q2 = lt_quotient(system2, spec2.energies, 2.0)
     assert q2.quotient == pytest.approx(q1.quotient, rel=1e-9)
 
 
