@@ -104,15 +104,10 @@ def balloon_secular(k: float, string_length: float) -> float:
 
 def _balloon_even_k(string_length: float, k_max: float) -> list[float]:
     L = string_length
-    poles = {0.0}
-    m = 0
-    while m * math.pi / L <= k_max + 1.0:
-        poles.add(m * math.pi / L)
-        m += 1
-    m = 0
-    while m + 0.5 <= k_max + 1.0:
-        poles.add(m + 0.5)
-        m += 1
+    # each family of poles up to one or two past k_max: the first one past it
+    # closes the last bracket that a root at or below k_max can lie in
+    poles = {m * math.pi / L for m in range(int(k_max * L / math.pi) + 3)}
+    poles |= {m + 0.5 for m in range(int(k_max) + 2)}
     grid = sorted(poles)
     # drop near-coincident poles: the degenerate gap holds no root
     cleaned = [grid[0]]
@@ -141,8 +136,8 @@ def balloon_eigenvalues(string_length: float, n: int = 10) -> list[BalloonMode]:
     """
     if string_length <= 0:
         raise ValueError("string length must be positive")
-    # k density is (L + 2 pi)/pi per unit; oversample then truncate
-    k_max = 2.0 + n * math.pi / (string_length + 2.0 * math.pi) + 2.0
+    # k density is (L + 2 pi)/pi per unit: about n + 2 modes lie below k_max
+    k_max = (n + 2) * math.pi / (string_length + 2.0 * math.pi)
     while True:
         even = [BalloonMode(k, k * k, "even") for k in _balloon_even_k(string_length, k_max)]
         odd = [BalloonMode(float(j), float(j * j), "odd") for j in range(1, int(k_max) + 1)]

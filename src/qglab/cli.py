@@ -430,14 +430,15 @@ def _solve(
     energies of ``analytic.zero_potential_eigenvalues`` and builds no mesh;
     every other graph solves P1 on a mesh that resolves ``k``.
     """
-    if graph.potential_is_zero() and not vectors:
-        trusted = ineq.trusted_count(k)
-        energies, _ = analytic.zero_potential_eigenvalues(graph, min(trusted + 1, k))
-        return None, energies, None, {"source": "exact", "solved": len(energies), "trusted": trusted}
-    system = fem.assemble(_mesh(graph, k, h, graph.alpha))
-    resolved = min(k, system.ndof)
-    trusted = ineq.trusted_count(resolved)
-    solved = min(trusted + 1, resolved)
+    system = None
+    if vectors or not graph.potential_is_zero():
+        system = fem.assemble(_mesh(graph, k, h, graph.alpha))
+        k = min(k, system.ndof)  # a mesh resolves at most its ndof eigenvalues
+    trusted = ineq.trusted_count(k)
+    solved = min(trusted + 1, k)
+    if system is None:
+        energies, _ = analytic.zero_potential_eigenvalues(graph, solved)
+        return None, energies, None, {"source": "exact", "solved": solved, "trusted": trusted}
     spectrum = fem.solve_spectrum(system, solved) if vectors else None
     energies = fem.solve_energies(system, solved) if spectrum is None else spectrum.energies
     return system, energies, spectrum, {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
@@ -495,25 +496,19 @@ def cmd_verify(args) -> int:
 # sweep
 
 
-def _balloon_point(L: float, engine: str, h: float, k: int) -> list[float]:
-    if engine == "oracle":
-        modes = analytic.balloon_eigenvalues(L, 2)
-        e1, e2 = modes[0].energy, modes[1].energy
+def _ratio_point(sweep: str, x: float, engine: str, h: float, k: int) -> list[float]:
+    """``[x, E1, E2, E2/E1]`` of the balloon with string length ``x``
+    (``balloon-L``) or of the fancy balloon with ``x`` rungs (``fancy-N``)."""
+    balloon = sweep == "balloon-L"
+    if engine == "fem":
+        graph = families.balloon(string_length=x) if balloon else families.fancy_balloon(x)
+        e = fem.solve_graph(graph, h, k).energies
+    elif balloon:
+        e = [m.energy for m in analytic.balloon_eigenvalues(x, 2)]
     else:
-        spec = fem.solve_graph(families.balloon(string_length=L), h, k)
-        e1, e2 = float(spec.energies[0]), float(spec.energies[1])
-    return [L, e1, e2, e2 / e1]
-
-
-def _fancy_point(n: int, engine: str, h: float, k: int) -> list[float]:
-    if engine == "oracle":
-        e = analytic.fancy_balloon_eigenvalues(n, 2)
-        e1, e2 = float(e[0]), float(e[1])
-    else:
-        spec = fem.solve_graph(families.fancy_balloon(n), h, k)
-        e1, e2 = float(spec.energies[0]), float(spec.energies[1])
-    ratio = e2 / e1
-    return [n, e1, e2, ratio, ratio / (math.pi**2 * n)]
+        e = analytic.fancy_balloon_eigenvalues(x, 2)
+    e1, e2 = float(e[0]), float(e[1])
+    return [x, e1, e2, e2 / e1]
 
 
 def cmd_sweep(args) -> int:
@@ -531,7 +526,7 @@ def cmd_sweep(args) -> int:
 
     if args.sweep == "balloon-L":
         h = args.h if args.h is not None else 0.01
-        rows = [_balloon_point(float(L), engine, h, args.k or 6) for L in grid]
+        rows = [_ratio_point(args.sweep, float(L), engine, h, args.k or 6) for L in grid]
         write_csv(os.path.join(out, "sweep.csv"), ["L", "E1", "E2", "ratio"], rows)
         best = max(range(len(rows)), key=lambda i: rows[i][3])
         print(f"max ratio {fmt_float(rows[best][3])} at L = {fmt_float(rows[best][0])}")
@@ -541,14 +536,14 @@ def cmd_sweep(args) -> int:
         _require(ns[0] >= 2, "--range", args.sweep_range, "lo:hi with lo at least 2 for fancy-N")
         whole = f"at most {ns[-1] - ns[0] + 1} (the whole N in --range {args.sweep_range})"
         _require(len(set(ns)) == args.steps, "--steps", args.steps, whole)
-        rows = [_fancy_point(n, engine, h, args.k or 6) for n in ns]
+        rows = [_ratio_point(args.sweep, n, engine, h, args.k or 6) for n in ns]
+        rows = [row + [row[3] / (math.pi**2 * row[0])] for row in rows]
         write_csv(os.path.join(out, "sweep.csv"), ["N", "E1", "E2", "ratio", "ratio_over_pi2N"], rows)
         print(f"last ratio/(pi^2 N) = {fmt_float(rows[-1][4])}")
     else:
         if not args.graph:
             raise InvalidGraphError("alpha sweep needs --graph")
-        if lo <= 0:
-            raise InvalidGraphError("coupling range must be positive")
+        _require(lo > 0, "--range", args.sweep_range, "positive for the alpha sweep")
         graph = _load(args)
         # one assembly serves every coupling: alpha only rescales the stiffness
         system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
@@ -644,8 +639,10 @@ def cmd_circuit(args) -> int:
     out = args.out_dir
     graph = _load(args)
     terminals = None
-    if args.terminals:
-        terminals = [int(t) for t in args.terminals.split(",") if t.strip()]
+    if args.terminals is not None:
+        terminals = [int(t) if t.strip().isdecimal() else -1 for t in args.terminals.split(",") if t.strip()]
+        ids = len(set(terminals)) == len(terminals) >= 2 and all(0 <= t < graph.num_vertices for t in terminals)
+        _require(ids, "--terminals", args.terminals, "a comma-separated list of at least two distinct vertex ids")
     circuit = circuits.build_circuit(graph, terminals, Fraction(args.lead_resistance))
     support = circuits.support_analysis(circuit)
     verdict = circuits.g_family_verdict(graph)

@@ -323,12 +323,12 @@ def _certify(ham: scipy.sparse.spmatrix, mass: scipy.sparse.spmatrix, energies: 
 
 
 def _eigensolve(
-    system: AssembledSystem, k: int, alpha: float, dense_cap: int, vectors: bool
+    system: AssembledSystem, k: int, alpha: float, vectors: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one eigensolver path: the lowest ``k`` energies, ascending, and
     their raw eigenvectors as columns when ``vectors`` (else ``None``).
 
-    Dense LAPACK when ``n <= dense_cap`` or ``k / n > DENSE_K_FRACTION``;
+    Dense LAPACK when ``n <= DENSE_DOF_CAP`` or ``k / n > DENSE_K_FRACTION``;
     otherwise shift-invert Lanczos from a start vector seeded by ``n``,
     certified complete by two inertia counts.  A Lanczos solve that fails
     or fails its certificate falls back to dense LAPACK when the dense
@@ -345,7 +345,7 @@ def _eigensolve(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     ham = system.hamiltonian(alpha)
-    dense = n <= dense_cap or k > DENSE_K_FRACTION * n
+    dense = n <= DENSE_DOF_CAP or k > DENSE_K_FRACTION * n
     sigma = min(0.0, system.mesh.min_potential) - alpha * (math.pi / system.mesh.graph.total_length) ** 2
     ncv = min(n - 1, max(2 * k + 1, MIN_NCV))
     dense_bytes = 2 * n * n * 8
@@ -397,17 +397,15 @@ def solve_spectrum(
     system: AssembledSystem,
     k: int,
     alpha: float | None = None,
-    dense_cap: int = DENSE_DOF_CAP,
 ) -> Spectrum:
     """Lowest ``k`` eigenpairs of the assembled generalized problem.
 
-    ``alpha`` defaults to the graph's coupling, and ``dense_cap`` moves the
-    dense/Lanczos threshold of ``_eigensolve``.  Vectors are mass-orthonormal
+    ``alpha`` defaults to the graph's coupling.  Vectors are mass-orthonormal
     with the first nonzero coefficient positive, so repeat runs are
     reproducible.
     """
     alpha = system.mesh.graph.alpha if alpha is None else alpha
-    w, vecs = _eigensolve(system, k, alpha, dense_cap, vectors=True)
+    w, vecs = _eigensolve(system, k, alpha, vectors=True)
     # enforce mass-orthonormal columns regardless of backend
     mnorm = np.sqrt(np.einsum("ij,ij->j", vecs, system.mass @ vecs))
     vecs = vecs / mnorm
@@ -432,7 +430,7 @@ def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) 
     normalized or tabulated.
     """
     alpha = system.mesh.graph.alpha if alpha is None else alpha
-    return _eigensolve(system, k, alpha, DENSE_DOF_CAP, vectors=False)[0]
+    return _eigensolve(system, k, alpha, vectors=False)[0]
 
 
 def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
@@ -456,11 +454,10 @@ def solve_graph(
     graph: MetricGraph,
     target_h: float,
     k: int,
-    dense_cap: int = DENSE_DOF_CAP,
 ) -> Spectrum:
     """Mesh, assemble, and solve in one call, at the graph's own coupling."""
     mesh = build_mesh(graph, target_h)
-    return solve_spectrum(assemble(mesh), k, dense_cap=dense_cap)
+    return solve_spectrum(assemble(mesh), k)
 
 
 def degenerate_clusters(energies: np.ndarray, rtol: float = 1e-8) -> list[tuple[int, ...]]:

@@ -59,11 +59,6 @@ def trusted_count(k: int) -> int:
     return max(1, int(math.floor(k * TRUST_FRACTION)))
 
 
-def trusted_energies(spectrum: Spectrum) -> np.ndarray:
-    """The trusted part of a batch solved for every eigenvalue its mesh resolves."""
-    return spectrum.energies[: trusted_count(len(spectrum))]
-
-
 def make_z_grid(trusted: np.ndarray) -> np.ndarray:
     """Geometric grid from half the ground state up to the top trusted eigenvalue.
 
@@ -102,10 +97,6 @@ class YangCheck:
     verdict: str
     worst_margin: float  # max of S(z) - tol*z^2; negative means holds with room
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
-
 
 def yang_check(
     energies: np.ndarray,
@@ -131,31 +122,6 @@ def yang_check(
     margins = s - tol_rel * z * z
     worst = float(margins.max())
     return YangCheck(z, s, coeff_ratio, tol_rel, "holds" if worst <= 0 else "violated", worst)
-
-
-def yang_from_spectrum(
-    spectrum: Spectrum,
-    z_grid: np.ndarray | None = None,
-    tol_rel: float = TOL_FEM,
-    coeff_ratio: float = 1.0,
-) -> YangCheck:
-    """Yang check of a spectrum on ``z_grid``.
-
-    The default grid is ``make_z_grid`` over ``trusted_energies``, for a
-    batch solved for every eigenvalue its mesh resolves.  A grid that tops
-    out at a trusted eigenvalue reads nothing above it: the eigenvalues
-    there only certify coverage and never contribute to the sums.
-    """
-    if z_grid is None:
-        z_grid = make_z_grid(trusted_energies(spectrum))
-    return yang_check(
-        spectrum.energies,
-        spectrum.total_dirichlet(),
-        spectrum.alpha,
-        z_grid,
-        tol_rel=tol_rel,
-        coeff_ratio=coeff_ratio,
-    )
 
 
 # ---------------------------------------------------------------------------

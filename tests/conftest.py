@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qglab import inequalities as ineq
 from qglab.graphs import DIRICHLET, Edge, MetricGraph
 
 
@@ -15,6 +16,15 @@ def make_path(lengths) -> MetricGraph:
     edges = tuple(Edge(i, i + 1, L) for i, L in enumerate(lengths))
     n = len(lengths) + 1
     return MetricGraph(n, edges, {0: DIRICHLET, n - 1: DIRICHLET})
+
+
+def verify_yang(spectrum, coeff_ratio: float = 1.0) -> ineq.YangCheck:
+    """The sum-rule check as ``verify`` builds it, on a batch of every
+    eigenpair a mesh resolves: a ``z`` grid up to the top trusted eigenvalue."""
+    z_grid = ineq.make_z_grid(spectrum.energies[: ineq.trusted_count(len(spectrum))])
+    return ineq.yang_check(
+        spectrum.energies, spectrum.total_dirichlet(), spectrum.alpha, z_grid, coeff_ratio=coeff_ratio
+    )
 
 
 def brute_force_admissible(graph: MetricGraph):

@@ -19,6 +19,8 @@ import pytest
 from qglab import analytic, circuits, colorings, families, fem, inequalities as ineq
 from qglab.graphs import load_graph
 
+from conftest import verify_yang
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
@@ -80,9 +82,10 @@ def test_03_fancy_balloon():
     report(3, "fancy-balloon", ok, f"N=50 ratio/(pi^2 N) = {frac:.4f}")
 
 
-def test_04_counterexample_quotients():
+def test_04_counterexample_quotients(monkeypatch):
     system = fem.assemble(fem.build_mesh(families.poschl_teller_balloon(60.0), 0.015))
-    energies = fem.solve_spectrum(system, 8, dense_cap=100).energies
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 100)
+    energies = fem.solve_spectrum(system, 8).energies
     bound = fem.solve_bound_states(system, 1.0, solved=energies)
     q32 = ineq.lt_quotient(system, bound, 1.5)
     q2 = ineq.lt_quotient(system, bound, 2.0)
@@ -92,9 +95,10 @@ def test_04_counterexample_quotients():
            f"Q(3/2)={q32.quotient:.6f}, Q(2)={q2.quotient:.6f}")
 
 
-def test_05_classical_control_interval():
+def test_05_classical_control_interval(monkeypatch):
     system = fem.assemble(fem.build_mesh(families.poschl_teller_interval(40.0), 0.02))
-    energies = fem.solve_spectrum(system, 8, dense_cap=100).energies
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 100)
+    energies = fem.solve_spectrum(system, 8).energies
     q32 = ineq.lt_quotient(system, fem.solve_bound_states(system, 1.0, solved=energies), 1.5)
     ok = q32.quotient <= 3 / 16 + 1e-3 and q32.quotient > 0
     report(5, "interval-control-quotient", ok, f"Q(3/2)={q32.quotient:.6f} <= 3/16")
@@ -113,12 +117,11 @@ def test_06_tree_yang_suite():
         variants.append(families.with_square_well(tree, longest, depth=-8.0, width_fraction=0.5))
         for graph in variants:
             spec = fem.solve_graph(graph, h, k)
-            check = ineq.yang_from_spectrum(spec)
-            ok = ok and check.holds
+            ok = ok and verify_yang(spec).verdict == "holds"
             cols = colorings.enumerate_admissible(graph)
             avg = colorings.averaged_yang(
                 spec.energies, spec.edge_mass, spec.edge_dirichlet, spec.alpha,
-                cols, ineq.make_z_grid(ineq.trusted_energies(spec)),
+                cols, ineq.make_z_grid(spec.energies[: ineq.trusted_count(k)]),
             )
             worst_dev = max(worst_dev, avg.max_rel_deviation)
             ok = ok and avg.max_rel_deviation <= 1e-10
@@ -171,7 +174,7 @@ def test_09_riesz_suite():
         tree = families.random_tree(rng, int(rng.integers(3, 9)))
         k = 90
         spec = fem.solve_graph(tree, 0.05 * tree.total_length / k, k)
-        trusted = ineq.trusted_energies(spec)  # 60 eigenvalues
+        trusted = spec.energies[: ineq.trusted_count(k)]  # 60 eigenvalues
         tree_rep = ineq.riesz_suite(trusted, tree.total_length, tol_rel=1e-3)
         ok = ok and tree_rep.verdict == "holds"
         fem_pairs = [(1, 2), (2, 5), (5, 10), (10, 50)]
@@ -186,11 +189,11 @@ def test_10_weyl_law():
 
     y = families.y_graph()
     spec = fem.solve_graph(y, 0.05 * y.total_length / 90, 90)
-    values["y_graph"] = ineq.weyl_check(ineq.trusted_energies(spec), y.total_length).final_value
+    values["y_graph"] = ineq.weyl_check(spec.energies[: ineq.trusted_count(90)], y.total_length).final_value
 
     b = families.balloon()
     spec_b = fem.solve_graph(b, 0.05 * b.total_length / 90, 90)
-    values["balloon_fem"] = ineq.weyl_check(ineq.trusted_energies(spec_b), b.total_length).final_value
+    values["balloon_fem"] = ineq.weyl_check(spec_b.energies[: ineq.trusted_count(90)], b.total_length).final_value
     oracle = np.array([m.energy for m in analytic.balloon_eigenvalues(math.pi, 60)])
     values["balloon_oracle"] = ineq.weyl_check(oracle, b.total_length).final_value
 

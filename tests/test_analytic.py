@@ -79,6 +79,23 @@ def test_balloon_short_string_limit():
     )
 
 
+def test_balloon_cost_does_not_grow_with_the_string(monkeypatch):
+    # poles were listed up to k = 5 whatever n, about 5 L / pi bisections
+    bisect, calls = analytic.bisect, []
+
+    def counting(f, lo, hi):
+        calls.append(lo)
+        return bisect(f, lo, hi)
+
+    monkeypatch.setattr(analytic, "bisect", counting)
+    for L in (1e3, 1e5):
+        calls.clear()
+        modes = analytic.balloon_eigenvalues(L, 3)
+        assert len(calls) <= 50
+    exact, _ = analytic.zero_potential_eigenvalues(families.balloon(string_length=1e5), 3)
+    assert [m.energy for m in modes] == pytest.approx(exact, rel=1e-12)
+
+
 def test_fancy_balloon_exact():
     e = analytic.fancy_balloon_eigenvalues(3, 6)
     assert e[0] == pytest.approx(1 / 36, rel=1e-14)
@@ -143,9 +160,10 @@ def test_oracle_vs_fem_envelope(graph, oracle):
     assert np.all(np.abs(spec.energies / oracle - 1.0) < envelope)
 
 
-def test_pt_balloon_bound_state_vs_fem():
+def test_pt_balloon_bound_state_vs_fem(monkeypatch):
     pt = analytic.poschl_teller_balloon_oracle()
-    spec = fem.solve_graph(families.poschl_teller_balloon(40.0), 0.02, 2, dense_cap=100)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 100)
+    spec = fem.solve_graph(families.poschl_teller_balloon(40.0), 0.02, 2)
     assert spec.energies[0] == pytest.approx(pt.energy, rel=1e-4)
     assert spec.energies[1] > 0  # a single bound state
 

@@ -104,6 +104,8 @@ Y = ["--graph", fixture("y_graph.json")]
 BALLOON_SWEEP = ["sweep", "--sweep", "balloon-L", "--range", "1:2", "--steps", "2"]
 FANCY_SWEEP = ["sweep", "--sweep", "fancy-N", "--engine", "fem", "--range", "2:3", "--steps", "2"]
 CIRCUIT = ["circuit", *Y, "--terminals", "0,1", "--lead-resistance"]
+TERMINALS = ["circuit", *Y, "--terminals"]
+TERMINALS_RULE = "--terminals must be a comma-separated list of at least two distinct vertex ids"
 ALPHA_SWEEP = ["sweep", "--sweep", "alpha", "--graph", fixture("tree_well.json"), "--steps", "3", "--range"]
 BALLOON_RANGE = ["sweep", "--sweep", "balloon-L", "--steps", "3", "--range"]
 
@@ -136,6 +138,11 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         ([*CIRCUIT, "0"], "--lead-resistance must be finite and positive, got 0.0"),
         ([*CIRCUIT, "inf"], "--lead-resistance must be finite and positive, got inf"),
         ([*CIRCUIT, "-1"], "--lead-resistance must be finite and positive, got -1.0"),
+        # "1,x" failed an int() conversion; "," and "1" exited 0 with every edge dead
+        *(
+            ([*TERMINALS, t], f"{TERMINALS_RULE}, got {t}")
+            for t in ("1,x", ",", "1", "1,1", "0,4")
+        ),
         (["verify", *Y, "--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
         (["verify", *Y, "--tol", "-0.5"], "--tol must be finite and nonnegative, got -0.5"),
         (["verify", *Y, "--h", "nan"], "--h must be finite and positive, got nan"),
@@ -155,6 +162,8 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
             ([*ALPHA_SWEEP, r], f"--range must be lo:hi with finite lo < hi, got {r}")
             for r in ("nan:1", "0.5:inf", "1:nan")
         ),
+        # once "coupling range must be positive", which did not name the option
+        ([*ALPHA_SWEEP, "0:2"], "--range must be positive for the alpha sweep, got 0:2"),
         *(
             ([*BALLOON_RANGE, r], f"--range must be lo:hi with finite lo < hi, got {r}")
             for r in ("nan:1", "0.5", "2:1", "1:2:3")
@@ -165,8 +174,9 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0",
         "balloon-length-inf", "interval-length-nan", "balloon-length-nan", "interval-length-0", "rungs-1",
         "lead-0", "lead-inf",
-        "lead-neg", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
-        "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi",
+        "lead-neg", "terminals-not-int", "terminals-empty", "terminals-one", "terminals-repeated",
+        "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
+        "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
         "sweep-steps-1",
     ],
@@ -408,6 +418,20 @@ def test_sweep_fancy_cli(tmp_path, capsys):
     assert 0.85 <= float(last[4]) <= 1.0
 
 
+@pytest.mark.parametrize("sweep, grid, first", [("balloon-L", f"{math.pi!r}:4", math.pi), ("fancy-N", "3:4", 3)])
+def test_sweep_engines_agree_on_the_ratio(tmp_path, sweep, grid, first):
+    # the fem and oracle rows of one sweep: E2/E1 within the 5e-3 of the balloon-ratio acceptance test
+    ratios = {}
+    for engine in ("fem", "oracle"):
+        code = main(["sweep", "--sweep", sweep, "--engine", engine, "--range", grid, "--steps", "2",
+                     "--out-dir", str(tmp_path / engine)])
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / engine / "sweep.csv").read_text().splitlines()[1:]]
+        assert float(rows[0][0]) == pytest.approx(first, rel=1e-12)
+        ratios[engine] = [float(r[3]) for r in rows]
+    assert ratios["fem"] == pytest.approx(ratios["oracle"], rel=5e-3)
+
+
 def test_sweep_fancy_cli_takes_steps_whole_n(tmp_path, capsys):
     # N once ran over range(lo, hi + 1, (hi - lo) // (steps - 1)): 5 rows here
     code = main(["sweep", "--sweep", "fancy-N", "--range", "2:10", "--steps", "4", "--out-dir", str(tmp_path)])
@@ -598,7 +622,7 @@ def test_checks_report_under_their_keys():
         policy = POLICY[(classify_topology(graph).topology_class, graph.potential_is_zero())]
         ctx = SolveContext(
             graph, ineq.TOL_FEM, system, spectrum.energies, spectrum.total_dirichlet(), spectrum,
-            ineq.trusted_energies(spectrum), dict(policy),
+            spectrum.energies[: ineq.trusted_count(90)], dict(policy),
         )
         for key, _ in policy:
             assert CHECKS[key](ctx).check == key

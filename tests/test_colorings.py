@@ -17,7 +17,7 @@ from qglab.colorings import (
 )
 from qglab.graphs import DIRICHLET, Edge, MetricGraph
 
-from conftest import brute_force_admissible, make_path
+from conftest import brute_force_admissible, make_path, verify_yang
 
 
 def test_y_graph_colorings():
@@ -149,26 +149,26 @@ def test_averaged_yang_reproduces_plain_form():
     yg = families.y_graph()
     spec = fem.solve_graph(yg, 0.01, 24)
     cols = enumerate_admissible(yg)
-    from qglab.inequalities import make_z_grid, trusted_energies, yang_from_spectrum
+    from qglab.inequalities import make_z_grid, trusted_count
 
-    z = make_z_grid(trusted_energies(spec))
+    z = make_z_grid(spec.energies[: trusted_count(24)])
     rep = averaged_yang(
         spec.energies, spec.edge_mass, spec.edge_dirichlet, spec.alpha, cols, z
     )
     assert rep.count == 2
     assert rep.max_rel_deviation < 1e-12
-    assert rep.verdict == yang_from_spectrum(spec, z).verdict == "holds"
+    assert rep.verdict == verify_yang(spec).verdict == "holds"
 
 
 def test_averaged_yang_single_edge():
     g = families.interval(1.0)
     spec = fem.solve_graph(g, 0.01, 12)
     cols = enumerate_admissible(g)
-    from qglab.inequalities import make_z_grid, trusted_energies
+    from qglab.inequalities import make_z_grid, trusted_count
 
     rep = averaged_yang(
         spec.energies, spec.edge_mass, spec.edge_dirichlet, spec.alpha, cols,
-        make_z_grid(trusted_energies(spec)),
+        make_z_grid(spec.energies[: trusted_count(12)]),
     )
     assert rep.count == 1
     assert rep.max_rel_deviation < 1e-12

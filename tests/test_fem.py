@@ -150,12 +150,14 @@ def test_degree_two_vertex_is_invisible():
     assert np.allclose(spec_a.energies, spec_b.energies, rtol=1e-10)
 
 
-def test_sparse_path_matches_dense():
+def test_sparse_path_matches_dense(monkeypatch):
     g = families.balloon()
     mesh = fem.build_mesh(g, 0.01)
     system = fem.assemble(mesh)
-    dense = fem.solve_spectrum(system, 6, dense_cap=system.ndof)
-    sparse = fem.solve_spectrum(system, 6, dense_cap=10)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", system.ndof)
+    dense = fem.solve_spectrum(system, 6)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 10)
+    sparse = fem.solve_spectrum(system, 6)
     assert np.allclose(dense.energies, sparse.energies, rtol=1e-9)
     assert np.allclose(dense.edge_mass, sparse.edge_mass, atol=1e-7)
 
@@ -169,12 +171,14 @@ def test_sparse_path_matches_dense():
     ],
     ids=["y", "star5", "fancy4"],
 )
-def test_sparse_path_keeps_multiplicities(graph, h, k, repeated):
+def test_sparse_path_keeps_multiplicities(monkeypatch, graph, h, k, repeated):
     # symmetric graphs: the antisymmetric copies are what a symmetric
     # Lanczos start vector never reaches
     system = fem.assemble(fem.build_mesh(graph, h))
-    dense = fem.solve_spectrum(system, k, dense_cap=system.ndof)
-    sparse = fem.solve_spectrum(system, k, dense_cap=10)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", system.ndof)
+    dense = fem.solve_spectrum(system, k)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 10)
+    sparse = fem.solve_spectrum(system, k)
     assert np.allclose(dense.energies, sparse.energies, rtol=1e-9)
     for energy, multiplicity in repeated.items():
         assert np.count_nonzero(np.isclose(sparse.energies, energy, rtol=1e-3)) == multiplicity
@@ -209,7 +213,8 @@ def test_bound_states_are_the_negative_spectrum(monkeypatch):
     bound = fem.solve_bound_states(system, 1.0)
     assert calls == [3]
     assert bound == pytest.approx([-6.8328, -5.8101, -5.8101], abs=1e-4)
-    dense = fem.solve_spectrum(system, system.ndof, dense_cap=system.ndof).energies
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", system.ndof)
+    dense = fem.solve_spectrum(system, system.ndof).energies
     assert np.allclose(bound, dense[dense < 0.0], rtol=1e-9, atol=0.0)
 
 
@@ -256,16 +261,17 @@ def test_certificate_rejects_symmetric_start_vector(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", symmetric_start)
     system = fem.assemble(fem.build_mesh(families.y_graph(), 0.005))
     assert system.ndof > fem.DENSE_DOF_CAP
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 10)
     with monkeypatch.context() as budget:
         # the dense H and M (5.5 MiB) do not fit, so the refusal stands
         budget.setattr(fem, "MEMORY_BUDGET", 1 << 20)
         with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
-            fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10)
+            fem.solve_graph(families.y_graph(), 0.005, 6)
         with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
             fem.solve_energies(system, 6)
     # where they fit, dense LAPACK recovers the missed copies
     expected = np.array([0.25, 1.0, 1.0, 2.25, 4.0, 4.0]) * math.pi**2
-    assert fem.solve_graph(families.y_graph(), 0.005, 6, dense_cap=10).energies == pytest.approx(expected, rel=1e-4)
+    assert fem.solve_graph(families.y_graph(), 0.005, 6).energies == pytest.approx(expected, rel=1e-4)
     assert fem.solve_energies(system, 6) == pytest.approx(expected, rel=1e-4)
 
 
@@ -314,12 +320,13 @@ def test_alpha_scaling_of_the_spectrum(alpha, depth, left):
     assert np.allclose(spec.energies, alpha * unit.energies, rtol=1e-9, atol=1e-9 * alpha)
 
 
-def test_solves_are_deterministic():
+def test_solves_are_deterministic(monkeypatch):
     g = families.balloon()
     mesh = fem.build_mesh(g, 0.01)
     system = fem.assemble(mesh)
-    a = fem.solve_spectrum(system, 6, dense_cap=10)
-    b = fem.solve_spectrum(system, 6, dense_cap=10)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 10)
+    a = fem.solve_spectrum(system, 6)
+    b = fem.solve_spectrum(system, 6)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.vectors, b.vectors)
 

@@ -296,6 +296,9 @@ def test_validate_reports_each_problem(graph, message):
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 _WELL = SquareWell(depth=-12.0, left=0.5 * (math.pi - 2.0), right=0.5 * (math.pi + 2.0))
+_TREE = MetricGraph(
+    5, (Edge(0, 1, 1.2), Edge(0, 2, 0.8), Edge(2, 3, 1.5), Edge(2, 4, 1.0)), {1: DIRICHLET, 3: DIRICHLET, 4: DIRICHLET}
+)
 
 #: Each fixture file with the builder call ``fixtures/README.md`` gives for it.
 FIXTURE_BUILDERS = {
@@ -310,7 +313,7 @@ FIXTURE_BUILDERS = {
     "wheatstone_balanced": families.wheatstone,
     "wheatstone_unbalanced": lambda: families.wheatstone(arms=(2.0, 1.0, 1.0, 1.0)),
     "hash_graph": lambda: families.hash_graph()[0],
-    "tree_well": None,
+    "tree_well": lambda: families.with_square_well(_TREE, 2, -14.0, 0.7),
 }
 
 
@@ -321,10 +324,8 @@ def test_fixture_file_matches_its_builder(tmp_path, name):
         expected = fh.read()
     save_graph(load_graph(path), tmp_path / "roundtrip.json")
     assert (tmp_path / "roundtrip.json").read_bytes() == expected
-    builder = FIXTURE_BUILDERS[name]
-    if builder is not None:
-        save_graph(builder(), tmp_path / "built.json")
-        assert (tmp_path / "built.json").read_bytes() == expected
+    save_graph(FIXTURE_BUILDERS[name](), tmp_path / "built.json")
+    assert (tmp_path / "built.json").read_bytes() == expected
 
 
 def test_validate_reports_out_of_range_endpoint_without_raising():

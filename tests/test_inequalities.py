@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qglab import analytic, families, fem, inequalities as ineq
 from qglab.graphs import DIRICHLET, Edge, MetricGraph, PoschlTeller, SquareWell, load_graph, scale_graph
 
+from conftest import verify_yang
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
@@ -39,13 +41,13 @@ def test_yang_single_term_tangency():
     e = interval_energies()
     check = ineq.yang_check(e, e.copy(), 1.0, np.array([z]), tol_rel=1e-6)
     assert check.values[0] == pytest.approx(-15 * math.pi**4, rel=1e-12)
-    assert check.holds
+    assert check.verdict == "holds"
 
 
 def test_yang_interval_holds_everywhere():
     e = interval_energies()
     check = ineq.yang_check(e, e.copy(), 1.0, ineq.make_z_grid(e), tol_rel=1e-6)
-    assert check.holds
+    assert check.verdict == "holds"
 
 
 def test_yang_balloon_violated_between_5e1_and_e2():
@@ -55,16 +57,16 @@ def test_yang_balloon_violated_between_5e1_and_e2():
     assert e2 > 5 * e1  # ratio 16.8 makes the window nonempty
     z = np.array([0.5 * (5 * e1 + e2)])
     check = ineq.yang_check(e, e.copy(), 1.0, z, tol_rel=1e-6)
-    assert not check.holds
+    assert check.verdict == "violated"
     assert check.values[0] == pytest.approx((z[0] - e1) * (z[0] - 5 * e1), rel=1e-12)
 
 
 def test_yang_weakened_on_circle_with_leads():
     g = families.circle_with_leads()
     spec = fem.solve_graph(g, 0.01, 36)
-    plain = ineq.yang_from_spectrum(spec)
-    weak = ineq.yang_from_spectrum(spec, coeff_ratio=4.0)
-    assert weak.holds
+    plain = verify_yang(spec)
+    weak = verify_yang(spec, coeff_ratio=4.0)
+    assert weak.verdict == "holds"
     assert weak.worst_margin <= plain.worst_margin
 
 
@@ -77,7 +79,7 @@ def test_yang_coverage_error():
 def test_yang_tree_fem_holds(rng):
     tree = families.random_tree(rng, 8)
     spec = fem.solve_graph(tree, 0.05 * tree.total_length / 24, 24)
-    assert ineq.yang_from_spectrum(spec).holds
+    assert verify_yang(spec).verdict == "holds"
 
 
 # --- moment quotients --------------------------------------------------------
@@ -128,10 +130,11 @@ def test_z_grid_on_negative_spectrum_is_a_coverage_error():
         ineq.make_z_grid(np.array([-14.0, -13.9, -13.7, -13.4, -13.0, -12.5]))
 
 
-def test_lt_quotient_pt_balloon_short_string():
+def test_lt_quotient_pt_balloon_short_string(monkeypatch):
     graph = families.poschl_teller_balloon(40.0)
     system = assembled(graph, 0.02)
-    q = lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5)
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 100)
+    q = lt_quotient(system, fem.solve_spectrum(system, 6).energies, 1.5)
     assert q.quotient == pytest.approx(3 / 11, abs=2e-3)
     assert q.exceeds_classical
     closed = sum(
@@ -142,11 +145,12 @@ def test_lt_quotient_pt_balloon_short_string():
     assert closed == pytest.approx(fem.integrate_potential_power(system.mesh, 2.0), rel=1e-4)
 
 
-def test_lt_quotient_truncation_independence():
+def test_lt_quotient_truncation_independence(monkeypatch):
     qs = []
+    monkeypatch.setattr(fem, "DENSE_DOF_CAP", 100)
     for string in (40.0, 60.0):
         system = assembled(families.poschl_teller_balloon(string), 0.02)
-        qs.append(lt_quotient(system, fem.solve_spectrum(system, 6, dense_cap=100).energies, 1.5).quotient)
+        qs.append(lt_quotient(system, fem.solve_spectrum(system, 6).energies, 1.5).quotient)
     assert abs(qs[0] - qs[1]) < 1e-6
 
 
@@ -299,7 +303,7 @@ def test_riesz_fem_tree(rng):
     tree = families.random_tree(rng, 6)
     k = 90
     spec = fem.solve_graph(tree, 0.05 * tree.total_length / k, k)
-    rep = ineq.riesz_suite(ineq.trusted_energies(spec), tree.total_length, tol_rel=1e-3)
+    rep = ineq.riesz_suite(spec.energies[: ineq.trusted_count(k)], tree.total_length, tol_rel=1e-3)
     assert rep.verdict == "holds"
 
 
@@ -371,7 +375,7 @@ def test_mean_ratio_random_trees_sweep(rng):
         tree = families.random_tree(rng, int(rng.integers(3, 9)))
         k = 75
         spec = fem.solve_graph(tree, 0.05 * tree.total_length / k, k)
-        trusted = ineq.trusted_energies(spec)  # 50 eigenvalues
+        trusted = spec.energies[: ineq.trusted_count(k)]  # 50 eigenvalues
         pairs = [(1, 2), (2, 5), (5, 25), (10, 50), (25, 50)]
         assert all(
             b.holds for b in ineq.mean_ratio_bounds(trusted, pairs, tol_rel=1e-3)
