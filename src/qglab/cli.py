@@ -5,7 +5,7 @@ Subcommands: ``spectrum``, ``verify``, ``sweep``, ``oracle``, ``colorings``,
 3 numeric failure.  Every subcommand writes only below ``--out-dir``.
 
 ``verify`` reads the exact spectrum of ``analytic.zero_potential_eigenvalues``
-on a ``V = 0`` graph whose checks read energies alone, and solves P1 on every
+on a ``V = 0`` graph without a loop pair, and solves P1 eigenpairs on every
 other graph; ``spectrum`` and the ``fem`` sweeps always solve P1.
 """
 
@@ -180,9 +180,8 @@ class SolveContext:
 
     ``energies`` holds the lowest ``trusted_count(k)`` energies and one more;
     ``trusted`` is the trusted part.  ``grad_norms`` is each state's
-    ``int |phi'|^2``.  ``spectrum`` holds the eigenpairs when a check in the
-    row reads eigenvectors (``_reads_vectors``), and is ``None`` otherwise.
-    ``system`` is the P1 assembly, and ``None`` on a row solved exactly.
+    ``int |phi'|^2``.  ``system`` is the P1 assembly and ``spectrum`` its
+    eigenpairs; both are ``None`` on a graph solved exactly (``_solve``).
     """
 
     graph: MetricGraph
@@ -207,18 +206,6 @@ def _has_loop_pair(graph: MetricGraph) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _reads_vectors(name: str, graph: MetricGraph) -> bool:
-    """Whether check ``name`` reads eigenvectors on ``graph``; every other
-    check reads energies alone.
-
-    The sum rules read each state's ``int |phi'|^2``, which is ``E / alpha``
-    when ``V = 0``, and ``sum_rule_steps`` reads per-edge tables.
-    """
-    if name in ("yang", "weak_yang"):
-        return not graph.potential_is_zero()
-    return name == "sum_rule_steps" and _has_loop_pair(graph)
 
 
 def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
@@ -418,30 +405,35 @@ PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
 def _solve(
-    graph: MetricGraph, k: int, h: float | None, vectors: bool
+    graph: MetricGraph, topology: TopologyClass, k: int, h: float | None
 ) -> tuple[fem.AssembledSystem | None, np.ndarray, fem.Spectrum | None, dict]:
-    """The spectrum one ``verify`` run reads: the assembled system (``None``
-    on the exact path), the lowest ``trusted_count(k)`` energies and one more
-    (yang's coverage, and lt_quotient's bound states when the top is
-    nonnegative), the eigenpairs only when ``vectors``, and a record of the
-    solve for the summary.
+    """The spectrum one ``verify`` run reads: the assembled system and its
+    eigenpairs (both ``None`` on the exact path), the lowest
+    ``trusted_count(k)`` energies and one more (yang's coverage, and
+    lt_quotient's bound states when the top is nonnegative), and a record of
+    the solve for the summary.
 
-    A ``V = 0`` graph whose checks read no eigenvector takes the exact
-    energies of ``analytic.zero_potential_eigenvalues`` and builds no mesh;
-    every other graph solves P1 on a mesh that resolves ``k``.
+    A ``V = 0`` graph without a loop pair takes the exact energies of
+    ``analytic.zero_potential_eigenvalues`` and builds no mesh: its sum rules
+    read ``E / alpha``, and no other check it runs reads the P1 system.
+    Every other graph solves P1 eigenpairs on a mesh that resolves ``k``.
     """
+    # only a one-loop graph can hold a loop pair, so no other graph searches
+    exact = graph.potential_is_zero() and not (
+        topology is TopologyClass.ONE_LOOP_WITH_LEADS and _has_loop_pair(graph)
+    )
     system = None
-    if vectors or not graph.potential_is_zero():
+    if not exact:
         system = fem.assemble(_mesh(graph, k, h, graph.alpha))
         k = min(k, system.ndof)  # a mesh resolves at most its ndof eigenvalues
     trusted = ineq.trusted_count(k)
     solved = min(trusted + 1, k)
-    if system is None:
+    if exact:
         energies, _ = analytic.zero_potential_eigenvalues(graph, solved)
         return None, energies, None, {"source": "exact", "solved": solved, "trusted": trusted}
-    spectrum = fem.solve_spectrum(system, solved) if vectors else None
-    energies = fem.solve_energies(system, solved) if spectrum is None else spectrum.energies
-    return system, energies, spectrum, {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
+    spectrum = fem.solve_spectrum(system, solved)
+    solve = {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
+    return system, spectrum.energies, spectrum, solve
 
 
 def cmd_verify(args) -> int:
@@ -449,8 +441,7 @@ def cmd_verify(args) -> int:
     graph = _load(args)
     topo = classify_topology(graph)
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
-    vectors = any(_reads_vectors(name, graph) for name, _ in policy)
-    system, energies, spectrum, solve = _solve(graph, args.k or 90, args.h, vectors)
+    system, energies, spectrum, solve = _solve(graph, topo.topology_class, args.k or 90, args.h)
     # with V = 0, H = alpha K, so a mass-normalized eigenvector has
     # v^T K v = E / alpha exactly, in the discrete problem too; the exact
     # eigenfunctions satisfy the same identity
@@ -513,8 +504,15 @@ def _ratio_point(sweep: str, x: float, engine: str, h: float, k: int) -> list[fl
 
 def cmd_sweep(args) -> int:
     engine = args.engine or ("fem" if args.sweep == "balloon-L" else "oracle")
-    if args.sweep != "alpha" and engine == "fem":
-        _require(args.k is None or args.k >= 2, "--k", args.k, "at least 2 for E2/E1 on the fem engine")
+    if args.sweep == "alpha":
+        _require(args.engine is None, "--engine", args.engine, "left out of the alpha sweep, which solves P1")
+    else:
+        _require(args.graph is None, "--graph", args.graph, f"left out of the {args.sweep} sweep")
+        if engine == "fem":
+            _require(args.k is None or args.k >= 2, "--k", args.k, "at least 2 for E2/E1 on the fem engine")
+        else:
+            for option, value in (("--h", args.h), ("--k", args.k)):
+                _require(value is None, option, value, "left out on the oracle engine")
     out = args.out_dir
     try:
         lo, hi = (float(end) for end in args.sweep_range.split(":"))

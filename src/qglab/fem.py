@@ -393,18 +393,14 @@ def _eigensolve(
     return lowest(sparse=False)
 
 
-def solve_spectrum(
-    system: AssembledSystem,
-    k: int,
-    alpha: float | None = None,
-) -> Spectrum:
-    """Lowest ``k`` eigenpairs of the assembled generalized problem.
+def solve_spectrum(system: AssembledSystem, k: int) -> Spectrum:
+    """Lowest ``k`` eigenpairs of the assembled generalized problem, at the
+    graph's coupling.
 
-    ``alpha`` defaults to the graph's coupling.  Vectors are mass-orthonormal
-    with the first nonzero coefficient positive, so repeat runs are
-    reproducible.
+    Vectors are mass-orthonormal with the first nonzero coefficient
+    positive, so repeat runs are reproducible.
     """
-    alpha = system.mesh.graph.alpha if alpha is None else alpha
+    alpha = system.mesh.graph.alpha
     w, vecs = _eigensolve(system, k, alpha, vectors=True)
     # enforce mass-orthonormal columns regardless of backend
     mnorm = np.sqrt(np.einsum("ij,ij->j", vecs, system.mass @ vecs))
@@ -460,8 +456,8 @@ def solve_graph(
     return solve_spectrum(assemble(mesh), k)
 
 
-def degenerate_clusters(energies: np.ndarray, rtol: float = 1e-8) -> list[tuple[int, ...]]:
-    """Group indices of eigenvalues that coincide to relative tolerance.
+def degenerate_clusters(energies: np.ndarray) -> list[tuple[int, ...]]:
+    """Group indices of eigenvalues that coincide to relative tolerance ``1e-8``.
 
     Per-state quantities inside a cluster depend on the eigenbasis the solver
     happened to return; only cluster sums of the per-edge tables are well
@@ -472,7 +468,7 @@ def degenerate_clusters(energies: np.ndarray, rtol: float = 1e-8) -> list[tuple[
     current = [0]
     for j in range(1, len(energies)):
         scale = max(abs(energies[j]), abs(energies[j - 1]), 1e-300)
-        if abs(energies[j] - energies[j - 1]) <= rtol * scale:
+        if abs(energies[j] - energies[j - 1]) <= 1e-8 * scale:
             current.append(j)
         else:
             clusters.append(tuple(current))

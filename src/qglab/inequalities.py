@@ -411,7 +411,6 @@ def riesz_means(energies: np.ndarray, z_grid: np.ndarray) -> tuple[np.ndarray, n
 def riesz_suite(
     energies: np.ndarray,
     total_length: float,
-    z_grid: np.ndarray | None = None,
     sample_js: tuple[int, ...] = (1, 2, 5, 10, 20),
     tol_rel: float = TOL_ANALYTIC,
 ) -> RieszReport:
@@ -423,16 +422,12 @@ def riesz_suite(
     root bound ``z_0 <= 5 * mean``.  The derivative identity
     ``R_2' = 2 R_1`` is checked on windows free of eigenvalue crossings,
     where both sides are exact polynomials.  ``energies`` are trusted, and
-    the default grid is ``make_z_grid(energies)``, topping out at the last
-    of them.
+    the grid is ``make_z_grid(energies)``, topping out at the last of them.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
     if energies[0] <= 0:
         raise ValueError("potential-free spectra must be positive")
-    if z_grid is None:
-        z_grid = make_z_grid(energies)
-    z = np.asarray(z_grid, dtype=float)
-    _require_coverage(energies, float(z.max()))
+    z = make_z_grid(energies)
     r1, r2, ind = riesz_means(energies, z)
     sample_js = tuple(j for j in sample_js if j <= len(energies))
     worst: dict[str, float] = {}

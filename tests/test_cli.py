@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qglab import analytic, fem, inequalities as ineq
+from qglab import analytic, families, fem, inequalities as ineq
 from qglab.cli import CHECKS, POLICY, SolveContext, main
-from qglab.graphs import TopologyClass, classify_topology, load_graph
+from qglab.graphs import TopologyClass, classify_topology, load_graph, save_graph
 from qglab.reports import fmt_float
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -108,6 +109,7 @@ TERMINALS = ["circuit", *Y, "--terminals"]
 TERMINALS_RULE = "--terminals must be a comma-separated list of at least two distinct vertex ids"
 ALPHA_SWEEP = ["sweep", "--sweep", "alpha", "--graph", fixture("tree_well.json"), "--steps", "3", "--range"]
 BALLOON_RANGE = ["sweep", "--sweep", "balloon-L", "--steps", "3", "--range"]
+ORACLE_SWEEP = [*BALLOON_SWEEP, "--engine", "oracle"]
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -169,6 +171,19 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
             for r in ("nan:1", "0.5", "2:1", "1:2:3")
         ),
         ([*BALLOON_SWEEP[:-1], "1"], "--steps must be at least 2, got 1"),
+        # the following exited 0 with the option ignored, even a --graph that does not exist
+        *(
+            ([*sweep, "--graph", "missing.json"], f"--graph must be left out of the {name} sweep, got missing.json")
+            for sweep, name in ((BALLOON_SWEEP, "balloon-L"), (FANCY_SWEEP, "fancy-N"))
+        ),
+        *(
+            ([*ORACLE_SWEEP, option, value], f"{option} must be left out on the oracle engine, got {shown}")
+            for option, value, shown in (("--h", "5", "5.0"), ("--k", "1", "1"))
+        ),
+        (
+            [*ALPHA_SWEEP, "0.5:4", "--engine", "fem"],
+            "--engine must be left out of the alpha sweep, which solves P1, got fem",
+        ),
     ],
     ids=[
         "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0",
@@ -178,7 +193,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
-        "sweep-steps-1",
+        "sweep-steps-1", "balloon-graph", "fancy-graph", "oracle-h", "oracle-k", "alpha-engine",
     ],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
@@ -325,6 +340,52 @@ def test_verify_pt_balloon_expected_violation(tmp_path, capsys):
     assert roles["lt_quotient_gamma_1.5"] == "expected_violation"
     assert verdicts["lt_quotient_gamma_1.5"] == "violated"
     assert verdicts["lt_quotient_gamma_2.0"] == "violated"
+
+
+def _summary_checks(out):
+    return [(c["name"], c["role"]) for c in json.loads((out / "verify_summary.json").read_text())["checks"]]
+
+
+def test_verify_weak_yang_falls_back_to_yang(tmp_path, capsys):
+    # the balanced Wheatstone bridge has a dead edge, so no slope family has
+    # full support: the plain sum rule runs in place of the weak one, for
+    # information only
+    assert main(["verify", "--graph", fixture("wheatstone_balanced.json"), "--out-dir", str(tmp_path)]) == 0
+    assert _summary_checks(tmp_path) == [("yang", "informational"), ("weyl", "guaranteed")]
+    assert (tmp_path / "verify_yang.csv").exists()
+    assert not list(tmp_path.glob("verify_weak_yang.*"))
+
+
+def test_verify_skips_moment_checks_without_a_negative_part(tmp_path, capsys):
+    # a barrier V >= 0 on a tree: the moment quotients and Stubbe need V_-
+    path = tmp_path / "y_barrier.json"
+    save_graph(families.with_square_well(families.y_graph(), 0, 5.0), path)
+    assert main(["verify", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert _summary_checks(tmp_path / "out") == [("yang", "guaranteed")]
+
+
+def test_verify_one_loop_shifted_grid_follows_a_negative_ground_state(tmp_path, capsys, monkeypatch):
+    calls = _record_solves(monkeypatch)
+    out = tmp_path / "out"
+    code = main(["verify", "--graph", fixture("loop_leads_well.json"), "--format", "json", "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    e1 = calls[0][2][0]
+    assert e1 < 0
+    grid = json.loads((out / "verify_one_loop_shifted.json").read_text())["grid"]
+    assert grid == pytest.approx(np.linspace(0.9 * e1, 0.05 * e1, 6), rel=1e-9, abs=0)
+
+
+def test_verify_one_loop_row_without_sum_rule_steps_solves_p1(tmp_path, capsys, monkeypatch):
+    # the spectrum follows the graph, not the row's check names: a V = 0
+    # loop pair is solved on P1 even when no check reads its eigenvectors,
+    # since one_loop_shifted reads the P1 system
+    key = (TopologyClass.ONE_LOOP_WITH_LEADS, True)
+    monkeypatch.setitem(POLICY, key, [row for row in POLICY[key] if row[0] != "sum_rule_steps"])
+    code = main(["verify", "--graph", fixture("circle_two_leads.json"), "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["spectrum"]["source"] == "p1"
+    assert [c["name"] for c in summary["checks"]] == ["weak_yang", "weyl", "one_loop_shifted"]
 
 
 def test_colorings_cli(tmp_path, capsys):
@@ -567,9 +628,9 @@ def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkey
     [("y_graph", 0), ("hash_graph", 0), ("circle_two_leads", 1), ("pt_interval", 1)],
 )
 def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monkeypatch, name, spectrum_solves):
-    # V = 0 sum rules read E / alpha; sum_rule_steps (circle_two_leads) reads
-    # per-edge tables and the V != 0 yang (pt_interval) Dirichlet energies;
-    # the Stubbe re-solves of pt_interval read bound-state energies alone
+    # a V = 0 graph without a loop pair is solved exactly; a loop pair
+    # (circle_two_leads) and V != 0 (pt_interval) solve P1 eigenpairs once,
+    # and the Stubbe re-solves of pt_interval read bound-state energies alone
     calls = []
     solve = fem.solve_spectrum
 

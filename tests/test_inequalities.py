@@ -293,12 +293,6 @@ def test_riesz_rejects_nonpositive_spectrum():
         ineq.riesz_suite(np.array([-1.0, 2.0]), 1.0)
 
 
-def test_riesz_coverage():
-    e = interval_energies(10)
-    with pytest.raises(ineq.CoverageError):
-        ineq.riesz_suite(e, 1.0, z_grid=np.array([2 * e[-1]]))
-
-
 def test_riesz_fem_tree(rng):
     tree = families.random_tree(rng, 6)
     k = 90
