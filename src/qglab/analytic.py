@@ -1,16 +1,19 @@
 """Closed-form and secular-equation spectra for the named model families,
-and the exact spectrum of any graph with ``V = 0``.
+and the exact and the P1 spectrum of any graph with ``V = 0``.
 
 These serve as ground truth for the finite element solver and for the
-inequality checks.  All root finding is plain bisection on pole-free
-reformulations with brackets enumerated in closed form; no derivatives.
+inequality checks.  The family oracles find their roots by plain bisection
+on pole-free reformulations, with brackets enumerated in closed form.
 
-``zero_potential_eigenvalues`` bisects the eigenvalue count of a ``V = 0``
+``zero_potential_eigenvalues`` solves the eigenvalue count of a ``V = 0``
 graph, which the vertex Dirichlet-to-Neumann matrix gives exactly (the
 Dirichlet-Neumann bracketing of L. Friedlander, Arch. Rational Mech. Anal.
 1991, on a metric graph as in G. Berkolaiko and P. Kuchment, *Introduction to
-Quantum Graphs*, AMS 2013).  It needs no mesh, counts multiplicities, and
-certifies every eigenvalue by a bracket.
+Quantum Graphs*, AMS 2013).  Each edge enters through its dispersion: the
+exact one, or that of P1 on equal cells, whose Schur complement onto the
+edge's ends has the same form.  It needs no eigensolver, counts
+multiplicities, and certifies every eigenvalue by a bracket, which secant
+steps on the crossing eigenvalue of that matrix close.
 """
 
 from __future__ import annotations
@@ -236,34 +239,99 @@ def poschl_teller_balloon_oracle() -> PoschlTellerBalloonOracle:
 
 
 # ---------------------------------------------------------------------------
-# V = 0 graphs: the exact spectrum from the vertex Dirichlet-to-Neumann count
+# V = 0 graphs: the spectrum from the vertex Dirichlet-to-Neumann count
 
 #: A bracket stops at this width relative to its top, in ``kappa = sqrt(E /
 #: alpha)``; its energy bracket is then at most 1e-13 relative.
 COUNT_RTOL = 5e-14
 
-#: Edge Dirichlet eigenvalues ``m pi / l`` of different edges that lie closer
-#: than this (relative) are one pole: commensurate lengths give coincident
-#: poles that differ by rounding alone.
+#: Edge Dirichlet eigenvalues of different edges that lie closer than this
+#: (relative) are one pole: commensurate lengths give coincident poles that
+#: differ by rounding alone.
 POLE_MERGE_RTOL = 4e-15
 
-#: An edge term whose half-angle ``|tan|`` or ``|cot|`` exceeds this borders
-#: the matrix (see ``_dtn_counter``); the others enter it directly and cost at
-#: most this many units of roundoff in its eigenvalues.
+#: An edge term larger than this many ``kappa`` borders the matrix (see
+#: ``_dtn_counter``); the others enter it directly and cost at most this many
+#: units of roundoff in its eigenvalues.
 BORDER_AT = 100.0
 
+#: Floor of ``sin^2(phi / 2)`` in ``_edge_terms``: at the band edge ``x =
+#: 12`` a P1 edge takes the limit ``phi -> 0`` of its terms.
+TINY = np.finfo(float).tiny
 
-def _dtn_counter(graph: MetricGraph):
-    """``N(kappa)``, the number of eigenvalues below ``alpha kappa^2`` of the
-    ``V = 0`` graph, for an array of ``kappa > 0`` off the poles.
 
-    ``N = sum_e #{m >= 1 : m pi / l_e < kappa} + n_+(Lambda(kappa))``, where
-    the vertex Dirichlet-to-Neumann matrix over the non-Dirichlet vertices
-    is, in half-angle form with ``phi_e = kappa l_e / 2``,
-    ``Lambda = sum_e kappa tan(phi_e) p_e p_e^T - kappa cot(phi_e) q_e q_e^T``
-    with ``p_e = (1_u + 1_v) / sqrt 2`` and ``q_e = (1_u - 1_v) / sqrt 2``.
-    That is ``Lambda_vv = -kappa sum cot(kappa l_e)``, a self-loop adding
-    ``2 kappa tan(kappa l / 2)`` instead, and ``Lambda_uv = kappa sum csc(kappa
+def _edge_terms(kappa: np.ndarray, lengths: np.ndarray, cells: np.ndarray | None):
+    """Each edge's block of ``Lambda`` at each ``kappa`` (a column): the
+    coefficients ``(a, b)`` of ``p_e p_e^T`` and ``q_e q_e^T``, and the
+    number of the edge's Dirichlet eigenvalues (the poles) below ``kappa``.
+
+    Exactly (``cells`` is None), ``a = kappa tan(kappa l / 2)``, ``b = -kappa
+    cot(kappa l / 2)`` and the poles are ``m pi / l``.  P1 on ``c`` equal
+    cells ``h = l / c`` is the Schur complement of ``K - kappa^2 M`` onto the
+    edge's ends.  It has the same form with the phase ``c theta``, where
+    ``sin^2(theta / 2) = 1.5 x / (6 + x)`` at ``x = kappa^2 h^2``, in place
+    of ``kappa l``, and the impedance ``z = (1 / h + kappa^2 h / 6) sin theta
+    = kappa sqrt(1 - x / 12)`` in place of ``kappa``; its poles are the
+    Dirichlet modes ``c theta = m pi`` of the ``c - 1`` interior nodes.  On
+    the upper half of the band the angles are taken from ``phi = pi -
+    theta``, whose ``sin^2(phi / 2) = (6 - x / 2) / (6 + x)`` loses no
+    digits at the band edge ``x = 12``; a floor on ``phi`` makes ``x = 12``
+    its limit.  Above the band edge all ``c - 1`` modes lie below, ``theta =
+    pi + i eta``, and the same Chebyshev ratios are hyperbolic.
+    """
+    if cells is None:
+        theta = kappa * lengths
+        t = np.tan(0.5 * theta)
+        return kappa * t, -kappa / t, theta // math.pi
+    h = lengths / cells
+    x = (kappa * h) ** 2
+    g = (6.0 + x) / (6.0 * h)
+    upper, over = x > 3.0, x > 12.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # theta on the lower half of the band, phi on the upper; above it phi sits at the floor
+        angle = 2.0 * np.arcsin(np.sqrt(np.maximum(np.where(upper, 6.0 - 0.5 * x, 1.5 * x), TINY) / (6.0 + x)))
+        z, tau = g * np.sin(angle), np.tan(0.5 * cells * angle)
+        # tan(c theta / 2) is tau, or on the upper half -tau (c even) or 1 / tau (c odd)
+        t = np.where(upper, np.where(cells % 2 == 1, 1.0 / tau, -tau), tau)
+        a, b = z * t, -z / t
+        poles = np.where(upper, cells - np.ceil(cells * angle / math.pi), np.floor(cells * angle / math.pi))
+        if over.any():
+            # sinh^2(eta / 2) = (x - 12) / (2 (6 + x))
+            eta = 2.0 * np.arcsinh(np.sqrt(np.maximum(x - 12.0, 0.0) / (2.0 * (6.0 + x))))
+            z, t = g * np.sinh(eta), np.tanh(0.5 * cells * eta)
+            t = np.where(cells % 2 == 1, 1.0 / t, t)
+            a, b = np.where(over, z * t, a), np.where(over, z / t, b)
+    return a, b, np.minimum(poles, cells - 1)
+
+
+def _pole(m, lengths: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
+    """Each edge's ``m``-th pole in ``kappa``; ``inf`` past a P1 edge's last, the ``(c - 1)``-th."""
+    if cells is None:
+        return m * math.pi / lengths
+    s2 = np.sin(0.5 * math.pi * np.minimum(m, cells) / cells) ** 2
+    return np.where(m < cells, np.sqrt(6.0 * s2 / (1.5 - s2)) * cells / lengths, np.inf)
+
+
+def _secant(x0, f0, x1, f1):
+    """The zero of the line through ``(x0, f0)`` and ``(x1, f1)``; NaN where a value is."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return x1 - f1 * (x1 - x0) / (f1 - f0)
+
+
+def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
+    """``count(kappa) -> (N, shift, values)`` for an array of ``kappa > 0``
+    off the poles, and the number of non-Dirichlet vertices.
+
+    ``N`` is the number of eigenvalues below ``alpha kappa^2`` of the ``V =
+    0`` graph, exact or P1 (``_edge_terms``); ``values`` are the eigenvalues,
+    descending, of the matrix counted at each point (NaN-padded), and ``N``
+    is ``shift`` plus the number of them that are positive.  ``N = P +
+    n_+(Lambda)``, with ``P`` the edge Dirichlet eigenvalues below, where the
+    vertex Dirichlet-to-Neumann matrix over the non-Dirichlet vertices is
+    ``Lambda = sum_e a_e p_e p_e^T + b_e q_e q_e^T`` with ``p_e = (1_u +
+    1_v) / sqrt 2`` and ``q_e = (1_u - 1_v) / sqrt 2``.  Exactly, that is
+    ``Lambda_vv = -kappa sum cot(kappa l_e)``, a self-loop adding ``2 kappa
+    tan(kappa l / 2)`` instead, and ``Lambda_uv = kappa sum csc(kappa
     l_e)``.  Near a pole one term of an edge, ``c w w^T``, is huge and would
     drown the small eigenvalues of ``Lambda`` in roundoff.  It leaves the
     matrix and borders it instead: by the inertia additivity of the Schur
@@ -271,7 +339,7 @@ def _dtn_counter(graph: MetricGraph):
     positive eigenvalue than ``A + c w w^T`` exactly when ``c < 0``, and no
     term exceeds ``BORDER_AT kappa``.  A point with any bordered term
     borders every edge, the others by a lone ``-kappa``, which is never
-    counted.
+    counted; its ``shift`` is ``P`` less the positive border corners.
     """
     free = [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
     slot = {v: i for i, v in enumerate(free)}
@@ -287,37 +355,42 @@ def _dtn_counter(graph: MetricGraph):
     lengths = np.array([e.length for e in graph.edges])
     edges = np.arange(m)
 
-    def count(kappa: np.ndarray) -> np.ndarray:
+    def count(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         kap = kappa[:, None]
-        theta = kap * lengths
-        t = np.tan(0.5 * theta)
-        tan_term, cot_term = kap * t, -kap / t
-        big = np.abs(t) >= 1.0  # the tan term is the larger one
-        border = np.abs(np.where(big, t, 1.0 / t)) > BORDER_AT
-        coef = np.concatenate([np.where(border & big, 0.0, tan_term), np.where(border & ~big, 0.0, cot_term)], axis=1)
+        a, b, poles = _edge_terms(kap, lengths, cells)
+        big = np.abs(a) >= np.abs(b)
+        huge = np.where(big, a, b)
+        border = np.abs(huge) > BORDER_AT * kap
+        coef = np.concatenate([np.where(border & big, 0.0, a), np.where(border & ~big, 0.0, b)], axis=1)
         lam = (coef @ outer).reshape(len(kappa), n, n)
-        total = (theta // math.pi).sum(axis=1).astype(int)
+        shift = poles.sum(axis=1).astype(int)
+        values = np.full((len(kappa), n + m), np.nan)
         rows = border.any(axis=1)
         if n and not rows.all():
-            total[~rows] += (np.linalg.eigvalsh(lam[~rows]) > 0).sum(axis=1)
+            values[~rows, :n] = np.linalg.eigvalsh(lam[~rows])[:, ::-1]
         if rows.any():
             kap, border, big = kap[rows], border[rows], big[rows]
             vectors = np.where(big[:, :, None], plus, minus) * (kap * border)[:, :, None]
-            diag = np.where(border, np.where(big, cot_term[rows], tan_term[rows]), -kap)
+            diag = np.where(border, -(kap**2) / huge[rows], -kap)
             full = np.zeros((len(kap), n + m, n + m))
             full[:, :n, :n] = lam[rows]
             full[:, n:, :n] = vectors
             full[:, :n, n:] = vectors.transpose(0, 2, 1)
             full[:, n + edges, n + edges] = diag
-            total[rows] += (np.linalg.eigvalsh(full) > 0).sum(axis=1) - (diag > 0).sum(axis=1)
-        return total
+            values[rows] = np.linalg.eigvalsh(full)[:, ::-1]
+            shift[rows] -= (diag > 0).sum(axis=1)
+        return shift + (values > 0).sum(axis=1), shift, values
 
-    return count, lengths, n
+    return count, n
 
 
-def zero_potential_eigenvalues(graph: MetricGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest ``k`` eigenvalues of a ``V = 0`` graph, exact to roundoff,
-    and their brackets, shape ``(k, 2)``.
+def zero_potential_eigenvalues(
+    graph: MetricGraph, k: int, cells=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``k`` eigenvalues of a ``V = 0`` graph and their brackets,
+    shape ``(k, 2)``: exact to roundoff, or, with ``cells`` (one whole number
+    per edge, both halves of a self-loop together), those of P1 on that many
+    equal cells per edge.
 
     Every bracket ``[lo, hi]`` of the ``j``-th eigenvalue satisfies
     ``N(lo) < j <= N(hi)`` for the count of ``_dtn_counter``, and is at most
@@ -326,93 +399,175 @@ def zero_potential_eigenvalues(graph: MetricGraph, k: int) -> tuple[np.ndarray, 
     count.  A graph without a Dirichlet vertex has ``E_1 = 0``, the constant,
     returned with the bracket ``[0, 0]``.
 
-    All indices are bisected together in ``kappa``, one batched count per
-    step.  No count is taken on an edge Dirichlet eigenvalue ``m pi / l_e``,
-    where ``Lambda`` has a pole: the first counts split the gaps between
-    consecutive poles, so each bracket holds at most one pole.  A bracket
-    that holds one is then counted just below and just above it, which
-    either certifies the eigenvalue at the pole or leaves a bracket free of
-    poles, and free brackets are halved.  Counts that fall as ``kappa``
-    rises raise ``SolverError``; a batch over the memory budget raises
-    ``MemoryBudgetError`` against ``k`` (``fem.require_budget``).
+    All indices are solved together in ``kappa``, one batched count per
+    step.  No count is taken on a pole, where ``Lambda`` is singular: the
+    first counts split the gaps between consecutive poles, so each bracket
+    holds at most one pole.  A bracket that holds one is then counted just
+    below and just above it, which either certifies the eigenvalue at the
+    pole or leaves a bracket free of poles.  In a free bracket the crossing
+    eigenvalue of ``Lambda`` (the one whose sign decides ``N >= j``) rises
+    with ``kappa`` and has one root there.  Each step counts every bracket
+    at its midpoint, so it at least halves, and at a secant point of the
+    crossing eigenvalue with ``(1 -+ 0.4 COUNT_RTOL)`` times that point,
+    which closes the bracket once the secant has converged.  The secant runs
+    through the latest two secant points, or through the bracket's ends
+    where those aim outside it; next to a pole, where the point is bordered,
+    it reads the crossing eigenvalue of the bordered matrix, which has the
+    same root.  Counts that fall as ``kappa`` rises raise ``SolverError``; a
+    batch over the memory budget raises ``MemoryBudgetError`` against ``k``
+    (``fem.require_budget``).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     require_valid(graph)
     if not graph.potential_is_zero():
         raise ValueError("the exact count needs V = 0 on every edge")
-    count, lengths, n = _dtn_counter(graph)
-    # N(kappa) >= sum floor(kappa l_e / pi) >= L kappa / pi - |E| reaches k at
-    # `cap`; every edge's poles up to the lowest top are listed, and two of
-    # that edge's lie above `cap`, so the top count does too
-    cap = math.pi * (k + len(lengths)) / lengths.sum()
-    last = np.ceil(cap * lengths / math.pi) + 2.0
-    poles = np.unique(np.concatenate([np.arange(1.0, m + 1.0) * math.pi / l for m, l in zip(last, lengths)]))
-    poles = poles[poles <= (last * math.pi / lengths).min()]
-    split = np.nonzero(np.diff(poles) > POLE_MERGE_RTOL * poles[1:])[0] + 1
-    lows, highs = poles[np.r_[0, split]], poles[np.r_[split - 1, len(poles) - 1]]
+    lengths = np.array([e.length for e in graph.edges])
+    if cells is not None:
+        cells = np.asarray(cells)
+        if cells.shape != lengths.shape or cells.dtype.kind not in "iu" or np.any(cells < 1):
+            raise ValueError(f"cells must be one whole number of at least 1 per edge, got {cells.tolist()}")
+    count, n = _dtn_counter(graph, cells)
+    if cells is not None and k > n + (cells - 1).sum():
+        raise ValueError(f"k must be at most the {n + (cells - 1).sum()} unknowns of the mesh, got {k}")
+
+    # N(kappa) is at least the number of poles below kappa, so it reaches k
+    # at `top`, which splits the gap above the cluster of poles that holds
+    # the k-th.  A P1 mesh whose k-th pole is missing or in its last cluster
+    # ends at a `top` above sqrt(12) / h_min, which bounds its spectrum.
+    ceiling = math.inf if cells is None else math.sqrt(12.0) * (cells / lengths).max() * (1.0 + 1e-9)
+    per_edge = cells if cells is not None else [None] * len(lengths)
+    bound = math.pi * (k + 1) / lengths.sum()
+    while True:
+        bound = min(bound, ceiling)
+        # a P1 edge's m-th pole lies at or above m pi / l, as the exact one does
+        poles = [_pole(np.arange(1.0, bound * l / math.pi + 2.0), l, c) for l, c in zip(lengths, per_edge)]
+        poles = np.concatenate(poles)
+        poles = np.sort(poles[poles <= bound])
+        starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > POLE_MERGE_RTOL * poles)  # of each cluster
+        lows, highs = poles[starts], poles[np.r_[starts[1:], len(poles)][: len(starts)] - 1]
+        kth = np.searchsorted(starts, k - 1, side="right") - 1  # the cluster of the k-th pole
+        if kth + 1 < len(starts):
+            top, lows, highs = 0.5 * (highs[kth] + lows[kth + 1]), lows[: kth + 1], highs[: kth + 1]
+            break
+        if bound == ceiling:
+            top = ceiling
+            break
+        bound *= 2.0
     # cut each gap between poles into parts about half an eigenvalue spacing
-    # (pi / 2L) wide, and count at their midpoints
-    starts = np.r_[0.0, highs[:-1]]
-    parts = np.maximum(1, np.rint((lows - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
-    gap = np.repeat(np.arange(len(lows)), parts)
+    # (pi / 2L) wide, and count at their midpoints and at the top
+    starts, ends = np.r_[0.0, highs], np.r_[lows, top]
+    parts = np.maximum(1, np.rint((ends - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
+    gap = np.repeat(np.arange(len(ends)), parts)
     part = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
-    seeds = starts[gap] + (lows - starts)[gap] * (part + 0.5) / parts[gap]
-    batch, size = max(len(seeds), 2 * k), n + len(lengths)
+    seeds = np.r_[starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap], top]
+    batch, size = max(len(seeds), 4 * k), n + len(lengths)
     # per count: the direct and the bordered matrices, and a few dozen per-edge arrays
-    need = 8 * (batch * (2 * size * size + 16 * size) + 2 * len(lengths) * n * n)
+    need = 8 * (batch * (2 * size * size + 32 * size) + 2 * len(lengths) * n * n)
     require_budget("k", f"an exact count of {batch} matrices of size {size}", need)
 
-    seen_k, seen_n = [seeds], [count(seeds)]
+    seen_k, seen_n = [], []
+
+    def require_rising(kappa, total):
+        if np.any(np.diff(total[np.argsort(kappa, kind="stable")]) < 0):
+            raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped Lambda")
+
+    def crossing(values, shift, j):
+        # N >= j exactly when the (j - shift)-th largest value is positive
+        r = j - shift - 1
+        inside = (r >= 0) & (r < values.shape[1])
+        value = np.full(len(r), np.nan)
+        value[inside] = values[inside, r[inside]]
+        return value
+
+    def counted(points, j):
+        total, shift, values = count(points)
+        seen_k.append(points)
+        seen_n.append(total)
+        return total, crossing(values, shift, j)
+
     zero_modes = 0 if DIRICHLET in graph.boundary.values() else 1
     want = np.arange(zero_modes + 1, k + 1)
-    first = np.searchsorted(seen_n[0], want)
+    total, shift, values = count(seeds)
+    seen_k.append(seeds)
+    seen_n.append(total)
+    require_rising(seeds, total)
+    first = np.searchsorted(total, want)
     if len(want) and first[-1] == len(seeds):
-        raise SolverError(f"the count reaches only {seen_n[0][-1]} of {k} eigenvalues below kappa {seeds[-1]:.12g}")
-    lo, n_lo = np.where(first > 0, seeds[first - 1], 0.0), np.where(first > 0, seen_n[0][first - 1], 0)
-    hi, n_hi = seeds[first], seen_n[0][first]
-
-    def counted(points: np.ndarray) -> np.ndarray:
-        unique, index = np.unique(points, return_inverse=True)
-        seen_k.append(unique)
-        seen_n.append(count(unique))
-        return seen_n[-1][index]
+        raise SolverError(f"the count reaches only {total[-1]} of {k} eigenvalues below kappa {top:.12g}")
+    # each bracket's ends, their counts and crossing values (NaN where unknown)
+    prev = np.maximum(first - 1, 0)
+    lo, hi = np.where(first > 0, seeds[prev], 0.0), seeds[first]
+    n_lo, n_hi = np.where(first > 0, total[prev], 0), total[first]
+    f_lo = np.where(first > 0, crossing(values[prev], shift[prev], want), np.nan)
+    f_hi = crossing(values[first], shift[first], want)
+    done = np.zeros(len(want), dtype=bool)
 
     # a bracket that holds a pole [a, b]: count just below and just above it;
     # the bracket becomes [lo, below], [below, above] (done) or [above, hi]
     pole = np.minimum(np.searchsorted(lows, lo, side="right"), len(lows) - 1)
-    a, b = lows[pole], highs[pole]
-    held = np.nonzero((lo < a) & (b < hi))[0]
-    step = 0.4 * COUNT_RTOL * a[held]
-    below = a[held] - np.minimum(step, 0.5 * (a[held] - lo[held]))
-    above = b[held] + np.minimum(step, 0.5 * (hi[held] - b[held]))
-    n_below, n_above = np.split(counted(np.r_[below, above]), 2)
-    under, at = n_below >= want[held], n_above >= want[held]
+    held = np.nonzero((lo < lows[pole]) & (highs[pole] < hi))[0] if len(lows) else []
+    if len(held):
+        a, b = lows[pole[held]], highs[pole[held]]
+        step = 0.4 * COUNT_RTOL * a
+        below = a - np.minimum(step, 0.5 * (a - lo[held]))
+        above = b + np.minimum(step, 0.5 * (hi[held] - b))
+        n_near, f_near = counted(np.r_[below, above], np.r_[want[held], want[held]])
+        (n_below, n_above), (f_below, f_above) = np.split(n_near, 2), np.split(f_near, 2)
+        under, at = n_below >= want[held], n_above >= want[held]
 
-    def pick(if_under, if_at, if_above):
-        return np.where(under, if_under, np.where(at, if_at, if_above))
+        def pick(if_under, if_at, if_above):
+            return np.where(under, if_under, np.where(at, if_at, if_above))
 
-    lo[held], hi[held] = pick(lo[held], below, above), pick(below, above, hi[held])
-    n_lo[held], n_hi[held] = pick(n_lo[held], n_below, n_above), pick(n_below, n_above, n_hi[held])
-    done = np.zeros(len(want), dtype=bool)
-    done[held] = at & ~under
+        lo[held], hi[held] = pick(lo[held], below, above), pick(below, above, hi[held])
+        n_lo[held], n_hi[held] = pick(n_lo[held], n_below, n_above), pick(n_below, n_above, n_hi[held])
+        f_lo[held], f_hi[held] = pick(f_lo[held], f_below, f_above), pick(f_below, f_above, f_hi[held])
+        done[held] = at & ~under
 
+    # every step counts each bracket at its midpoint, so no bracket fails to
+    # halve, and at a secant point with its finishing pair x (1 -+ 0.4
+    # COUNT_RTOL), which closes the bracket once the secant has converged;
+    # `last` holds the two latest secant points and their values
+    finish = np.array([1.0 - 0.4 * COUNT_RTOL, 1.0, 1.0 + 0.4 * COUNT_RTOL])
+    last = np.stack([lo, f_lo, hi, f_hi])
     while True:
         go = np.nonzero(~done & (hi - lo > COUNT_RTOL * hi))[0]
         if not len(go):
             break
-        mid = 0.5 * (lo[go] + hi[go])
-        n_mid = counted(mid)
-        up = n_mid >= want[go]
-        hi[go[up]], n_hi[go[up]] = mid[up], n_mid[up]
-        lo[go[~up]], n_lo[go[~up]] = mid[~up], n_mid[~up]
+        j, l, u = want[go], lo[go], hi[go]
+        secant = _secant(*last[:, go])
+        # through the bracket's ends where the latest two points aim outside it
+        outside = ~((l < secant) & (secant < u))
+        secant[outside] = _secant(l, f_lo[go], u, f_hi[go])[outside]
+        # NaN where a value is missing: next to a pole, the point is bordered
+        secant = np.minimum(np.maximum(secant, l * finish[2]), u * finish[0])
+        points = np.concatenate([0.5 * (l + u)[:, None], secant[:, None] * finish], axis=1)
+        valid = (l[:, None] < points) & (points < u[:, None])
+        total, value = np.full(points.shape, -1), np.full(points.shape, np.nan)
+        total[valid], value[valid] = counted(points[valid], np.repeat(j, valid.sum(axis=1)))
+        up = total >= j[:, None]
+        down = valid & ~up
+        rows = np.arange(len(go))
+        i_hi = np.argmin(np.where(up, points, np.inf), axis=1)
+        i_lo = np.argmax(np.where(down, points, -np.inf), axis=1)
+        new_hi, new_lo = up[rows, i_hi], down[rows, i_lo]
+        hi[go] = np.where(new_hi, points[rows, i_hi], u)
+        n_hi[go] = np.where(new_hi, total[rows, i_hi], n_hi[go])
+        f_hi[go] = np.where(new_hi, value[rows, i_hi], f_hi[go])
+        lo[go] = np.where(new_lo, points[rows, i_lo], l)
+        n_lo[go] = np.where(new_lo, total[rows, i_lo], n_lo[go])
+        f_lo[go] = np.where(new_lo, value[rows, i_lo], f_lo[go])
+        tried = valid[:, 2]
+        last[:, go[tried]] = np.stack([last[2, go], last[3, go], secant, value[:, 2]])[:, tried]
 
-    order = np.argsort(np.concatenate(seen_k), kind="stable")
-    if np.any(np.diff(np.concatenate(seen_n)[order]) < 0):
-        raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped Lambda")
+    require_rising(np.concatenate(seen_k), np.concatenate(seen_n))
     if np.any(n_lo >= want) or np.any(n_hi < want):
         raise SolverError("a bracket fails N(lo) < j <= N(hi)")
+    # the root of the crossing eigenvalue between the bracket's ends, which
+    # leaves no bias of half a bracket; a pole's bracket is centred on it
+    root = _secant(lo, f_lo, hi, f_hi)
+    root = np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi))  # False where NaN
     energies, brackets = np.zeros(k), np.zeros((k, 2))
-    energies[zero_modes:] = graph.alpha * (0.5 * (lo + hi)) ** 2
+    energies[zero_modes:] = graph.alpha * root**2
     brackets[zero_modes:] = graph.alpha * np.stack([lo, hi], axis=1) ** 2
     return energies, brackets

@@ -6,7 +6,8 @@ Subcommands: ``spectrum``, ``verify``, ``sweep``, ``oracle``, ``colorings``,
 
 ``verify`` reads the exact spectrum of ``analytic.zero_potential_eigenvalues``
 on a ``V = 0`` graph without a loop pair, and solves P1 eigenpairs on every
-other graph; ``spectrum`` and the ``fem`` sweeps always solve P1.
+other graph; ``spectrum`` and the ``fem`` sweeps always stay on P1, the
+``V = 0`` sweeps counting its energies through the same vertex count.
 """
 
 from __future__ import annotations
@@ -182,9 +183,11 @@ class SolveContext:
     ``trusted`` is the trusted part.  ``grad_norms`` is each state's
     ``int |phi'|^2``.  ``system`` is the P1 assembly and ``spectrum`` its
     eigenpairs; both are ``None`` on a graph solved exactly (``_solve``).
+    ``loop`` is the graph's loop pair, found once per run, or ``None``.
     """
 
     graph: MetricGraph
+    loop: ineq.LoopLeads | None
     tol: float
     system: fem.AssembledSystem | None
     energies: np.ndarray
@@ -200,12 +203,15 @@ class SolveContext:
         return fem.solve_bound_states(self.system, self.graph.alpha, solved=self.energies)
 
 
-def _has_loop_pair(graph: MetricGraph) -> bool:
+def _loop_pair(graph: MetricGraph, topology: TopologyClass) -> ineq.LoopLeads | None:
+    """The loop of two equal semicircles with one lead at each junction, or
+    ``None``; only a one-loop graph can hold one, so no other graph searches."""
+    if topology is not TopologyClass.ONE_LOOP_WITH_LEADS:
+        return None
     try:
-        ineq.loop_structure(graph)
+        return ineq.loop_structure(graph)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
@@ -316,14 +322,14 @@ def _stubbe(ctx: SolveContext) -> CheckReport | None:
 
 
 def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
-    if not _has_loop_pair(ctx.graph):
+    if ctx.loop is None:
         return None
     e1 = float(ctx.energies[0])
     if e1 < 0:
         zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
     else:
         zs = np.linspace(-1.0, -0.1, 6)
-    shifted = ineq.one_loop_shifted_check(ctx.system, np.geomspace(0.5, 2.0, 6), zs, tol_rel=ctx.tol)
+    shifted = ineq.one_loop_shifted_check(ctx.system, ctx.loop, np.geomspace(0.5, 2.0, 6), zs, tol_rel=ctx.tol)
     return CheckReport(
         check="one_loop_shifted",
         params={"q": shifted.q, "alphas": [float(a) for a in shifted.alphas]},
@@ -339,12 +345,12 @@ def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
 
 
 def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
-    if not _has_loop_pair(ctx.graph):
+    if ctx.loop is None:
         return None
     m = len(ctx.trusted)
     energies = ctx.energies
     zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in (0, 1, 2, 4, 7) if j + 1 < m]
-    steps = [ineq.sum_rule_steps_check(ctx.spectrum, z, tol_rel=ctx.tol) for z in zsamples]
+    steps = [ineq.sum_rule_steps_check(ctx.spectrum, ctx.loop, z, tol_rel=ctx.tol) for z in zsamples]
     return CheckReport(
         check="sum_rule_steps",
         params={},
@@ -405,7 +411,7 @@ PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
 def _solve(
-    graph: MetricGraph, topology: TopologyClass, k: int, h: float | None
+    graph: MetricGraph, loop: ineq.LoopLeads | None, k: int, h: float | None
 ) -> tuple[fem.AssembledSystem | None, np.ndarray, fem.Spectrum | None, dict]:
     """The spectrum one ``verify`` run reads: the assembled system and its
     eigenpairs (both ``None`` on the exact path), the lowest
@@ -418,10 +424,7 @@ def _solve(
     read ``E / alpha``, and no other check it runs reads the P1 system.
     Every other graph solves P1 eigenpairs on a mesh that resolves ``k``.
     """
-    # only a one-loop graph can hold a loop pair, so no other graph searches
-    exact = graph.potential_is_zero() and not (
-        topology is TopologyClass.ONE_LOOP_WITH_LEADS and _has_loop_pair(graph)
-    )
+    exact = graph.potential_is_zero() and loop is None
     system = None
     if not exact:
         system = fem.assemble(_mesh(graph, k, h, graph.alpha))
@@ -441,7 +444,8 @@ def cmd_verify(args) -> int:
     graph = _load(args)
     topo = classify_topology(graph)
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
-    system, energies, spectrum, solve = _solve(graph, topo.topology_class, args.k or 90, args.h)
+    loop = _loop_pair(graph, topo.topology_class)
+    system, energies, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
     # with V = 0, H = alpha K, so a mass-normalized eigenvector has
     # v^T K v = E / alpha exactly, in the discrete problem too; the exact
     # eigenfunctions satisfy the same identity
@@ -453,7 +457,8 @@ def cmd_verify(args) -> int:
             spectrum.edge_dirichlet[:] = 0.0
 
     tol = args.tol if args.tol is not None else ineq.TOL_FEM
-    ctx = SolveContext(graph, tol, system, energies, grad_norms, spectrum, energies[: solve["trusted"]], dict(policy))
+    trusted = energies[: solve["trusted"]]
+    ctx = SolveContext(graph, loop, tol, system, energies, grad_norms, spectrum, trusted, dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
         report = CHECKS[name](ctx)
@@ -489,11 +494,18 @@ def cmd_verify(args) -> int:
 
 def _ratio_point(sweep: str, x: float, engine: str, h: float, k: int) -> list[float]:
     """``[x, E1, E2, E2/E1]`` of the balloon with string length ``x``
-    (``balloon-L``) or of the fancy balloon with ``x`` rungs (``fancy-N``)."""
+    (``balloon-L``) or of the fancy balloon with ``x`` rungs (``fancy-N``).
+
+    The ``fem`` engine reads the lowest ``k`` P1 energies of the mesh at
+    ``h`` from the vertex count of ``analytic.zero_potential_eigenvalues``
+    (both graphs have ``V = 0``), with no sparse eigensolve."""
     balloon = sweep == "balloon-L"
     if engine == "fem":
         graph = families.balloon(string_length=x) if balloon else families.fancy_balloon(x)
-        e = fem.solve_graph(graph, h, k).energies
+        mesh = fem.build_mesh(graph, h)
+        at = f"{'L' if balloon else 'N'} = {x:g}"
+        _require(k <= mesh.ndof, "--k", k, f"at most {mesh.ndof}, the unknowns of the --h {h:g} mesh at {at}")
+        e = analytic.zero_potential_eigenvalues(graph, k, mesh.edge_cells)[0]
     elif balloon:
         e = [m.energy for m in analytic.balloon_eigenvalues(x, 2)]
     else:

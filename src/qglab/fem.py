@@ -131,6 +131,14 @@ class Mesh:
         return [seg.cells for seg in self.segments]
 
     @property
+    def edge_cells(self) -> list[int]:
+        """Cells per graph edge, both halves of a self-loop together."""
+        cells = [0] * len(self.graph.edges)
+        for seg in self.segments:
+            cells[seg.edge_id] += seg.cells
+        return cells
+
+    @property
     def min_potential(self) -> float:
         return min(float(seg.v.min()) for seg in self.segments)
 
@@ -432,12 +440,17 @@ def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) 
 def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
     """Every negative eigenvalue at coupling ``alpha``, ascending.
 
+    With ``V >= 0`` at every node there is none, and nothing is factored:
+    ``alpha K`` is positive semidefinite, and so is each cell's block of
+    ``W``, whose determinant is ``(2 va^2 + 8 va vb + 2 vb^2) (h / 12)^2``.
     ``solved`` may hold the lowest eigenvalues at ``alpha`` from a certified
     solve; if its top is nonnegative, none below is missing and its negative
     part is returned.  Otherwise one inertia count at 0 gives their number
     ``m``, and one ``solve_energies`` of exactly ``m`` returns them (none when
     ``m == 0``).  Moments of the negative spectrum are never truncated.
     """
+    if system.mesh.min_potential >= 0.0:
+        return np.empty(0)
     if solved is not None and solved[-1] >= 0.0:
         return solved[solved < 0.0]
     negative = _count_below(system.hamiltonian(alpha), system.mass, 0.0)

@@ -286,12 +286,13 @@ class OneLoopShiftReport:
 
 def one_loop_shifted_check(
     system: AssembledSystem,
+    loop: LoopLeads,
     alpha_grid,
     z_grid,
     tol_rel: float = TOL_FEM,
 ) -> OneLoopShiftReport:
     """Shifted monotone map and shifted moment bound on the one-loop graph
-    assembled in ``system``.
+    assembled in ``system``, whose loop pair is ``loop`` (``loop_structure``).
 
     With ``q = 2 pi / semicircle length`` and shift ``(3/16) q^2 alpha``,
     checks that ``alpha -> sqrt(alpha) sum (z - shift - E_j(alpha))_+^2`` is
@@ -300,7 +301,6 @@ def one_loop_shifted_check(
     there the integral grows with the lead length, so only the
     negative-energy regime is meaningful on a truncated graph.
     """
-    loop = loop_structure(system.mesh.graph)
     zs = np.asarray(list(z_grid), dtype=float)
     if zs.max() > 0:
         raise CoverageError("shifted one-loop windows must satisfy z <= 0")
@@ -348,15 +348,15 @@ class SumRuleSteps:
         return "holds" if (self.in1_holds and self.perid_holds) else "violated"
 
 
-def sum_rule_steps_check(spectrum: Spectrum, z: float, tol_rel: float = TOL_FEM) -> SumRuleSteps:
-    """Intermediate inequalities behind the one-loop bound, at one ``z``.
+def sum_rule_steps_check(spectrum: Spectrum, loop: LoopLeads, z: float, tol_rel: float = TOL_FEM) -> SumRuleSteps:
+    """Intermediate inequalities behind the one-loop bound, at one ``z``, on
+    the graph whose loop pair is ``loop`` (``loop_structure``).
 
     Uses per-edge masses and derivative norms: the lead pair enters with
     slope weight 4, the semicircle pair with weight 1, then the exponential
     commutator step bounds the semicircle quadratic term.  Both are
     evaluated over the eigenvalues at or below ``z``.
     """
-    loop = loop_structure(spectrum.mesh.graph)
     energies = spectrum.energies
     _require_coverage(energies, z)
     alpha = spectrum.alpha

@@ -149,13 +149,14 @@ def test_08_one_loop_shifted():
     graph = load_graph(fixture("loop_leads_well.json"))
     alphas = np.geomspace(0.5, 2.0, 6)
     zs = np.linspace(-6.0, -1.6, 6)
-    rep = ineq.one_loop_shifted_check(fem.assemble(fem.build_mesh(graph, 0.02)), alphas, zs)
+    loop = ineq.loop_structure(graph)
+    rep = ineq.one_loop_shifted_check(fem.assemble(fem.build_mesh(graph, 0.02)), loop, alphas, zs)
     ok = rep.skipped == 0 and rep.monotone and rep.lt_holds and rep.map_values.max() > 0
     spec = fem.solve_graph(graph, 0.02, 24)
     steps_ok = True
     for j in (0, 1, 2, 4, 7):
         z = 0.5 * (spec.energies[j] + spec.energies[j + 1])
-        step = ineq.sum_rule_steps_check(spec, float(z))
+        step = ineq.sum_rule_steps_check(spec, loop, float(z))
         steps_ok = steps_ok and step.verdict == "holds"
     ok = ok and steps_ok
     report(8, "one-loop-shifted", ok,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qglab import analytic, families, fem
 from qglab.graphs import DIRICHLET, NEUMANN, Edge, MetricGraph
@@ -206,8 +207,8 @@ def test_zero_potential_brackets_are_certified_by_the_count(graph, oracle):
     assert np.array_equal(energies[~positive], np.zeros(np.count_nonzero(~positive)))
     count = analytic._dtn_counter(graph)[0]
     j = np.arange(1, 61)[positive]
-    assert np.all(count(np.sqrt(lo[positive] / graph.alpha)) < j)
-    assert np.all(j <= count(np.sqrt(hi[positive] / graph.alpha)))
+    assert np.all(count(np.sqrt(lo[positive] / graph.alpha))[0] < j)
+    assert np.all(j <= count(np.sqrt(hi[positive] / graph.alpha))[0])
     assert np.all(hi - lo <= 1e-13 * hi)
     assert np.all((lo <= energies) & (energies <= hi))
     oracle = np.asarray(oracle)
@@ -220,3 +221,109 @@ def test_zero_potential_rejections():
     with pytest.raises(ValueError, match="at least 1"):
         analytic.zero_potential_eigenvalues(families.y_graph(), 0)
 
+
+
+# --- the P1 spectrum from the same count ------------------------------------
+
+
+@pytest.mark.parametrize("bc", ["DD", "NN"])
+@pytest.mark.parametrize("cells", [2, 7, 40, 401])
+def test_p1_interval_count_matches_the_closed_form(bc, cells):
+    # c cells of h: E_m = (6 alpha / h^2)(1 - cos(m pi / c)) / (2 + cos(m pi / c)),
+    # m = 1 .. c - 1 between Dirichlet ends, m = 0 .. c between Neumann ends,
+    # whose top sits on the band edge kappa^2 h^2 = 12; 1 - cos is taken as
+    # 2 sin^2, which keeps the low modes of the closed form exact too
+    length, alpha = 1.3, 0.7
+    kind = {"D": DIRICHLET, "N": NEUMANN}
+    graph = MetricGraph(2, (Edge(0, 1, length),), {0: kind[bc[0]], 1: kind[bc[1]]}, alpha)
+    m = np.arange(1, cells) if bc == "DD" else np.arange(cells + 1)
+    s2 = np.sin(0.5 * m * math.pi / cells) ** 2
+    closed = 6.0 * alpha * (cells / length) ** 2 * 2.0 * s2 / (3.0 - 2.0 * s2)
+    energies, _ = analytic.zero_potential_eigenvalues(graph, len(m), [cells])
+    assert energies == pytest.approx(closed, rel=1e-14, abs=0)
+
+
+def test_p1_interval_of_one_cell_is_its_element():
+    # one Neumann cell: the constant and the alternating mode at 12 alpha / h^2
+    graph = MetricGraph(2, (Edge(0, 1, 0.5),), {0: NEUMANN, 1: NEUMANN}, 1.5)
+    energies, _ = analytic.zero_potential_eigenvalues(graph, 2, [1])
+    assert energies == pytest.approx([0.0, 12.0 * 1.5 / 0.25], rel=1e-14, abs=0)
+
+
+@st.composite
+def p1_multigraphs(draw):
+    """A connected multigraph with its own length and whole number of cells
+    on every edge (an even number on a self-loop, one half each), and a
+    Dirichlet or Neumann condition at every leaf."""
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    assume(pairs)
+    edges = []
+    for u, v in pairs:
+        cells = draw(st.integers(1, 9))
+        cells += cells % 2 if u == v else 0
+        edges.append(Edge(u, v, draw(st.floats(0.2, 2.0)), cells=cells))
+    graph = MetricGraph(n, tuple(edges))
+    boundary = {v: draw(st.sampled_from([DIRICHLET, NEUMANN])) for v in graph.leaf_vertices()}
+    return MetricGraph(n, tuple(edges), boundary, draw(st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p1_multigraphs())
+def test_p1_count_is_the_whole_p1_spectrum(graph):
+    # every eigenvalue of the mesh, up to those above the band edges of its
+    # coarsest edges, against dense LAPACK (which takes k = ndof)
+    mesh = fem.build_mesh(graph, 1.0)  # the cells of every edge are given
+    system = fem.assemble(mesh)
+    assume(system.ndof >= 1)
+    energies, brackets = analytic.zero_potential_eigenvalues(graph, system.ndof, mesh.edge_cells)
+    dense = fem.solve_energies(system, system.ndof)
+    assert energies == pytest.approx(dense, rel=1e-9, abs=1e-12 * dense[-1])
+    assert np.all((brackets[:, 0] <= energies) & (energies <= brackets[:, 1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_p1_count_keeps_the_multiplicity_on_a_pole(n):
+    # the N - 1 rung modes near E = 1 vanish at both junctions: each is the
+    # first Dirichlet mode of a rung of c cells, a pole of every rung
+    graph = families.fancy_balloon(n)
+    mesh = fem.build_mesh(graph, 0.02)
+    cells = mesh.edge_cells[1]
+    energies, _ = analytic.zero_potential_eigenvalues(graph, n + 2, mesh.edge_cells)
+    c = math.cos(math.pi / cells)
+    pole = 6.0 * (cells / math.pi) ** 2 * (1.0 - c) / (2.0 + c)
+    assert np.count_nonzero(np.abs(energies / pole - 1.0) < 1e-13) == n - 1
+    p1 = fem.solve_energies(fem.assemble(mesh), n + 2)
+    assert energies == pytest.approx(p1, rel=1e-9, abs=0)
+
+
+def test_count_closes_the_balloon_brackets_in_few_counts(monkeypatch):
+    # the secant steps close each bracket in about 10 batched counts, where
+    # halving alone took about 50
+    counter, counts = analytic._dtn_counter, []
+
+    def tallied(graph, cells=None):
+        count, n = counter(graph, cells)
+
+        def tally(kappa):
+            counts.append(len(kappa))
+            return count(kappa)
+
+        return tally, n
+
+    monkeypatch.setattr(analytic, "_dtn_counter", tallied)
+    graph = families.balloon()
+    for cells in (None, fem.build_mesh(graph, 0.01).edge_cells):
+        counts.clear()
+        analytic.zero_potential_eigenvalues(graph, 6, cells)
+        assert len(counts) <= 20
+
+
+def test_p1_count_rejects_more_than_the_mesh_holds():
+    graph = families.balloon()
+    mesh = fem.build_mesh(graph, 10.0)
+    with pytest.raises(ValueError, match=f"k must be at most the {mesh.ndof} unknowns of the mesh, got 6"):
+        analytic.zero_potential_eigenvalues(graph, 6, mesh.edge_cells)
+    with pytest.raises(ValueError, match="cells must be one whole number of at least 1 per edge"):
+        analytic.zero_potential_eigenvalues(graph, 2, [4, 0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qglab import analytic, families, fem, inequalities as ineq
-from qglab.cli import CHECKS, POLICY, SolveContext, main
+from qglab.cli import CHECKS, POLICY, SolveContext, _loop_pair, main
 from qglab.graphs import TopologyClass, classify_topology, load_graph, save_graph
 from qglab.reports import fmt_float
 
@@ -184,6 +184,11 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
             [*ALPHA_SWEEP, "0.5:4", "--engine", "fem"],
             "--engine must be left out of the alpha sweep, which solves P1, got fem",
         ),
+        # once "k must be in [1, 5], got 6", which named neither the option nor the mesh
+        (
+            [*BALLOON_SWEEP, "--h", "10", "--k", "6"],
+            "--k must be at most 5, the unknowns of the --h 10 mesh at L = 1, got 6",
+        ),
     ],
     ids=[
         "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0",
@@ -193,7 +198,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
-        "sweep-steps-1", "balloon-graph", "fancy-graph", "oracle-h", "oracle-k", "alpha-engine",
+        "sweep-steps-1", "balloon-graph", "fancy-graph", "oracle-h", "oracle-k", "alpha-engine", "balloon-k-over-ndof",
     ],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
@@ -259,16 +264,21 @@ def test_exact_count_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fem, "MEMORY_BUDGET", 1 << 20)
     code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert "input error: --k too large: an exact count of 6690 matrices of size 4" in capsys.readouterr().err
+    assert "input error: --k too large: an exact count of 13336 matrices of size 4" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_exact_count_failure_exits_3(tmp_path, capsys, monkeypatch):
     counter = analytic._dtn_counter
 
-    def falling(graph):
-        count, lengths, n = counter(graph)
-        return (lambda kappa: count(kappa) - 3 * (kappa > 5.0)), lengths, n
+    def falling(graph, cells=None):
+        count, n = counter(graph, cells)
+
+        def fall(kappa):
+            total, below, values = count(kappa)
+            return total - 3 * (kappa > 5.0), below, values
+
+        return fall, n
 
     monkeypatch.setattr(analytic, "_dtn_counter", falling)
     assert main(["verify", *Y, "--out-dir", str(tmp_path / "out")]) == 3
@@ -493,6 +503,30 @@ def test_sweep_engines_agree_on_the_ratio(tmp_path, sweep, grid, first):
     assert ratios["fem"] == pytest.approx(ratios["oracle"], rel=5e-3)
 
 
+@pytest.mark.parametrize(
+    "sweep, grid, graphs",
+    [
+        ("balloon-L", "3:3.2", [families.balloon(L) for L in (3.0, 3.1, 3.2)]),
+        ("fancy-N", "2:4", [families.fancy_balloon(n) for n in (2, 3, 4)]),
+    ],
+)
+def test_sweep_fem_engine_reads_p1_without_an_eigensolve(tmp_path, monkeypatch, sweep, grid, graphs):
+    # the P1 energies of the mesh come from the vertex count, and agree with
+    # the eigensolver's to its own accuracy
+    h = 0.01 if sweep == "balloon-L" else 0.02
+    p1 = [fem.solve_graph(graph, h, 2).energies for graph in graphs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep point ran an eigensolver")
+
+    monkeypatch.setattr(fem, "_eigensolve", refused)
+    code = main(["sweep", "--sweep", sweep, "--engine", "fem", "--range", grid, "--steps", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [[float(r[1]), float(r[2])] for r in rows] == pytest.approx(np.array(p1), rel=1e-9, abs=0)
+
+
 def test_sweep_fancy_cli_takes_steps_whole_n(tmp_path, capsys):
     # N once ran over range(lo, hi + 1, (hi - lo) // (steps - 1)): 5 rows here
     code = main(["sweep", "--sweep", "fancy-N", "--range", "2:10", "--steps", "4", "--out-dir", str(tmp_path)])
@@ -680,10 +714,11 @@ def test_checks_report_under_their_keys():
         graph = load_graph(fixture(f"{name}.json"))
         system = fem.assemble(fem.build_mesh(graph, 0.02))
         spectrum = fem.solve_spectrum(system, 90)
-        policy = POLICY[(classify_topology(graph).topology_class, graph.potential_is_zero())]
+        topology = classify_topology(graph).topology_class
+        policy = POLICY[(topology, graph.potential_is_zero())]
         ctx = SolveContext(
-            graph, ineq.TOL_FEM, system, spectrum.energies, spectrum.total_dirichlet(), spectrum,
-            spectrum.energies[: ineq.trusted_count(90)], dict(policy),
+            graph, _loop_pair(graph, topology), ineq.TOL_FEM, system, spectrum.energies,
+            spectrum.total_dirichlet(), spectrum, spectrum.energies[: ineq.trusted_count(90)], dict(policy),
         )
         for key, _ in policy:
             assert CHECKS[key](ctx).check == key

@@ -226,6 +226,18 @@ def test_no_bound_states_means_no_solve(monkeypatch):
     assert calls == []
 
 
+def test_no_bound_states_needs_no_inertia_count(monkeypatch):
+    # with V >= 0 at every node, alpha K + W is positive semidefinite: nothing is factored
+    def refused(ham, mass, cutoff):
+        raise AssertionError("an inertia count on a system with V >= 0")
+
+    monkeypatch.setattr(fem, "_count_below", refused)
+    bump = families.with_square_well(families.y_graph(), 0, depth=3.0)
+    for graph in (families.y_graph(), families.balloon(), bump):
+        system = fem.assemble(fem.build_mesh(graph, 0.01))
+        assert fem.solve_bound_states(system, 0.5).shape == (0,)
+
+
 def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
     # a certified solve topped at or above 0 holds every bound state; one
     # topped below 0 may miss some, so they are counted and solved anew

@@ -228,6 +228,7 @@ def test_loop_structure_rejects_unequal_semicircles():
 def test_one_loop_shifted_check_holds():
     rep = ineq.one_loop_shifted_check(
         assembled(_loop_instance(), 0.02),
+        ineq.loop_structure(_loop_instance()),
         np.geomspace(0.5, 2.0, 4),
         np.linspace(-5.0, -1.6, 4),
     )
@@ -241,18 +242,22 @@ def test_one_loop_shifted_check_holds():
 def test_one_loop_rejects_positive_windows():
     with pytest.raises(ineq.CoverageError):
         ineq.one_loop_shifted_check(
-            assembled(_loop_instance(), 0.02), np.array([0.5, 1.0]), np.array([-1.0, 0.5])
+            assembled(_loop_instance(), 0.02),
+            ineq.loop_structure(_loop_instance()),
+            np.array([0.5, 1.0]),
+            np.array([-1.0, 0.5]),
         )
 
 
 def test_sum_rule_steps():
     spec = fem.solve_graph(_loop_instance(), 0.02, 24)
+    loop = ineq.loop_structure(_loop_instance())
     for j in (2, 3, 6):
         z = 0.5 * (spec.energies[j] + spec.energies[j + 1])
-        step = ineq.sum_rule_steps_check(spec, float(z))
+        step = ineq.sum_rule_steps_check(spec, loop, float(z))
         assert step.verdict == "holds"
     # below the ground state both sides are empty
-    trivial = ineq.sum_rule_steps_check(spec, float(spec.energies[0]) - 1.0)
+    trivial = ineq.sum_rule_steps_check(spec, loop, float(spec.energies[0]) - 1.0)
     assert trivial.in1_value == 0.0
     assert trivial.perid_lhs == trivial.perid_rhs == 0.0
 
