@@ -253,7 +253,7 @@ POLE_MERGE_RTOL = 4e-15
 #: An edge term larger than this many ``kappa`` borders the matrix (see
 #: ``_dtn_counter``); the others enter it directly and cost at most this many
 #: units of roundoff in its eigenvalues.
-BORDER_AT = 100.0
+BORDER_AT = 20.0
 
 #: Floor of ``sin^2(phi / 2)`` in ``_edge_terms``: at the band edge ``x =
 #: 12`` a P1 edge takes the limit ``phi -> 0`` of its terms.
@@ -525,10 +525,12 @@ def zero_potential_eigenvalues(
         done[held] = at & ~under
 
     # every step counts each bracket at its midpoint, so no bracket fails to
-    # halve, and at a secant point with its finishing pair x (1 -+ 0.4
-    # COUNT_RTOL), which closes the bracket once the secant has converged;
-    # `last` holds the two latest secant points and their values
-    finish = np.array([1.0 - 0.4 * COUNT_RTOL, 1.0, 1.0 + 0.4 * COUNT_RTOL])
+    # halve, and at the pair x (1 -+ 0.4 COUNT_RTOL) around a secant point
+    # x, which closes the bracket once the secant has converged.  Nothing is
+    # counted at x itself: a converged secant sits within the roundoff of the
+    # count, where counts at nearby points need not rise.  `last` holds the
+    # two latest secant points (the upper one of each pair) and their values.
+    finish = np.array([1.0 - 0.4 * COUNT_RTOL, 1.0 + 0.4 * COUNT_RTOL])
     last = np.stack([lo, f_lo, hi, f_hi])
     while True:
         go = np.nonzero(~done & (hi - lo > COUNT_RTOL * hi))[0]
@@ -540,7 +542,7 @@ def zero_potential_eigenvalues(
         outside = ~((l < secant) & (secant < u))
         secant[outside] = _secant(l, f_lo[go], u, f_hi[go])[outside]
         # NaN where a value is missing: next to a pole, the point is bordered
-        secant = np.minimum(np.maximum(secant, l * finish[2]), u * finish[0])
+        secant = np.minimum(np.maximum(secant, l * finish[1]), u * finish[0])
         points = np.concatenate([0.5 * (l + u)[:, None], secant[:, None] * finish], axis=1)
         valid = (l[:, None] < points) & (points < u[:, None])
         total, value = np.full(points.shape, -1), np.full(points.shape, np.nan)
@@ -557,8 +559,10 @@ def zero_potential_eigenvalues(
         lo[go] = np.where(new_lo, points[rows, i_lo], l)
         n_lo[go] = np.where(new_lo, total[rows, i_lo], n_lo[go])
         f_lo[go] = np.where(new_lo, value[rows, i_lo], f_lo[go])
-        tried = valid[:, 2]
-        last[:, go[tried]] = np.stack([last[2, go], last[3, go], secant, value[:, 2]])[:, tried]
+        side = np.where(valid[:, 2], 2, 1)
+        tried = valid[rows, side]
+        new = np.stack([last[2, go], last[3, go], points[rows, side], value[rows, side]])
+        last[:, go[tried]] = new[:, tried]
 
     require_rising(np.concatenate(seen_k), np.concatenate(seen_n))
     if np.any(n_lo >= want) or np.any(n_hi < want):

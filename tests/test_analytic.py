@@ -215,6 +215,32 @@ def test_zero_potential_brackets_are_certified_by_the_count(graph, oracle):
     assert np.all((lo * (1 - 1e-14) <= oracle) & (oracle <= hi * (1 + 1e-14)))
 
 
+def test_cycle_count_converges_onto_double_eigenvalues():
+    # a cycle of four edges: (2 pi m / L)^2 twice; a count at a converged
+    # secant point, inside the count's roundoff, once fell below a count
+    # just under it
+    lengths = (0.16881903257625797, 2.706272483614247, 0.93577903786728, 1.5470121654601856)
+    ends = ((0, 1), (1, 2), (0, 3), (3, 2))
+    graph = MetricGraph(4, tuple(Edge(u, v, l) for (u, v), l in zip(ends, lengths)), {}, 1.699436098974479)
+    energies, _ = analytic.zero_potential_eigenvalues(graph, 82)
+    m = np.arange(1, 82) // 2 + np.arange(1, 82) % 2
+    closed = graph.alpha * (2.0 * math.pi * m / sum(lengths)) ** 2
+    assert energies[1:] == pytest.approx(closed, rel=1e-13, abs=0)
+
+
+def test_count_rises_next_to_short_edges():
+    # at kappa ~ 0.22 the two short edges add about 15 to Lambda, which once
+    # entered it directly: the roundoff of the crossing eigenvalue then
+    # spanned the finishing pair around E_1, and two of its counts fell
+    lengths = (1.4663670626785954, 2.9149577067147905, 1.0502014738687213,
+               0.11554623602116107, 1.9441766450241402, 0.14878641217973587)
+    ends = ((0, 1), (0, 2), (2, 3), (2, 4), (4, 2), (2, 3))
+    graph = MetricGraph(5, tuple(Edge(u, v, l) for (u, v), l in zip(ends, lengths)), {1: DIRICHLET})
+    energies, _ = analytic.zero_potential_eigenvalues(graph, 349)
+    assert np.all(np.diff(energies) >= 0.0)
+    assert math.sqrt(energies[0]) == pytest.approx(0.21677732972330, rel=1e-12)
+
+
 def test_zero_potential_rejections():
     with pytest.raises(ValueError, match="V = 0"):
         analytic.zero_potential_eigenvalues(families.poschl_teller_balloon(20.0), 5)
