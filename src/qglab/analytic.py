@@ -407,13 +407,12 @@ def zero_potential_eigenvalues(
     pole or leaves a bracket free of poles.  In a free bracket the crossing
     eigenvalue of ``Lambda`` (the one whose sign decides ``N >= j``) rises
     with ``kappa`` and has one root there.  Each step counts every bracket
-    at its midpoint, so it at least halves, and at a secant point of the
-    crossing eigenvalue with ``(1 -+ 0.4 COUNT_RTOL)`` times that point,
-    which closes the bracket once the secant has converged.  The secant runs
-    through the latest two secant points, or through the bracket's ends
-    where those aim outside it; next to a pole, where the point is bordered,
-    it reads the crossing eigenvalue of the bordered matrix, which has the
-    same root.  Counts that fall as ``kappa`` rises raise ``SolverError``; a
+    at its midpoint, so it at least halves, and at ``(1 -+ 0.4 COUNT_RTOL)``
+    times a secant point of the crossing eigenvalue, which closes the
+    bracket once the secant has converged.  The secant runs through the
+    latest two secant points, or through the bracket's ends where those aim
+    outside it; next to a pole, where the point is bordered, it reads the
+    crossing eigenvalue of the bordered matrix, which has the same root.  Counts that fall as ``kappa`` rises raise ``SolverError``; a
     batch over the memory budget raises ``MemoryBudgetError`` against ``k``
     (``fem.require_budget``).
     """
