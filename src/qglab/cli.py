@@ -181,15 +181,15 @@ class SolveContext:
 
     ``energies`` holds the lowest ``trusted_count(k)`` energies and one more;
     ``trusted`` is the trusted part.  ``grad_norms`` is each state's
-    ``int |phi'|^2``.  ``system`` is the P1 assembly and ``spectrum`` its
-    eigenpairs; both are ``None`` on a graph solved exactly (``_solve``).
+    ``int |phi'|^2``.  ``model`` is the P1 assembly as the moment checks read
+    it, ``spectrum`` its eigenpairs; both ``None`` when solved exactly (``_solve``).
     ``loop`` is the graph's loop pair, found once per run, or ``None``.
     """
 
     graph: MetricGraph
     loop: ineq.LoopLeads | None
     tol: float
-    system: fem.AssembledSystem | None
+    model: fem.AssembledSystem | None
     energies: np.ndarray
     grad_norms: np.ndarray
     spectrum: fem.Spectrum | None
@@ -200,7 +200,7 @@ class SolveContext:
     def bound_states(self) -> np.ndarray:
         """Every negative eigenvalue at the graph's coupling, read once for
         all moment checks."""
-        return fem.solve_bound_states(self.system, self.graph.alpha, solved=self.energies)
+        return self.model.bound_states(self.model.alpha, solved=self.energies)
 
 
 def _loop_pair(graph: MetricGraph, topology: TopologyClass) -> ineq.LoopLeads | None:
@@ -284,10 +284,10 @@ def _mean_ratio(ctx: SolveContext) -> CheckReport:
 
 
 def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
-    if ctx.system.mesh.min_potential >= 0:
+    if ctx.model.min_potential >= 0:
         return None
     name = f"lt_quotient_gamma_{gamma}"
-    q = ineq.lt_quotient(ctx.system, ctx.bound_states, gamma, tol_rel=ctx.tol)
+    q = ineq.lt_quotient(ctx.model, ctx.bound_states, gamma, tol_rel=ctx.tol)
     verdict = "violated" if q.exceeds_classical else "holds"
     notes = [q.note] if q.note else []
     if verdict == "violated":
@@ -308,9 +308,9 @@ def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
 
 
 def _stubbe(ctx: SolveContext) -> CheckReport | None:
-    if ctx.system.mesh.min_potential >= 0:
+    if ctx.model.min_potential >= 0:
         return None
-    stubbe = ineq.stubbe_monotonicity(ctx.system, np.geomspace(0.5, 4.0, 8))
+    stubbe = ineq.stubbe_monotonicity(ctx.model, np.geomspace(0.5, 4.0, 8))
     return CheckReport(
         check="stubbe_monotonicity",
         params={"classical_bound": stubbe.classical_bound},
@@ -329,7 +329,7 @@ def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
         zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
     else:
         zs = np.linspace(-1.0, -0.1, 6)
-    shifted = ineq.one_loop_shifted_check(ctx.system, ctx.loop, np.geomspace(0.5, 2.0, 6), zs, tol_rel=ctx.tol)
+    shifted = ineq.one_loop_shifted_check(ctx.model, ctx.loop, np.geomspace(0.5, 2.0, 6), zs, tol_rel=ctx.tol)
     return CheckReport(
         check="one_loop_shifted",
         params={"q": shifted.q, "alphas": [float(a) for a in shifted.alphas]},
@@ -445,7 +445,7 @@ def cmd_verify(args) -> int:
     topo = classify_topology(graph)
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
     loop = _loop_pair(graph, topo.topology_class)
-    system, energies, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
+    model, energies, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
     # with V = 0, H = alpha K, so a mass-normalized eigenvector has
     # v^T K v = E / alpha exactly, in the discrete problem too; the exact
     # eigenfunctions satisfy the same identity
@@ -458,7 +458,7 @@ def cmd_verify(args) -> int:
 
     tol = args.tol if args.tol is not None else ineq.TOL_FEM
     trusted = energies[: solve["trusted"]]
-    ctx = SolveContext(graph, loop, tol, system, energies, grad_norms, spectrum, trusted, dict(policy))
+    ctx = SolveContext(graph, loop, tol, model, energies, grad_norms, spectrum, trusted, dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
         report = CHECKS[name](ctx)
@@ -557,6 +557,8 @@ def cmd_sweep(args) -> int:
         graph = _load(args)
         # one assembly serves every coupling: alpha only rescales the stiffness
         system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
+        # with V >= 0 there is no bound state, and an all-zero column proves nothing
+        _require(system.min_potential < 0, "--graph", args.graph, "a graph whose V is negative at a mesh node")
         stubbe = ineq.stubbe_monotonicity(system, grid)
         rows = zip(stubbe.alphas, stubbe.moments, stubbe.values)
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)

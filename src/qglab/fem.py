@@ -189,7 +189,8 @@ class AssembledSystem:
     """Sparse symmetric matrices of the discrete form.
 
     ``base_stiffness`` does not carry the coupling ``alpha``, which makes
-    coupling sweeps a rescale instead of a reassembly.
+    coupling sweeps a rescale instead of a reassembly.  The system is the
+    spectral model that the ``inequalities`` moment checks read, on its mesh.
     """
 
     mesh: Mesh
@@ -201,8 +202,22 @@ class AssembledSystem:
     def ndof(self) -> int:
         return self.mesh.ndof
 
+    @property
+    def alpha(self) -> float:
+        return self.mesh.graph.alpha
+
+    @property
+    def min_potential(self) -> float:
+        return self.mesh.min_potential
+
     def hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
         return (alpha * self.base_stiffness + self.potential).tocsr()
+
+    def bound_states(self, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
+        return solve_bound_states(self, alpha, solved=solved)
+
+    def negative_integral(self, power: float, shift: float = 0.0) -> float:
+        return integrate_potential_power(self.mesh, power, shift=shift)
 
 
 def assemble(mesh: Mesh) -> AssembledSystem:

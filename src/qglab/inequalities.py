@@ -11,12 +11,14 @@ Conventions shared by all checks:
   1e-6 for closed-form spectra, 1e-3 for finite element spectra.  Genuine
   violations (the point of the counterexample families) exceed these by
   orders of magnitude.
-* ``(x)_+`` is ``max(x, 0)``; negative-part integrals use the same mesh as
-  the assembly.
+* ``(x)_+`` is ``max(x, 0)``.
 * Checks of the negative spectrum (moment quotients, coupling monotonicity,
-  the shifted one-loop bound) read every bound state through
-  ``fem.solve_bound_states``, so no moment is truncated; the moment
-  quotients take them from their caller, which reads them once.
+  the shifted one-loop bound) read a spectral model: its coupling
+  ``alpha``, ``min_potential``, ``bound_states(alpha, solved=None)`` (every
+  negative eigenvalue at that coupling, so no moment is truncated) and
+  ``negative_integral(power, shift=0.0)`` (``int ((V - shift)_-)^power``).
+  ``fem.AssembledSystem`` is one, on its own mesh.  The moment quotients
+  take the bound states from their caller, which reads them once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import classical_lt_constant
-from .fem import AssembledSystem, Spectrum, integrate_potential_power, solve_bound_states
+from .fem import Spectrum
 from .graphs import MetricGraph, TopologyClass, classify_topology
 
 TOL_ANALYTIC = 1e-6
@@ -131,37 +133,33 @@ def yang_check(
 @dataclass
 class LTQuotient:
     moment: float  # sum over negative eigenvalues of |E|^gamma
-    integral: float  # trapezoid of V_-^(gamma + 1/2) on the mesh
+    integral: float  # int V_-^(gamma + 1/2), from the model
     quotient: float
     classical_constant: float
     exceeds_classical: bool
     note: str = ""
 
 
-def lt_quotient(
-    system: AssembledSystem, bound_states: np.ndarray, gamma: float, tol_rel: float = TOL_FEM
-) -> LTQuotient:
+def lt_quotient(model, bound_states: np.ndarray, gamma: float, tol_rel: float = TOL_FEM) -> LTQuotient:
     """Moment quotient of the negative spectrum against the potential integral.
 
     For ``-alpha d^2/dx^2 + V`` the semiclassical bound reads
     ``sum |E|^gamma <= L^cl alpha^(-1/2) int V_-^(gamma + 1/2)``, so the
-    quotient is ``sqrt(alpha) * moment / integral`` at the graph's own
+    quotient is ``sqrt(alpha) * moment / integral`` at the model's own
     ``alpha``.  The classical constant is the sharp line constant; exceeding
     it witnesses that the graph's connectivity, not the method, changes the
-    inequality.  ``bound_states`` are every negative eigenvalue of ``system``
-    at the graph's coupling, as ``solve_bound_states`` returns them, so the
+    inequality.  ``bound_states`` are every negative eigenvalue of ``model``
+    at its own coupling, as ``model.bound_states`` returns them, so the
     moment is never truncated and one read serves every ``gamma``.
     """
     if gamma not in (1.5, 2.0):
         raise ValueError("gamma restricted to 3/2 and 2")
-    mesh = system.mesh
-    if mesh.min_potential >= 0:
+    if model.min_potential >= 0:
         raise ValueError("potential has no negative part")
-    alpha = mesh.graph.alpha
     moment = float(np.sum(np.abs(bound_states) ** gamma))
-    integral = integrate_potential_power(mesh, gamma + 0.5)
+    integral = model.negative_integral(gamma + 0.5)
     classical = classical_lt_constant(gamma)
-    quotient = math.sqrt(alpha) * moment / integral if integral > 0 else 0.0
+    quotient = math.sqrt(model.alpha) * moment / integral if integral > 0 else 0.0
     return LTQuotient(
         moment=moment,
         integral=integral,
@@ -176,7 +174,7 @@ def lt_quotient(
 # coupling-constant monotonicity
 
 
-def _coupling_sweep(system: AssembledSystem, alpha_grid, zs: np.ndarray, q: float, floor: float):
+def _coupling_sweep(model, alpha_grid, zs: np.ndarray, q: float, floor: float):
     """The couplings of an ascending grid, the bound states at each, the map
     ``sqrt(alpha) sum (z - (3/16) q^2 alpha - E)_+^2`` (a row per ``z``, a
     column per coupling; Stubbe's is ``q = 0``, ``z = 0``) and its largest
@@ -184,7 +182,7 @@ def _coupling_sweep(system: AssembledSystem, alpha_grid, zs: np.ndarray, q: floa
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if len(alphas) < 2 or np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be ascending with at least 2 points")
-    bound = [solve_bound_states(system, float(a)) for a in alphas]
+    bound = [model.bound_states(float(a)) for a in alphas]
     map_values = np.zeros((len(zs), len(alphas)))
     for ia, (a, energies) in enumerate(zip(alphas, bound)):
         shift = (3.0 / 16.0) * q * q * a
@@ -209,16 +207,16 @@ class StubbeReport:
         return "holds" if (self.nonincreasing and self.below_bound) else "violated"
 
 
-def stubbe_monotonicity(system: AssembledSystem, alpha_grid) -> StubbeReport:
+def stubbe_monotonicity(model, alpha_grid) -> StubbeReport:
     """Track ``sqrt(alpha) * sum (-E_j(alpha))^2`` over an ascending grid.
 
-    Each coupling solves the assembled ``system`` for its negative
-    eigenvalues only.  Also compares every value against the semiclassical
-    ceiling ``L^cl * int V_-^(5/2)``.
+    Each coupling reads the bound states of the spectral ``model`` (the
+    module docstring) and nothing else.  Also compares every value against
+    the semiclassical ceiling ``L^cl * int V_-^(5/2)``.
     """
-    alphas, states, (values,), worst = _coupling_sweep(system, alpha_grid, np.zeros(1), 0.0, 1e-300)
+    alphas, states, (values,), worst = _coupling_sweep(model, alpha_grid, np.zeros(1), 0.0, 1e-300)
     moments = np.array([np.sum(energies**2) for energies in states])
-    bound = classical_lt_constant(2.0) * integrate_potential_power(system.mesh, 2.5)
+    bound = classical_lt_constant(2.0) * model.negative_integral(2.5)
     return StubbeReport(
         alphas=alphas,
         moments=moments,
@@ -285,14 +283,15 @@ class OneLoopShiftReport:
 
 
 def one_loop_shifted_check(
-    system: AssembledSystem,
+    model,
     loop: LoopLeads,
     alpha_grid,
     z_grid,
     tol_rel: float = TOL_FEM,
 ) -> OneLoopShiftReport:
     """Shifted monotone map and shifted moment bound on the one-loop graph
-    assembled in ``system``, whose loop pair is ``loop`` (``loop_structure``).
+    of the spectral ``model`` (the module docstring), whose loop pair is
+    ``loop`` (``loop_structure``).
 
     With ``q = 2 pi / semicircle length`` and shift ``(3/16) q^2 alpha``,
     checks that ``alpha -> sqrt(alpha) sum (z - shift - E_j(alpha))_+^2`` is
@@ -306,7 +305,7 @@ def one_loop_shifted_check(
         raise CoverageError("shifted one-loop windows must satisfy z <= 0")
     q = loop.q
     # only bound states enter: z - shift - E > 0 and z - E > 0 need E < z <= 0
-    alphas, bound, map_values, worst = _coupling_sweep(system, alpha_grid, zs, q, 1e-12)
+    alphas, bound, map_values, worst = _coupling_sweep(model, alpha_grid, zs, q, 1e-12)
 
     lcl = classical_lt_constant(2.0)
     lt_ok = True
@@ -319,7 +318,7 @@ def one_loop_shifted_check(
                 skipped += 1
                 continue
             lhs = float(np.sum(np.maximum(z - energies, 0.0) ** 2))
-            rhs = lcl / math.sqrt(a) * integrate_potential_power(system.mesh, 2.5, shift=c)
+            rhs = lcl / math.sqrt(a) * model.negative_integral(2.5, shift=c)
             if lhs > rhs + tol_rel * max(lhs, rhs, 1e-12):
                 lt_ok = False
     return OneLoopShiftReport(

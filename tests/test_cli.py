@@ -189,6 +189,11 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
             [*BALLOON_SWEEP, "--h", "10", "--k", "6"],
             "--k must be at most 5, the unknowns of the --h 10 mesh at L = 1, got 6",
         ),
+        # once exit 0 with an all-zero Stubbe column judged nonincreasing
+        (
+            ["sweep", "--sweep", "alpha", *Y, "--range", "0.5:4", "--steps", "4"],
+            f"--graph must be a graph whose V is negative at a mesh node, got {Y[1]}",
+        ),
     ],
     ids=[
         "balloon-k-1", "fancy-fem-k-1", "interval-n-0", "balloon-n-0",
@@ -199,6 +204,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
         "sweep-steps-1", "balloon-graph", "fancy-graph", "oracle-h", "oracle-k", "alpha-engine", "balloon-k-over-ndof",
+        "alpha-graph-without-well",
     ],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):

@@ -262,6 +262,58 @@ def test_sum_rule_steps():
     assert trivial.perid_lhs == trivial.perid_rhs == 0.0
 
 
+# --- the spectral model ------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class DirichletWell:
+    """``-alpha d^2/dx^2 - c`` on a Dirichlet interval of length ``l``, in
+    closed form: a spectral model with no mesh."""
+
+    c: float
+    l: float
+    alpha: float = 1.0
+
+    @property
+    def min_potential(self):
+        return -self.c
+
+    def bound_states(self, alpha, solved=None):
+        n = np.arange(1, math.floor(self.l / math.pi * math.sqrt(self.c / alpha)) + 2)
+        energies = -self.c + alpha * (n * math.pi / self.l) ** 2
+        return energies[energies < 0]
+
+    def negative_integral(self, power, shift=0.0):
+        return self.l * max(self.c + shift, 0.0) ** power
+
+
+def test_moment_checks_read_only_the_model():
+    # the checks of the negative spectrum reach no mesh, so a closed form
+    # gives what P1 gives, within P1's O(h^2) error, and the same verdicts
+    c, l = 14.0, 1.4
+    model = DirichletWell(c, l)
+    assert not hasattr(model, "mesh")
+    system = assembled(families.interval(l, SquareWell(-c, 0.0, l)), 0.002)
+    for gamma in (1.5, 2.0):
+        exact = ineq.lt_quotient(model, model.bound_states(model.alpha), gamma)
+        p1 = lt_quotient(system, fem.solve_energies(system, 4), gamma)
+        assert exact.integral == pytest.approx(p1.integral, rel=1e-12)
+        assert exact.quotient == pytest.approx(p1.quotient, rel=1e-5)
+        assert exact.exceeds_classical == p1.exceeds_classical
+    alphas = np.geomspace(0.5, 4.0, 8)
+    exact, p1 = ineq.stubbe_monotonicity(model, alphas), ineq.stubbe_monotonicity(system, alphas)
+    np.testing.assert_allclose(exact.values, p1.values, rtol=0, atol=1e-5 * p1.values.max())
+    assert exact.classical_bound == pytest.approx(p1.classical_bound, rel=1e-12)
+    assert (exact.nonincreasing, exact.below_bound) == (p1.nonincreasing, p1.below_bound) == (True, True)
+    loop = ineq.LoopLeads(cycle_edges=(0, 1), lead_edges=(2, 3), q=2.0)
+    alphas, zs = np.geomspace(0.5, 2.0, 4), np.linspace(-8.0, -2.0, 4)
+    exact, p1 = (ineq.one_loop_shifted_check(m, loop, alphas, zs) for m in (model, system))
+    assert p1.map_values.max() > 0
+    np.testing.assert_allclose(exact.map_values, p1.map_values, rtol=0, atol=1e-5 * p1.map_values.max())
+    assert (exact.monotone, exact.lt_holds, exact.skipped) == (p1.monotone, p1.lt_holds, p1.skipped)
+    assert exact.verdict == p1.verdict == "holds"
+
+
 # --- Riesz means -------------------------------------------------------------
 
 
