@@ -1,30 +1,33 @@
 """Closed-form and secular-equation spectra for the named model families,
-and the exact and the P1 spectrum of any graph with ``V = 0``.
+and the exact spectrum of any graph whose potential is constant on each
+piece of every edge, or the P1 one where ``V = 0``.
 
 These serve as ground truth for the finite element solver and for the
 inequality checks.  The family oracles find their roots by plain bisection
 on pole-free reformulations, with brackets enumerated in closed form.
 
-``zero_potential_eigenvalues`` solves the eigenvalue count of a ``V = 0``
-graph, which the vertex Dirichlet-to-Neumann matrix gives exactly (the
+``piecewise_constant_eigenvalues`` solves the eigenvalue count of such a
+graph, split at the jumps of its potential into edges of constant ``V =
+c_e``, which the vertex Dirichlet-to-Neumann matrix gives exactly (the
 Dirichlet-Neumann bracketing of L. Friedlander, Arch. Rational Mech. Anal.
 1991, on a metric graph as in G. Berkolaiko and P. Kuchment, *Introduction to
 Quantum Graphs*, AMS 2013).  Each edge enters through its dispersion: the
-exact one, or that of P1 on equal cells, whose Schur complement onto the
-edge's ends has the same form.  It needs no eigensolver, counts
-multiplicities, and certifies every eigenvalue by a bracket, which secant
-steps on the crossing eigenvalue of that matrix close.
+exact one, or, where ``V = 0``, that of P1 on equal cells, whose Schur
+complement onto the edge's ends has the same form.  It needs no eigensolver,
+counts multiplicities, and certifies every eigenvalue by a bracket, which
+secant steps on the crossing eigenvalue of that matrix close.
+``ExactModel`` serves the same count to the moment checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fem import SolverError, require_budget
-from .graphs import DIRICHLET, MetricGraph, require_valid
+from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps
 
 
 class BracketError(RuntimeError):
@@ -239,10 +242,12 @@ def poschl_teller_balloon_oracle() -> PoschlTellerBalloonOracle:
 
 
 # ---------------------------------------------------------------------------
-# V = 0 graphs: the spectrum from the vertex Dirichlet-to-Neumann count
+# edgewise-constant potentials: the spectrum from the vertex
+# Dirichlet-to-Neumann count
 
-#: A bracket stops at this width relative to its top, in ``kappa = sqrt(E /
-#: alpha)``; its energy bracket is then at most 1e-13 relative.
+#: A bracket stops at this width relative to its top, in ``t = sqrt((E -
+#: c_min) / alpha)``; its bracket of ``E - c_min`` is then at most 1e-13
+#: relative.
 COUNT_RTOL = 5e-14
 
 #: Edge Dirichlet eigenvalues of different edges that lie closer than this
@@ -304,6 +309,34 @@ def _edge_terms(kappa: np.ndarray, lengths: np.ndarray, cells: np.ndarray | None
     return a, b, np.minimum(poles, cells - 1)
 
 
+def _offset_terms(t: np.ndarray, lengths: np.ndarray, offsets: np.ndarray):
+    """The exact terms of ``_edge_terms`` at ``kappa_e^2 = t^2 - offsets_e``.
+
+    Above an edge's floor they are the trigonometric ones.  Below it
+    ``kappa = i eta``, and they are hyperbolic, ``a = -eta tanh(eta l / 2)``
+    and ``b = -eta coth(eta l / 2)``, with no pole; at ``kappa = 0`` they take
+    their limits ``a = 0`` and ``b = -2 / l``.  An edge with no offset takes
+    ``kappa = t``.
+    """
+    square = t * t - offsets
+    above = square > 0.0
+    kappa = np.where(offsets == 0.0, t, np.sqrt(np.abs(square)))  # eta below the floor
+    theta = kappa * lengths
+    ratio = np.where(above, np.tan(0.5 * theta), np.tanh(0.5 * theta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(kappa > 0.0, -kappa / ratio, -2.0 / lengths)
+    return np.where(above, kappa, -kappa) * ratio, b, np.where(above, theta // math.pi, 0.0)
+
+
+def _edge_values(graph: MetricGraph) -> np.ndarray:
+    """Each edge's constant potential ``c_e``, on a graph of constant edges
+    (``split_at_jumps``)."""
+    pieces = [e.potential.pieces(e.length) for e in graph.edges]
+    if any(len(p) != 1 for p in pieces):
+        raise ValueError("the exact count needs V constant on every edge: split the graph at its jumps")
+    return np.array([p[0][2] for p in pieces])
+
+
 def _pole(m, lengths: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
     """Each edge's ``m``-th pole in ``kappa``; ``inf`` past a P1 edge's last, the ``(c - 1)``-th."""
     if cells is None:
@@ -319,11 +352,14 @@ def _secant(x0, f0, x1, f1):
 
 
 def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
-    """``count(kappa) -> (N, shift, values)`` for an array of ``kappa > 0``
-    off the poles, and the number of non-Dirichlet vertices.
+    """``count(t) -> (N, shift, values)`` for an array of ``t > 0`` off the
+    poles, and the number of non-Dirichlet vertices.
 
-    ``N`` is the number of eigenvalues below ``alpha kappa^2`` of the ``V =
-    0`` graph, exact or P1 (``_edge_terms``); ``values`` are the eigenvalues,
+    ``N`` is the number of eigenvalues below ``c_min + alpha t^2`` of a graph
+    of constant edges, exact or, where ``V = 0``, P1 (``_edge_terms``).  Edge
+    ``e`` takes ``kappa_e^2 = t^2 - (c_e - c_min) / alpha``
+    (``_offset_terms``); where every edge has the same ``V``, as where ``V =
+    0``, that is ``kappa_e = t = kappa``.  ``values`` are the eigenvalues,
     descending, of the matrix counted at each point (NaN-padded), and ``N``
     is ``shift`` plus the number of them that are positive.  ``N = P +
     n_+(Lambda)``, with ``P`` the edge Dirichlet eigenvalues below, where the
@@ -339,7 +375,8 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     positive eigenvalue than ``A + c w w^T`` exactly when ``c < 0``, and no
     term exceeds ``BORDER_AT kappa``.  A point with any bordered term
     borders every edge, the others by a lone ``-kappa``, which is never
-    counted; its ``shift`` is ``P`` less the positive border corners.
+    counted; its ``shift`` is ``P`` less the positive border corners.  With
+    offsets, ``t`` takes the place of ``kappa`` in the bordering.
     """
     free = [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
     slot = {v: i for i, v in enumerate(free)}
@@ -354,10 +391,13 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     outer = outer.reshape(2 * m, n * n)
     lengths = np.array([e.length for e in graph.edges])
     edges = np.arange(m)
+    values = _edge_values(graph)
+    offsets = (values - values.min()) / graph.alpha
+    shifted = cells is None and offsets.any()
 
     def count(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         kap = kappa[:, None]
-        a, b, poles = _edge_terms(kap, lengths, cells)
+        a, b, poles = _offset_terms(kap, lengths, offsets) if shifted else _edge_terms(kap, lengths, cells)
         big = np.abs(a) >= np.abs(b)
         huge = np.where(big, a, b)
         border = np.abs(huge) > BORDER_AT * kap
@@ -384,45 +424,54 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     return count, n
 
 
-def zero_potential_eigenvalues(
+def piecewise_constant_eigenvalues(
     graph: MetricGraph, k: int, cells=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest ``k`` eigenvalues of a ``V = 0`` graph and their brackets,
-    shape ``(k, 2)``: exact to roundoff, or, with ``cells`` (one whole number
-    per edge, both halves of a self-loop together), those of P1 on that many
-    equal cells per edge.
+    """The lowest ``k`` eigenvalues of a graph whose potential is constant on
+    each piece of every edge (``split_at_jumps``), and their brackets, shape
+    ``(k, 2)``: exact to roundoff, or, with ``cells`` on a ``V = 0`` graph
+    (one whole number per edge, both halves of a self-loop together), those
+    of P1 on that many equal cells per edge.
 
-    Every bracket ``[lo, hi]`` of the ``j``-th eigenvalue satisfies
-    ``N(lo) < j <= N(hi)`` for the count of ``_dtn_counter``, and is at most
-    1e-13 wide relative to ``hi`` (``COUNT_RTOL``) unless poles of different
+    The count runs in ``t``, where ``E = c_min + alpha t^2`` and ``c_min`` is
+    the least ``c_e``: ``t = kappa = sqrt(E / alpha)`` where ``V = 0``.  Every
+    bracket ``[lo, hi]`` of the ``j``-th eigenvalue satisfies ``N(lo) < j <=
+    N(hi)`` in ``t`` for the count of ``_dtn_counter``, and ``hi - lo`` is at
+    most 1e-13 of ``hi - c_min`` (``COUNT_RTOL``) unless poles of different
     edges lie within 1e-14 of each other.  Multiplicities come out of the
-    count.  A graph without a Dirichlet vertex has ``E_1 = 0``, the constant,
-    returned with the bracket ``[0, 0]``.
+    count.  A graph without a Dirichlet vertex whose ``V`` is one constant
+    has ``E_1 = c_min``, the constant, returned with the bracket ``[c_min,
+    c_min]``.
 
-    All indices are solved together in ``kappa``, one batched count per
-    step.  No count is taken on a pole, where ``Lambda`` is singular: the
+    All indices are solved together in ``t``, one batched count per step.
+    No count is taken on a pole (an edge Dirichlet eigenvalue ``c_e +
+    alpha (m pi / l_e)^2``), where ``Lambda`` is singular: the
     first counts split the gaps between consecutive poles, so each bracket
     holds at most one pole.  A bracket that holds one is then counted just
     below and just above it, which either certifies the eigenvalue at the
     pole or leaves a bracket free of poles.  In a free bracket the crossing
     eigenvalue of ``Lambda`` (the one whose sign decides ``N >= j``) rises
-    with ``kappa`` and has one root there.  Each step counts every bracket
+    with ``t`` and has one root there.  Each step counts every bracket
     at its midpoint, so it at least halves, and at ``(1 -+ 0.4 COUNT_RTOL)``
     times a secant point of the crossing eigenvalue, which closes the
     bracket once the secant has converged.  The secant runs through the
     latest two secant points, or through the bracket's ends where those aim
     outside it; next to a pole, where the point is bordered, it reads the
-    crossing eigenvalue of the bordered matrix, which has the same root.  Counts that fall as ``kappa`` rises raise ``SolverError``; a
+    crossing eigenvalue of the bordered matrix, which has the same root.  Counts that fall as ``t`` rises raise ``SolverError``; a
     batch over the memory budget raises ``MemoryBudgetError`` against ``k``
     (``fem.require_budget``).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     require_valid(graph)
-    if not graph.potential_is_zero():
-        raise ValueError("the exact count needs V = 0 on every edge")
+    graph = split_at_jumps(graph)
+    values = _edge_values(graph)
+    floor = float(values.min())
+    offsets = (values - floor) / graph.alpha
     lengths = np.array([e.length for e in graph.edges])
     if cells is not None:
+        if not graph.potential_is_zero():
+            raise ValueError("the P1 count with cells needs V = 0 on every edge")
         cells = np.asarray(cells)
         if cells.shape != lengths.shape or cells.dtype.kind not in "iu" or np.any(cells < 1):
             raise ValueError(f"cells must be one whole number of at least 1 per edge, got {cells.tolist()}")
@@ -430,18 +479,19 @@ def zero_potential_eigenvalues(
     if cells is not None and k > n + (cells - 1).sum():
         raise ValueError(f"k must be at most the {n + (cells - 1).sum()} unknowns of the mesh, got {k}")
 
-    # N(kappa) is at least the number of poles below kappa, so it reaches k
-    # at `top`, which splits the gap above the cluster of poles that holds
-    # the k-th.  A P1 mesh whose k-th pole is missing or in its last cluster
+    # N(t) is at least the number of poles below t, so it reaches k at
+    # `top`, which splits the gap above the cluster of poles that holds the
+    # k-th.  A P1 mesh whose k-th pole is missing or in its last cluster
     # ends at a `top` above sqrt(12) / h_min, which bounds its spectrum.
     ceiling = math.inf if cells is None else math.sqrt(12.0) * (cells / lengths).max() * (1.0 + 1e-9)
     per_edge = cells if cells is not None else [None] * len(lengths)
     bound = math.pi * (k + 1) / lengths.sum()
     while True:
         bound = min(bound, ceiling)
-        # a P1 edge's m-th pole lies at or above m pi / l, as the exact one does
+        # a P1 edge's m-th pole lies at or above m pi / l, as the exact one
+        # does, and an offset d puts it at sqrt((m pi / l)^2 + d)
         poles = [_pole(np.arange(1.0, bound * l / math.pi + 2.0), l, c) for l, c in zip(lengths, per_edge)]
-        poles = np.concatenate(poles)
+        poles = np.concatenate([np.sqrt(p * p + d) if d else p for p, d in zip(poles, offsets)])
         poles = np.sort(poles[poles <= bound])
         starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > POLE_MERGE_RTOL * poles)  # of each cluster
         lows, highs = poles[starts], poles[np.r_[starts[1:], len(poles)][: len(starts)] - 1]
@@ -485,7 +535,7 @@ def zero_potential_eigenvalues(
         seen_n.append(total)
         return total, crossing(values, shift, j)
 
-    zero_modes = 0 if DIRICHLET in graph.boundary.values() else 1
+    zero_modes = 0 if DIRICHLET in graph.boundary.values() or offsets.any() else 1
     want = np.arange(zero_modes + 1, k + 1)
     total, shift, values = count(seeds)
     seen_k.append(seeds)
@@ -570,7 +620,56 @@ def zero_potential_eigenvalues(
     # leaves no bias of half a bracket; a pole's bracket is centred on it
     root = _secant(lo, f_lo, hi, f_hi)
     root = np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi))  # False where NaN
-    energies, brackets = np.zeros(k), np.zeros((k, 2))
-    energies[zero_modes:] = graph.alpha * root**2
-    brackets[zero_modes:] = graph.alpha * np.stack([lo, hi], axis=1) ** 2
+    energies, brackets = np.full(k, floor), np.full((k, 2), floor)
+    energies[zero_modes:] = floor + graph.alpha * root**2
+    brackets[zero_modes:] = floor + graph.alpha * np.stack([lo, hi], axis=1) ** 2
     return energies, brackets
+
+
+class ExactModel:
+    """The spectral model that the moment checks of ``inequalities`` read,
+    solved exactly on a graph whose potential is constant on each piece of
+    every edge, with no mesh.
+
+    ``graph`` is the graph split at its jumps (``split_at_jumps``), with the
+    constant ``values`` and the ``lengths`` of its edges.  ``alpha``,
+    ``min_potential``, ``bound_states`` and ``negative_integral`` mean what
+    they mean on ``fem.AssembledSystem``.
+    """
+
+    def __init__(self, graph: MetricGraph):
+        self.graph = split_at_jumps(graph)
+        self.values = _edge_values(self.graph)
+        self.lengths = np.array([e.length for e in self.graph.edges])
+
+    @property
+    def alpha(self) -> float:
+        return self.graph.alpha
+
+    @property
+    def min_potential(self) -> float:
+        return float(self.values.min())
+
+    def bound_states(self, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
+        """Every negative eigenvalue at coupling ``alpha``, ascending.
+
+        With every ``c_e >= 0`` there is none.  ``solved`` may hold the lowest
+        eigenvalues at ``alpha``; if its top is nonnegative, none below is
+        missing and its negative part is returned.  Otherwise one count at
+        ``t_0 = sqrt(-c_min / alpha)``, which is ``E = 0``, gives their number
+        ``m``, and ``piecewise_constant_eigenvalues`` solves exactly ``m``.
+        """
+        if self.min_potential >= 0.0:
+            return np.empty(0)
+        if solved is not None and solved[-1] >= 0.0:
+            return solved[solved < 0.0]
+        graph = replace(self.graph, alpha=alpha)
+        count, _ = _dtn_counter(graph)
+        negative = int(count(np.array([math.sqrt(-self.min_potential / alpha)]))[0][0])
+        if negative == 0:
+            return np.empty(0)
+        return piecewise_constant_eigenvalues(graph, negative)[0]
+
+    def negative_integral(self, power: float, shift: float = 0.0) -> float:
+        """``int ((V - shift)_-)^power = sum_e l_e ((c_e - shift)_-)^power``."""
+        return float(self.lengths @ np.maximum(shift - self.values, 0.0) ** power)

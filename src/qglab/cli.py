@@ -4,10 +4,12 @@ Subcommands: ``spectrum``, ``verify``, ``sweep``, ``oracle``, ``colorings``,
 ``circuit``.  Exit codes: 0 success, 1 check failure, 2 input error,
 3 numeric failure.  Every subcommand writes only below ``--out-dir``.
 
-``verify`` reads the exact spectrum of ``analytic.zero_potential_eigenvalues``
-on a ``V = 0`` graph without a loop pair, and solves P1 eigenpairs on every
-other graph; ``spectrum`` and the ``fem`` sweeps always stay on P1, the
-``V = 0`` sweeps counting its energies through the same vertex count.
+``verify`` reads the exact spectrum of ``analytic.piecewise_constant_eigenvalues``
+and the moment checks' ``analytic.ExactModel`` on a graph whose potential is
+constant on each piece of every edge and that has no loop pair, with no mesh;
+it solves P1 eigenpairs on every other graph.  ``spectrum``, the ``alpha``
+sweep and the ``fem`` sweeps always stay on P1, the ``V = 0`` sweeps counting
+its energies through the same vertex count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -181,15 +183,17 @@ class SolveContext:
 
     ``energies`` holds the lowest ``trusted_count(k)`` energies and one more;
     ``trusted`` is the trusted part.  ``grad_norms`` is each state's
-    ``int |phi'|^2``.  ``model`` is the P1 assembly as the moment checks read
-    it, ``spectrum`` its eigenpairs; both ``None`` when solved exactly (``_solve``).
-    ``loop`` is the graph's loop pair, found once per run, or ``None``.
+    ``int |phi'|^2``.  ``model`` is the spectral model the moment checks
+    read: the ``analytic.ExactModel`` of an exactly solved graph, or the P1
+    assembly, whose eigenpairs are ``spectrum`` (``None`` when solved
+    exactly; ``_solve``).  ``loop`` is the graph's loop pair, found once per
+    run, or ``None``.
     """
 
     graph: MetricGraph
     loop: ineq.LoopLeads | None
     tol: float
-    model: fem.AssembledSystem | None
+    model: analytic.ExactModel | fem.AssembledSystem
     energies: np.ndarray
     grad_norms: np.ndarray
     spectrum: fem.Spectrum | None
@@ -410,33 +414,54 @@ FALLBACK = {"weak_yang": ("yang", _I)}
 PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
+#: Relative step of the coupling in the central difference ``dE / dalpha``,
+#: which is each state's ``int |phi'|^2`` (Hellmann-Feynman).
+ALPHA_STEP = 1e-5
+
+
 def _solve(
     graph: MetricGraph, loop: ineq.LoopLeads | None, k: int, h: float | None
-) -> tuple[fem.AssembledSystem | None, np.ndarray, fem.Spectrum | None, dict]:
-    """The spectrum one ``verify`` run reads: the assembled system and its
-    eigenpairs (both ``None`` on the exact path), the lowest
+) -> tuple[analytic.ExactModel | fem.AssembledSystem, np.ndarray, np.ndarray, fem.Spectrum | None, dict]:
+    """The spectrum one ``verify`` run reads: the spectral model, the lowest
     ``trusted_count(k)`` energies and one more (yang's coverage, and
-    lt_quotient's bound states when the top is nonnegative), and a record of
-    the solve for the summary.
+    lt_quotient's bound states when the top is nonnegative), each one's
+    ``int |phi'|^2``, the P1 eigenpairs (``None`` on the exact path), and a
+    record of the solve for the summary.
 
-    A ``V = 0`` graph without a loop pair takes the exact energies of
-    ``analytic.zero_potential_eigenvalues`` and builds no mesh: its sum rules
-    read ``E / alpha``, and no other check it runs reads the P1 system.
-    Every other graph solves P1 eigenpairs on a mesh that resolves ``k``.
+    A graph whose potential is constant on each piece of every edge and that
+    has no loop pair takes the exact energies of
+    ``analytic.piecewise_constant_eigenvalues`` and the model
+    ``analytic.ExactModel``, and builds no mesh.  Its ``int |phi'|^2`` is
+    ``dE / dalpha``, by central differences from two more exact solves at
+    ``alpha (1 -+ ALPHA_STEP)``.  Every other graph solves P1 eigenpairs on a
+    mesh that resolves ``k`` and reads ``int |phi'|^2`` from them.  On ``V =
+    0`` either way it is ``E / alpha``: ``H = alpha K``, so a mass-normalized
+    eigenvector has ``v^T K v = E / alpha`` exactly, in the discrete problem
+    too, and the exact eigenfunctions satisfy the same identity.
     """
-    exact = graph.potential_is_zero() and loop is None
-    system = None
+    exact = loop is None and graph.potential_is_piecewise_constant()
     if not exact:
         system = fem.assemble(_mesh(graph, k, h, graph.alpha))
         k = min(k, system.ndof)  # a mesh resolves at most its ndof eigenvalues
     trusted = ineq.trusted_count(k)
     solved = min(trusted + 1, k)
     if exact:
-        energies, _ = analytic.zero_potential_eigenvalues(graph, solved)
-        return None, energies, None, {"source": "exact", "solved": solved, "trusted": trusted}
-    spectrum = fem.solve_spectrum(system, solved)
-    solve = {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
-    return system, spectrum.energies, spectrum, solve
+        model, spectrum = analytic.ExactModel(graph), None
+        energies, _ = analytic.piecewise_constant_eigenvalues(model.graph, solved)
+        solve = {"source": "exact", "solved": solved, "trusted": trusted}
+    else:
+        model, spectrum = system, fem.solve_spectrum(system, solved)
+        energies = spectrum.energies
+        solve = {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
+    if graph.potential_is_zero():
+        grad_norms = energies / graph.alpha
+    elif spectrum is not None:
+        grad_norms = spectrum.total_dirichlet()
+    else:
+        up, down = (replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in (ALPHA_STEP, -ALPHA_STEP))
+        e_up, e_down = (analytic.piecewise_constant_eigenvalues(g, solved)[0] for g in (up, down))
+        grad_norms = (e_up - e_down) / (up.alpha - down.alpha)
+    return model, energies, grad_norms, spectrum, solve
 
 
 def cmd_verify(args) -> int:
@@ -445,11 +470,7 @@ def cmd_verify(args) -> int:
     topo = classify_topology(graph)
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
     loop = _loop_pair(graph, topo.topology_class)
-    model, energies, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
-    # with V = 0, H = alpha K, so a mass-normalized eigenvector has
-    # v^T K v = E / alpha exactly, in the discrete problem too; the exact
-    # eigenfunctions satisfy the same identity
-    grad_norms = energies / graph.alpha if graph.potential_is_zero() else spectrum.total_dirichlet()
+    model, energies, grad_norms, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
     if args.corrupt_spectrum:
         # no Dirichlet energy: every sum rule fails, whatever its coefficient ratio
         grad_norms = np.zeros_like(grad_norms)
@@ -497,7 +518,7 @@ def _ratio_point(sweep: str, x: float, engine: str, h: float, k: int) -> list[fl
     (``balloon-L``) or of the fancy balloon with ``x`` rungs (``fancy-N``).
 
     The ``fem`` engine reads the lowest ``k`` P1 energies of the mesh at
-    ``h`` from the vertex count of ``analytic.zero_potential_eigenvalues``
+    ``h`` from the vertex count of ``analytic.piecewise_constant_eigenvalues``
     (both graphs have ``V = 0``), with no sparse eigensolve."""
     balloon = sweep == "balloon-L"
     if engine == "fem":
@@ -505,7 +526,7 @@ def _ratio_point(sweep: str, x: float, engine: str, h: float, k: int) -> list[fl
         mesh = fem.build_mesh(graph, h)
         at = f"{'L' if balloon else 'N'} = {x:g}"
         _require(k <= mesh.ndof, "--k", k, f"at most {mesh.ndof}, the unknowns of the --h {h:g} mesh at {at}")
-        e = analytic.zero_potential_eigenvalues(graph, k, mesh.edge_cells)[0]
+        e = analytic.piecewise_constant_eigenvalues(graph, k, mesh.edge_cells)[0]
     elif balloon:
         e = [m.energy for m in analytic.balloon_eigenvalues(x, 2)]
     else:

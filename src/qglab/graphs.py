@@ -36,8 +36,10 @@ class InvalidGraphError(ValueError):
 # potentials
 #
 # A potential kind is one class: ``kind`` is its ``type`` in graph files, its
-# dataclass fields are its other file keys, and ``scaled(s)`` is the
-# potential ``V(x/s)/s^2`` on the edge stretched by ``s``.
+# dataclass fields are its other file keys, ``scaled(s)`` is the potential
+# ``V(x/s)/s^2`` on the edge stretched by ``s``, and ``pieces(length)`` lists
+# its constant pieces ``(left, right, value)`` along the edge, or none where V
+# is not piecewise constant.
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,9 @@ class Zero:
 
     def scaled(self, s: float) -> Zero:
         return self
+
+    def pieces(self, length: float) -> tuple[tuple[float, float, float], ...]:
+        return ((0.0, length, 0.0),)
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,9 @@ class PoschlTeller:
 
     def scaled(self, s: float) -> PoschlTeller:
         return PoschlTeller(a=self.a / s, center=self.center * s)
+
+    def pieces(self, length: float) -> tuple:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,12 @@ class SquareWell:
 
     def scaled(self, s: float) -> SquareWell:
         return SquareWell(depth=self.depth / s**2, left=self.left * s, right=self.right * s)
+
+    def pieces(self, length: float) -> tuple[tuple[float, float, float], ...]:
+        left = min(max(self.left, 0.0), length)
+        right = min(max(self.right, left), length)
+        ends = ((0.0, left, 0.0), (left, right, self.depth), (right, length, 0.0))
+        return tuple(piece for piece in ends if piece[1] > piece[0])
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,9 @@ class Sampled:
 
     def scaled(self, s: float) -> Sampled:
         return Sampled(tuple(v / s**2 for v in self.values))
+
+    def pieces(self, length: float) -> tuple:
+        return ()
 
 
 PotentialSpec = Union[Zero, PoschlTeller, SquareWell, Sampled]
@@ -202,6 +219,9 @@ class MetricGraph:
     def potential_is_zero(self) -> bool:
         return all(isinstance(e.potential, Zero) for e in self.edges)
 
+    def potential_is_piecewise_constant(self) -> bool:
+        return all(e.potential.pieces(e.length) for e in self.edges)
+
 
 def scale_graph(graph: MetricGraph, s: float) -> MetricGraph:
     """Scale all lengths by ``s`` with the matched potential scaling.
@@ -214,6 +234,37 @@ def scale_graph(graph: MetricGraph, s: float) -> MetricGraph:
         raise ValueError("scale factor must be positive")
     edges = tuple(replace(e, length=e.length * s, potential=e.potential.scaled(s)) for e in graph.edges)
     return MetricGraph(graph.num_vertices, edges, dict(graph.boundary), graph.alpha)
+
+
+def split_at_jumps(graph: MetricGraph) -> MetricGraph:
+    """The graph cut at the jumps of its potential into edges of constant V.
+
+    Each piece of an edge becomes an edge of its own, with ``ZERO`` or a
+    square well over its whole length, joined to the next by a new degree-2
+    Kirchhoff vertex (numbered after the others), which leaves the spectrum
+    unchanged.  A pinned ``cells`` is shared over the pieces by length, at
+    least one each.  An edge of one piece is kept as it is, so a graph with
+    no jump is returned unchanged.  Raises ``ValueError`` on a potential
+    that is not piecewise constant.
+    """
+    edges, n = [], graph.num_vertices
+    for i, e in enumerate(graph.edges):
+        pieces = e.potential.pieces(e.length)
+        if not pieces:
+            raise ValueError(f"edge {i}: a {e.potential.kind} potential is not piecewise constant")
+        if len(pieces) == 1:
+            edges.append(e)
+            continue
+        ends = [e.u, *range(n, n + len(pieces) - 1), e.v]
+        n += len(pieces) - 1
+        for (left, right, value), u, v in zip(pieces, ends, ends[1:]):
+            length = right - left
+            cells = None if e.cells is None else max(1, round(e.cells * length / e.length))
+            potential = SquareWell(value, 0.0, length) if value else ZERO
+            edges.append(Edge(u, v, length, potential, cells))
+    if n == graph.num_vertices:
+        return graph
+    return MetricGraph(n, tuple(edges), dict(graph.boundary), graph.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Conventions shared by all checks:
   ``alpha``, ``min_potential``, ``bound_states(alpha, solved=None)`` (every
   negative eigenvalue at that coupling, so no moment is truncated) and
   ``negative_integral(power, shift=0.0)`` (``int ((V - shift)_-)^power``).
-  ``fem.AssembledSystem`` is one, on its own mesh.  The moment quotients
+  ``fem.AssembledSystem`` is one, on its own mesh, and
+  ``analytic.ExactModel`` is one with no mesh.  The moment quotients
   take the bound states from their caller, which reads them once.
 """
 

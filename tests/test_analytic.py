@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qglab import analytic, families, fem
-from qglab.graphs import DIRICHLET, NEUMANN, Edge, MetricGraph
+from qglab.graphs import DIRICHLET, NEUMANN, Edge, MetricGraph, SquareWell, load_graph, split_at_jumps
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_classical_constants():
@@ -93,7 +97,7 @@ def test_balloon_cost_does_not_grow_with_the_string(monkeypatch):
         calls.clear()
         modes = analytic.balloon_eigenvalues(L, 3)
         assert len(calls) <= 50
-    exact, _ = analytic.zero_potential_eigenvalues(families.balloon(string_length=1e5), 3)
+    exact, _ = analytic.piecewise_constant_eigenvalues(families.balloon(string_length=1e5), 3)
     assert [m.energy for m in modes] == pytest.approx(exact, rel=1e-12)
 
 
@@ -195,13 +199,13 @@ EXACT_CASES = [
 @pytest.mark.parametrize("graph, oracle", [case[1:] for case in EXACT_CASES], ids=[case[0] for case in EXACT_CASES])
 def test_zero_potential_spectrum_matches_the_oracles(graph, oracle):
     # the fancy balloon's j^2 (N - 1 times) and the loop's pairs are counted with multiplicity
-    energies, _ = analytic.zero_potential_eigenvalues(graph, 60)
+    energies, _ = analytic.piecewise_constant_eigenvalues(graph, 60)
     assert energies == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("graph, oracle", [case[1:] for case in EXACT_CASES], ids=[case[0] for case in EXACT_CASES])
 def test_zero_potential_brackets_are_certified_by_the_count(graph, oracle):
-    energies, brackets = analytic.zero_potential_eigenvalues(graph, 60)
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, 60)
     lo, hi = brackets.T
     positive = hi > 0  # E = 0 comes back as [0, 0]
     assert np.array_equal(energies[~positive], np.zeros(np.count_nonzero(~positive)))
@@ -222,7 +226,7 @@ def test_cycle_count_converges_onto_double_eigenvalues():
     lengths = (0.16881903257625797, 2.706272483614247, 0.93577903786728, 1.5470121654601856)
     ends = ((0, 1), (1, 2), (0, 3), (3, 2))
     graph = MetricGraph(4, tuple(Edge(u, v, l) for (u, v), l in zip(ends, lengths)), {}, 1.699436098974479)
-    energies, _ = analytic.zero_potential_eigenvalues(graph, 82)
+    energies, _ = analytic.piecewise_constant_eigenvalues(graph, 82)
     m = np.arange(1, 82) // 2 + np.arange(1, 82) % 2
     closed = graph.alpha * (2.0 * math.pi * m / sum(lengths)) ** 2
     assert energies[1:] == pytest.approx(closed, rel=1e-13, abs=0)
@@ -236,16 +240,20 @@ def test_count_rises_next_to_short_edges():
                0.11554623602116107, 1.9441766450241402, 0.14878641217973587)
     ends = ((0, 1), (0, 2), (2, 3), (2, 4), (4, 2), (2, 3))
     graph = MetricGraph(5, tuple(Edge(u, v, l) for (u, v), l in zip(ends, lengths)), {1: DIRICHLET})
-    energies, _ = analytic.zero_potential_eigenvalues(graph, 349)
+    energies, _ = analytic.piecewise_constant_eigenvalues(graph, 349)
     assert np.all(np.diff(energies) >= 0.0)
     assert math.sqrt(energies[0]) == pytest.approx(0.21677732972330, rel=1e-12)
 
 
 def test_zero_potential_rejections():
-    with pytest.raises(ValueError, match="V = 0"):
-        analytic.zero_potential_eigenvalues(families.poschl_teller_balloon(20.0), 5)
+    # a sech-squared well has no constant pieces; the P1 count takes V = 0 alone
+    with pytest.raises(ValueError, match="edge 0: a poschl_teller potential is not piecewise constant"):
+        analytic.piecewise_constant_eigenvalues(families.poschl_teller_balloon(20.0), 5)
+    well = families.with_square_well(families.y_graph(), 0, -5.0)
+    with pytest.raises(ValueError, match="the P1 count with cells needs V = 0"):
+        analytic.piecewise_constant_eigenvalues(well, 5, [4, 4, 4, 4, 4])
     with pytest.raises(ValueError, match="at least 1"):
-        analytic.zero_potential_eigenvalues(families.y_graph(), 0)
+        analytic.piecewise_constant_eigenvalues(families.y_graph(), 0)
 
 
 
@@ -265,14 +273,14 @@ def test_p1_interval_count_matches_the_closed_form(bc, cells):
     m = np.arange(1, cells) if bc == "DD" else np.arange(cells + 1)
     s2 = np.sin(0.5 * m * math.pi / cells) ** 2
     closed = 6.0 * alpha * (cells / length) ** 2 * 2.0 * s2 / (3.0 - 2.0 * s2)
-    energies, _ = analytic.zero_potential_eigenvalues(graph, len(m), [cells])
+    energies, _ = analytic.piecewise_constant_eigenvalues(graph, len(m), [cells])
     assert energies == pytest.approx(closed, rel=1e-14, abs=0)
 
 
 def test_p1_interval_of_one_cell_is_its_element():
     # one Neumann cell: the constant and the alternating mode at 12 alpha / h^2
     graph = MetricGraph(2, (Edge(0, 1, 0.5),), {0: NEUMANN, 1: NEUMANN}, 1.5)
-    energies, _ = analytic.zero_potential_eigenvalues(graph, 2, [1])
+    energies, _ = analytic.piecewise_constant_eigenvalues(graph, 2, [1])
     assert energies == pytest.approx([0.0, 12.0 * 1.5 / 0.25], rel=1e-14, abs=0)
 
 
@@ -303,7 +311,7 @@ def test_p1_count_is_the_whole_p1_spectrum(graph):
     mesh = fem.build_mesh(graph, 1.0)  # the cells of every edge are given
     system = fem.assemble(mesh)
     assume(system.ndof >= 1)
-    energies, brackets = analytic.zero_potential_eigenvalues(graph, system.ndof, mesh.edge_cells)
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, system.ndof, mesh.edge_cells)
     dense = fem.solve_energies(system, system.ndof)
     assert energies == pytest.approx(dense, rel=1e-9, abs=1e-12 * dense[-1])
     assert np.all((brackets[:, 0] <= energies) & (energies <= brackets[:, 1]))
@@ -316,7 +324,7 @@ def test_p1_count_keeps_the_multiplicity_on_a_pole(n):
     graph = families.fancy_balloon(n)
     mesh = fem.build_mesh(graph, 0.02)
     cells = mesh.edge_cells[1]
-    energies, _ = analytic.zero_potential_eigenvalues(graph, n + 2, mesh.edge_cells)
+    energies, _ = analytic.piecewise_constant_eigenvalues(graph, n + 2, mesh.edge_cells)
     c = math.cos(math.pi / cells)
     pole = 6.0 * (cells / math.pi) ** 2 * (1.0 - c) / (2.0 + c)
     assert np.count_nonzero(np.abs(energies / pole - 1.0) < 1e-13) == n - 1
@@ -342,7 +350,7 @@ def test_count_closes_the_balloon_brackets_in_few_counts(monkeypatch):
     graph = families.balloon()
     for cells in (None, fem.build_mesh(graph, 0.01).edge_cells):
         counts.clear()
-        analytic.zero_potential_eigenvalues(graph, 6, cells)
+        analytic.piecewise_constant_eigenvalues(graph, 6, cells)
         assert len(counts) <= 20
 
 
@@ -350,6 +358,127 @@ def test_p1_count_rejects_more_than_the_mesh_holds():
     graph = families.balloon()
     mesh = fem.build_mesh(graph, 10.0)
     with pytest.raises(ValueError, match=f"k must be at most the {mesh.ndof} unknowns of the mesh, got 6"):
-        analytic.zero_potential_eigenvalues(graph, 6, mesh.edge_cells)
+        analytic.piecewise_constant_eigenvalues(graph, 6, mesh.edge_cells)
     with pytest.raises(ValueError, match="cells must be one whole number of at least 1 per edge"):
-        analytic.zero_potential_eigenvalues(graph, 2, [4, 0])
+        analytic.piecewise_constant_eigenvalues(graph, 2, [4, 0])
+
+
+# --- square wells: the same count with per-edge offsets ---------------------
+
+
+def _shoot(energy, pieces, alpha, slope=False):
+    """``phi`` (or ``phi'``) at the far end of a row of constant pieces
+    ``(length, c)`` that starts with ``phi = 0``, ``phi' = 1``: the transfer
+    matrices of ``-alpha phi'' + c phi = E phi``, with no pole in ``E``."""
+    phi, dphi = 0.0, 1.0
+    for length, c in pieces:
+        square = (energy - c) / alpha
+        k = math.sqrt(abs(square))
+        if square > 0:
+            cs, sn = math.cos(k * length), math.sin(k * length)
+            phi, dphi = phi * cs + dphi * sn / k, -phi * k * sn + dphi * cs
+        elif square < 0:
+            ch, sh = math.cosh(k * length), math.sinh(k * length)
+            phi, dphi = phi * ch + dphi * sh / k, phi * k * sh + dphi * ch
+        else:
+            phi += dphi * length
+    return dphi if slope else phi
+
+
+def _roots(f, lo, hi, points=4000):
+    """Every root of ``f`` on ``[lo, hi]``, bisected from the sign changes of a grid."""
+    grid = np.linspace(lo, hi, points)
+    values = [f(e) for e in grid]
+    return [analytic.bisect(f, a, b) for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]) if (fa > 0) != (fb > 0)]
+
+
+SQUARE_WELLS = {
+    # (left, right) of a well of depth -200 on a Dirichlet interval of length 1
+    "centred": (0.3, 0.7),
+    "touching-an-end": (0.0, 0.35),
+    "off-centre": (0.12, 0.47),
+}
+
+
+@pytest.mark.parametrize("left, right", SQUARE_WELLS.values(), ids=SQUARE_WELLS.keys())
+def test_square_well_on_an_interval_matches_its_matching_equations(left, right):
+    # the finite square well: its even and odd matching equations, phi' = 0
+    # and phi = 0 at the centre of a centred well, or phi = 0 at the far end
+    # of the others, solved by bisection; the count in t must agree, and
+    # certify every bracket, the negative ones too
+    depth, alpha, k = -200.0, 0.8, 12
+    graph = families.interval(1.0, SquareWell(depth, left, right), alpha)
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, k)
+    top = energies[-1] + 1.0
+    if left + right == 1.0:
+        half = [(left, 0.0), (0.5 - left, depth)]
+        oracle = [*_roots(lambda e: _shoot(e, half, alpha, slope=True), depth, top),
+                  *_roots(lambda e: _shoot(e, half, alpha), depth, top)]
+    else:
+        pieces = [(left, 0.0), (right - left, depth), (1.0 - right, 0.0)]
+        oracle = _roots(lambda e: _shoot(e, [p for p in pieces if p[0] > 0], alpha), depth, top)
+    oracle = np.sort(oracle)[:k]
+    assert np.count_nonzero(oracle < 0) >= 2
+    assert energies == pytest.approx(oracle, rel=1e-12, abs=1e-12 * -depth)
+    lo, hi = (np.sqrt((brackets[:, i] - depth) / alpha) for i in (0, 1))
+    count = analytic._dtn_counter(split_at_jumps(graph))[0]
+    j = np.arange(1, k + 1)
+    assert np.all(count(lo)[0] < j) and np.all(j <= count(hi)[0])
+
+
+@st.composite
+def trees_with_square_wells(draw):
+    """A random tree with a square well of random depth and ends on some of its edges."""
+    tree = families.random_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 5)))
+    edges = list(tree.edges)
+    for i in draw(st.sets(st.integers(0, len(edges) - 1), min_size=1)):
+        # ends on a grid of twentieths, some outside the edge, so no piece is shorter than a cell
+        ends = sorted(draw(st.integers(-4, 24)) * edges[i].length / 20.0 for _ in range(2))
+        edges[i] = Edge(edges[i].u, edges[i].v, edges[i].length, SquareWell(draw(st.floats(-60.0, 30.0)), *ends))
+    return MetricGraph(tree.num_vertices, tuple(edges), tree.boundary, draw(st.floats(0.3, 2.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trees_with_square_wells())
+def test_square_well_spectrum_lies_below_split_p1(graph):
+    # P1 on the graph split at its jumps holds V constant on each cell, where
+    # its potential matrix is exact, so it is Rayleigh-Ritz and every E_h is at
+    # least its exact E
+    system = fem.assemble(fem.build_mesh(split_at_jumps(graph), 0.05))
+    k = min(12, system.ndof // 3)
+    assume(k > 0)
+    exact, brackets = analytic.piecewise_constant_eigenvalues(graph, k)
+    assert np.all(fem.solve_energies(system, k) >= exact - 1e-12 * np.abs(exact).max())
+    assert np.all((brackets[:, 0] <= exact) & (exact <= brackets[:, 1]))
+
+
+@pytest.mark.parametrize("name", ["tree_well", "loop_leads_well"])
+def test_square_well_fixtures_match_richardson_extrapolated_split_p1(name):
+    # split P1 converges as h^2 with an h^4 term next; cells doubled twice on
+    # every edge give two Richardson steps, which leave 5e-10 of the lowest 8
+    # from h = 0.016 (finer meshes gain nothing: from h = 0.004 the roundoff
+    # of loop_leads_well's 46 000 unknowns leaves 9e-9)
+    graph = split_at_jumps(load_graph(os.path.join(FIXTURES, f"{name}.json")))
+    base = [max(1, math.ceil(e.length / 0.016)) for e in graph.edges]
+    p1 = []
+    for refine in (1, 2, 4):
+        edges = tuple(dataclasses.replace(e, cells=c * refine) for e, c in zip(graph.edges, base))
+        mesh = fem.build_mesh(dataclasses.replace(graph, edges=edges), 1.0)
+        p1.append(fem.solve_energies(fem.assemble(mesh), 8))
+    once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(p1, p1[1:])]
+    twice = (16.0 * once[1] - once[0]) / 15.0
+    exact, _ = analytic.piecewise_constant_eigenvalues(graph, 8)
+    assert exact == pytest.approx(twice, rel=1e-8, abs=0)
+
+
+def test_exact_model_reads_the_split_graph():
+    # tree_well's well of depth -14 and width 1.05: its integrals in closed
+    # form, and at each coupling the negative part of a solve of the lowest 6
+    model = analytic.ExactModel(load_graph(os.path.join(FIXTURES, "tree_well.json")))
+    assert (model.alpha, model.min_potential) == (1.0, -14.0)
+    assert model.negative_integral(2.0) == pytest.approx(14.0**2 * 1.05, rel=1e-14)
+    assert model.negative_integral(2.5, shift=-4.0) == pytest.approx(10.0**2.5 * 1.05, rel=1e-14)
+    for alpha in (0.25, 1.0, 4.0):
+        lowest = analytic.piecewise_constant_eigenvalues(dataclasses.replace(model.graph, alpha=alpha), 6)[0]
+        assert lowest[-1] > 0
+        assert np.array_equal(model.bound_states(alpha), lowest[lowest < 0])

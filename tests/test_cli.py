@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from qglab import analytic, families, fem, inequalities as ineq
-from qglab.cli import CHECKS, POLICY, SolveContext, _loop_pair, main
+from qglab import analytic, families, fem, graphs, inequalities as ineq
+from qglab.cli import CHECKS, POLICY, SolveContext, _loop_pair, _mesh, main
 from qglab.graphs import TopologyClass, classify_topology, load_graph, save_graph
-from qglab.reports import fmt_float
+from qglab.reports import fmt_float, round_sig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -243,26 +244,39 @@ def _no_eigensolver(monkeypatch):
 
 
 def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # tree_well's default mesh at k = 5000 has n = 100000, where verify's
+    # pt_interval's default mesh at k = 5000 has n = 99999, where verify's
     # solve of the 3333 trusted eigenpairs plus one would ask ARPACK for a
     # Lanczos basis of 6669 vectors (4.97 GiB)
     _no_eigensolver(monkeypatch)
-    code = main(["verify", "--graph", fixture("tree_well.json"), "--k", "5000", "--out-dir", str(tmp_path / "out")])
+    code = main(["verify", "--graph", fixture("pt_interval.json"), "--k", "5000", "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "input error: --k too large: a Lanczos basis of 6669 vectors" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
+def _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, k, solved):
+    """``verify --k k`` on a fixture, with every P1 stage refused."""
+    _no_eigensolver(monkeypatch)
+    for p1 in ("build_mesh", "assemble", "_eigensolve", "_count_below"):
+        monkeypatch.setattr(fem, p1, lambda *args, **kwargs: pytest.fail("P1 was called"))
+    code = main(["verify", "--graph", fixture(f"{name}.json"), "--k", str(k), "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["spectrum"] == {"source": "exact", "solved": solved, "trusted": solved - 1}
+
+
 def test_exact_verify_at_large_k_needs_no_mesh(tmp_path, capsys, monkeypatch):
     # y_graph reads energies alone and has V = 0: its 3334 energies are
     # counted exactly, with no mesh, assembly or eigensolver
-    _no_eigensolver(monkeypatch)
-    for name in ("build_mesh", "assemble", "_eigensolve"):
-        monkeypatch.setattr(fem, name, lambda *args, **kwargs: pytest.fail("P1 was called"))
-    code = main(["verify", *Y, "--k", "5000", "--out-dir", str(tmp_path)])
-    assert code == 0, capsys.readouterr().err
-    summary = json.loads((tmp_path / "verify_summary.json").read_text())
-    assert summary["spectrum"] == {"source": "exact", "solved": 3334, "trusted": 3333}
+    _verify_with_no_p1(tmp_path, capsys, monkeypatch, "y_graph", 5000, 3334)
+
+
+def test_exact_verify_of_a_square_well_needs_no_mesh(tmp_path, capsys, monkeypatch):
+    # tree_well's square well is cut at its ends into edges of constant V:
+    # its energies, their dE / dalpha and its bound states at every coupling
+    # are counted exactly, with no mesh, assembly, inertia count or
+    # eigensolver (CI runs it at --k 5000 too)
+    _verify_with_no_p1(tmp_path, capsys, monkeypatch, "tree_well", 90, 61)
 
 
 def test_exact_count_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -378,6 +392,19 @@ def test_verify_skips_moment_checks_without_a_negative_part(tmp_path, capsys):
     save_graph(families.with_square_well(families.y_graph(), 0, 5.0), path)
     assert main(["verify", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     assert _summary_checks(tmp_path / "out") == [("yang", "guaranteed")]
+
+
+def test_verify_runs_the_moment_checks_on_a_well_narrower_than_a_cell(tmp_path, capsys):
+    # the well is 2e-4 wide, below any default cell, so P1 nodes missed it
+    # and verify ran yang alone, as if V >= 0; the exact model integrates
+    # V_-^2 = 200^2 * 2e-4 = 8 in closed form, and the well binds no state
+    path = tmp_path / "narrow.json"
+    save_graph(families.interval(1.0, graphs.SquareWell(-200.0, 0.4001, 0.4003)), path)
+    code = main(["verify", "--graph", str(path), "--format", "json", "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert _summary_checks(tmp_path / "out") == POLICY[(TopologyClass.TREE, False)]
+    report = json.loads((tmp_path / "out" / "verify_lt_quotient_gamma_1.5.json").read_text())
+    assert report["values"] == {"integral": [8.0], "moment": [0.0], "quotient": [0.0]}
 
 
 def test_verify_one_loop_shifted_grid_follows_a_negative_ground_state(tmp_path, capsys, monkeypatch):
@@ -609,17 +636,17 @@ def _record_solves(monkeypatch):
 
 
 def _record_exact_solves(monkeypatch):
-    """Wrap ``analytic.zero_potential_eigenvalues`` to record each call's
+    """Wrap ``analytic.piecewise_constant_eigenvalues`` to record each call's
     ``k`` and energies."""
     calls = []
-    solve = analytic.zero_potential_eigenvalues
+    solve = analytic.piecewise_constant_eigenvalues
 
     def recording(graph, k):
         energies, brackets = solve(graph, k)
         calls.append((k, energies))
         return energies, brackets
 
-    monkeypatch.setattr(analytic, "zero_potential_eigenvalues", recording)
+    monkeypatch.setattr(analytic, "piecewise_constant_eigenvalues", recording)
     return calls
 
 
@@ -635,22 +662,30 @@ def test_verify_solves_trusted_eigenpairs_plus_one(tmp_path, monkeypatch, k, sol
 def test_verify_solves_p1_trusted_eigenpairs_plus_one(tmp_path, monkeypatch):
     # the mesh resolves k = 90 and the lowest 60 are trusted
     calls = _record_solves(monkeypatch)
-    main(["verify", "--graph", fixture("tree_well.json"), "--out-dir", str(tmp_path)])
+    main(["verify", "--graph", fixture("pt_interval.json"), "--out-dir", str(tmp_path)])
     assert calls[0][1] == 61
 
 
-@pytest.mark.parametrize("name", ["y_graph", "tree_well"])
+def _exact_grad_norms(graph, k):
+    """``dE / dalpha`` of the lowest ``k`` exact energies by central differences."""
+    up, down = (dataclasses.replace(graph, alpha=graph.alpha * (1.0 + s)) for s in (1e-5, -1e-5))
+    e_up, e_down = (analytic.piecewise_constant_eigenvalues(g, k)[0] for g in (up, down))
+    return (e_up - e_down) / (up.alpha - down.alpha)
+
+
+@pytest.mark.parametrize("name", ["y_graph", "tree_well", "pt_interval"])
 def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkeypatch, name):
-    # y_graph is counted exactly and tree_well solved on P1; either way the
-    # 61 solved agree with a solve of all 90 on the trusted 60
+    # y_graph (V = 0) and tree_well (a square well) are counted exactly, and
+    # pt_interval is solved on P1; either way the 61 solved agree with a solve
+    # of all 90 on the trusted 60
     graph = load_graph(fixture(f"{name}.json"))
-    exact = graph.potential_is_zero()
+    exact = graph.potential_is_piecewise_constant()
     calls = _record_exact_solves(monkeypatch) if exact else _record_solves(monkeypatch)
     assert main(["verify", "--graph", fixture(f"{name}.json"), "--format", "json", "--out-dir", str(tmp_path)]) == 0
     if exact:
         k, energies = calls[0]
-        full = analytic.zero_potential_eigenvalues(graph, 90)[0]
-        grad_norms = full / graph.alpha
+        full = analytic.piecewise_constant_eigenvalues(graph, 90)[0]
+        grad_norms = full / graph.alpha if graph.potential_is_zero() else _exact_grad_norms(graph, 90)
     else:
         system, k, energies = calls[0]
         spectrum = fem.solve_spectrum(system, 90)
@@ -665,12 +700,13 @@ def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkey
 
 @pytest.mark.parametrize(
     "name, spectrum_solves",
-    [("y_graph", 0), ("hash_graph", 0), ("circle_two_leads", 1), ("pt_interval", 1)],
+    [("y_graph", 0), ("hash_graph", 0), ("tree_well", 0), ("circle_two_leads", 1), ("pt_interval", 1)],
 )
 def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monkeypatch, name, spectrum_solves):
-    # a V = 0 graph without a loop pair is solved exactly; a loop pair
-    # (circle_two_leads) and V != 0 (pt_interval) solve P1 eigenpairs once,
-    # and the Stubbe re-solves of pt_interval read bound-state energies alone
+    # a graph of constant pieces without a loop pair (y_graph, hash_graph,
+    # tree_well) is solved exactly; a loop pair (circle_two_leads) and a
+    # sech-squared well (pt_interval) solve P1 eigenpairs once, and the
+    # Stubbe re-solves of pt_interval read bound-state energies alone
     calls = []
     solve = fem.solve_spectrum
 
@@ -683,35 +719,48 @@ def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monk
     assert len(calls) == spectrum_solves
 
 
-def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(tmp_path, capsys, monkeypatch):
-    # at alpha = 0.002 the well holds 28 bound states; --k 36 trusts 24, so
-    # the 25 solved are all bound and lt_quotient solves the 28, not all 36
+def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(monkeypatch):
+    # at alpha = 0.002 the well holds 28 bound states; verify's P1 mesh for
+    # --k 36 trusts 24, so the 25 solved are all bound and the bound states
+    # come from one solve of the 28, not of all 36
+    graph = dataclasses.replace(load_graph(fixture("tree_well.json")), alpha=0.002)
+    system = fem.assemble(_mesh(graph, 36, None, graph.alpha))
+    calls = _record_solves(monkeypatch)
+    solved = fem.solve_energies(system, 25)
+    bound = system.bound_states(graph.alpha, solved=solved)
+    assert [k for _, k, _ in calls] == [25, 28]
+    q = ineq.lt_quotient(system, bound, 2.0)
+    assert round_sig(q.moment) == 2897.43506769
+    assert round_sig(q.quotient) == 0.168320869195
+
+
+def _tree_well_weak(tmp_path):
     graph = json.loads(open(fixture("tree_well.json")).read())
     graph["alpha"] = 0.002
     path = tmp_path / "tree_well_weak.json"
     path.write_text(json.dumps(graph))
-    calls = _record_solves(monkeypatch)
-    code = main(["verify", "--graph", str(path), "--k", "36", "--out-dir", str(tmp_path / "out")])
+    return path
+
+
+def test_verify_solves_every_bound_state_exactly_when_the_trusted_ones_are_bound(tmp_path, capsys):
+    # the exact count of the same graph finds the 28 bound states; their
+    # moment lies 4.0e-4 (relative) above that of the P1 mesh above
+    code = main(["verify", "--graph", str(_tree_well_weak(tmp_path)), "--k", "36", "--out-dir", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
-    solved = [k for _, k, _ in calls]
-    assert solved[:2] == [25, 28] and 36 not in solved
     report = json.loads((tmp_path / "out" / "verify_lt_quotient_gamma_2.0.json").read_text())
-    assert report["values"]["moment"] == [2897.43506769]
-    assert report["values"]["quotient"] == [0.168320869195]
+    assert report["values"]["moment"] == [2898.60459855]
+    assert report["values"]["quotient"] == [0.168342815517]
 
 
 def test_verify_reads_the_bound_states_once(tmp_path, capsys, monkeypatch):
-    # the 25 solved at alpha = 0.002 are all bound, so the 28 bound states
-    # are counted and solved once for both lt_quotient rows; the Stubbe grid
-    # follows with 2 bound states at alpha = 0.5
-    graph = json.loads(open(fixture("tree_well.json")).read())
-    graph["alpha"] = 0.002
-    path = tmp_path / "tree_well_weak.json"
-    path.write_text(json.dumps(graph))
-    calls = _record_solves(monkeypatch)
-    code = main(["verify", "--graph", str(path), "--k", "36", "--out-dir", str(tmp_path / "out")])
+    # the 25 solved at alpha = 0.002 (then twice more for dE / dalpha) are
+    # all bound, so the 28 bound states are counted and solved once for both
+    # lt_quotient rows; the Stubbe grid follows with 2 bound states at
+    # alpha = 0.5
+    calls = _record_exact_solves(monkeypatch)
+    code = main(["verify", "--graph", str(_tree_well_weak(tmp_path)), "--k", "36", "--out-dir", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
-    assert [k for _, k, _ in calls][:3] == [25, 28, 2]
+    assert [k for k, _ in calls][:5] == [25, 25, 25, 28, 2]
 
 
 def test_checks_report_under_their_keys():

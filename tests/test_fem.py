@@ -409,7 +409,7 @@ def test_p1_is_the_exact_spectrum_through_the_dispersion_relation(case):
     k = min(40, system.ndof // 4)
     assume(k > 0)
     p1 = fem.solve_energies(system, k)
-    exact, _ = analytic.zero_potential_eigenvalues(graph, k)
+    exact, _ = analytic.piecewise_constant_eigenvalues(graph, k)
     c = np.cos(h * np.sqrt(exact / graph.alpha))
     dispersed = 6.0 * graph.alpha / h**2 * (1.0 - c) / (2.0 + c)
     zero = exact == 0.0  # the constant, without a Dirichlet vertex
@@ -425,7 +425,7 @@ def test_p1_lies_above_the_exact_spectrum_on_trees(seed, n_edges, h):
     system = fem.assemble(fem.build_mesh(tree, h))
     assert len({round(seg.h, 12) for seg in system.mesh.segments}) > 1  # mixed cell sizes
     k = min(30, system.ndof // 3)
-    exact, _ = analytic.zero_potential_eigenvalues(tree, k)
+    exact, _ = analytic.piecewise_constant_eigenvalues(tree, k)
     assert np.all(fem.solve_energies(system, k) >= exact)
 
 
@@ -439,6 +439,6 @@ def test_p1_at_the_verify_mesh_sits_just_above_the_exact_spectrum(name):
     # above the exact ones, which the V = 0 rows now read
     graph = load_graph(os.path.join(FIXTURES, f"{name}.json"))
     p1 = fem.solve_energies(fem.assemble(_mesh(graph, 90, None, graph.alpha)), 61)
-    exact, _ = analytic.zero_potential_eigenvalues(graph, 61)
+    exact, _ = analytic.piecewise_constant_eigenvalues(graph, 61)
     assert np.all(p1 >= exact)
     assert np.all(p1 <= exact * (1.0 + 1.1e-3))
