@@ -255,7 +255,7 @@ COUNT_RTOL = 5e-14
 #: differ by rounding alone.
 POLE_MERGE_RTOL = 4e-15
 
-#: An edge term larger than this many ``kappa`` borders the matrix (see
+#: An edge term larger than this many ``t`` borders the matrix (see
 #: ``_dtn_counter``); the others enter it directly and cost at most this many
 #: units of roundoff in its eigenvalues.
 BORDER_AT = 20.0
@@ -265,17 +265,12 @@ BORDER_AT = 20.0
 TINY = np.finfo(float).tiny
 
 
-def _edge_terms(kappa: np.ndarray, lengths: np.ndarray, cells: np.ndarray | None):
-    """Each edge's block of ``Lambda`` at each ``kappa`` (a column): the
-    coefficients ``(a, b)`` of ``p_e p_e^T`` and ``q_e q_e^T``, and the
-    number of the edge's Dirichlet eigenvalues (the poles) below ``kappa``.
-
-    Exactly (``cells`` is None), ``a = kappa tan(kappa l / 2)``, ``b = -kappa
-    cot(kappa l / 2)`` and the poles are ``m pi / l``.  P1 on ``c`` equal
-    cells ``h = l / c`` is the Schur complement of ``K - kappa^2 M`` onto the
-    edge's ends.  It has the same form with the phase ``c theta``, where
-    ``sin^2(theta / 2) = 1.5 x / (6 + x)`` at ``x = kappa^2 h^2``, in place
-    of ``kappa l``, and the impedance ``z = (1 / h + kappa^2 h / 6) sin theta
+def _edge_terms(kappa: np.ndarray, lengths: np.ndarray, cells: np.ndarray):
+    """The terms of ``_offset_terms`` with no offset, for P1 on ``c`` equal
+    cells ``h = l / c`` of each edge: the Schur complement of ``K - kappa^2
+    M`` onto the edge's ends.  They have the exact form with the phase ``c
+    theta``, where ``sin^2(theta / 2) = 1.5 x / (6 + x)`` at ``x = kappa^2
+    h^2``, in place of ``kappa l``, and the impedance ``z = (1 / h + kappa^2 h / 6) sin theta
     = kappa sqrt(1 - x / 12)`` in place of ``kappa``; its poles are the
     Dirichlet modes ``c theta = m pi`` of the ``c - 1`` interior nodes.  On
     the upper half of the band the angles are taken from ``phi = pi -
@@ -284,10 +279,6 @@ def _edge_terms(kappa: np.ndarray, lengths: np.ndarray, cells: np.ndarray | None
     its limit.  Above the band edge all ``c - 1`` modes lie below, ``theta =
     pi + i eta``, and the same Chebyshev ratios are hyperbolic.
     """
-    if cells is None:
-        theta = kappa * lengths
-        t = np.tan(0.5 * theta)
-        return kappa * t, -kappa / t, theta // math.pi
     h = lengths / cells
     x = (kappa * h) ** 2
     g = (6.0 + x) / (6.0 * h)
@@ -310,9 +301,13 @@ def _edge_terms(kappa: np.ndarray, lengths: np.ndarray, cells: np.ndarray | None
 
 
 def _offset_terms(t: np.ndarray, lengths: np.ndarray, offsets: np.ndarray):
-    """The exact terms of ``_edge_terms`` at ``kappa_e^2 = t^2 - offsets_e``.
+    """Each edge's block of ``Lambda`` at each ``t`` (a column), where
+    ``kappa_e^2 = t^2 - offsets_e``: the coefficients ``(a, b)`` of ``p_e
+    p_e^T`` and ``q_e q_e^T``, and the number of the edge's Dirichlet
+    eigenvalues (the poles) below ``t``.
 
-    Above an edge's floor they are the trigonometric ones.  Below it
+    Above an edge's floor they are ``a = kappa tan(kappa l / 2)`` and ``b =
+    -kappa cot(kappa l / 2)``, with the poles at ``kappa = m pi / l``.  Below it
     ``kappa = i eta``, and they are hyperbolic, ``a = -eta tanh(eta l / 2)``
     and ``b = -eta coth(eta l / 2)``, with no pole; at ``kappa = 0`` they take
     their limits ``a = 0`` and ``b = -2 / l``.  An edge with no offset takes
@@ -371,12 +366,15 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     l_e)``.  Near a pole one term of an edge, ``c w w^T``, is huge and would
     drown the small eigenvalues of ``Lambda`` in roundoff.  It leaves the
     matrix and borders it instead: by the inertia additivity of the Schur
-    complement, ``[[A, kappa w], [kappa w^T, -kappa^2 / c]]`` has one more
-    positive eigenvalue than ``A + c w w^T`` exactly when ``c < 0``, and no
-    term exceeds ``BORDER_AT kappa``.  A point with any bordered term
-    borders every edge, the others by a lone ``-kappa``, which is never
-    counted; its ``shift`` is ``P`` less the positive border corners.  With
-    offsets, ``t`` takes the place of ``kappa`` in the bordering.
+    complement, ``[[A, t w], [t w^T, -t^2 / c]]`` has one more positive
+    eigenvalue than ``A + c w w^T`` exactly when ``c < 0``.  Since ``a b =
+    -kappa_e^2`` above an edge's floor, at most one of its terms is huge
+    there; below it ``a b = eta^2``, and both are once ``eta > BORDER_AT
+    t``, so each edge with an offset has a second border slot for its
+    smaller term.  No term that enters ``Lambda`` exceeds ``BORDER_AT t``.
+    A point with any bordered term borders every slot, the others by a lone
+    ``-t``, which is never counted; its ``shift`` is ``P`` less the
+    positive border corners.
     """
     free = [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
     slot = {v: i for i, v in enumerate(free)}
@@ -390,33 +388,45 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     outer = np.concatenate([np.einsum("ei,ej->eij", plus, plus), np.einsum("ei,ej->eij", minus, minus)])
     outer = outer.reshape(2 * m, n * n)
     lengths = np.array([e.length for e in graph.edges])
-    edges = np.arange(m)
     values = _edge_values(graph)
     offsets = (values - values.min()) / graph.alpha
-    shifted = cells is None and offsets.any()
+    deep = np.flatnonzero(offsets > 0.0)  # the edges with a second border slot
+    slots = np.r_[np.arange(m), deep]
+    plus_at, minus_at, corners = plus[slots], minus[slots], n + np.arange(len(slots))
+    size = n + len(slots)
 
-    def count(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        kap = kappa[:, None]
-        a, b, poles = _offset_terms(kap, lengths, offsets) if shifted else _edge_terms(kap, lengths, cells)
+    def count(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        col = t[:, None]
+        a, b, poles = _offset_terms(col, lengths, offsets) if cells is None else _edge_terms(col, lengths, cells)
         big = np.abs(a) >= np.abs(b)
         huge = np.where(big, a, b)
-        border = np.abs(huge) > BORDER_AT * kap
-        coef = np.concatenate([np.where(border & big, 0.0, a), np.where(border & ~big, 0.0, b)], axis=1)
-        lam = (coef @ outer).reshape(len(kappa), n, n)
+        border = np.abs(huge) > BORDER_AT * col
+        cut_a, cut_b = border & big, border & ~big
+        if len(deep):
+            # below an edge's floor its smaller term may be huge too
+            small = np.where(big[:, deep], b[:, deep], a[:, deep])
+            again = np.abs(small) > BORDER_AT * col
+            cut_a[:, deep] |= again & ~big[:, deep]
+            cut_b[:, deep] |= again & big[:, deep]
+            huge, border = np.concatenate([huge, small], axis=1), np.concatenate([border, again], axis=1)
+            big = np.concatenate([big, ~big[:, deep]], axis=1)  # the slot holds a
+        coef = np.concatenate([np.where(cut_a, 0.0, a), np.where(cut_b, 0.0, b)], axis=1)
+        lam = (coef @ outer).reshape(len(t), n, n)
         shift = poles.sum(axis=1).astype(int)
-        values = np.full((len(kappa), n + m), np.nan)
+        values = np.full((len(t), size), np.nan)
         rows = border.any(axis=1)
         if n and not rows.all():
             values[~rows, :n] = np.linalg.eigvalsh(lam[~rows])[:, ::-1]
         if rows.any():
-            kap, border, big = kap[rows], border[rows], big[rows]
-            vectors = np.where(big[:, :, None], plus, minus) * (kap * border)[:, :, None]
-            diag = np.where(border, -(kap**2) / huge[rows], -kap)
-            full = np.zeros((len(kap), n + m, n + m))
+            col, border, big = col[rows], border[rows], big[rows]
+            vectors = np.where(big[:, :, None], plus_at, minus_at) * (col * border)[:, :, None]
+            with np.errstate(divide="ignore"):  # an unbordered smaller term may be 0
+                diag = np.where(border, -(col**2) / huge[rows], -col)
+            full = np.zeros((len(col), size, size))
             full[:, :n, :n] = lam[rows]
             full[:, n:, :n] = vectors
             full[:, :n, n:] = vectors.transpose(0, 2, 1)
-            full[:, n + edges, n + edges] = diag
+            full[:, corners, corners] = diag
             values[rows] = np.linalg.eigvalsh(full)[:, ::-1]
             shift[rows] -= (diag > 0).sum(axis=1)
         return shift + (values > 0).sum(axis=1), shift, values

@@ -242,9 +242,8 @@ def split_at_jumps(graph: MetricGraph) -> MetricGraph:
     Each piece of an edge becomes an edge of its own, with ``ZERO`` or a
     square well over its whole length, joined to the next by a new degree-2
     Kirchhoff vertex (numbered after the others), which leaves the spectrum
-    unchanged.  A pinned ``cells`` is shared over the pieces by length, at
-    least one each.  An edge of one piece is kept as it is, so a graph with
-    no jump is returned unchanged.  Raises ``ValueError`` on a potential
+    unchanged.  An edge of one piece is kept as it is, so a graph with no
+    jump is returned unchanged.  Raises ``ValueError`` on a potential
     that is not piecewise constant.
     """
     edges, n = [], graph.num_vertices
@@ -259,9 +258,7 @@ def split_at_jumps(graph: MetricGraph) -> MetricGraph:
         n += len(pieces) - 1
         for (left, right, value), u, v in zip(pieces, ends, ends[1:]):
             length = right - left
-            cells = None if e.cells is None else max(1, round(e.cells * length / e.length))
-            potential = SquareWell(value, 0.0, length) if value else ZERO
-            edges.append(Edge(u, v, length, potential, cells))
+            edges.append(Edge(u, v, length, SquareWell(value, 0.0, length) if value else ZERO))
     if n == graph.num_vertices:
         return graph
     return MetricGraph(n, tuple(edges), dict(graph.boundary), graph.alpha)

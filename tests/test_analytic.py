@@ -471,6 +471,32 @@ def test_square_well_fixtures_match_richardson_extrapolated_split_p1(name):
     assert exact == pytest.approx(twice, rel=1e-8, abs=0)
 
 
+@pytest.mark.parametrize("alpha, k", [(1e-5, None), (1e-10, 5)])
+def test_weak_coupling_borders_both_hyperbolic_terms(alpha, k):
+    # at weak coupling tree_well's zero edges lie far below their floor, where
+    # both of their terms are near -eta, with eta / t up to 4e4 at 1e-10; a
+    # term entered directly there swamps Lambda.  Deep in the well of width L
+    # the states meet t L + 2 atan(t / eta) = m pi, exact to roundoff, since
+    # the barriers of 0.225 damp by exp(-0.225 eta).  Every bound state (k is
+    # None) or the lowest k must solve, and the count must certify the lowest 5
+    model = analytic.ExactModel(load_graph(os.path.join(FIXTURES, "tree_well.json")))
+    graph = dataclasses.replace(model.graph, alpha=alpha)
+    width, offset = model.lengths[model.values < 0][0], 14.0 / alpha
+    if k is None:
+        energies = model.bound_states(alpha)
+        assert len(energies) == 396 and energies[-1] < 0
+    else:
+        energies = analytic.piecewise_constant_eigenvalues(graph, k)[0]
+    count = analytic._dtn_counter(graph)[0]
+    for m in range(1, 6):
+        t = analytic.bisect(
+            lambda t: t * width + 2.0 * math.atan(t / math.sqrt(offset - t * t)) - m * math.pi,
+            (m - 1) * math.pi / width, m * math.pi / width,
+        )
+        assert count(np.array([t * (1.0 - 1e-12)]))[0][0] < m <= count(np.array([t * (1.0 + 1e-12)]))[0][0]
+        assert energies[m - 1] == pytest.approx(-14.0 + alpha * t * t, rel=0, abs=1e-14)
+
+
 def test_exact_model_reads_the_split_graph():
     # tree_well's well of depth -14 and width 1.05: its integrals in closed
     # form, and at each coupling the negative part of a solve of the lowest 6

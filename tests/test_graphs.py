@@ -398,12 +398,12 @@ def test_integer_fields_load_as_floats():
 
 
 def test_split_at_jumps_cuts_each_edge_into_its_constant_pieces():
-    # a well inside edge 0 (three pieces, cells shared by length), one over
+    # a well inside edge 0 (three pieces), one over
     # the start of edge 1 (two pieces; the part outside the edge is dropped)
     # and a zero edge, which is kept as it is
     graph = MetricGraph(
         3,
-        (Edge(0, 1, 2.0, SquareWell(-3.0, 0.5, 1.5), cells=8), Edge(1, 2, 1.0, SquareWell(4.0, -1.0, 0.25)),
+        (Edge(0, 1, 2.0, SquareWell(-3.0, 0.5, 1.5)), Edge(1, 2, 1.0, SquareWell(4.0, -1.0, 0.25)),
          Edge(0, 2, 1.5)),
         {},
         0.7,
@@ -411,7 +411,7 @@ def test_split_at_jumps_cuts_each_edge_into_its_constant_pieces():
     split = split_at_jumps(graph)
     assert split.num_vertices == 6 and split.alpha == 0.7 and split.boundary == {}
     assert split.edges == (
-        Edge(0, 3, 0.5, ZERO, 2), Edge(3, 4, 1.0, SquareWell(-3.0, 0.0, 1.0), 4), Edge(4, 1, 0.5, ZERO, 2),
+        Edge(0, 3, 0.5, ZERO), Edge(3, 4, 1.0, SquareWell(-3.0, 0.0, 1.0)), Edge(4, 1, 0.5, ZERO),
         Edge(1, 5, 0.25, SquareWell(4.0, 0.0, 0.25)), Edge(5, 2, 0.75, ZERO), Edge(0, 2, 1.5),
     )
     assert split_at_jumps(split) is split
