@@ -391,7 +391,7 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     values = _edge_values(graph)
     offsets = (values - values.min()) / graph.alpha
     deep = np.flatnonzero(offsets > 0.0)  # the edges with a second border slot
-    slots = np.r_[np.arange(m), deep]
+    slots = np.concatenate([np.arange(m), deep])
     plus_at, minus_at, corners = plus[slots], minus[slots], n + np.arange(len(slots))
     size = n + len(slots)
 
