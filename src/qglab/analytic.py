@@ -6,16 +6,17 @@ These serve as ground truth for the finite element solver and for the
 inequality checks.  The family oracles find their roots by plain bisection
 on pole-free reformulations, with brackets enumerated in closed form.
 
-``piecewise_constant_eigenvalues`` solves the eigenvalue count of such a
-graph, split at the jumps of its potential into edges of constant ``V =
-c_e``, which the vertex Dirichlet-to-Neumann matrix gives exactly (the
-Dirichlet-Neumann bracketing of L. Friedlander, Arch. Rational Mech. Anal.
-1991, on a metric graph as in G. Berkolaiko and P. Kuchment, *Introduction to
-Quantum Graphs*, AMS 2013).  Each edge enters through its dispersion: the
-exact one, or, where ``V = 0``, that of P1 on equal cells, whose Schur
-complement onto the edge's ends has the same form.  It needs no eigensolver,
-counts multiplicities, and certifies every eigenvalue by a bracket, which
-secant steps on the crossing eigenvalue of that matrix close.
+``piecewise_constant_family`` solves the eigenvalue count of such graphs,
+a family of one shape at a time, each split at the jumps of its potential
+into edges of constant ``V = c_e``, which the vertex Dirichlet-to-Neumann
+matrix gives exactly (the Dirichlet-Neumann bracketing of L. Friedlander,
+Arch. Rational Mech. Anal. 1991, on a metric graph as in G. Berkolaiko and
+P. Kuchment, *Introduction to Quantum Graphs*, AMS 2013).  Each edge enters
+through its dispersion: the exact one, or, where ``V = 0``, that of P1 on
+equal cells, whose Schur complement onto the edge's ends has the same form.
+It needs no eigensolver, counts multiplicities, and certifies every
+eigenvalue by a bracket, which secant steps on the crossing eigenvalue of
+that matrix close.
 ``ExactModel`` serves the same count to the moment checks.
 """
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fem
 from .fem import SolverError, require_budget
 from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps
 
@@ -346,58 +348,88 @@ def _secant(x0, f0, x1, f1):
         return x1 - f1 * (x1 - x0) / (f1 - f0)
 
 
-def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
-    """``count(t) -> (N, shift, values)`` for an array of ``t > 0`` off the
-    poles, and the number of non-Dirichlet vertices.
+def _free_vertices(graph: MetricGraph) -> list[int]:
+    return [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
 
-    ``N`` is the number of eigenvalues below ``c_min + alpha t^2`` of a graph
-    of constant edges, exact or, where ``V = 0``, P1 (``_edge_terms``).  Edge
-    ``e`` takes ``kappa_e^2 = t^2 - (c_e - c_min) / alpha``
-    (``_offset_terms``); where every edge has the same ``V``, as where ``V =
-    0``, that is ``kappa_e = t = kappa``.  ``values`` are the eigenvalues,
-    descending, of the matrix counted at each point (NaN-padded), and ``N``
-    is ``shift`` plus the number of them that are positive.  ``N = P +
-    n_+(Lambda)``, with ``P`` the edge Dirichlet eigenvalues below, where the
-    vertex Dirichlet-to-Neumann matrix over the non-Dirichlet vertices is
-    ``Lambda = sum_e a_e p_e p_e^T + b_e q_e q_e^T`` with ``p_e = (1_u +
-    1_v) / sqrt 2`` and ``q_e = (1_u - 1_v) / sqrt 2``.  Exactly, that is
-    ``Lambda_vv = -kappa sum cot(kappa l_e)``, a self-loop adding ``2 kappa
-    tan(kappa l / 2)`` instead, and ``Lambda_uv = kappa sum csc(kappa
-    l_e)``.  Near a pole one term of an edge, ``c w w^T``, is huge and would
-    drown the small eigenvalues of ``Lambda`` in roundoff.  It leaves the
-    matrix and borders it instead: by the inertia additivity of the Schur
-    complement, ``[[A, t w], [t w^T, -t^2 / c]]`` has one more positive
-    eigenvalue than ``A + c w w^T`` exactly when ``c < 0``.  Since ``a b =
-    -kappa_e^2`` above an edge's floor, at most one of its terms is huge
-    there; below it ``a b = eta^2``, and both are once ``eta > BORDER_AT
-    t``, so each edge with an offset has a second border slot for its
-    smaller term.  No term that enters ``Lambda`` exceeds ``BORDER_AT t``.
-    A point with any bordered term borders every slot, the others by a lone
-    ``-t``, which is never counted; its ``shift`` is ``P`` less the
-    positive border corners.
+
+def _shape(graph: MetricGraph) -> tuple:
+    """What the members of a family share (``piecewise_constant_family``),
+    on a graph of constant edges: its vertex count, edge ends in order,
+    boundary, and the edges above its least ``V``."""
+    values = _edge_values(graph)
+    return graph.num_vertices, [(e.u, e.v) for e in graph.edges], graph.boundary, (values > values.min()).tolist()
+
+
+#: The parts of ``_shape``, named in the error for a member that differs.
+SHAPE = ("vertex count", "edge ends", "boundary", "edges above the least V")
+
+
+def _tables(family: list[MetricGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each member's edge lengths, least ``V`` ``c_min`` and edge offsets
+    ``(c_e - c_min) / alpha``, one row (or entry) per member."""
+    lengths = np.array([[e.length for e in g.edges] for g in family])
+    values = np.array([_edge_values(g) for g in family])
+    floors = values.min(axis=1)
+    return lengths, floors, (values - floors[:, None]) / np.array([g.alpha for g in family])[:, None]
+
+
+def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
+    """``count(t, member) -> (N, shift, values)`` for an array of ``t > 0``
+    off the poles and the family member of each point (an array, or one
+    index for all), and the number of non-Dirichlet vertices.
+
+    ``family`` holds graphs of constant edges and one shape (``_shape``):
+    the incidence is built once, from the first, and each point reads its
+    member's row of the edge lengths, offsets and ``cells`` (one row per
+    member; ``None`` for the exact count).  ``N`` is the number of
+    eigenvalues below ``c_min + alpha t^2`` of the member, exact or, where
+    ``V = 0``, P1 (``_edge_terms``).  Edge ``e`` takes ``kappa_e^2 = t^2 -
+    (c_e - c_min) / alpha`` (``_offset_terms``); where every edge has the
+    same ``V``, as where ``V = 0``, that is ``kappa_e = t = kappa``.
+    ``values`` are the eigenvalues, descending, of the matrix counted at each
+    point (NaN-padded), and ``N`` is ``shift`` plus the number of them that
+    are positive.  ``N = P + n_+(Lambda)``, with ``P`` the edge Dirichlet
+    eigenvalues below, where the vertex Dirichlet-to-Neumann matrix over the
+    non-Dirichlet vertices is ``Lambda = sum_e a_e p_e p_e^T + b_e q_e
+    q_e^T`` with ``p_e = (1_u + 1_v) / sqrt 2`` and ``q_e = (1_u - 1_v) /
+    sqrt 2``.  Exactly, that is ``Lambda_vv = -kappa sum cot(kappa l_e)``, a
+    self-loop adding ``2 kappa tan(kappa l / 2)`` instead, and ``Lambda_uv =
+    kappa sum csc(kappa l_e)``.  Near a pole one term of an edge, ``c w
+    w^T``, is huge and would drown the small eigenvalues of ``Lambda`` in
+    roundoff.  It leaves the matrix and borders it instead: by the inertia
+    additivity of the Schur complement, ``[[A, t w], [t w^T, -t^2 / c]]``
+    has one more positive eigenvalue than ``A + c w w^T`` exactly when ``c <
+    0``.  Since ``a b = -kappa_e^2`` above an edge's floor, at most one of
+    its terms is huge there; below it ``a b = eta^2``, and both are once
+    ``eta > BORDER_AT t``, so each edge with an offset has a second border
+    slot for its smaller term.  No term that enters ``Lambda`` exceeds
+    ``BORDER_AT t``.  A point with any bordered term borders every slot, the
+    others by a lone ``-t``, which is never counted; its ``shift`` is ``P``
+    less the positive border corners.
     """
-    free = [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
+    free = _free_vertices(family[0])
     slot = {v: i for i, v in enumerate(free)}
-    n, m = len(free), len(graph.edges)
+    n, m = len(free), len(family[0].edges)
     plus, minus = np.zeros((m, n)), np.zeros((m, n))
-    for i, e in enumerate(graph.edges):
+    for i, e in enumerate(family[0].edges):
         for v, sign in ((e.u, 1.0), (e.v, -1.0)):
             if v in slot:
                 plus[i, slot[v]] += math.sqrt(0.5)
                 minus[i, slot[v]] += sign * math.sqrt(0.5)
     outer = np.concatenate([np.einsum("ei,ej->eij", plus, plus), np.einsum("ei,ej->eij", minus, minus)])
     outer = outer.reshape(2 * m, n * n)
-    lengths = np.array([e.length for e in graph.edges])
-    values = _edge_values(graph)
-    offsets = (values - values.min()) / graph.alpha
-    deep = np.flatnonzero(offsets > 0.0)  # the edges with a second border slot
+    lengths, _, offsets = _tables(family)
+    deep = np.flatnonzero(offsets[0] > 0.0)  # the edges with a second border slot
     slots = np.concatenate([np.arange(m), deep])
     plus_at, minus_at, corners = plus[slots], minus[slots], n + np.arange(len(slots))
     size = n + len(slots)
 
-    def count(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def count(t: np.ndarray, member=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         col = t[:, None]
-        a, b, poles = _offset_terms(col, lengths, offsets) if cells is None else _edge_terms(col, lengths, cells)
+        if cells is None:
+            a, b, poles = _offset_terms(col, lengths[member], offsets[member])
+        else:
+            a, b, poles = _edge_terms(col, lengths[member], cells[member])
         big = np.abs(a) >= np.abs(b)
         huge = np.where(big, a, b)
         border = np.abs(huge) > BORDER_AT * col
@@ -434,61 +466,11 @@ def _dtn_counter(graph: MetricGraph, cells: np.ndarray | None = None):
     return count, n
 
 
-def piecewise_constant_eigenvalues(
-    graph: MetricGraph, k: int, cells=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest ``k`` eigenvalues of a graph whose potential is constant on
-    each piece of every edge (``split_at_jumps``), and their brackets, shape
-    ``(k, 2)``: exact to roundoff, or, with ``cells`` on a ``V = 0`` graph
-    (one whole number per edge, both halves of a self-loop together), those
-    of P1 on that many equal cells per edge.
-
-    The count runs in ``t``, where ``E = c_min + alpha t^2`` and ``c_min`` is
-    the least ``c_e``: ``t = kappa = sqrt(E / alpha)`` where ``V = 0``.  Every
-    bracket ``[lo, hi]`` of the ``j``-th eigenvalue satisfies ``N(lo) < j <=
-    N(hi)`` in ``t`` for the count of ``_dtn_counter``, and ``hi - lo`` is at
-    most 1e-13 of ``hi - c_min`` (``COUNT_RTOL``) unless poles of different
-    edges lie within 1e-14 of each other.  Multiplicities come out of the
-    count.  A graph without a Dirichlet vertex whose ``V`` is one constant
-    has ``E_1 = c_min``, the constant, returned with the bracket ``[c_min,
-    c_min]``.
-
-    All indices are solved together in ``t``, one batched count per step.
-    No count is taken on a pole (an edge Dirichlet eigenvalue ``c_e +
-    alpha (m pi / l_e)^2``), where ``Lambda`` is singular: the
-    first counts split the gaps between consecutive poles, so each bracket
-    holds at most one pole.  A bracket that holds one is then counted just
-    below and just above it, which either certifies the eigenvalue at the
-    pole or leaves a bracket free of poles.  In a free bracket the crossing
-    eigenvalue of ``Lambda`` (the one whose sign decides ``N >= j``) rises
-    with ``t`` and has one root there.  Each step counts every bracket
-    at its midpoint, so it at least halves, and at ``(1 -+ 0.4 COUNT_RTOL)``
-    times a secant point of the crossing eigenvalue, which closes the
-    bracket once the secant has converged.  The secant runs through the
-    latest two secant points, or through the bracket's ends where those aim
-    outside it; next to a pole, where the point is bordered, it reads the
-    crossing eigenvalue of the bordered matrix, which has the same root.  Counts that fall as ``t`` rises raise ``SolverError``; a
-    batch over the memory budget raises ``MemoryBudgetError`` against ``k``
-    (``fem.require_budget``).
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    require_valid(graph)
-    graph = split_at_jumps(graph)
-    values = _edge_values(graph)
-    floor = float(values.min())
-    offsets = (values - floor) / graph.alpha
-    lengths = np.array([e.length for e in graph.edges])
-    if cells is not None:
-        if not graph.potential_is_zero():
-            raise ValueError("the P1 count with cells needs V = 0 on every edge")
-        cells = np.asarray(cells)
-        if cells.shape != lengths.shape or cells.dtype.kind not in "iu" or np.any(cells < 1):
-            raise ValueError(f"cells must be one whole number of at least 1 per edge, got {cells.tolist()}")
-    count, n = _dtn_counter(graph, cells)
-    if cells is not None and k > n + (cells - 1).sum():
-        raise ValueError(f"k must be at most the {n + (cells - 1).sum()} unknowns of the mesh, got {k}")
-
+def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | None, k: int):
+    """One member's clusters of poles in ``t`` up to the ``k``-th, as their
+    lowest and highest poles ``lows`` and ``highs``, the ``top`` that splits
+    the gap above them, and the ``seeds`` counted first: the midpoints of
+    parts about half an eigenvalue spacing wide of every gap, and ``top``."""
     # N(t) is at least the number of poles below t, so it reaches k at
     # `top`, which splits the gap above the cluster of poles that holds the
     # k-th.  A P1 mesh whose k-th pole is missing or in its last cluster
@@ -504,7 +486,7 @@ def piecewise_constant_eigenvalues(
         poles = np.concatenate([np.sqrt(p * p + d) if d else p for p, d in zip(poles, offsets)])
         poles = np.sort(poles[poles <= bound])
         starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > POLE_MERGE_RTOL * poles)  # of each cluster
-        lows, highs = poles[starts], poles[np.r_[starts[1:], len(poles)][: len(starts)] - 1]
+        lows, highs = poles[starts], poles[np.append(starts[1:], len(poles))[: len(starts)] - 1]
         kth = np.searchsorted(starts, k - 1, side="right") - 1  # the cluster of the k-th pole
         if kth + 1 < len(starts):
             top, lows, highs = 0.5 * (highs[kth] + lows[kth + 1]), lows[: kth + 1], highs[: kth + 1]
@@ -515,63 +497,188 @@ def piecewise_constant_eigenvalues(
         bound *= 2.0
     # cut each gap between poles into parts about half an eigenvalue spacing
     # (pi / 2L) wide, and count at their midpoints and at the top
-    starts, ends = np.r_[0.0, highs], np.r_[lows, top]
+    starts, ends = np.append(0.0, highs), np.append(lows, top)
     parts = np.maximum(1, np.rint((ends - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
     gap = np.repeat(np.arange(len(ends)), parts)
     part = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
-    seeds = np.r_[starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap], top]
-    batch, size = max(len(seeds), 4 * k), n + len(lengths)
-    # per count: the direct and the bordered matrices, and a few dozen per-edge arrays
-    need = 8 * (batch * (2 * size * size + 32 * size) + 2 * len(lengths) * n * n)
-    require_budget("k", f"an exact count of {batch} matrices of size {size}", need)
+    seeds = np.append(starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap], top)
+    return lows, highs, top, seeds
 
-    seen_k, seen_n = [], []
 
-    def require_rising(kappa, total):
-        if np.any(np.diff(total[np.argsort(kappa, kind="stable")]) < 0):
-            raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped Lambda")
+def _crossing(values: np.ndarray, shift: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The value whose sign decides ``N >= j`` at each point: ``N >= j``
+    exactly when the ``(j - shift)``-th largest value is positive; NaN where
+    there is none."""
+    r = j - shift - 1
+    inside = (r >= 0) & (r < values.shape[1])
+    value = np.full(len(r), np.nan)
+    value[inside] = values[inside, r[inside]]
+    return value
 
-    def crossing(values, shift, j):
-        # N >= j exactly when the (j - shift)-th largest value is positive
-        r = j - shift - 1
-        inside = (r >= 0) & (r < values.shape[1])
-        value = np.full(len(r), np.nan)
-        value[inside] = values[inside, r[inside]]
-        return value
 
-    def counted(points, j):
-        total, shift, values = count(points)
-        seen_k.append(points)
-        seen_n.append(total)
-        return total, crossing(values, shift, j)
+def _require_rising(t: np.ndarray, member: np.ndarray, total: np.ndarray) -> None:
+    order = np.lexsort((t, member))  # stable: by member, then t
+    if np.any((np.diff(total[order]) < 0) & (np.diff(member[order]) == 0)):
+        raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped Lambda")
 
-    zero_modes = 0 if DIRICHLET in graph.boundary.values() or offsets.any() else 1
-    want = np.arange(zero_modes + 1, k + 1)
-    total, shift, values = count(seeds)
-    seen_k.append(seeds)
-    seen_n.append(total)
-    require_rising(seeds, total)
-    first = np.searchsorted(total, want)
-    if len(want) and first[-1] == len(seeds):
-        raise SolverError(f"the count reaches only {total[-1]} of {k} eigenvalues below kappa {top:.12g}")
+
+def piecewise_constant_eigenvalues(
+    graph: MetricGraph, k: int, cells=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``piecewise_constant_family`` of ``graph`` alone."""
+    return piecewise_constant_family([graph], k, None if cells is None else [cells])[0]
+
+
+def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The lowest ``k`` eigenvalues of each graph of a family whose potential
+    is constant on each piece of every edge (``split_at_jumps``), and their
+    brackets, shape ``(k, 2)``: exact to roundoff, or, with ``cells`` (one
+    row per member) on ``V = 0`` graphs (one whole number per edge, both
+    halves of a self-loop together), those of P1 on that many equal cells
+    per edge.
+
+    A family is a list of graphs that, split at their jumps, have one shape:
+    the same vertices, the same edge ends in the same order, the same
+    boundary, and the same edges above their least ``V`` (``_shape``).  They
+    may differ in edge lengths, edge constants, ``alpha`` and ``cells``.  A
+    member that differs in shape from the first raises ``ValueError``.
+
+    The count runs in ``t``, where ``E = c_min + alpha t^2`` and ``c_min`` is
+    a member's least ``c_e``: ``t = kappa = sqrt(E / alpha)`` where ``V =
+    0``.  Every bracket ``[lo, hi]`` of the ``j``-th eigenvalue satisfies
+    ``N(lo) < j <= N(hi)`` in ``t`` for its member's count of
+    ``_dtn_counter``, and ``hi - lo`` is at most 1e-13 of ``hi - c_min``
+    (``COUNT_RTOL``) unless poles of different edges lie within 1e-14 of
+    each other.  Multiplicities come out of the count.  A graph without a
+    Dirichlet vertex whose ``V`` is one constant has ``E_1 = c_min``, the
+    constant, returned with the bracket ``[c_min, c_min]``.
+
+    All indices of all members are solved together in ``t``, one batched
+    count per step, so a family costs about as many counts as its hardest
+    member.  No count is taken on a pole (an edge Dirichlet eigenvalue ``c_e
+    + alpha (m pi / l_e)^2``), where ``Lambda`` is singular: the first
+    counts split the gaps between consecutive poles of each member, so each
+    bracket holds at most one pole.  A bracket that holds one is then
+    counted just below and just above it, which either certifies the
+    eigenvalue at the pole or leaves a bracket free of poles.  In a free
+    bracket the crossing eigenvalue of ``Lambda`` (the one whose sign decides
+    ``N >= j``) rises with ``t`` and has one root there.  Each step counts
+    every bracket at its midpoint, so it at least halves, and at ``(1 -+ 0.4
+    COUNT_RTOL)`` times a secant point of the crossing eigenvalue, which
+    closes the bracket once the secant has converged.  The secant runs
+    through the latest two secant points, or through the bracket's ends
+    where those aim outside it; next to a pole, where the point is bordered,
+    it reads the crossing eigenvalue of the bordered matrix, which has the
+    same root.  A member's counts that fall as ``t`` rises raise
+    ``SolverError``.  A member whose batch of matrices is over the memory
+    budget raises ``MemoryBudgetError`` against ``k``
+    (``fem.require_budget``); a family over it is solved in consecutive
+    chunks that fit.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    family = []
+    for graph in graphs:
+        require_valid(graph)
+        family.append(split_at_jumps(graph))
+    shapes = [_shape(graph) for graph in family]
+    for i, shape in enumerate(shapes):
+        differs = [name for name, mine, first in zip(SHAPE, shape, shapes[0]) if mine != first]
+        if differs:
+            raise ValueError(f"family member {i} differs from member 0 in its {' and '.join(differs)}")
+    lengths, floors, offsets = _tables(family)
+    if cells is not None:
+        if not all(graph.potential_is_zero() for graph in family):
+            raise ValueError("the P1 count with cells needs V = 0 on every edge")
+        if len(cells) != len(family):
+            raise ValueError(f"cells must have one row per member, got {len(cells)} for {len(family)}")
+        for row in map(np.asarray, cells):
+            if row.shape != lengths.shape[1:] or row.dtype.kind not in "iu" or np.any(row < 1):
+                raise ValueError(f"cells must be one whole number of at least 1 per edge, got {row.tolist()}")
+        cells = np.array(cells)
+    n, m = len(_free_vertices(family[0])), lengths.shape[1]
+    if cells is not None:
+        unknowns = n + (cells - 1).sum(axis=1)
+        over = np.flatnonzero(k > unknowns)
+        if len(over):
+            raise ValueError(f"k must be at most the {unknowns[over[0]]} unknowns of the mesh, got {k}")
+    gaps = [_pole_gaps(lengths[i], offsets[i], None if cells is None else cells[i], k) for i in range(len(family))]
+
+    # per count: the direct and the bordered matrices, and a few dozen
+    # per-edge arrays; the incidence tensor once per chunk
+    size, fixed = n + m, 2 * m * n * n
+    chunks, need = [[]], fixed
+    for i, (_, _, _, seeds) in enumerate(gaps):
+        batch = max(len(seeds), 4 * k)
+        own = batch * (2 * size * size + 32 * size)
+        require_budget("k", f"an exact count of {batch} matrices of size {size}", 8 * (own + fixed))
+        if chunks[-1] and 8 * (need + own) > fem.MEMORY_BUDGET:
+            chunks.append([])
+            need = fixed
+        chunks[-1].append(i)
+        need += own
+    zero_modes = 0 if DIRICHLET in family[0].boundary.values() or offsets[0].any() else 1
+    solved = []
+    for chunk in chunks:
+        members = [family[i] for i in chunk]
+        solved += _solve_chunk(members, k, zero_modes, floors[chunk], None if cells is None else cells[chunk],
+                               [gaps[i] for i in chunk])
+    return solved
+
+
+def _solve_chunk(family, k, zero_modes, floors, cells, gaps) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``piecewise_constant_family`` on members that fit the memory budget
+    together: every bracket of every member in one loop."""
+    count, _ = _dtn_counter(family, cells)
+    seen = []  # every count's points, their members and totals
+
+    def counted(points, member, j):
+        total, shift, values = count(points, member)
+        seen.append((points, member, total))
+        return total, _crossing(values, shift, j)
+
+    # the brackets, member by member, of the indices that each one solves
+    solves = np.arange(zero_modes + 1, k + 1)
+    member = np.repeat(np.arange(len(family)), len(solves))
+    want = np.tile(solves, len(family))
+    seeds = np.concatenate([g[3] for g in gaps])
+    owner = np.repeat(np.arange(len(family)), [len(g[3]) for g in gaps])
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    total, shift, values = count(seeds, owner)
+    seen.append((seeds, owner, total))
+    _require_rising(seeds, owner, total)
+    first = np.zeros(len(want), dtype=int)  # each bracket's upper seed
+    for i, (_, _, top, own) in enumerate(gaps):
+        reach = total[starts[i] : starts[i] + len(own)]
+        at = np.searchsorted(reach, solves)
+        if len(solves) and at[-1] == len(own):
+            raise SolverError(f"the count reaches only {reach[-1]} of {k} eigenvalues below kappa {top:.12g}")
+        first[member == i] = starts[i] + at
     # each bracket's ends, their counts and crossing values (NaN where unknown)
-    prev = np.maximum(first - 1, 0)
-    lo, hi = np.where(first > 0, seeds[prev], 0.0), seeds[first]
-    n_lo, n_hi = np.where(first > 0, total[prev], 0), total[first]
-    f_lo = np.where(first > 0, crossing(values[prev], shift[prev], want), np.nan)
-    f_hi = crossing(values[first], shift[first], want)
+    low = first > starts[member]
+    prev = np.where(low, first - 1, first)
+    lo, hi = np.where(low, seeds[prev], 0.0), seeds[first]
+    n_lo, n_hi = np.where(low, total[prev], 0), total[first]
+    f_lo = np.where(low, _crossing(values[prev], shift[prev], want), np.nan)
+    f_hi = _crossing(values[first], shift[first], want)
     done = np.zeros(len(want), dtype=bool)
 
     # a bracket that holds a pole [a, b]: count just below and just above it;
     # the bracket becomes [lo, below], [below, above] (done) or [above, hi]
-    pole = np.minimum(np.searchsorted(lows, lo, side="right"), len(lows) - 1)
-    held = np.nonzero((lo < lows[pole]) & (highs[pole] < hi))[0] if len(lows) else []
+    a, b = np.full(len(want), np.nan), np.full(len(want), np.nan)
+    for i, (lows, highs, _, _) in enumerate(gaps):
+        mine = np.flatnonzero(member == i)
+        if len(lows):
+            pole = np.minimum(np.searchsorted(lows, lo[mine], side="right"), len(lows) - 1)
+            held = (lo[mine] < lows[pole]) & (highs[pole] < hi[mine])
+            a[mine[held]], b[mine[held]] = lows[pole[held]], highs[pole[held]]
+    held = np.flatnonzero(~np.isnan(a))
     if len(held):
-        a, b = lows[pole[held]], highs[pole[held]]
+        a, b = a[held], b[held]
         step = 0.4 * COUNT_RTOL * a
         below = a - np.minimum(step, 0.5 * (a - lo[held]))
         above = b + np.minimum(step, 0.5 * (hi[held] - b))
-        n_near, f_near = counted(np.r_[below, above], np.r_[want[held], want[held]])
+        n_near, f_near = counted(np.r_[below, above], np.tile(member[held], 2), np.tile(want[held], 2))
         (n_below, n_above), (f_below, f_above) = np.split(n_near, 2), np.split(f_near, 2)
         under, at = n_below >= want[held], n_above >= want[held]
 
@@ -604,8 +711,9 @@ def piecewise_constant_eigenvalues(
         secant = np.minimum(np.maximum(secant, l * finish[1]), u * finish[0])
         points = np.concatenate([0.5 * (l + u)[:, None], secant[:, None] * finish], axis=1)
         valid = (l[:, None] < points) & (points < u[:, None])
+        per_row = valid.sum(axis=1)
         total, value = np.full(points.shape, -1), np.full(points.shape, np.nan)
-        total[valid], value[valid] = counted(points[valid], np.repeat(j, valid.sum(axis=1)))
+        total[valid], value[valid] = counted(points[valid], np.repeat(member[go], per_row), np.repeat(j, per_row))
         up = total >= j[:, None]
         down = valid & ~up
         rows = np.arange(len(go))
@@ -623,17 +731,21 @@ def piecewise_constant_eigenvalues(
         new = np.stack([last[2, go], last[3, go], points[rows, side], value[rows, side]])
         last[:, go[tried]] = new[:, tried]
 
-    require_rising(np.concatenate(seen_k), np.concatenate(seen_n))
+    _require_rising(*(np.concatenate(part) for part in zip(*seen)))
     if np.any(n_lo >= want) or np.any(n_hi < want):
         raise SolverError("a bracket fails N(lo) < j <= N(hi)")
     # the root of the crossing eigenvalue between the bracket's ends, which
     # leaves no bias of half a bracket; a pole's bracket is centred on it
     root = _secant(lo, f_lo, hi, f_hi)
     root = np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi))  # False where NaN
-    energies, brackets = np.full(k, floor), np.full((k, 2), floor)
-    energies[zero_modes:] = floor + graph.alpha * root**2
-    brackets[zero_modes:] = floor + graph.alpha * np.stack([lo, hi], axis=1) ** 2
-    return energies, brackets
+    solved = []
+    for i, (graph, floor) in enumerate(zip(family, floors)):
+        mine = member == i
+        energies, brackets = np.full(k, floor), np.full((k, 2), floor)
+        energies[zero_modes:] = floor + graph.alpha * root[mine] ** 2
+        brackets[zero_modes:] = floor + graph.alpha * np.stack([lo[mine], hi[mine]], axis=1) ** 2
+        solved.append((energies, brackets))
+    return solved
 
 
 class ExactModel:
@@ -674,7 +786,7 @@ class ExactModel:
         if solved is not None and solved[-1] >= 0.0:
             return solved[solved < 0.0]
         graph = replace(self.graph, alpha=alpha)
-        count, _ = _dtn_counter(graph)
+        count, _ = _dtn_counter([graph])
         negative = int(count(np.array([math.sqrt(-self.min_potential / alpha)]))[0][0])
         if negative == 0:
             return np.empty(0)

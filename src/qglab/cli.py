@@ -430,11 +430,12 @@ def _solve(
 
     A graph whose potential is constant on each piece of every edge and that
     has no loop pair takes the exact energies of
-    ``analytic.piecewise_constant_eigenvalues`` and the model
+    ``analytic.piecewise_constant_family`` and the model
     ``analytic.ExactModel``, and builds no mesh.  Its ``int |phi'|^2`` is
-    ``dE / dalpha``, by central differences from two more exact solves at
-    ``alpha (1 -+ ALPHA_STEP)``.  Every other graph solves P1 eigenpairs on a
-    mesh that resolves ``k`` and reads ``int |phi'|^2`` from them.  On ``V =
+    ``dE / dalpha``, by central differences from the exact energies at
+    ``alpha (1 -+ ALPHA_STEP)``, solved in one family with its own.  Every
+    other graph solves P1 eigenpairs on a mesh that resolves ``k`` and reads
+    ``int |phi'|^2`` from them.  On ``V =
     0`` either way it is ``E / alpha``: ``H = alpha K``, so a mass-normalized
     eigenvector has ``v^T K v = E / alpha`` exactly, in the discrete problem
     too, and the exact eigenfunctions satisfy the same identity.
@@ -447,7 +448,9 @@ def _solve(
     solved = min(trusted + 1, k)
     if exact:
         model, spectrum = analytic.ExactModel(graph), None
-        energies, _ = analytic.piecewise_constant_eigenvalues(model.graph, solved)
+        steps = () if graph.potential_is_zero() else (ALPHA_STEP, -ALPHA_STEP)
+        family = [model.graph, *(replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in steps)]
+        energies, *stepped = (e for e, _ in analytic.piecewise_constant_family(family, solved))
         solve = {"source": "exact", "solved": solved, "trusted": trusted}
     else:
         model, spectrum = system, fem.solve_spectrum(system, solved)
@@ -458,8 +461,7 @@ def _solve(
     elif spectrum is not None:
         grad_norms = spectrum.total_dirichlet()
     else:
-        up, down = (replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in (ALPHA_STEP, -ALPHA_STEP))
-        e_up, e_down = (analytic.piecewise_constant_eigenvalues(g, solved)[0] for g in (up, down))
+        (e_up, e_down), (up, down) = stepped, family[1:]
         grad_norms = (e_up - e_down) / (up.alpha - down.alpha)
     return model, energies, grad_norms, spectrum, solve
 
@@ -513,26 +515,40 @@ def cmd_verify(args) -> int:
 # sweep
 
 
-def _ratio_point(sweep: str, x: float, engine: str, h: float, k: int) -> list[float]:
-    """``[x, E1, E2, E2/E1]`` of the balloon with string length ``x``
-    (``balloon-L``) or of the fancy balloon with ``x`` rungs (``fancy-N``).
+def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[list[float]]:
+    """``[x, E1, E2, E2/E1]`` for each ``x``: the balloon with string length
+    ``x`` (``balloon-L``) or the fancy balloon with ``x`` rungs (``fancy-N``).
 
-    The ``fem`` engine reads the lowest ``k`` P1 energies of the mesh at
-    ``h`` from the vertex count of ``analytic.piecewise_constant_eigenvalues``
-    (both graphs have ``V = 0``), with no sparse eigensolve."""
+    The ``fem`` engine builds and checks the mesh at ``h`` of every point
+    first, then reads the lowest ``k`` P1 energies of each from the vertex
+    count of ``analytic.piecewise_constant_family`` (both graphs have ``V =
+    0``), with no sparse eigensolve.  The balloons of every string length
+    share one shape and are counted as one family; each rung count is a
+    shape, and a family, of its own."""
     balloon = sweep == "balloon-L"
     if engine == "fem":
-        graph = families.balloon(string_length=x) if balloon else families.fancy_balloon(x)
-        mesh = fem.build_mesh(graph, h)
-        at = f"{'L' if balloon else 'N'} = {x:g}"
-        _require(k <= mesh.ndof, "--k", k, f"at most {mesh.ndof}, the unknowns of the --h {h:g} mesh at {at}")
-        e = analytic.piecewise_constant_eigenvalues(graph, k, mesh.edge_cells)[0]
+        graphs, cells = [], []
+        for x in xs:
+            graph = families.balloon(string_length=x) if balloon else families.fancy_balloon(x)
+            mesh = fem.build_mesh(graph, h)
+            at = f"{'L' if balloon else 'N'} = {x:g}"
+            _require(k <= mesh.ndof, "--k", k, f"at most {mesh.ndof}, the unknowns of the --h {h:g} mesh at {at}")
+            graphs.append(graph)
+            cells.append(mesh.edge_cells)
+        if balloon:
+            solved = analytic.piecewise_constant_family(graphs, k, cells)
+        else:
+            solved = [analytic.piecewise_constant_eigenvalues(g, k, c) for g, c in zip(graphs, cells)]
+        energies = [e for e, _ in solved]
     elif balloon:
-        e = [m.energy for m in analytic.balloon_eigenvalues(x, 2)]
+        energies = [[m.energy for m in analytic.balloon_eigenvalues(x, 2)] for x in xs]
     else:
-        e = analytic.fancy_balloon_eigenvalues(x, 2)
-    e1, e2 = float(e[0]), float(e[1])
-    return [x, e1, e2, e2 / e1]
+        energies = [analytic.fancy_balloon_eigenvalues(x, 2) for x in xs]
+    rows = []
+    for x, e in zip(xs, energies):
+        e1, e2 = float(e[0]), float(e[1])
+        rows.append([x, e1, e2, e2 / e1])
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -556,8 +572,9 @@ def cmd_sweep(args) -> int:
     grid = np.linspace(lo, hi, args.steps)
 
     if args.sweep == "balloon-L":
+        _require(lo > 0, "--range", args.sweep_range, "positive for the balloon-L sweep")
         h = args.h if args.h is not None else 0.01
-        rows = [_ratio_point(args.sweep, float(L), engine, h, args.k or 6) for L in grid]
+        rows = _ratio_rows(args.sweep, [float(L) for L in grid], engine, h, args.k or 6)
         write_csv(os.path.join(out, "sweep.csv"), ["L", "E1", "E2", "ratio"], rows)
         best = max(range(len(rows)), key=lambda i: rows[i][3])
         print(f"max ratio {fmt_float(rows[best][3])} at L = {fmt_float(rows[best][0])}")
@@ -567,8 +584,7 @@ def cmd_sweep(args) -> int:
         _require(ns[0] >= 2, "--range", args.sweep_range, "lo:hi with lo at least 2 for fancy-N")
         whole = f"at most {ns[-1] - ns[0] + 1} (the whole N in --range {args.sweep_range})"
         _require(len(set(ns)) == args.steps, "--steps", args.steps, whole)
-        rows = [_ratio_point(args.sweep, n, engine, h, args.k or 6) for n in ns]
-        rows = [row + [row[3] / (math.pi**2 * row[0])] for row in rows]
+        rows = [row + [row[3] / (math.pi**2 * row[0])] for row in _ratio_rows(args.sweep, ns, engine, h, args.k or 6)]
         write_csv(os.path.join(out, "sweep.csv"), ["N", "E1", "E2", "ratio", "ratio_over_pi2N"], rows)
         print(f"last ratio/(pi^2 N) = {fmt_float(rows[-1][4])}")
     else:

@@ -209,7 +209,7 @@ def test_zero_potential_brackets_are_certified_by_the_count(graph, oracle):
     lo, hi = brackets.T
     positive = hi > 0  # E = 0 comes back as [0, 0]
     assert np.array_equal(energies[~positive], np.zeros(np.count_nonzero(~positive)))
-    count = analytic._dtn_counter(graph)[0]
+    count = analytic._dtn_counter([graph])[0]
     j = np.arange(1, 61)[positive]
     assert np.all(count(np.sqrt(lo[positive] / graph.alpha))[0] < j)
     assert np.all(j <= count(np.sqrt(hi[positive] / graph.alpha))[0])
@@ -337,12 +337,12 @@ def test_count_closes_the_balloon_brackets_in_few_counts(monkeypatch):
     # halving alone took about 50
     counter, counts = analytic._dtn_counter, []
 
-    def tallied(graph, cells=None):
-        count, n = counter(graph, cells)
+    def tallied(family, cells=None):
+        count, n = counter(family, cells)
 
-        def tally(kappa):
-            counts.append(len(kappa))
-            return count(kappa)
+        def tally(t, member=0):
+            counts.append(len(t))
+            return count(t, member)
 
         return tally, n
 
@@ -421,7 +421,7 @@ def test_square_well_on_an_interval_matches_its_matching_equations(left, right):
     assert np.count_nonzero(oracle < 0) >= 2
     assert energies == pytest.approx(oracle, rel=1e-12, abs=1e-12 * -depth)
     lo, hi = (np.sqrt((brackets[:, i] - depth) / alpha) for i in (0, 1))
-    count = analytic._dtn_counter(split_at_jumps(graph))[0]
+    count = analytic._dtn_counter([split_at_jumps(graph)])[0]
     j = np.arange(1, k + 1)
     assert np.all(count(lo)[0] < j) and np.all(j <= count(hi)[0])
 
@@ -487,7 +487,7 @@ def test_weak_coupling_borders_both_hyperbolic_terms(alpha, k):
         assert len(energies) == 396 and energies[-1] < 0
     else:
         energies = analytic.piecewise_constant_eigenvalues(graph, k)[0]
-    count = analytic._dtn_counter(graph)[0]
+    count = analytic._dtn_counter([graph])[0]
     for m in range(1, 6):
         t = analytic.bisect(
             lambda t: t * width + 2.0 * math.atan(t / math.sqrt(offset - t * t)) - m * math.pi,
@@ -508,3 +508,103 @@ def test_exact_model_reads_the_split_graph():
         lowest = analytic.piecewise_constant_eigenvalues(dataclasses.replace(model.graph, alpha=alpha), 6)[0]
         assert lowest[-1] > 0
         assert np.array_equal(model.bound_states(alpha), lowest[lowest < 0])
+
+
+# --- families of one shape ----------------------------------------------------
+
+
+@st.composite
+def families_of_one_shape(draw):
+    """A random tree or cycle and 1-4 members of its shape, each with its own
+    edge lengths and ``alpha``: all on ``V = 0`` and counted exactly, all on
+    ``V = 0`` with their own P1 ``cells``, or all with square wells at the
+    same places, of one sign and each its own depth.  Returns the graphs and
+    their cells (``None`` for the exact count)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        shape = families.random_tree(rng, size)
+        if draw(st.booleans()):
+            shape = dataclasses.replace(shape, boundary={v: NEUMANN for v in shape.boundary})
+    else:
+        shape = MetricGraph(size, tuple(Edge(i, (i + 1) % size, 1.0) for i in range(size)))
+    kind = draw(st.sampled_from(["exact", "cells", "wells"]))
+    # well ends on a grid of twentieths of each edge, the same in every member
+    wells = {i: sorted(draw(st.integers(0, 20)) for _ in range(2))
+             for i in draw(st.sets(st.integers(0, size - 1), min_size=1))}
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    graphs, cells = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        depth, edges = sign * draw(st.floats(1.0, 60.0)), []
+        for i, e in enumerate(shape.edges):
+            length = draw(st.floats(0.2, 3.0))
+            left, right = wells.get(i, (0, 0))
+            if kind == "wells" and left < right:
+                e = Edge(e.u, e.v, length, SquareWell(depth, left * length / 20, right * length / 20))
+            edges.append(Edge(e.u, e.v, length, e.potential))
+        graphs.append(MetricGraph(shape.num_vertices, tuple(edges), shape.boundary, draw(st.floats(0.3, 2.0))))
+        cells.append([draw(st.integers(2, 8)) for _ in edges])
+    return graphs, cells if kind == "cells" else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(families_of_one_shape(), st.integers(1, 10))
+def test_family_solve_agrees_with_each_member_solved_alone(family, k):
+    # a family shares one bracket loop; each member's energies must lie in
+    # the brackets of its own solve (to 1e-13 of the count's scale, since the
+    # batched count rounds differently) and each member's brackets must pass
+    # its own counter's certificate
+    graphs, cells = family
+    free = sum(graphs[0].boundary.get(v) != DIRICHLET for v in range(graphs[0].num_vertices))
+    k = min([k, *(free + sum(c) - len(c) for c in cells or [])])
+    assume(k > 0)
+    solved = analytic.piecewise_constant_family(graphs, k, cells)
+    assert len(solved) == len(graphs)
+    for i, (graph, (energies, brackets)) in enumerate(zip(graphs, solved)):
+        own = None if cells is None else cells[i]
+        _, alone = analytic.piecewise_constant_eigenvalues(graph, k, own)
+        split = split_at_jumps(graph)
+        floor = analytic._tables([split])[1][0]
+        slack = 1e-13 * (alone[:, 1] - floor)
+        assert np.all((alone[:, 0] - slack <= energies) & (energies <= alone[:, 1] + slack))
+        count = analytic._dtn_counter([split], None if own is None else np.array([own]))[0]
+        j = np.arange(1, k + 1)
+        solves = brackets[:, 1] > floor  # not the zero mode E_1 = c_min, returned as [c_min, c_min]
+        lo, hi = (np.sqrt((brackets[solves, end] - floor) / graph.alpha) for end in (0, 1))
+        assert np.all(count(lo)[0] < j[solves]) and np.all(j[solves] <= count(hi)[0])
+
+
+def test_family_members_must_share_a_shape():
+    balloons = [families.balloon(string_length=L) for L in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="family member 2 differs from member 0 in its vertex count and edge ends"):
+        analytic.piecewise_constant_family([*balloons, families.y_graph(), families.y_graph()], 3)
+    # a barrier where the other has a well: the same pieces, but the others lie above it
+    well, barrier = (families.with_square_well(families.y_graph(), 0, depth) for depth in (-5.0, 5.0))
+    analytic.piecewise_constant_family([well, families.with_square_well(families.y_graph(), 0, -9.0)], 3)
+    with pytest.raises(ValueError, match="family member 1 differs from member 0 in its edges above the least V"):
+        analytic.piecewise_constant_family([well, barrier], 3)
+
+
+def test_family_over_the_budget_is_solved_in_chunks(monkeypatch):
+    # 12 balloons of 3 x 3 matrices need about 22 kB each: a budget of 50 kB
+    # takes them two at a time, with a counter per chunk, and the same results
+    graphs = [families.balloon(string_length=L) for L in np.linspace(0.5, 6.0, 12)]
+    cells = [fem.build_mesh(g, 0.05).edge_cells for g in graphs]
+    whole = analytic.piecewise_constant_family(graphs, 6, cells)
+    counter, builds = analytic._dtn_counter, []
+
+    def built(family, cells=None):
+        builds.append(len(family))
+        return counter(family, cells)
+
+    monkeypatch.setattr(analytic, "_dtn_counter", built)
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 50_000)
+    chunked = analytic.piecewise_constant_family(graphs, 6, cells)
+    assert builds == [2] * 6
+    for (energies, brackets), (e, b) in zip(whole, chunked):
+        assert np.all((brackets[:, 0] <= e) & (e <= brackets[:, 1]))
+        assert np.all((b[:, 0] <= energies) & (energies <= b[:, 1]))
+    # one member alone over the budget is refused, as a graph on its own is
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 20_000)
+    with pytest.raises(fem.MemoryBudgetError, match="an exact count of 24 matrices of size 3"):
+        analytic.piecewise_constant_family(graphs, 6, cells)

@@ -111,6 +111,7 @@ TERMINALS_RULE = "--terminals must be a comma-separated list of at least two dis
 ALPHA_SWEEP = ["sweep", "--sweep", "alpha", "--graph", fixture("tree_well.json"), "--steps", "3", "--range"]
 BALLOON_RANGE = ["sweep", "--sweep", "balloon-L", "--steps", "3", "--range"]
 ORACLE_SWEEP = [*BALLOON_SWEEP, "--engine", "oracle"]
+BALLOON_POSITIVE = "--range must be positive for the balloon-L sweep"
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -167,6 +168,12 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         ),
         # once "coupling range must be positive", which did not name the option
         ([*ALPHA_SWEEP, "0:2"], "--range must be positive for the alpha sweep, got 0:2"),
+        # once "edge 1: nonpositive length 0.0" (fem) and "string length must be
+        # positive" (oracle), which did not name the option
+        *(
+            ([*BALLOON_RANGE[:-1], f"--range={r}", "--engine", engine], f"{BALLOON_POSITIVE}, got {r}")
+            for r, engine in (("0:2", "fem"), ("-1:2", "oracle"))
+        ),
         *(
             ([*BALLOON_RANGE, r], f"--range must be lo:hi with finite lo < hi, got {r}")
             for r in ("nan:1", "0.5", "2:1", "1:2:3")
@@ -203,6 +210,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "lead-neg", "terminals-not-int", "terminals-empty", "terminals-one", "terminals-repeated",
         "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
+        "balloon-fem-range-zero", "balloon-oracle-range-negative",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
         "sweep-steps-1", "balloon-graph", "fancy-graph", "oracle-h", "oracle-k", "alpha-engine", "balloon-k-over-ndof",
         "alpha-graph-without-well",
@@ -291,12 +299,12 @@ def test_exact_count_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
 def test_exact_count_failure_exits_3(tmp_path, capsys, monkeypatch):
     counter = analytic._dtn_counter
 
-    def falling(graph, cells=None):
-        count, n = counter(graph, cells)
+    def falling(family, cells=None):
+        count, n = counter(family, cells)
 
-        def fall(kappa):
-            total, below, values = count(kappa)
-            return total - 3 * (kappa > 5.0), below, values
+        def fall(t, member=0):
+            total, below, values = count(t, member)
+            return total - 3 * (t > 5.0), below, values
 
         return fall, n
 
@@ -560,6 +568,47 @@ def test_sweep_fem_engine_reads_p1_without_an_eigensolve(tmp_path, monkeypatch, 
     assert [[float(r[1]), float(r[2])] for r in rows] == pytest.approx(np.array(p1), rel=1e-9, abs=0)
 
 
+BENCHMARK_SWEEP = ["sweep", "--sweep", "balloon-L", "--engine", "fem", "--range", "0.5:6", "--steps", "56",
+                   "--h", "0.01", "--k", "6"]
+
+
+def _counters_built(monkeypatch):
+    """Wrap ``analytic._dtn_counter`` to record the members of each counter built."""
+    builds, counter = [], analytic._dtn_counter
+
+    def built(family, cells=None):
+        builds.append(len(family))
+        return counter(family, cells)
+
+    monkeypatch.setattr(analytic, "_dtn_counter", built)
+    return builds
+
+
+def test_balloon_sweep_counts_every_point_in_one_family(tmp_path, monkeypatch):
+    # the 56 balloons share one shape: one counter for all of them, not one
+    # per point; under a budget of 0.5 MB (above the 0.39 MB that the
+    # finest mesh's smallest solve needs) they take three chunks, with the
+    # same table
+    builds = _counters_built(monkeypatch)
+    assert main([*BENCHMARK_SWEEP, "--out-dir", str(tmp_path / "whole")]) == 0
+    assert builds == [56]
+    builds.clear()
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 500_000)
+    assert main([*BENCHMARK_SWEEP, "--out-dir", str(tmp_path / "chunked")]) == 0
+    assert sum(builds) == 56 and len(builds) == 3
+    assert (tmp_path / "chunked" / "sweep.csv").read_text() == (tmp_path / "whole" / "sweep.csv").read_text()
+
+
+def test_balloon_sweep_member_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # a point whose own count is over the budget is refused before any is counted
+    builds = _counters_built(monkeypatch)
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 200_000)
+    code = main([*BALLOON_RANGE, "0.5:6", "--h", "0.05", "--k", "100", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "input error: --k too large: an exact count of 400 matrices of size 3" in capsys.readouterr().err
+    assert builds == [] and not (tmp_path / "out").exists()
+
+
 def test_sweep_fancy_cli_takes_steps_whole_n(tmp_path, capsys):
     # N once ran over range(lo, hi + 1, (hi - lo) // (steps - 1)): 5 rows here
     code = main(["sweep", "--sweep", "fancy-N", "--range", "2:10", "--steps", "4", "--out-dir", str(tmp_path)])
@@ -636,17 +685,17 @@ def _record_solves(monkeypatch):
 
 
 def _record_exact_solves(monkeypatch):
-    """Wrap ``analytic.piecewise_constant_eigenvalues`` to record each call's
-    ``k`` and energies."""
+    """Wrap ``analytic.piecewise_constant_family`` to record ``k`` and the
+    energies of each member of each call."""
     calls = []
-    solve = analytic.piecewise_constant_eigenvalues
+    solve = analytic.piecewise_constant_family
 
-    def recording(graph, k):
-        energies, brackets = solve(graph, k)
-        calls.append((k, energies))
-        return energies, brackets
+    def recording(graphs, k, cells=None):
+        solved = solve(graphs, k, cells)
+        calls.extend((k, energies) for energies, _ in solved)
+        return solved
 
-    monkeypatch.setattr(analytic, "piecewise_constant_eigenvalues", recording)
+    monkeypatch.setattr(analytic, "piecewise_constant_family", recording)
     return calls
 
 
