@@ -7,7 +7,7 @@ inequality checks.  The family oracles find their roots by plain bisection
 on pole-free reformulations, with brackets enumerated in closed form.
 
 ``piecewise_constant_family`` solves the eigenvalue count of such graphs,
-a family of one shape at a time, each split at the jumps of its potential
+those of one shape together, each split at the jumps of its potential
 into edges of constant ``V = c_e``, which the vertex Dirichlet-to-Neumann
 matrix gives exactly (the Dirichlet-Neumann bracketing of L. Friedlander,
 Arch. Rational Mech. Anal. 1991, on a metric graph as in G. Berkolaiko and
@@ -15,8 +15,9 @@ P. Kuchment, *Introduction to Quantum Graphs*, AMS 2013).  Each edge enters
 through its dispersion: the exact one, or, where ``V = 0``, that of P1 on
 equal cells, whose Schur complement onto the edge's ends has the same form.
 It needs no eigensolver, counts multiplicities, and certifies every
-eigenvalue by a bracket, which secant steps on the crossing eigenvalue of
-that matrix close.
+eigenvalue by a bracket: one on a pole of the count from its first points,
+which lie just below and just above every pole; any other by secant steps
+on the crossing eigenvalue of that matrix.
 ``ExactModel`` serves the same count to the moment checks.
 """
 
@@ -357,11 +358,8 @@ def _shape(graph: MetricGraph) -> tuple:
     on a graph of constant edges: its vertex count, edge ends in order,
     boundary, and the edges above its least ``V``."""
     values = _edge_values(graph)
-    return graph.num_vertices, [(e.u, e.v) for e in graph.edges], graph.boundary, (values > values.min()).tolist()
-
-
-#: The parts of ``_shape``, named in the error for a member that differs.
-SHAPE = ("vertex count", "edge ends", "boundary", "edges above the least V")
+    ends = tuple((e.u, e.v) for e in graph.edges)
+    return graph.num_vertices, ends, tuple(sorted(graph.boundary.items())), tuple(values > values.min())
 
 
 def _tables(family: list[MetricGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,7 +374,7 @@ def _tables(family: list[MetricGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
     """``count(t, member) -> (N, shift, values)`` for an array of ``t > 0``
     off the poles and the family member of each point (an array, or one
-    index for all), and the number of non-Dirichlet vertices.
+    index for all).
 
     ``family`` holds graphs of constant edges and one shape (``_shape``):
     the incidence is built once, from the first, and each point reads its
@@ -463,14 +461,17 @@ def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
             shift[rows] -= (diag > 0).sum(axis=1)
         return shift + (values > 0).sum(axis=1), shift, values
 
-    return count, n
+    return count
 
 
 def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | None, k: int):
-    """One member's clusters of poles in ``t`` up to the ``k``-th, as their
-    lowest and highest poles ``lows`` and ``highs``, the ``top`` that splits
-    the gap above them, and the ``seeds`` counted first: the midpoints of
-    parts about half an eigenvalue spacing wide of every gap, and ``top``."""
+    """The ``seeds`` in ``t`` that one member counts first, ascending, and
+    ``below``, which flags the seed just below each cluster of its poles up
+    to the one that holds the ``k``-th: the midpoints of parts about half an
+    eigenvalue spacing wide of every gap between clusters, the points
+    ``0.4 COUNT_RTOL`` (relative) below and above each cluster, or halfway
+    to the nearest midpoint where that is nearer, and the last seed, which
+    splits the gap above the cluster of the ``k``-th pole."""
     # N(t) is at least the number of poles below t, so it reaches k at
     # `top`, which splits the gap above the cluster of poles that holds the
     # k-th.  A P1 mesh whose k-th pole is missing or in its last cluster
@@ -495,14 +496,23 @@ def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | Non
             top = ceiling
             break
         bound *= 2.0
-    # cut each gap between poles into parts about half an eigenvalue spacing
-    # (pi / 2L) wide, and count at their midpoints and at the top
+    # cut each gap between clusters into parts about half an eigenvalue
+    # spacing (pi / 2L) wide, and count at their midpoints
     starts, ends = np.append(0.0, highs), np.append(lows, top)
     parts = np.maximum(1, np.rint((ends - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
     gap = np.repeat(np.arange(len(ends)), parts)
     part = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
-    seeds = np.append(starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap], top)
-    return lows, highs, top, seeds
+    mids = starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap]
+    # and just below and just above each cluster: a bracket between these
+    # two certifies an eigenvalue on the cluster, and no other holds a pole
+    after = np.cumsum(parts)[:-1]  # the first midpoint above each cluster
+    step = 0.4 * COUNT_RTOL * lows
+    under = lows - np.minimum(step, 0.5 * (lows - mids[after - 1]))
+    over = highs + np.minimum(step, 0.5 * (mids[after] - highs))
+    points = np.concatenate([mids, under, over, [top]])
+    order = np.argsort(points, kind="stable")
+    below = (len(mids) <= order) & (order < len(mids) + len(lows))
+    return points[order], below
 
 
 def _crossing(values: np.ndarray, shift: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -537,11 +547,12 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
     halves of a self-loop together), those of P1 on that many equal cells
     per edge.
 
-    A family is a list of graphs that, split at their jumps, have one shape:
-    the same vertices, the same edge ends in the same order, the same
-    boundary, and the same edges above their least ``V`` (``_shape``).  They
-    may differ in edge lengths, edge constants, ``alpha`` and ``cells``.  A
-    member that differs in shape from the first raises ``ValueError``.
+    The graphs are grouped by their shape once split at their jumps
+    (``_shape``): the same vertices, the same edge ends in the same order,
+    the same boundary, and the same edges above their least ``V``.  The
+    members of a group may differ in edge lengths, edge constants, ``alpha``
+    and ``cells``, and are solved together; the results come back in the
+    order of ``graphs``.
 
     The count runs in ``t``, where ``E = c_min + alpha t^2`` and ``c_min`` is
     a member's least ``c_e``: ``t = kappa = sqrt(E / alpha)`` where ``V =
@@ -553,14 +564,15 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
     Dirichlet vertex whose ``V`` is one constant has ``E_1 = c_min``, the
     constant, returned with the bracket ``[c_min, c_min]``.
 
-    All indices of all members are solved together in ``t``, one batched
-    count per step, so a family costs about as many counts as its hardest
-    member.  No count is taken on a pole (an edge Dirichlet eigenvalue ``c_e
-    + alpha (m pi / l_e)^2``), where ``Lambda`` is singular: the first
-    counts split the gaps between consecutive poles of each member, so each
-    bracket holds at most one pole.  A bracket that holds one is then
-    counted just below and just above it, which either certifies the
-    eigenvalue at the pole or leaves a bracket free of poles.  In a free
+    All indices of all members of a group are solved together in ``t``, one
+    batched count per step, so a group costs about as many counts as its
+    hardest member.  No count is taken on a pole (an edge Dirichlet
+    eigenvalue ``c_e + alpha (m pi / l_e)^2``), where ``Lambda`` is
+    singular.  The first count is at each member's seeds (``_pole_gaps``):
+    points that split the gaps between its clusters of poles, and a point
+    just below and one just above each cluster.  A bracket between the two
+    around a cluster certifies the eigenvalue on it; every other bracket is
+    free of poles.  In a free
     bracket the crossing eigenvalue of ``Lambda`` (the one whose sign decides
     ``N >= j``) rises with ``t`` and has one root there.  Each step counts
     every bracket at its midpoint, so it at least halves, and at ``(1 -+ 0.4
@@ -572,8 +584,8 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
     same root.  A member's counts that fall as ``t`` rises raise
     ``SolverError``.  A member whose batch of matrices is over the memory
     budget raises ``MemoryBudgetError`` against ``k``
-    (``fem.require_budget``); a family over it is solved in consecutive
-    chunks that fit.
+    (``fem.require_budget``), before any is counted; a group over it is
+    solved in consecutive chunks that fit.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -581,55 +593,58 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
     for graph in graphs:
         require_valid(graph)
         family.append(split_at_jumps(graph))
-    shapes = [_shape(graph) for graph in family]
-    for i, shape in enumerate(shapes):
-        differs = [name for name, mine, first in zip(SHAPE, shape, shapes[0]) if mine != first]
-        if differs:
-            raise ValueError(f"family member {i} differs from member 0 in its {' and '.join(differs)}")
-    lengths, floors, offsets = _tables(family)
     if cells is not None:
         if not all(graph.potential_is_zero() for graph in family):
             raise ValueError("the P1 count with cells needs V = 0 on every edge")
         if len(cells) != len(family):
             raise ValueError(f"cells must have one row per member, got {len(cells)} for {len(family)}")
-        for row in map(np.asarray, cells):
-            if row.shape != lengths.shape[1:] or row.dtype.kind not in "iu" or np.any(row < 1):
+        cells = [np.asarray(row) for row in cells]
+        for graph, row in zip(family, cells):
+            if row.shape != (len(graph.edges),) or row.dtype.kind not in "iu" or np.any(row < 1):
                 raise ValueError(f"cells must be one whole number of at least 1 per edge, got {row.tolist()}")
-        cells = np.array(cells)
-    n, m = len(_free_vertices(family[0])), lengths.shape[1]
-    if cells is not None:
-        unknowns = n + (cells - 1).sum(axis=1)
-        over = np.flatnonzero(k > unknowns)
-        if len(over):
-            raise ValueError(f"k must be at most the {unknowns[over[0]]} unknowns of the mesh, got {k}")
-    gaps = [_pole_gaps(lengths[i], offsets[i], None if cells is None else cells[i], k) for i in range(len(family))]
+            unknowns = len(_free_vertices(graph)) + (row - 1).sum()
+            if k > unknowns:
+                raise ValueError(f"k must be at most the {unknowns} unknowns of the mesh, got {k}")
+    shapes = {}
+    for i, graph in enumerate(family):
+        shapes.setdefault(_shape(graph), []).append(i)
 
     # per count: the direct and the bordered matrices, and a few dozen
-    # per-edge arrays; the incidence tensor once per chunk
-    size, fixed = n + m, 2 * m * n * n
-    chunks, need = [[]], fixed
-    for i, (_, _, _, seeds) in enumerate(gaps):
-        batch = max(len(seeds), 4 * k)
-        own = batch * (2 * size * size + 32 * size)
-        require_budget("k", f"an exact count of {batch} matrices of size {size}", 8 * (own + fixed))
-        if chunks[-1] and 8 * (need + own) > fem.MEMORY_BUDGET:
-            chunks.append([])
-            need = fixed
-        chunks[-1].append(i)
-        need += own
-    zero_modes = 0 if DIRICHLET in family[0].boundary.values() or offsets[0].any() else 1
-    solved = []
+    # per-edge arrays; the incidence tensor once per chunk.  A chunk holds
+    # members of one shape.
+    chunks = []
+    for members in shapes.values():
+        lengths, _, offsets = _tables([family[i] for i in members])
+        n, m = len(_free_vertices(family[members[0]])), lengths.shape[1]
+        size, fixed = n + m, 2 * m * n * n
+        chunks.append([])
+        need = fixed
+        for i, length, offset in zip(members, lengths, offsets):
+            gaps = _pole_gaps(length, offset, None if cells is None else cells[i], k)
+            batch = max(len(gaps[0]), 4 * k)
+            own = batch * (2 * size * size + 32 * size)
+            require_budget("k", f"an exact count of {batch} matrices of size {size}", 8 * (own + fixed))
+            if chunks[-1] and 8 * (need + own) > fem.MEMORY_BUDGET:
+                chunks.append([])
+                need = fixed
+            chunks[-1].append((i, gaps))
+            need += own
+    solved = [None] * len(family)
     for chunk in chunks:
-        members = [family[i] for i in chunk]
-        solved += _solve_chunk(members, k, zero_modes, floors[chunk], None if cells is None else cells[chunk],
-                               [gaps[i] for i in chunk])
+        members = [i for i, _ in chunk]
+        own_cells = None if cells is None else np.array([cells[i] for i in members])
+        results = _solve_chunk([family[i] for i in members], k, own_cells, [gaps for _, gaps in chunk])
+        for i, result in zip(members, results):
+            solved[i] = result
     return solved
 
 
-def _solve_chunk(family, k, zero_modes, floors, cells, gaps) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``piecewise_constant_family`` on members that fit the memory budget
-    together: every bracket of every member in one loop."""
-    count, _ = _dtn_counter(family, cells)
+def _solve_chunk(family, k, cells, gaps) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``piecewise_constant_family`` on members of one shape that fit the
+    memory budget together: every bracket of every member in one loop."""
+    count = _dtn_counter(family, cells)
+    _, floors, offsets = _tables(family)
+    zero_modes = 0 if DIRICHLET in family[0].boundary.values() or offsets[0].any() else 1
     seen = []  # every count's points, their members and totals
 
     def counted(points, member, j):
@@ -641,54 +656,29 @@ def _solve_chunk(family, k, zero_modes, floors, cells, gaps) -> list[tuple[np.nd
     solves = np.arange(zero_modes + 1, k + 1)
     member = np.repeat(np.arange(len(family)), len(solves))
     want = np.tile(solves, len(family))
-    seeds = np.concatenate([g[3] for g in gaps])
-    owner = np.repeat(np.arange(len(family)), [len(g[3]) for g in gaps])
+    seeds, below = (np.concatenate(part) for part in zip(*gaps))
+    owner = np.repeat(np.arange(len(family)), [len(g[0]) for g in gaps])
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
     total, shift, values = count(seeds, owner)
     seen.append((seeds, owner, total))
     _require_rising(seeds, owner, total)
     first = np.zeros(len(want), dtype=int)  # each bracket's upper seed
-    for i, (_, _, top, own) in enumerate(gaps):
+    for i, (own, _) in enumerate(gaps):
         reach = total[starts[i] : starts[i] + len(own)]
         at = np.searchsorted(reach, solves)
         if len(solves) and at[-1] == len(own):
-            raise SolverError(f"the count reaches only {reach[-1]} of {k} eigenvalues below kappa {top:.12g}")
+            raise SolverError(f"the count reaches only {reach[-1]} of {k} eigenvalues below kappa {own[-1]:.12g}")
         first[member == i] = starts[i] + at
-    # each bracket's ends, their counts and crossing values (NaN where unknown)
+    # each bracket's ends, their counts and crossing values (NaN where
+    # unknown); a bracket from just below a cluster of poles to just above
+    # it certifies the eigenvalue there, and every other is free of poles
     low = first > starts[member]
     prev = np.where(low, first - 1, first)
     lo, hi = np.where(low, seeds[prev], 0.0), seeds[first]
     n_lo, n_hi = np.where(low, total[prev], 0), total[first]
     f_lo = np.where(low, _crossing(values[prev], shift[prev], want), np.nan)
     f_hi = _crossing(values[first], shift[first], want)
-    done = np.zeros(len(want), dtype=bool)
-
-    # a bracket that holds a pole [a, b]: count just below and just above it;
-    # the bracket becomes [lo, below], [below, above] (done) or [above, hi]
-    a, b = np.full(len(want), np.nan), np.full(len(want), np.nan)
-    for i, (lows, highs, _, _) in enumerate(gaps):
-        mine = np.flatnonzero(member == i)
-        if len(lows):
-            pole = np.minimum(np.searchsorted(lows, lo[mine], side="right"), len(lows) - 1)
-            held = (lo[mine] < lows[pole]) & (highs[pole] < hi[mine])
-            a[mine[held]], b[mine[held]] = lows[pole[held]], highs[pole[held]]
-    held = np.flatnonzero(~np.isnan(a))
-    if len(held):
-        a, b = a[held], b[held]
-        step = 0.4 * COUNT_RTOL * a
-        below = a - np.minimum(step, 0.5 * (a - lo[held]))
-        above = b + np.minimum(step, 0.5 * (hi[held] - b))
-        n_near, f_near = counted(np.r_[below, above], np.tile(member[held], 2), np.tile(want[held], 2))
-        (n_below, n_above), (f_below, f_above) = np.split(n_near, 2), np.split(f_near, 2)
-        under, at = n_below >= want[held], n_above >= want[held]
-
-        def pick(if_under, if_at, if_above):
-            return np.where(under, if_under, np.where(at, if_at, if_above))
-
-        lo[held], hi[held] = pick(lo[held], below, above), pick(below, above, hi[held])
-        n_lo[held], n_hi[held] = pick(n_lo[held], n_below, n_above), pick(n_below, n_above, n_hi[held])
-        f_lo[held], f_hi[held] = pick(f_lo[held], f_below, f_above), pick(f_below, f_above, f_hi[held])
-        done[held] = at & ~under
+    done = low & below[prev]
 
     # every step counts each bracket at its midpoint, so no bracket fails to
     # halve, and at the pair x (1 -+ 0.4 COUNT_RTOL) around a secant point
@@ -786,7 +776,7 @@ class ExactModel:
         if solved is not None and solved[-1] >= 0.0:
             return solved[solved < 0.0]
         graph = replace(self.graph, alpha=alpha)
-        count, _ = _dtn_counter([graph])
+        count = _dtn_counter([graph])
         negative = int(count(np.array([math.sqrt(-self.min_potential / alpha)]))[0][0])
         if negative == 0:
             return np.empty(0)

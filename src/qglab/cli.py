@@ -522,9 +522,9 @@ def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[lis
     The ``fem`` engine builds and checks the mesh at ``h`` of every point
     first, then reads the lowest ``k`` P1 energies of each from the vertex
     count of ``analytic.piecewise_constant_family`` (both graphs have ``V =
-    0``), with no sparse eigensolve.  The balloons of every string length
-    share one shape and are counted as one family; each rung count is a
-    shape, and a family, of its own."""
+    0``), with no sparse eigensolve, in one call: it counts the points of one
+    shape together, so the balloons of every string length are one family
+    and each rung count is a family of its own."""
     balloon = sweep == "balloon-L"
     if engine == "fem":
         graphs, cells = [], []
@@ -535,11 +535,7 @@ def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[lis
             _require(k <= mesh.ndof, "--k", k, f"at most {mesh.ndof}, the unknowns of the --h {h:g} mesh at {at}")
             graphs.append(graph)
             cells.append(mesh.edge_cells)
-        if balloon:
-            solved = analytic.piecewise_constant_family(graphs, k, cells)
-        else:
-            solved = [analytic.piecewise_constant_eigenvalues(g, k, c) for g, c in zip(graphs, cells)]
-        energies = [e for e, _ in solved]
+        energies = [e for e, _ in analytic.piecewise_constant_family(graphs, k, cells)]
     elif balloon:
         energies = [[m.energy for m in analytic.balloon_eigenvalues(x, 2)] for x in xs]
     else:

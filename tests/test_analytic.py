@@ -209,7 +209,7 @@ def test_zero_potential_brackets_are_certified_by_the_count(graph, oracle):
     lo, hi = brackets.T
     positive = hi > 0  # E = 0 comes back as [0, 0]
     assert np.array_equal(energies[~positive], np.zeros(np.count_nonzero(~positive)))
-    count = analytic._dtn_counter([graph])[0]
+    count = analytic._dtn_counter([graph])
     j = np.arange(1, 61)[positive]
     assert np.all(count(np.sqrt(lo[positive] / graph.alpha))[0] < j)
     assert np.all(j <= count(np.sqrt(hi[positive] / graph.alpha))[0])
@@ -332,26 +332,95 @@ def test_p1_count_keeps_the_multiplicity_on_a_pole(n):
     assert energies == pytest.approx(p1, rel=1e-9, abs=0)
 
 
-def test_count_closes_the_balloon_brackets_in_few_counts(monkeypatch):
-    # the secant steps close each bracket in about 10 batched counts, where
-    # halving alone took about 50
+def _tallied_counts(monkeypatch) -> list[int]:
+    """Wrap ``analytic._dtn_counter`` to record the points of each batched count."""
     counter, counts = analytic._dtn_counter, []
 
     def tallied(family, cells=None):
-        count, n = counter(family, cells)
+        count = counter(family, cells)
 
         def tally(t, member=0):
             counts.append(len(t))
             return count(t, member)
 
-        return tally, n
+        return tally
 
     monkeypatch.setattr(analytic, "_dtn_counter", tallied)
+    return counts
+
+
+def test_count_closes_the_balloon_brackets_in_few_counts(monkeypatch):
+    # the secant steps close each bracket in about 10 batched counts, where
+    # halving alone took about 50
+    counts = _tallied_counts(monkeypatch)
     graph = families.balloon()
     for cells in (None, fem.build_mesh(graph, 0.01).edge_cells):
         counts.clear()
         analytic.piecewise_constant_eigenvalues(graph, 6, cells)
         assert len(counts) <= 20
+
+
+def test_count_certifies_eigenvalues_on_poles_in_its_first_count(monkeypatch):
+    # every eigenvalue of the Dirichlet interval sits on a pole of its edge:
+    # the first count, just below and just above each pole, certifies them
+    # all, each at the centre of its bracket, which is the pole
+    counts = _tallied_counts(monkeypatch)
+    graph = load_graph(os.path.join(FIXTURES, "interval_unit.json"))
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, 61)
+    assert len(counts) == 1
+    assert energies == pytest.approx((math.pi * np.arange(1, 62)) ** 2, rel=1e-15)
+    assert np.all(brackets[:, 1] - brackets[:, 0] <= 1e-13 * brackets[:, 1])
+
+
+@st.composite
+def pole_rich_members(draw):
+    """One member's edge lengths, offsets and cells (``None`` for the exact
+    count), from a random tree with commensurate edge lengths (multiples of
+    1/4), so that poles of different edges coincide: on ``V = 0`` with or
+    without P1 cells, or with square wells on quarters of its edges, split
+    at their jumps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = families.random_tree(rng, draw(st.integers(1, 5)))
+    kind = draw(st.sampled_from(["exact", "cells", "wells"]))
+    depth = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 60.0))
+    edges = []
+    for e in shape.edges:
+        length = draw(st.integers(1, 8)) / 4
+        left, right = (length * q / 4 for q in sorted(draw(st.integers(0, 4)) for _ in range(2)))
+        well = kind == "wells" and left < right
+        edges.append(Edge(e.u, e.v, length, SquareWell(depth, left, right) if well else e.potential))
+    graph = split_at_jumps(dataclasses.replace(shape, edges=tuple(edges), alpha=draw(st.floats(0.3, 2.0))))
+    lengths, _, offsets = analytic._tables([graph])
+    cells = np.array([draw(st.integers(1, 8)) for _ in graph.edges]) if kind == "cells" else None
+    return lengths[0], offsets[0], cells
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pole_rich_members(), st.integers(1, 40))
+def test_pole_gaps_seed_just_below_and_above_every_cluster(member, k):
+    # the poles of each edge, in t, below the last seed, merged into clusters
+    # as the count merges them; each cluster is bracketed by a flagged seed
+    # just below it and the next seed just above it, and no seed lies on one
+    lengths, offsets, cells = member
+    seeds, below = analytic._pole_gaps(lengths, offsets, cells, k)
+    top = seeds[-1]
+    poles = []
+    for i, (length, offset) in enumerate(zip(lengths, offsets)):
+        m = np.arange(1.0, math.ceil(top * length / math.pi) + 2.0)
+        if cells is None:
+            pole = np.sqrt((m * math.pi / length) ** 2 + offset)
+        else:
+            pole = analytic._pole(m, length, cells[i])
+        poles.append(pole[pole < top])
+    poles = np.sort(np.concatenate(poles))
+    new = np.flatnonzero(np.diff(poles, prepend=-np.inf) > analytic.POLE_MERGE_RTOL * poles)
+    lows, highs = poles[new], poles[np.append(new[1:], len(poles))[: len(new)] - 1]
+    assert np.all(np.diff(seeds) > 0)
+    at = np.searchsorted(seeds, lows) - 1  # the last seed below each cluster
+    assert np.array_equal(np.flatnonzero(below), at)
+    assert np.array_equal(np.searchsorted(seeds, highs, side="right"), at + 1)  # none on a cluster
+    near = (0.4 * analytic.COUNT_RTOL + 4 * np.finfo(float).eps) * lows
+    assert np.all(lows - seeds[at] <= near) and np.all(seeds[at + 1] - highs <= near)
 
 
 def test_p1_count_rejects_more_than_the_mesh_holds():
@@ -421,7 +490,7 @@ def test_square_well_on_an_interval_matches_its_matching_equations(left, right):
     assert np.count_nonzero(oracle < 0) >= 2
     assert energies == pytest.approx(oracle, rel=1e-12, abs=1e-12 * -depth)
     lo, hi = (np.sqrt((brackets[:, i] - depth) / alpha) for i in (0, 1))
-    count = analytic._dtn_counter([split_at_jumps(graph)])[0]
+    count = analytic._dtn_counter([split_at_jumps(graph)])
     j = np.arange(1, k + 1)
     assert np.all(count(lo)[0] < j) and np.all(j <= count(hi)[0])
 
@@ -487,7 +556,7 @@ def test_weak_coupling_borders_both_hyperbolic_terms(alpha, k):
         assert len(energies) == 396 and energies[-1] < 0
     else:
         energies = analytic.piecewise_constant_eigenvalues(graph, k)[0]
-    count = analytic._dtn_counter([graph])[0]
+    count = analytic._dtn_counter([graph])
     for m in range(1, 6):
         t = analytic.bisect(
             lambda t: t * width + 2.0 * math.atan(t / math.sqrt(offset - t * t)) - m * math.pi,
@@ -510,53 +579,56 @@ def test_exact_model_reads_the_split_graph():
         assert np.array_equal(model.bound_states(alpha), lowest[lowest < 0])
 
 
-# --- families of one shape ----------------------------------------------------
+# --- families -------------------------------------------------------------------
 
 
 @st.composite
-def families_of_one_shape(draw):
-    """A random tree or cycle and 1-4 members of its shape, each with its own
-    edge lengths and ``alpha``: all on ``V = 0`` and counted exactly, all on
-    ``V = 0`` with their own P1 ``cells``, or all with square wells at the
-    same places, of one sign and each its own depth.  Returns the graphs and
+def families_of_shapes(draw):
+    """1-4 members of each of 1-2 random shapes, shuffled: a tree, some with
+    Neumann leaves, or a cycle, and each member with its own edge lengths
+    and ``alpha``.  All are on ``V = 0`` and counted exactly, or on ``V =
+    0`` with their own P1 ``cells``, or carry square wells at the places of
+    their shape, of one sign and each its own depth.  Returns the graphs and
     their cells (``None`` for the exact count)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        shape = families.random_tree(rng, size)
-        if draw(st.booleans()):
-            shape = dataclasses.replace(shape, boundary={v: NEUMANN for v in shape.boundary})
-    else:
-        shape = MetricGraph(size, tuple(Edge(i, (i + 1) % size, 1.0) for i in range(size)))
     kind = draw(st.sampled_from(["exact", "cells", "wells"]))
-    # well ends on a grid of twentieths of each edge, the same in every member
-    wells = {i: sorted(draw(st.integers(0, 20)) for _ in range(2))
-             for i in draw(st.sets(st.integers(0, size - 1), min_size=1))}
     sign = draw(st.sampled_from([-1.0, 1.0]))
     graphs, cells = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        depth, edges = sign * draw(st.floats(1.0, 60.0)), []
-        for i, e in enumerate(shape.edges):
-            length = draw(st.floats(0.2, 3.0))
-            left, right = wells.get(i, (0, 0))
-            if kind == "wells" and left < right:
-                e = Edge(e.u, e.v, length, SquareWell(depth, length * (left / 20), length * (right / 20)))
-            edges.append(Edge(e.u, e.v, length, e.potential))
-        graphs.append(MetricGraph(shape.num_vertices, tuple(edges), shape.boundary, draw(st.floats(0.3, 2.0))))
-        cells.append([draw(st.integers(2, 8)) for _ in edges])
-    return graphs, cells if kind == "cells" else None
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            shape = families.random_tree(rng, size)
+            if draw(st.booleans()):
+                shape = dataclasses.replace(shape, boundary={v: NEUMANN for v in shape.boundary})
+        else:
+            shape = MetricGraph(size, tuple(Edge(i, (i + 1) % size, 1.0) for i in range(size)))
+        # well ends on a grid of twentieths of each edge, the same in every member
+        wells = {i: sorted(draw(st.integers(0, 20)) for _ in range(2))
+                 for i in draw(st.sets(st.integers(0, size - 1), min_size=1))}
+        for _ in range(draw(st.integers(1, 4))):
+            depth, edges = sign * draw(st.floats(1.0, 60.0)), []
+            for i, e in enumerate(shape.edges):
+                length = draw(st.floats(0.2, 3.0))
+                left, right = wells.get(i, (0, 0))
+                if kind == "wells" and left < right:
+                    e = Edge(e.u, e.v, length, SquareWell(depth, length * (left / 20), length * (right / 20)))
+                edges.append(Edge(e.u, e.v, length, e.potential))
+            graphs.append(MetricGraph(shape.num_vertices, tuple(edges), shape.boundary, draw(st.floats(0.3, 2.0))))
+            cells.append([draw(st.integers(2, 8)) for _ in edges])
+    order = draw(st.permutations(range(len(graphs))))
+    return [graphs[i] for i in order], [cells[i] for i in order] if kind == "cells" else None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(families_of_one_shape(), st.integers(1, 10))
+@given(families_of_shapes(), st.integers(1, 10))
 def test_family_solve_agrees_with_each_member_solved_alone(family, k):
-    # a family shares one bracket loop; each member's energies must lie in
-    # the brackets of its own solve (to 1e-13 of the count's scale, since the
-    # batched count rounds differently) and each member's brackets must pass
-    # its own counter's certificate
+    # the members of a shape share one bracket loop; each member's energies
+    # must lie in the brackets of its own solve (to 1e-13 of the count's
+    # scale, since the batched count rounds differently) and each member's
+    # brackets must pass its own counter's certificate
     graphs, cells = family
-    free = sum(graphs[0].boundary.get(v) != DIRICHLET for v in range(graphs[0].num_vertices))
-    k = min([k, *(free + sum(c) - len(c) for c in cells or [])])
+    free = [sum(g.boundary.get(v) != DIRICHLET for v in range(g.num_vertices)) for g in graphs]
+    k = min([k, *(f + sum(c) - len(c) for f, c in zip(free, cells or []))])
     assume(k > 0)
     solved = analytic.piecewise_constant_family(graphs, k, cells)
     assert len(solved) == len(graphs)
@@ -567,7 +639,7 @@ def test_family_solve_agrees_with_each_member_solved_alone(family, k):
         floor = analytic._tables([split])[1][0]
         slack = 1e-13 * (alone[:, 1] - floor)
         assert np.all((alone[:, 0] - slack <= energies) & (energies <= alone[:, 1] + slack))
-        count = analytic._dtn_counter([split], None if own is None else np.array([own]))[0]
+        count = analytic._dtn_counter([split], None if own is None else np.array([own]))
         j = np.arange(1, k + 1)
         solves = brackets[:, 1] > floor  # not the zero mode E_1 = c_min, returned as [c_min, c_min]
         # the count at an end within roundoff of its eigenvalue is decided by
@@ -578,19 +650,25 @@ def test_family_solve_agrees_with_each_member_solved_alone(family, k):
         assert np.all(count(lo)[0] < j[solves]) and np.all(j[solves] <= count(hi)[0])
 
 
-def test_family_members_must_share_a_shape():
-    balloons = [families.balloon(string_length=L) for L in (1.0, 2.0)]
-    with pytest.raises(ValueError, match="family member 2 differs from member 0 in its vertex count and edge ends"):
-        analytic.piecewise_constant_family([*balloons, families.y_graph(), families.y_graph()], 3)
-    # a barrier where the other has a well: the same pieces, but the others lie above it
-    well, barrier = (families.with_square_well(families.y_graph(), 0, depth) for depth in (-5.0, 5.0))
-    analytic.piecewise_constant_family([well, families.with_square_well(families.y_graph(), 0, -9.0)], 3)
-    with pytest.raises(ValueError, match="family member 1 differs from member 0 in its edges above the least V"):
-        analytic.piecewise_constant_family([well, barrier], 3)
+def test_family_groups_its_members_by_shape():
+    # balloons, fancy balloons of 2-5 rungs and a square well on a Y: one
+    # family per shape, each result where its graph stood, and bit-equal to
+    # the graph solved alone
+    balloons = [families.balloon(string_length=L) for L in (0.7, 1.9, 3.3)]
+    fancy = [families.fancy_balloon(n) for n in range(2, 6)]
+    graphs = [balloons[0], fancy[0], balloons[1], fancy[1], fancy[2], balloons[2], fancy[3]]
+    well = families.with_square_well(families.y_graph(), 0, -9.0)
+    cells = [fem.build_mesh(g, 0.05).edge_cells for g in graphs]
+    for members, rows in ((graphs, cells), ([well, *graphs], None)):
+        solved = analytic.piecewise_constant_family(members, 8, rows)
+        assert len(solved) == len(members)
+        for i, (graph, (energies, brackets)) in enumerate(zip(members, solved)):
+            alone = analytic.piecewise_constant_eigenvalues(graph, 8, None if rows is None else rows[i])
+            assert np.array_equal(energies, alone[0]) and np.array_equal(brackets, alone[1])
 
 
 def test_family_over_the_budget_is_solved_in_chunks(monkeypatch):
-    # 12 balloons of 3 x 3 matrices need about 22 kB each: a budget of 50 kB
+    # 12 balloons of 3 x 3 matrices need about 25 kB each: a budget of 60 kB
     # takes them two at a time, with a counter per chunk, and the same results
     graphs = [families.balloon(string_length=L) for L in np.linspace(0.5, 6.0, 12)]
     cells = [fem.build_mesh(g, 0.05).edge_cells for g in graphs]
@@ -602,7 +680,7 @@ def test_family_over_the_budget_is_solved_in_chunks(monkeypatch):
         return counter(family, cells)
 
     monkeypatch.setattr(analytic, "_dtn_counter", built)
-    monkeypatch.setattr(fem, "MEMORY_BUDGET", 50_000)
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 60_000)
     chunked = analytic.piecewise_constant_family(graphs, 6, cells)
     assert builds == [2] * 6
     for (energies, brackets), (e, b) in zip(whole, chunked):
@@ -610,5 +688,5 @@ def test_family_over_the_budget_is_solved_in_chunks(monkeypatch):
         assert np.all((b[:, 0] <= energies) & (energies <= b[:, 1]))
     # one member alone over the budget is refused, as a graph on its own is
     monkeypatch.setattr(fem, "MEMORY_BUDGET", 20_000)
-    with pytest.raises(fem.MemoryBudgetError, match="an exact count of 24 matrices of size 3"):
+    with pytest.raises(fem.MemoryBudgetError, match="an exact count of 26 matrices of size 3"):
         analytic.piecewise_constant_family(graphs, 6, cells)

@@ -300,13 +300,13 @@ def test_exact_count_failure_exits_3(tmp_path, capsys, monkeypatch):
     counter = analytic._dtn_counter
 
     def falling(family, cells=None):
-        count, n = counter(family, cells)
+        count = counter(family, cells)
 
         def fall(t, member=0):
             total, below, values = count(t, member)
             return total - 3 * (t > 5.0), below, values
 
-        return fall, n
+        return fall
 
     monkeypatch.setattr(analytic, "_dtn_counter", falling)
     assert main(["verify", *Y, "--out-dir", str(tmp_path / "out")]) == 3
@@ -605,7 +605,7 @@ def test_balloon_sweep_member_over_memory_budget_exits_2(tmp_path, capsys, monke
     monkeypatch.setattr(fem, "MEMORY_BUDGET", 200_000)
     code = main([*BALLOON_RANGE, "0.5:6", "--h", "0.05", "--k", "100", "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert "input error: --k too large: an exact count of 400 matrices of size 3" in capsys.readouterr().err
+    assert "input error: --k too large: an exact count of 439 matrices of size 3" in capsys.readouterr().err
     assert builds == [] and not (tmp_path / "out").exists()
 
 
