@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem
-from .fem import SolverError, require_budget
+from .fem import SolverError, _close_brackets, _crossing, _require_rising, require_budget
 from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps
 
 
@@ -343,12 +343,6 @@ def _pole(m, lengths: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
     return np.where(m < cells, np.sqrt(6.0 * s2 / (1.5 - s2)) * cells / lengths, np.inf)
 
 
-def _secant(x0, f0, x1, f1):
-    """The zero of the line through ``(x0, f0)`` and ``(x1, f1)``; NaN where a value is."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return x1 - f1 * (x1 - x0) / (f1 - f0)
-
-
 def _free_vertices(graph: MetricGraph) -> list[int]:
     return [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
 
@@ -515,23 +509,6 @@ def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | Non
     return points[order], below
 
 
-def _crossing(values: np.ndarray, shift: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The value whose sign decides ``N >= j`` at each point: ``N >= j``
-    exactly when the ``(j - shift)``-th largest value is positive; NaN where
-    there is none."""
-    r = j - shift - 1
-    inside = (r >= 0) & (r < values.shape[1])
-    value = np.full(len(r), np.nan)
-    value[inside] = values[inside, r[inside]]
-    return value
-
-
-def _require_rising(t: np.ndarray, member: np.ndarray, total: np.ndarray) -> None:
-    order = np.lexsort((t, member))  # stable: by member, then t
-    if np.any((np.diff(total[order]) < 0) & (np.diff(member[order]) == 0)):
-        raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped Lambda")
-
-
 def piecewise_constant_eigenvalues(
     graph: MetricGraph, k: int, cells=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -680,54 +657,11 @@ def _solve_chunk(family, k, cells, gaps) -> list[tuple[np.ndarray, np.ndarray]]:
     f_hi = _crossing(values[first], shift[first], want)
     done = low & below[prev]
 
-    # every step counts each bracket at its midpoint, so no bracket fails to
-    # halve, and at the pair x (1 -+ 0.4 COUNT_RTOL) around a secant point
-    # x, which closes the bracket once the secant has converged.  Nothing is
-    # counted at x itself: a converged secant sits within the roundoff of the
-    # count, where counts at nearby points need not rise.  `last` holds the
-    # two latest secant points (the upper one of each pair) and their values.
-    finish = np.array([1.0 - 0.4 * COUNT_RTOL, 1.0 + 0.4 * COUNT_RTOL])
-    last = np.stack([lo, f_lo, hi, f_hi])
-    while True:
-        go = np.nonzero(~done & (hi - lo > COUNT_RTOL * hi))[0]
-        if not len(go):
-            break
-        j, l, u = want[go], lo[go], hi[go]
-        secant = _secant(*last[:, go])
-        # through the bracket's ends where the latest two points aim outside it
-        outside = ~((l < secant) & (secant < u))
-        secant[outside] = _secant(l, f_lo[go], u, f_hi[go])[outside]
-        # NaN where a value is missing: next to a pole, the point is bordered
-        secant = np.minimum(np.maximum(secant, l * finish[1]), u * finish[0])
-        points = np.concatenate([0.5 * (l + u)[:, None], secant[:, None] * finish], axis=1)
-        valid = (l[:, None] < points) & (points < u[:, None])
-        per_row = valid.sum(axis=1)
-        total, value = np.full(points.shape, -1), np.full(points.shape, np.nan)
-        total[valid], value[valid] = counted(points[valid], np.repeat(member[go], per_row), np.repeat(j, per_row))
-        up = total >= j[:, None]
-        down = valid & ~up
-        rows = np.arange(len(go))
-        i_hi = np.argmin(np.where(up, points, np.inf), axis=1)
-        i_lo = np.argmax(np.where(down, points, -np.inf), axis=1)
-        new_hi, new_lo = up[rows, i_hi], down[rows, i_lo]
-        hi[go] = np.where(new_hi, points[rows, i_hi], u)
-        n_hi[go] = np.where(new_hi, total[rows, i_hi], n_hi[go])
-        f_hi[go] = np.where(new_hi, value[rows, i_hi], f_hi[go])
-        lo[go] = np.where(new_lo, points[rows, i_lo], l)
-        n_lo[go] = np.where(new_lo, total[rows, i_lo], n_lo[go])
-        f_lo[go] = np.where(new_lo, value[rows, i_lo], f_lo[go])
-        side = np.where(valid[:, 2], 2, 1)
-        tried = valid[rows, side]
-        new = np.stack([last[2, go], last[3, go], points[rows, side], value[rows, side]])
-        last[:, go[tried]] = new[:, tried]
-
+    root = _close_brackets(
+        lambda points, rows: counted(points, member[rows], want[rows]),
+        want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, COUNT_RTOL,
+    )
     _require_rising(*(np.concatenate(part) for part in zip(*seen)))
-    if np.any(n_lo >= want) or np.any(n_hi < want):
-        raise SolverError("a bracket fails N(lo) < j <= N(hi)")
-    # the root of the crossing eigenvalue between the bracket's ends, which
-    # leaves no bias of half a bracket; a pole's bracket is centred on it
-    root = _secant(lo, f_lo, hi, f_hi)
-    root = np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi))  # False where NaN
     solved = []
     for i, (graph, floor) in enumerate(zip(family, floors)):
         mine = member == i

@@ -14,18 +14,23 @@ Eigenpairs come from shift-invert Lanczos, or from dense LAPACK for small
 systems and large shares of the spectrum.  Every Lanczos result is certified
 complete, multiplicities included, by counting eigenvalues with Sylvester's
 law of inertia; a result that fails the count falls back to dense LAPACK, or
-raises ``SolverError`` where that would not fit the memory budget.
-``solve_spectrum`` returns eigenpairs with their per-edge tables;
-``solve_energies`` returns the energies alone, through the same solver path
-without eigenvector extraction.  ``solve_bound_states`` is the one rule for
-the negative eigenvalues: those of a certified solve with a nonnegative top,
-or else one inertia count at 0 and one energies-only solve of that many.
+raises ``SolverError`` where that would not fit the memory budget.  The
+count (``_chain_counter``) factors no sparse matrix: each segment's interior
+nodes are a tridiagonal chain, counted by LAPACK's tridiagonal routines, and
+the free vertices a small separator, counted through its dense Schur
+complement.  ``solve_spectrum`` returns eigenpairs with their per-edge
+tables; ``solve_energies`` returns the energies alone, through the same
+solver path without eigenvector extraction.  ``solve_bound_states`` is the
+one rule for the negative eigenvalues: those of a certified solve with a
+nonnegative top, or else the count at 0 and one bracket per bound state,
+closed on the count by ``_close_brackets`` with no eigensolver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -49,6 +54,10 @@ DENSE_K_FRACTION = 1.0 / 6.0
 #: graph, the balloon and ``fancy_balloon(4)`` (``n`` up to 3334) the counts
 #: were exact at a tenth of this distance from every eigenvalue.
 CERT_RTOL = 1e-8
+
+#: ``solve_bound_states`` stops a bracket at this width relative to its
+#: top, in ``t = sqrt((E - min V) / alpha)``.
+BOUND_RTOL = 1e-12
 
 #: Smallest Lanczos basis, in vectors, that a sparse solve asks for.
 MIN_NCV = 40
@@ -213,6 +222,10 @@ class AssembledSystem:
     def hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
         return (alpha * self.base_stiffness + self.potential).tocsr()
 
+    @cached_property
+    def chains(self) -> ChainSplit:
+        return _split_chains(self)
+
     def bound_states(self, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
         return solve_bound_states(self, alpha, solved=solved)
 
@@ -300,44 +313,274 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _count_below(ham: scipy.sparse.spmatrix, mass: scipy.sparse.spmatrix, cutoff: float) -> int:
-    """Eigenvalues of the pencil ``(ham, mass)`` below ``cutoff``, with
-    multiplicity.
+def _secant(x0, f0, x1, f1):
+    """The zero of the line through ``(x0, f0)`` and ``(x1, f1)``; NaN where a value is."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return x1 - f1 * (x1 - x0) / (f1 - f0)
 
-    ``mass`` is positive definite, so by Sylvester's law of inertia this is
-    the number of negative pivots of a symmetric ``LDL^T`` factorization of
-    ``ham - cutoff * mass``.  SuperLU in symmetric mode with diagonal pivots
-    returns one as ``L U`` with ``U = D L^T``, provided its row and column
-    orders agree.
+
+def _crossing(values: np.ndarray, shift: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The value whose sign decides ``N >= j`` at each point of a count with
+    ``N = shift + (values > 0).sum()``, ``values`` descending: ``N >= j``
+    exactly when the ``(j - shift)``-th largest value is positive; NaN where
+    there is none."""
+    r = j - shift - 1
+    inside = (r >= 0) & (r < values.shape[1])
+    value = np.full(len(r), np.nan)
+    value[inside] = values[inside, r[inside]]
+    return value
+
+
+def _require_rising(t: np.ndarray, member: np.ndarray, total: np.ndarray) -> None:
+    """Raise ``SolverError`` where a member's counts fall as ``t`` rises."""
+    order = np.lexsort((t, member))  # stable: by member, then t
+    if np.any((np.diff(total[order]) < 0) & (np.diff(member[order]) == 0)):
+        raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped the count")
+
+
+def _close_brackets(count, want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, rtol: float) -> np.ndarray:
+    """Narrow each bracket ``[lo, hi]`` of the ``want``-th eigenvalue, which
+    holds ``N(lo) < want <= N(hi)`` for a count ``N`` that rises with ``t``,
+    until it is ``done`` or at most ``rtol`` of ``hi`` wide, and return the
+    root in each.
+
+    ``count(points, rows)`` counts at ``points``, each for the bracket of
+    index ``rows``, and returns ``N`` there and the crossing value: the value
+    whose sign decides ``N >= want``, which rises with ``t`` and has one root
+    in a bracket free of poles (NaN where there is none).  ``n_lo``, ``n_hi``
+    and ``f_lo``, ``f_hi`` hold the counts and crossing values at the ends
+    (NaN where unknown); all six arrays are narrowed in place.
+
+    Every step counts each bracket at its midpoint, so no bracket fails to
+    halve, and at the pair ``x (1 -+ 0.4 rtol)`` around a secant point ``x``,
+    which closes the bracket once the secant has converged.  Nothing is
+    counted at ``x`` itself: a converged secant sits within the roundoff of
+    the count, where counts at nearby points need not rise.  The secant runs
+    through the latest two secant points (the upper one of each pair), or
+    through the bracket's ends where those aim outside it.  The root is that
+    of the crossing value between the bracket's ends, which leaves no bias of
+    half a bracket; a bracket that is ``done`` (or whose secant misses it) is
+    centred on it.
     """
-    try:
-        lu = scipy.sparse.linalg.splu(
-            (ham - cutoff * mass).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # exactly singular: cutoff is an eigenvalue
-        raise SolverError(f"inertia count at {cutoff:.12g} failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(f"inertia count at {cutoff:.12g} needs a symmetric pivot order")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    finish = np.array([1.0 - 0.4 * rtol, 1.0 + 0.4 * rtol])
+    last = np.stack([lo, f_lo, hi, f_hi])
+    while True:
+        go = np.nonzero(~done & (hi - lo > rtol * hi))[0]
+        if not len(go):
+            break
+        j, l, u = want[go], lo[go], hi[go]
+        x = _secant(*last[:, go])
+        outside = ~((l < x) & (x < u))
+        x[outside] = _secant(l, f_lo[go], u, f_hi[go])[outside]
+        # NaN where a value is missing
+        x = np.minimum(np.maximum(x, l * finish[1]), u * finish[0])
+        points = np.concatenate([0.5 * (l + u)[:, None], x[:, None] * finish], axis=1)
+        valid = (l[:, None] < points) & (points < u[:, None])
+        total, value = np.full(points.shape, -1), np.full(points.shape, np.nan)
+        total[valid], value[valid] = count(points[valid], np.repeat(go, valid.sum(axis=1)))
+        up = total >= j[:, None]
+        down = valid & ~up
+        rows = np.arange(len(go))
+        i_hi = np.argmin(np.where(up, points, np.inf), axis=1)
+        i_lo = np.argmax(np.where(down, points, -np.inf), axis=1)
+        new_hi, new_lo = up[rows, i_hi], down[rows, i_lo]
+        hi[go] = np.where(new_hi, points[rows, i_hi], u)
+        n_hi[go] = np.where(new_hi, total[rows, i_hi], n_hi[go])
+        f_hi[go] = np.where(new_hi, value[rows, i_hi], f_hi[go])
+        lo[go] = np.where(new_lo, points[rows, i_lo], l)
+        n_lo[go] = np.where(new_lo, total[rows, i_lo], n_lo[go])
+        f_lo[go] = np.where(new_lo, value[rows, i_lo], f_lo[go])
+        side = np.where(valid[:, 2], 2, 1)
+        tried = valid[rows, side]
+        new = np.stack([last[2, go], last[3, go], points[rows, side], value[rows, side]])
+        last[:, go[tried]] = new[:, tried]
+    if np.any(n_lo >= want) or np.any(n_hi < want):
+        raise SolverError("a bracket fails N(lo) < j <= N(hi)")
+    root = _secant(lo, f_lo, hi, f_hi)
+    return np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi))  # False where NaN
 
 
-def _certify(ham: scipy.sparse.spmatrix, mass: scipy.sparse.spmatrix, energies: np.ndarray, sigma: float) -> None:
+#: A chain's term in the Schur complement, ``b^T X b`` for its couplings
+#: ``b`` and its block ``X`` of ``T^-1``, enters ``S`` while ``max|b|
+#: max|X|`` is at most this.  Next to a pole of the chain, where ``X`` is
+#: huge and would drown the small eigenvalues of ``S`` in roundoff, the
+#: chain's first node joins ``S`` instead (``_chain_counter``).
+NEAR_POLE = 20.0
+
+#: The golden section: a graph with no free vertex takes the node this far
+#: along its longest chain into the separator (``ChainSplit``), off the
+#: nodes where a symmetric well's odd states vanish.
+GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+@dataclass(frozen=True)
+class ChainSplit:
+    """The degrees of freedom split into a small separator and tridiagonal
+    chains, which the inertia count of ``_chain_counter`` reads.
+
+    The interior nodes of each mesh segment form a chain, coupled to the rest
+    only through its two end nodes.  The free solver vertices are the
+    ``separator``; a graph with none takes one node of its longest chain
+    (``GOLDEN``), which splits that chain in two.  Chain ``c`` holds the
+    degrees of freedom ``lo[c]`` to ``hi[c] - 1``, and its ``ends[c]`` are
+    the separator slots it meets, each with its side (0 at its first node, 1
+    at its last).  Every chain meets the separator, as only a leaf may be
+    Dirichlet.  ``parts`` holds, for each of ``K``, ``W`` and ``M`` (the
+    coupling-free stiffness, the potential and the mass), its diagonal, its
+    first superdiagonal, its dense separator block, and each chain's entries
+    at its first and its last node, shape ``(2, chains)``.
+    """
+
+    separator: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    ends: list[tuple[np.ndarray, np.ndarray]]
+    parts: tuple
+
+
+def _split_chains(system: AssembledSystem) -> ChainSplit:
+    mesh = system.mesh
+    separator = np.arange(mesh.ndof - sum(seg.cells - 1 for seg in mesh.segments))
+    paths = [seg.dofs for seg in mesh.segments]
+    if not len(separator) and mesh.ndof:
+        longest = max(paths, key=len)
+        separator = longest[[1 + int(GOLDEN * (len(longest) - 2))]]
+    slot = np.full(mesh.ndof + 1, -1)  # a Dirichlet vertex, dof -1, reads the last entry
+    slot[separator] = np.arange(len(separator))
+    chains = []  # first dof, last dof + 1, and the dofs next to the first and the last
+    for path in paths:
+        cuts = np.concatenate(([0], np.flatnonzero(slot[path[1:-1]] >= 0) + 1, [len(path) - 1]))
+        chains += [(path[a + 1], path[b - 1] + 1, path[a], path[b]) for a, b in zip(cuts[:-1], cuts[1:]) if b - a > 1]
+    lo, hi, before, after = np.array(chains, dtype=int).reshape(-1, 4).T
+    sides = np.stack([slot[before], slot[after]], axis=1)
+    ends = [(row[row >= 0], np.flatnonzero(row >= 0)) for row in sides]
+    parts = []
+    for mat in (system.base_stiffness, system.potential, system.mass):
+        coupling = [np.asarray(mat[np.maximum(v, 0), node]).ravel() * (v >= 0) for v, node in ((before, lo), (after, hi - 1))]
+        block = mat[separator][:, separator].toarray()
+        parts.append((mat.diagonal(), mat.diagonal(1), block, np.array(coupling)))
+    return ChainSplit(separator, lo, hi, ends, tuple(parts))
+
+
+def _unit_columns(size: int, nodes: np.ndarray) -> np.ndarray:
+    """The unit vectors of length ``size`` at ``nodes``, as columns."""
+    rhs = np.zeros((size, len(nodes)))
+    rhs[nodes, np.arange(len(nodes))] = 1.0
+    return rhs
+
+
+def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray, energy: float) -> tuple[int, np.ndarray]:
+    """The negative eigenvalues of the symmetric tridiagonal ``T`` with
+    diagonal ``d`` and off-diagonal ``e``, and ``T^-1 rhs``.
+
+    A ``T`` that ``dptsv`` factors as positive definite has none; any other
+    takes the Sturm count of ``dstebz`` (W. Kahan, 1966) and a ``dgtsv``
+    solve.  A singular ``T`` (``energy`` on a pole) raises ``SolverError``.
+    """
+    e = e if len(d) > 1 else np.zeros(1)  # LAPACK reads no e of one node
+    *_, x, info = scipy.linalg.lapack.dptsv(d, e, rhs)
+    if not info:
+        return 0, x
+    negative = scipy.linalg.lapack.dstebz(d, e, 1, -math.inf, 0.0, 0, 0, math.inf, "B")[0]
+    *_, x, info = scipy.linalg.lapack.dgtsv(e, d, e, rhs)
+    if info:
+        raise SolverError(f"inertia count at {energy:.12g} failed: it lies on a pole of a chain")
+    return negative, x
+
+
+def _chain_counter(system: AssembledSystem, alpha: float):
+    """``count(E) -> (N, shift, values)`` for an array of energies: ``N`` the
+    eigenvalues of the pencil ``(H, M)`` at coupling ``alpha`` below each
+    ``E``, multiplicities included, with no sparse factorization.
+
+    ``M`` is positive definite, so by Sylvester's law of inertia ``N`` is
+    the number of negative eigenvalues of ``A = H - E M``.  On the split of
+    ``AssembledSystem.chains``, by the inertia additivity of the Schur
+    complement (E. Haynsworth, 1968), ``N = sum_c n_-(T_c) + n_-(S)`` for the
+    chains' tridiagonal blocks ``T_c`` and the separator's dense Schur
+    complement ``S = A_ss - sum_c A_sc T_c^-1 A_cs``.  Each chain takes one
+    tridiagonal solve (``_tridiagonal_solve``), which counts ``n_-(T_c)``
+    and gives the block of ``T_c^-1`` at its ends that ``S`` reads.  Next to
+    a pole of a chain (``NEAR_POLE``) its first node joins ``S`` in place of
+    the chain, and the rest of the chain is eliminated.  ``values`` are the
+    eigenvalues of ``-S``, descending (NaN-padded where ``S`` is smaller),
+    and ``shift`` is the sum of the eliminated chains' negative counts, so
+    ``N`` is ``shift`` plus the number of positive values.  Between poles,
+    the energies where some ``T_c`` is singular, the values rise with ``E``.
+    A count on a pole raises ``SolverError``.
+    """
+    split = system.chains
+    stiffness, potential, mass = split.parts
+    h_diag, h_off, h_sep, h_ends = (alpha * k + w for k, w in zip(stiffness, potential))
+    m_diag, m_off, m_sep, m_ends = mass
+    chains = []  # per chain: its dofs, its ends, the node of each, and unit vectors there
+    for c, (lo, hi, (slots, side)) in enumerate(zip(split.lo, split.hi, split.ends)):
+        nodes, at = np.unique(side * (hi - lo - 1), return_inverse=True)  # one node for both ends of one
+        block, pick = np.ix_(slots, slots), (nodes[at][:, None], at[None, :])
+        chains.append((lo, hi, slots, side, block, pick, _unit_columns(hi - lo, nodes)))
+    n = len(split.separator)
+
+    def count(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        shift = np.zeros(len(energies), dtype=int)
+        matrices = []
+        for p, energy in enumerate(energies):
+            lam, peeled, ends = energy * m_sep - h_sep, [], h_ends - energy * m_ends
+            for c, (lo, hi, slots, side, block, pick, rhs) in enumerate(chains):
+                d, e = h_diag[lo:hi] - energy * m_diag[lo:hi], h_off[lo : hi - 1] - energy * m_off[lo : hi - 1]
+                negative, x = _tridiagonal_solve(d, e, rhs, energy)
+                coupling, x = ends[side, c], x[pick]
+                if abs(coupling).max() * abs(x).max() <= NEAR_POLE:
+                    shift[p] += negative
+                    lam[block] += coupling[:, None] * coupling * x
+                    continue
+                # next to a pole: the first node joins the matrix, and the rest of
+                # the chain, whose poles strictly interlace the chain's, is
+                # eliminated in its place; it meets the first node and the last end
+                row = np.zeros(n + 1)  # the node's couplings to the separator, then its diagonal
+                row[slots[side == 0]] = -coupling[side == 0]
+                row[n] = -d[0]
+                last = side == 1
+                if hi - lo == 1:
+                    row[slots[last]] -= coupling[last]
+                else:
+                    rest = _unit_columns(hi - lo - 1, np.array([0, hi - lo - 2] if last.any() else [0]))
+                    negative, y = _tridiagonal_solve(d[1:], e[1:], rest, energy)
+                    shift[p] += negative
+                    row[n] += e[0] ** 2 * y[0, 0]
+                    if last.any():
+                        r, b = slots[last][0], coupling[last][0]
+                        lam[r, r] += b * b * y[-1, 1]
+                        row[r] += e[0] * b * y[0, 1]
+                peeled.append(row)
+            if peeled:
+                rows = np.array(peeled)
+                lam = np.block([[lam, rows[:, :n].T], [rows[:, :n], np.diag(rows[:, n])]])
+            matrices.append(lam)
+        sizes = np.array([len(lam) for lam in matrices], dtype=int)
+        values = np.full((len(energies), sizes.max(initial=0)), np.nan)
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            values[rows, :size] = np.linalg.eigvalsh(np.array([matrices[p] for p in rows]))[:, ::-1]
+        return shift + (values > 0.0).sum(axis=1), shift, values
+
+    return count
+
+
+def _certify(system: AssembledSystem, alpha: float, energies: np.ndarray, sigma: float) -> None:
     """Raise ``SolverError`` unless ascending ``energies`` are the lowest
-    ``len(energies)`` eigenvalues of the pencil, multiplicities included.
+    ``len(energies)`` eigenvalues of the pencil at coupling ``alpha``,
+    multiplicities included.
 
     Every eigenvalue below ``E_k - delta`` must have been found, and at least
-    ``k`` must lie below ``E_k + delta``.  Then each computed eigenvalue is
-    within ``2 delta`` of the true one at its index; a cluster cut at ``k``
-    is cut the same way by any solver.
+    ``k`` must lie below ``E_k + delta``; one chain count (``_chain_counter``)
+    at the two points tells.  Then each computed eigenvalue is within ``2
+    delta`` of the true one at its index; a cluster cut at ``k`` is cut the
+    same way by any solver.
     """
     top = float(energies[-1])
     delta = CERT_RTOL * max(abs(top), top - sigma)
     found = int(np.count_nonzero(energies < top - delta))
-    below = _count_below(ham, mass, top - delta)
-    upto = _count_below(ham, mass, top + delta)
+    below, upto = _chain_counter(system, alpha)(np.array([top - delta, top + delta]))[0]
     if below != found or upto < len(energies):
         raise SolverError(
             f"incomplete spectrum: {below} eigenvalues lie below {top - delta:.12g} but the solver"
@@ -353,9 +596,10 @@ def _eigensolve(
 
     Dense LAPACK when ``n <= DENSE_DOF_CAP`` or ``k / n > DENSE_K_FRACTION``;
     otherwise shift-invert Lanczos from a start vector seeded by ``n``,
-    certified complete by two inertia counts.  A Lanczos solve that fails
-    or fails its certificate falls back to dense LAPACK when the dense
-    ``H`` and ``M`` fit ``MEMORY_BUDGET``, and raises otherwise.  The shift
+    certified complete by the inertia count at two points (``_certify``).
+    A Lanczos solve that fails or fails its certificate falls back to dense
+    LAPACK when the dense ``H`` and ``M`` fit ``MEMORY_BUDGET``, and raises
+    otherwise.  The shift
     ``min(0, min V) - alpha (pi / L)^2`` (``L`` the total length) lies below
     ``E_1``, since ``H - (min V) M`` is positive semidefinite for the P1
     interpolant of ``V``, and scales with the graph's own level spacing, so
@@ -404,7 +648,7 @@ def _eigensolve(
         order = np.argsort(w, kind="stable")
         w = np.asarray(w)[order]
         if sparse:
-            _certify(ham, system.mass, w, sigma)
+            _certify(system, alpha, w, sigma)
         return w, None if vecs is None else np.asarray(vecs)[:, order]
 
     if not dense:
@@ -453,25 +697,52 @@ def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) 
 
 
 def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
-    """Every negative eigenvalue at coupling ``alpha``, ascending.
+    """Every negative eigenvalue at coupling ``alpha``, ascending, with no
+    eigensolver.
 
-    With ``V >= 0`` at every node there is none, and nothing is factored:
+    With ``V >= 0`` at every node there is none, and nothing is counted:
     ``alpha K`` is positive semidefinite, and so is each cell's block of
     ``W``, whose determinant is ``(2 va^2 + 8 va vb + 2 vb^2) (h / 12)^2``.
     ``solved`` may hold the lowest eigenvalues at ``alpha`` from a certified
     solve; if its top is nonnegative, none below is missing and its negative
-    part is returned.  Otherwise one inertia count at 0 gives their number
-    ``m``, and one ``solve_energies`` of exactly ``m`` returns them (none when
-    ``m == 0``).  Moments of the negative spectrum are never truncated.
+    part is returned.  Otherwise one chain count at 0 (``_chain_counter``)
+    gives their number ``m``, and each is bracketed in ``t``, where ``E =
+    min V + alpha t^2``: every bracket starts at ``[0, sqrt(-min V /
+    alpha)]``, as nothing lies below ``min V``, and ``_close_brackets``
+    narrows it on the chain count to ``BOUND_RTOL``.  A graph without a
+    Dirichlet vertex whose ``V`` is one constant at every node has ``E_1 =
+    min V``, the constant.  Moments of the negative spectrum are never
+    truncated.
     """
-    if system.mesh.min_potential >= 0.0:
+    floor = system.mesh.min_potential
+    if floor >= 0.0:
         return np.empty(0)
     if solved is not None and solved[-1] >= 0.0:
         return solved[solved < 0.0]
-    negative = _count_below(system.hamiltonian(alpha), system.mass, 0.0)
-    if negative == 0:
+    count = _chain_counter(system, alpha)
+    total, shift, values = count(np.zeros(1))
+    if total[0] == 0:
         return np.empty(0)
-    return solve_energies(system, negative, alpha=alpha)
+    graph = system.mesh.graph
+    flat = DIRICHLET not in graph.boundary.values() and all(np.all(seg.v == floor) for seg in system.mesh.segments)
+    want = np.arange(1 + flat, total[0] + 1)
+    top = math.sqrt(-floor / alpha)
+    seen = [(np.array([top]), total)]
+
+    def counted(points, rows):
+        # brackets that share their ends share their points
+        points, at = np.unique(points, return_inverse=True)
+        total, shift, values = count(floor + alpha * points**2)
+        seen.append((points, total))
+        return total[at], _crossing(values[at], shift[at], want[rows])
+
+    lo, hi = np.zeros(len(want)), np.full(len(want), top)
+    n_lo, n_hi = np.zeros(len(want), dtype=int), np.full(len(want), total[0])
+    f_lo, f_hi = np.full(len(want), np.nan), _crossing(np.repeat(values, len(want), axis=0), shift, want)
+    root = _close_brackets(counted, want, lo, hi, n_lo, n_hi, f_lo, f_hi, np.zeros(len(want), bool), BOUND_RTOL)
+    t, totals = (np.concatenate(part) for part in zip(*seen))
+    _require_rising(t, np.zeros(len(t), dtype=int), totals)
+    return np.concatenate([np.full(int(flat), floor), floor + alpha * root**2])
 
 
 def solve_graph(

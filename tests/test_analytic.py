@@ -4,10 +4,20 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qglab import analytic, families, fem
-from qglab.graphs import DIRICHLET, NEUMANN, Edge, MetricGraph, SquareWell, load_graph, split_at_jumps
+from qglab.graphs import (
+    DIRICHLET,
+    NEUMANN,
+    Edge,
+    MetricGraph,
+    PoschlTeller,
+    SquareWell,
+    load_graph,
+    split_at_jumps,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -315,6 +325,72 @@ def test_p1_count_is_the_whole_p1_spectrum(graph):
     dense = fem.solve_energies(system, system.ndof)
     assert energies == pytest.approx(dense, rel=1e-9, abs=1e-12 * dense[-1])
     assert np.all((brackets[:, 0] <= energies) & (energies <= brackets[:, 1]))
+
+
+@st.composite
+def p1_well_graphs(draw):
+    """A graph of ``p1_multigraphs`` with a square well or a sech-squared well
+    on some edges, or with Neumann leaves and one constant negative ``V``
+    on every edge."""
+    graph = draw(p1_multigraphs())
+    if draw(st.booleans()):
+        depth = draw(st.floats(-30.0, -0.5))
+        edges = [dataclasses.replace(e, potential=SquareWell(depth, 0.0, e.length)) for e in graph.edges]
+        return dataclasses.replace(graph, edges=tuple(edges), boundary={v: NEUMANN for v in graph.boundary})
+    edges = []
+    for e in graph.edges:
+        kind = draw(st.sampled_from(["zero", "well", "sech"]))
+        left, right = sorted(draw(st.floats(0.0, 1.0)) * e.length for _ in range(2))
+        if kind == "well":
+            e = dataclasses.replace(e, potential=SquareWell(draw(st.floats(-40.0, -1.0)), left, right))
+        elif kind == "sech":
+            e = dataclasses.replace(e, potential=PoschlTeller(draw(st.floats(0.5, 5.0)), left))
+        edges.append(e)
+    return dataclasses.replace(graph, edges=tuple(edges))
+
+
+_SECH = PoschlTeller(2.0, 0.7)
+_WELL = SquareWell(-20.0, 0.1, 0.5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p1_well_graphs(), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+# no free vertex: one chain node is the separator
+@example(MetricGraph(2, (Edge(0, 1, 1.4, _SECH, cells=9),), {0: DIRICHLET, 1: DIRICHLET}, 0.7), [0.3])
+# a self-loop of one cell per half, which gives empty chains, and a one-node chain
+@example(MetricGraph(2, (Edge(0, 0, 1.2, _SECH, 2), Edge(0, 1, 0.9, _WELL, 2)), {1: NEUMANN}), [0.0])
+# Neumann leaves and one constant V: E_1 = min V exactly, and E_2 = -1 lies on
+# the pole of the one-node chain, where its block of T^-1 would drown S
+@example(MetricGraph(2, (Edge(0, 1, 1.0, SquareWell(-7.0, 0.0, 1.0), 2),), {0: NEUMANN, 1: NEUMANN}, 0.5), [-0.5])
+def test_chain_count_is_the_dense_count(graph, where):
+    # at random E across the spectrum and at 1e-12 (relative) from every
+    # Dirichlet eigenvalue of a segment and every pole of the count (those of
+    # a chain), the chain count is the number of dense LAPACK eigenvalues
+    # below; a point within the dense solve's roundoff of an eigenvalue is
+    # left out
+    system = fem.assemble(fem.build_mesh(graph, 1.0))  # the cells of every edge are given
+    assume(system.ndof >= 1)
+    ham, mass = system.hamiltonian(graph.alpha).toarray(), system.mass.toarray()
+    dense = scipy.linalg.eigh(ham, mass, eigvals_only=True)
+    scale = np.abs(dense).max()
+    blocks = [(seg.dofs[1], seg.dofs[-2] + 1) for seg in system.mesh.segments if seg.cells > 1]
+    blocks += list(zip(system.chains.lo, system.chains.hi))
+    poles = [scipy.linalg.eigh(ham[lo:hi, lo:hi], mass[lo:hi, lo:hi], eigvals_only=True) for lo, hi in blocks]
+    poles = np.concatenate([np.empty(0), *poles])
+    span = dense[-1] - dense[0] + 1.0
+    energies = np.concatenate([dense[0] + span * (np.array(where) + 0.5), poles * (1 - 1e-12), poles * (1 + 1e-12)])
+    clear = np.abs(dense[None, :] - energies[:, None]).min(axis=1) > 1e-9 * scale
+    energies = energies[clear]
+    count = fem._chain_counter(system, graph.alpha)
+    expected = (dense[None, :] < energies[:, None]).sum(axis=1)
+    assert np.array_equal(count(energies)[0], expected)
+    # and the bound states are dense LAPACK's negative spectrum
+    assume(np.abs(dense).min() > 1e-9 * scale)
+    bound = fem.solve_bound_states(system, graph.alpha)
+    assert bound == pytest.approx(dense[dense < 0.0], rel=1e-9, abs=1e-12 * scale)
+    v = np.concatenate([seg.v for seg in system.mesh.segments])
+    if np.all(v == v[0]) and DIRICHLET not in graph.boundary.values() and v[0] < 0.0:
+        assert bound[0] == v[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -265,7 +265,7 @@ def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
 def _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, k, solved):
     """``verify --k k`` on a fixture, with every P1 stage refused."""
     _no_eigensolver(monkeypatch)
-    for p1 in ("build_mesh", "assemble", "_eigensolve", "_count_below"):
+    for p1 in ("build_mesh", "assemble", "_eigensolve", "_chain_counter"):
         monkeypatch.setattr(fem, p1, lambda *args, **kwargs: pytest.fail("P1 was called"))
     code = main(["verify", "--graph", fixture(f"{name}.json"), "--k", str(k), "--out-dir", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
@@ -715,6 +715,15 @@ def test_verify_solves_p1_trusted_eigenpairs_plus_one(tmp_path, monkeypatch):
     assert calls[0][1] == 61
 
 
+@pytest.mark.parametrize("name", ["pt_interval", "pt_balloon"])
+def test_verify_of_a_smooth_well_makes_one_eigensolve(tmp_path, monkeypatch, name):
+    # the spectrum's eigenpairs are the one solve: the bound states of the
+    # moment checks and of every Stubbe coupling are counted and bracketed
+    calls = _record_solves(monkeypatch)
+    assert main(["verify", "--graph", fixture(f"{name}.json"), "--out-dir", str(tmp_path)]) == 0
+    assert [k for _, k, _ in calls] == [61]
+
+
 def _exact_grad_norms(graph, k):
     """``dE / dalpha`` of the lowest ``k`` exact energies by central differences."""
     up, down = (dataclasses.replace(graph, alpha=graph.alpha * (1.0 + s)) for s in (1e-5, -1e-5))
@@ -755,7 +764,7 @@ def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monk
     # a graph of constant pieces without a loop pair (y_graph, hash_graph,
     # tree_well) is solved exactly; a loop pair (circle_two_leads) and a
     # sech-squared well (pt_interval) solve P1 eigenpairs once, and the
-    # Stubbe re-solves of pt_interval read bound-state energies alone
+    # Stubbe couplings of pt_interval count their bound states with no solve
     calls = []
     solve = fem.solve_spectrum
 
@@ -770,14 +779,15 @@ def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monk
 
 def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(monkeypatch):
     # at alpha = 0.002 the well holds 28 bound states; verify's P1 mesh for
-    # --k 36 trusts 24, so the 25 solved are all bound and the bound states
-    # come from one solve of the 28, not of all 36
+    # --k 36 trusts 24, so the 25 solved are all bound and the 28 bound states
+    # are counted and bracketed anew, with no second solve
     graph = dataclasses.replace(load_graph(fixture("tree_well.json")), alpha=0.002)
     system = fem.assemble(_mesh(graph, 36, None, graph.alpha))
     calls = _record_solves(monkeypatch)
     solved = fem.solve_energies(system, 25)
     bound = system.bound_states(graph.alpha, solved=solved)
-    assert [k for _, k, _ in calls] == [25, 28]
+    assert [k for _, k, _ in calls] == [25]
+    assert len(bound) == 28
     q = ineq.lt_quotient(system, bound, 2.0)
     assert round_sig(q.moment) == 2897.43506769
     assert round_sig(q.quotient) == 0.168320869195

@@ -211,7 +211,7 @@ def test_bound_states_are_the_negative_spectrum(monkeypatch):
     assert system.ndof == 448 > fem.DENSE_DOF_CAP
     calls = _count_solves(monkeypatch)
     bound = fem.solve_bound_states(system, 1.0)
-    assert calls == [3]
+    assert calls == []  # counted and bracketed, with no eigensolve
     assert bound == pytest.approx([-6.8328, -5.8101, -5.8101], abs=1e-4)
     monkeypatch.setattr(fem, "DENSE_DOF_CAP", system.ndof)
     dense = fem.solve_spectrum(system, system.ndof).energies
@@ -227,11 +227,11 @@ def test_no_bound_states_means_no_solve(monkeypatch):
 
 
 def test_no_bound_states_needs_no_inertia_count(monkeypatch):
-    # with V >= 0 at every node, alpha K + W is positive semidefinite: nothing is factored
-    def refused(ham, mass, cutoff):
+    # with V >= 0 at every node, alpha K + W is positive semidefinite: nothing is counted
+    def refused(system, alpha):
         raise AssertionError("an inertia count on a system with V >= 0")
 
-    monkeypatch.setattr(fem, "_count_below", refused)
+    monkeypatch.setattr(fem, "_chain_counter", refused)
     bump = families.with_square_well(families.y_graph(), 0, depth=3.0)
     for graph in (families.y_graph(), families.balloon(), bump):
         system = fem.assemble(fem.build_mesh(graph, 0.01))
@@ -240,7 +240,7 @@ def test_no_bound_states_needs_no_inertia_count(monkeypatch):
 
 def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
     # a certified solve topped at or above 0 holds every bound state; one
-    # topped below 0 may miss some, so they are counted and solved anew
+    # topped below 0 may miss some, so they are counted and bracketed anew
     star = families.star([1.5, 1.5, 1.5])
     for leg in range(3):
         star = families.with_square_well(star, leg, depth=-12.0, width_fraction=0.5)
@@ -248,18 +248,23 @@ def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
     solved = fem.solve_energies(system, 4)
     assert solved[2] < 0.0 <= solved[3]
     counts, calls = [], _count_solves(monkeypatch)
-    count_below = fem._count_below
+    chain_counter = fem._chain_counter
 
-    def counted(ham, mass, cutoff):
-        counts.append(cutoff)
-        return count_below(ham, mass, cutoff)
+    def counter(system, alpha):
+        count = chain_counter(system, alpha)
 
-    monkeypatch.setattr(fem, "_count_below", counted)
+        def counted(energies):
+            counts.extend(energies)
+            return count(energies)
+
+        return counted
+
+    monkeypatch.setattr(fem, "_chain_counter", counter)
     bound = fem.solve_bound_states(system, 1.0, solved=solved)
     assert (counts, calls) == ([], [])
     assert np.array_equal(bound, solved[solved < 0.0])
     assert fem.solve_bound_states(system, 1.0, solved=solved[:2]) == pytest.approx(bound, rel=1e-9, abs=0)
-    assert (counts[0], calls) == (0.0, [3])
+    assert (counts[0], calls) == (0.0, [])
 
 
 def test_certificate_rejects_symmetric_start_vector(monkeypatch):
