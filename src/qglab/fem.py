@@ -456,7 +456,9 @@ def _split_chains(system: AssembledSystem) -> ChainSplit:
     ends = [(row[row >= 0], np.flatnonzero(row >= 0)) for row in sides]
     parts = []
     for mat in (system.base_stiffness, system.potential, system.mass):
-        coupling = [np.asarray(mat[np.maximum(v, 0), node]).ravel() * (v >= 0) for v, node in ((before, lo), (after, hi - 1))]
+        coupling = [
+            np.asarray(mat[np.maximum(dof, 0), node]).ravel() * (dof >= 0) for dof, node in ((before, lo), (after, hi - 1))
+        ]
         block = mat[separator][:, separator].toarray()
         parts.append((mat.diagonal(), mat.diagonal(1), block, np.array(coupling)))
     return ChainSplit(separator, lo, hi, ends, tuple(parts))
