@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem
-from .fem import SolverError, _close_brackets, _crossing, _require_rising, require_budget
+from .fem import _close_brackets, require_budget
 from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps
 
 
@@ -608,67 +608,23 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
             need += own
     solved = [None] * len(family)
     for chunk in chunks:
-        members = [i for i, _ in chunk]
-        own_cells = None if cells is None else np.array([cells[i] for i in members])
-        results = _solve_chunk([family[i] for i in members], k, own_cells, [gaps for _, gaps in chunk])
-        for i, result in zip(members, results):
-            solved[i] = result
-    return solved
-
-
-def _solve_chunk(family, k, cells, gaps) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``piecewise_constant_family`` on members of one shape that fit the
-    memory budget together: every bracket of every member in one loop."""
-    count = _dtn_counter(family, cells)
-    _, floors, offsets = _tables(family)
-    zero_modes = 0 if DIRICHLET in family[0].boundary.values() or offsets[0].any() else 1
-    seen = []  # every count's points, their members and totals
-
-    def counted(points, member, j):
-        total, shift, values = count(points, member)
-        seen.append((points, member, total))
-        return total, _crossing(values, shift, j)
-
-    # the brackets, member by member, of the indices that each one solves
-    solves = np.arange(zero_modes + 1, k + 1)
-    member = np.repeat(np.arange(len(family)), len(solves))
-    want = np.tile(solves, len(family))
-    seeds, below = (np.concatenate(part) for part in zip(*gaps))
-    owner = np.repeat(np.arange(len(family)), [len(g[0]) for g in gaps])
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    total, shift, values = count(seeds, owner)
-    seen.append((seeds, owner, total))
-    _require_rising(seeds, owner, total)
-    first = np.zeros(len(want), dtype=int)  # each bracket's upper seed
-    for i, (own, _) in enumerate(gaps):
-        reach = total[starts[i] : starts[i] + len(own)]
-        at = np.searchsorted(reach, solves)
-        if len(solves) and at[-1] == len(own):
-            raise SolverError(f"the count reaches only {reach[-1]} of {k} eigenvalues below kappa {own[-1]:.12g}")
-        first[member == i] = starts[i] + at
-    # each bracket's ends, their counts and crossing values (NaN where
-    # unknown); a bracket from just below a cluster of poles to just above
-    # it certifies the eigenvalue there, and every other is free of poles
-    low = first > starts[member]
-    prev = np.where(low, first - 1, first)
-    lo, hi = np.where(low, seeds[prev], 0.0), seeds[first]
-    n_lo, n_hi = np.where(low, total[prev], 0), total[first]
-    f_lo = np.where(low, _crossing(values[prev], shift[prev], want), np.nan)
-    f_hi = _crossing(values[first], shift[first], want)
-    done = low & below[prev]
-
-    root = _close_brackets(
-        lambda points, rows: counted(points, member[rows], want[rows]),
-        want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, COUNT_RTOL,
-    )
-    _require_rising(*(np.concatenate(part) for part in zip(*seen)))
-    solved = []
-    for i, (graph, floor) in enumerate(zip(family, floors)):
-        mine = member == i
-        energies, brackets = np.full(k, floor), np.full((k, 2), floor)
-        energies[zero_modes:] = floor + graph.alpha * root[mine] ** 2
-        brackets[zero_modes:] = floor + graph.alpha * np.stack([lo[mine], hi[mine]], axis=1) ** 2
-        solved.append((energies, brackets))
+        # every bracket of every member of the chunk in one loop
+        group = [family[i] for i, _ in chunk]
+        count = _dtn_counter(group, None if cells is None else np.array([cells[i] for i, _ in chunk]))
+        _, floors, offsets = _tables(group)
+        zero_modes = 0 if DIRICHLET in group[0].boundary.values() or offsets[0].any() else 1
+        solves = np.arange(zero_modes + 1, k + 1)
+        member = np.repeat(np.arange(len(group)), len(solves))
+        seeds, below = (np.concatenate(part) for part in zip(*(gaps for _, gaps in chunk)))
+        owner = np.repeat(np.arange(len(group)), [len(gaps[0]) for _, gaps in chunk])
+        want = np.tile(solves, len(group))
+        root, lo, hi = _close_brackets(count, want, member, seeds, owner, below, count(seeds, owner), COUNT_RTOL)
+        ends = np.stack([lo, hi], axis=1).reshape(len(group), -1, 2)
+        for (i, _), graph, floor, t, bracket in zip(chunk, group, floors, root.reshape(len(group), -1), ends):
+            energies, brackets = np.full(k, floor), np.full((k, 2), floor)
+            energies[zero_modes:] = floor + graph.alpha * t**2
+            brackets[zero_modes:] = floor + graph.alpha * bracket**2
+            solved[i] = (energies, brackets)
     return solved
 
 

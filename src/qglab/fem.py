@@ -338,18 +338,25 @@ def _require_rising(t: np.ndarray, member: np.ndarray, total: np.ndarray) -> Non
         raise SolverError("the eigenvalue count falls as the energy rises: roundoff swamped the count")
 
 
-def _close_brackets(count, want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, rtol: float) -> np.ndarray:
-    """Narrow each bracket ``[lo, hi]`` of the ``want``-th eigenvalue, which
-    holds ``N(lo) < want <= N(hi)`` for a count ``N`` that rises with ``t``,
-    until it is ``done`` or at most ``rtol`` of ``hi`` wide, and return the
-    root in each.
+def _close_brackets(count, want, member, seeds, owner, below, first, rtol: float):
+    """Bracket the ``want``-th eigenvalue of each bracket's ``member`` on a
+    count ``N`` that rises with ``t``, and return the root in each with the
+    bracket's ends ``lo`` and ``hi``, where ``N(lo) < want <= N(hi)``.
 
-    ``count(points, rows)`` counts at ``points``, each for the bracket of
-    index ``rows``, and returns ``N`` there and the crossing value: the value
-    whose sign decides ``N >= want``, which rises with ``t`` and has one root
-    in a bracket free of poles (NaN where there is none).  ``n_lo``, ``n_hi``
-    and ``f_lo``, ``f_hi`` hold the counts and crossing values at the ends
-    (NaN where unknown); all six arrays are narrowed in place.
+    ``count(points, owners)`` counts at ``points``, each for the member in
+    ``owners``, and returns ``(N, shift, values)`` there, ``N = shift +
+    (values > 0).sum()`` (``_crossing``).  ``first`` is that count at the
+    ``seeds``, which are grouped by their ``owner`` in ascending order and
+    ascend within each; ``below`` flags the seed just below a pole.  Each
+    bracket starts at its member's lowest seed that reaches ``want``, and
+    the seed below that one, or 0 where there is none; a bracket from a seed
+    just below a pole to the next seed certifies the eigenvalue on the pole
+    and is done.  Every other bracket is narrowed until it is at most
+    ``rtol`` of ``hi`` wide, on its crossing value: the value whose sign
+    decides ``N >= want``, which rises with ``t`` and has one root in a
+    bracket free of poles.  A member's counts, the first included, that fall
+    as ``t`` rises raise ``SolverError``, and so do seeds that reach fewer
+    than ``want`` eigenvalues.
 
     Every step counts each bracket at its midpoint, so no bracket fails to
     halve, and at the pair ``x (1 -+ 0.4 rtol)`` around a secant point ``x``,
@@ -359,9 +366,29 @@ def _close_brackets(count, want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, rtol: flo
     through the latest two secant points (the upper one of each pair), or
     through the bracket's ends where those aim outside it.  The root is that
     of the crossing value between the bracket's ends, which leaves no bias of
-    half a bracket; a bracket that is ``done`` (or whose secant misses it) is
+    half a bracket; a bracket that is done (or whose secant misses it) is
     centred on it.
     """
+    total, shift, values = first
+    seen = [(seeds, owner, total)]  # every count's points, their members and N
+    _require_rising(seeds, owner, total)
+    start, end = np.searchsorted(owner, member), np.searchsorted(owner, member, side="right")
+    # each bracket's upper seed, the first of its member's to reach want: the
+    # totals rise within each owner, so the key rises too
+    scale = max(total.max(initial=0), want.max(initial=0)) + 1
+    at = np.searchsorted(owner * scale + total, member * scale + want)
+    if np.any(at == end):
+        b = np.argmax(np.where(at == end, want, -1))
+        top = end[b] - 1
+        raise SolverError(f"the count reaches only {total[top]} of {want[b]} eigenvalues below t = {seeds[top]:.12g}")
+    low = at > start
+    prev = np.where(low, at - 1, at)
+    lo, hi = np.where(low, seeds[prev], 0.0), seeds[at]
+    n_lo, n_hi = np.where(low, total[prev], 0), total[at]
+    f_lo = np.where(low, _crossing(values[prev], shift[prev], want), np.nan)
+    f_hi = _crossing(values[at], shift[at], want)
+    done = low & below[prev]
+
     finish = np.array([1.0 - 0.4 * rtol, 1.0 + 0.4 * rtol])
     last = np.stack([lo, f_lo, hi, f_hi])
     while True:
@@ -376,8 +403,11 @@ def _close_brackets(count, want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, rtol: flo
         x = np.minimum(np.maximum(x, l * finish[1]), u * finish[0])
         points = np.concatenate([0.5 * (l + u)[:, None], x[:, None] * finish], axis=1)
         valid = (l[:, None] < points) & (points < u[:, None])
+        of = np.repeat(go, valid.sum(axis=1))
+        n, shift, values = count(points[valid], member[of])
+        seen.append((points[valid], member[of], n))
         total, value = np.full(points.shape, -1), np.full(points.shape, np.nan)
-        total[valid], value[valid] = count(points[valid], np.repeat(go, valid.sum(axis=1)))
+        total[valid], value[valid] = n, _crossing(values, shift, want[of])
         up = total >= j[:, None]
         down = valid & ~up
         rows = np.arange(len(go))
@@ -396,8 +426,9 @@ def _close_brackets(count, want, lo, hi, n_lo, n_hi, f_lo, f_hi, done, rtol: flo
         last[:, go[tried]] = new[:, tried]
     if np.any(n_lo >= want) or np.any(n_hi < want):
         raise SolverError("a bracket fails N(lo) < j <= N(hi)")
+    _require_rising(*(np.concatenate(part) for part in zip(*seen)))
     root = _secant(lo, f_lo, hi, f_hi)
-    return np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi))  # False where NaN
+    return np.where(~done & (lo <= root) & (root <= hi), root, 0.5 * (lo + hi)), lo, hi  # False where NaN
 
 
 #: A chain's term in the Schur complement, ``b^T X b`` for its couplings
@@ -722,28 +753,23 @@ def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray
     if solved is not None and solved[-1] >= 0.0:
         return solved[solved < 0.0]
     count = _chain_counter(system, alpha)
-    total, shift, values = count(np.zeros(1))
-    if total[0] == 0:
+    first = count(np.zeros(1))
+    negative = int(first[0][0])
+    if not negative:
         return np.empty(0)
     graph = system.mesh.graph
     flat = DIRICHLET not in graph.boundary.values() and all(np.all(seg.v == floor) for seg in system.mesh.segments)
-    want = np.arange(1 + flat, total[0] + 1)
-    top = math.sqrt(-floor / alpha)
-    seen = [(np.array([top]), total)]
+    want = np.arange(1 + flat, negative + 1)
 
-    def counted(points, rows):
+    def counted(points, _):
         # brackets that share their ends share their points
         points, at = np.unique(points, return_inverse=True)
-        total, shift, values = count(floor + alpha * points**2)
-        seen.append((points, total))
-        return total[at], _crossing(values[at], shift[at], want[rows])
+        return tuple(part[at] for part in count(floor + alpha * points**2))
 
-    lo, hi = np.zeros(len(want)), np.full(len(want), top)
-    n_lo, n_hi = np.zeros(len(want), dtype=int), np.full(len(want), total[0])
-    f_lo, f_hi = np.full(len(want), np.nan), _crossing(np.repeat(values, len(want), axis=0), shift, want)
-    root = _close_brackets(counted, want, lo, hi, n_lo, n_hi, f_lo, f_hi, np.zeros(len(want), bool), BOUND_RTOL)
-    t, totals = (np.concatenate(part) for part in zip(*seen))
-    _require_rising(t, np.zeros(len(t), dtype=int), totals)
+    # one seed, at E = 0: nothing lies below min V, so every bracket starts at [0, seed]
+    seed, owner = np.array([math.sqrt(-floor / alpha)]), np.zeros(1, dtype=int)
+    member = np.zeros(len(want), dtype=int)
+    root = _close_brackets(counted, want, member, seed, owner, np.zeros(1, bool), first, BOUND_RTOL)[0]
     return np.concatenate([np.full(int(flat), floor), floor + alpha * root**2])
 
 
