@@ -15,9 +15,10 @@ P. Kuchment, *Introduction to Quantum Graphs*, AMS 2013).  Each edge enters
 through its dispersion: the exact one, or, where ``V = 0``, that of P1 on
 equal cells, whose Schur complement onto the edge's ends has the same form.
 It needs no eigensolver, counts multiplicities, and certifies every
-eigenvalue by a bracket: one on a pole of the count from its first points,
-which lie just below and just above every pole; any other by secant steps
-on the crossing eigenvalue of that matrix.
+eigenvalue by a bracket of ``fem._close_brackets``, the driver it shares
+with the P1 count: one on a pole of the count from its seeds, which lie just
+below and just above every pole; any other by secant steps on the crossing
+eigenvalue of that matrix.
 ``ExactModel`` serves the same count to the moment checks.
 """
 
@@ -541,24 +542,19 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
     Dirichlet vertex whose ``V`` is one constant has ``E_1 = c_min``, the
     constant, returned with the bracket ``[c_min, c_min]``.
 
-    All indices of all members of a group are solved together in ``t``, one
-    batched count per step, so a group costs about as many counts as its
-    hardest member.  No count is taken on a pole (an edge Dirichlet
-    eigenvalue ``c_e + alpha (m pi / l_e)^2``), where ``Lambda`` is
-    singular.  The first count is at each member's seeds (``_pole_gaps``):
-    points that split the gaps between its clusters of poles, and a point
-    just below and one just above each cluster.  A bracket between the two
-    around a cluster certifies the eigenvalue on it; every other bracket is
-    free of poles.  In a free
-    bracket the crossing eigenvalue of ``Lambda`` (the one whose sign decides
-    ``N >= j``) rises with ``t`` and has one root there.  Each step counts
-    every bracket at its midpoint, so it at least halves, and at ``(1 -+ 0.4
-    COUNT_RTOL)`` times a secant point of the crossing eigenvalue, which
-    closes the bracket once the secant has converged.  The secant runs
-    through the latest two secant points, or through the bracket's ends
-    where those aim outside it; next to a pole, where the point is bordered,
-    it reads the crossing eigenvalue of the bordered matrix, which has the
-    same root.  A member's counts that fall as ``t`` rises raise
+    All indices of all members of a group are solved together in ``t`` by
+    ``fem._close_brackets``, one batched count per step, so a group costs
+    about as many counts as its hardest member.  No count is taken on a pole
+    (an edge Dirichlet eigenvalue ``c_e + alpha (m pi / l_e)^2``), where
+    ``Lambda`` is singular.  The first count is at each member's seeds
+    (``_pole_gaps``): points that split the gaps between its clusters of
+    poles, and a point just below and one just above each cluster.  A
+    bracket between the two around a cluster certifies the eigenvalue on
+    it; every other bracket is free of poles, and there the crossing
+    eigenvalue of ``Lambda`` (the one whose sign decides ``N >= j``) rises
+    with ``t`` and has one root.  Next to a pole, where the point is
+    bordered, the crossing eigenvalue of the bordered matrix has the same
+    root.  A member's counts that fall as ``t`` rises raise
     ``SolverError``.  A member whose batch of matrices is over the memory
     budget raises ``MemoryBudgetError`` against ``k``
     (``fem.require_budget``), before any is counted; a group over it is

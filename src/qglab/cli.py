@@ -26,6 +26,7 @@ import numpy as np
 
 from . import analytic, circuits, colorings, families, fem, inequalities as ineq
 from .graphs import (
+    NEUMANN,
     InvalidGraphError,
     MetricGraph,
     TopologyClass,
@@ -253,7 +254,9 @@ def _weyl(ctx: SolveContext) -> CheckReport:
     )
 
 
-def _riesz(ctx: SolveContext) -> CheckReport:
+def _riesz(ctx: SolveContext) -> CheckReport | None:
+    if ctx.trusted[0] <= 0:
+        return None
     riesz = ineq.riesz_suite(ctx.trusted, ctx.graph.total_length, tol_rel=ctx.tol)
     return CheckReport(
         check="riesz",
@@ -270,7 +273,9 @@ def _riesz(ctx: SolveContext) -> CheckReport:
     )
 
 
-def _mean_ratio(ctx: SolveContext) -> CheckReport:
+def _mean_ratio(ctx: SolveContext) -> CheckReport | None:
+    if ctx.trusted[0] <= 0:
+        return None
     pairs = [(j, k) for j, k in ((1, 2), (2, 5), (5, 10), (1, 12), (10, 20), (20, 40)) if k <= len(ctx.trusted)]
     bounds = ineq.mean_ratio_bounds(ctx.trusted, pairs, tol_rel=ctx.tol)
     return CheckReport(
@@ -372,7 +377,9 @@ def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
 #: Every check ``verify`` can run, by report name.  A check returns ``None``
 #: when the graph lacks its precondition: a negative part of V (moment
 #: quotients, Stubbe), a loop of two equal semicircles with one lead at each
-#: junction (one-loop checks), or a full-support slope family (weak_yang).
+#: junction (one-loop checks), a full-support slope family (weak_yang), or
+#: ``E_1 > 0`` (riesz, mean_ratio: a ``V = 0`` graph without a Dirichlet
+#: vertex has ``E_1 = 0``).
 CHECKS = {
     "yang": partial(_yang_report, ratio=1.0),
     "weak_yang": _weak_yang,
@@ -471,6 +478,9 @@ def cmd_verify(args) -> int:
     graph = _load(args)
     topo = classify_topology(graph)
     policy = POLICY[(topo.topology_class, graph.potential_is_zero())]
+    if NEUMANN in graph.boundary.values():
+        # the tree and slope-family arguments need Dirichlet leaves (free ends carry boundary data)
+        policy = [(name, _I if role == _G and name != "weyl" else role) for name, role in policy]
     loop = _loop_pair(graph, topo.topology_class)
     model, energies, grad_norms, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
     if args.corrupt_spectrum:
@@ -590,9 +600,11 @@ def cmd_sweep(args) -> int:
         graph = _load(args)
         # one assembly serves every coupling: alpha only rescales the stiffness
         system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
-        # with V >= 0 there is no bound state, and an all-zero column proves nothing
+        # with no bound state an all-zero column proves nothing: none at V >= 0, and
+        # none at any coupling of the range when none at its lowest, which binds the most
         _require(system.min_potential < 0, "--graph", args.graph, "a graph whose V is negative at a mesh node")
         stubbe = ineq.stubbe_monotonicity(system, grid)
+        _require(stubbe.moments[0] > 0, "--range", args.sweep_range, "lo:hi with a bound state at alpha = lo")
         rows = zip(stubbe.alphas, stubbe.moments, stubbe.values)
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)
         print(f"stubbe column nonincreasing: {stubbe.nonincreasing}")

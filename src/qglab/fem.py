@@ -23,7 +23,9 @@ tables; ``solve_energies`` returns the energies alone, through the same
 solver path without eigenvector extraction.  ``solve_bound_states`` is the
 one rule for the negative eigenvalues: those of a certified solve with a
 nonnegative top, or else the count at 0 and one bracket per bound state,
-closed on the count by ``_close_brackets`` with no eigensolver.
+with no eigensolver.  ``_close_brackets`` is the one bracket driver of this
+count and of the exact count of ``analytic``: it starts each bracket from
+seeds already counted, closes it, and checks that every count rises.
 """
 
 from __future__ import annotations
@@ -739,13 +741,13 @@ def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray
     ``solved`` may hold the lowest eigenvalues at ``alpha`` from a certified
     solve; if its top is nonnegative, none below is missing and its negative
     part is returned.  Otherwise one chain count at 0 (``_chain_counter``)
-    gives their number ``m``, and each is bracketed in ``t``, where ``E =
-    min V + alpha t^2``: every bracket starts at ``[0, sqrt(-min V /
-    alpha)]``, as nothing lies below ``min V``, and ``_close_brackets``
-    narrows it on the chain count to ``BOUND_RTOL``.  A graph without a
-    Dirichlet vertex whose ``V`` is one constant at every node has ``E_1 =
-    min V``, the constant.  Moments of the negative spectrum are never
-    truncated.
+    gives their number ``m``, and ``_close_brackets`` brackets each in
+    ``t``, where ``E = min V + alpha t^2``, from that count as its one seed,
+    ``t = sqrt(-min V / alpha)``: every bracket starts at ``[0, seed]``, as
+    nothing lies below ``min V``, and closes to ``BOUND_RTOL``.  A graph
+    without a Dirichlet vertex whose ``V`` is one constant at every node has
+    ``E_1 = min V``, the constant.  Moments of the negative spectrum are
+    never truncated.
     """
     floor = system.mesh.min_potential
     if floor >= 0.0:

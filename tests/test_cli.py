@@ -402,6 +402,58 @@ def test_verify_skips_moment_checks_without_a_negative_part(tmp_path, capsys):
     assert _summary_checks(tmp_path / "out") == [("yang", "guaranteed")]
 
 
+def _neumann_y(tmp_path, leaves):
+    graph = json.loads(open(fixture("y_graph.json")).read())
+    for vertex in graph["vertices"]:
+        if vertex["id"] in leaves:
+            vertex["bc"] = "neumann"
+    path = tmp_path / "y_neumann.json"
+    path.write_text(json.dumps(graph))
+    return path
+
+
+def test_verify_runs_guaranteed_checks_for_information_on_a_neumann_leaf(tmp_path, capsys):
+    # the tree arguments need Dirichlet leaves: on the Neumann interval of
+    # length 3 with V = -4, E_1 = -4 exactly (its constant mode), so Q(2) =
+    # 24.43 / 96 = 0.2545 > 8 / (15 pi); verify failed yang, Q(2) and Stubbe
+    # there, and yang on y_graph with one Neumann leaf, and exited 1
+    path = tmp_path / "neumann_interval.json"
+    well = graphs.SquareWell(-4.0, 0.0, 3.0)
+    save_graph(graphs.MetricGraph(2, (graphs.Edge(0, 1, 3.0, well),), {0: graphs.NEUMANN, 1: graphs.NEUMANN}), path)
+    code = main(["verify", "--graph", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    policy = POLICY[(TopologyClass.TREE, False)]
+    assert _summary_checks(tmp_path / "out") == [(name, "informational") for name, _ in policy]
+    report = json.loads((tmp_path / "out" / "verify_lt_quotient_gamma_2.0.json").read_text())
+    assert report["verdict"] == "violated"
+    assert report["values"]["quotient"][0] == pytest.approx(0.2545, abs=1e-4)
+    code = main(["verify", "--graph", str(_neumann_y(tmp_path, {1})), "--out-dir", str(tmp_path / "y")])
+    assert code == 0, capsys.readouterr().err
+    policy = POLICY[(TopologyClass.TREE, True)]
+    assert _summary_checks(tmp_path / "y") == [(n, "guaranteed" if n == "weyl" else "informational") for n, _ in policy]
+    assert json.loads((tmp_path / "y" / "verify_yang.json").read_text())["verdict"] == "violated"
+
+
+def test_verify_skips_riesz_and_mean_ratio_without_a_positive_ground_state(tmp_path, capsys):
+    # with every leaf Neumann, y_graph (V = 0) has E_1 = 0: riesz_suite refused
+    # it (exit 2) and mean_ratio divided by it
+    code = main(["verify", "--graph", str(_neumann_y(tmp_path, {1, 2, 3})), "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert _summary_checks(tmp_path / "out") == [("yang", "informational"), ("weyl", "guaranteed")]
+
+
+def test_alpha_sweep_refuses_a_well_that_binds_nothing_at_the_lowest_coupling(tmp_path, capsys):
+    # the well is negative at every node but E_1 = alpha pi^2 - 0.1 > 0 for
+    # alpha >= 0.5: the sweep printed four zero rows and exited 0
+    path = tmp_path / "shallow.json"
+    save_graph(families.interval(1.0, graphs.SquareWell(-0.1, 0.0, 1.0)), path)
+    argv = ["sweep", "--sweep", "alpha", "--graph", str(path), "--range", "0.5:4", "--steps", "4"]
+    code = main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "input error: --range must be lo:hi with a bound state at alpha = lo, got 0.5:4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_runs_the_moment_checks_on_a_well_narrower_than_a_cell(tmp_path, capsys):
     # the well is 2e-4 wide, below any default cell, so P1 nodes missed it
     # and verify ran yang alone, as if V >= 0; the exact model integrates

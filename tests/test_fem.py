@@ -267,6 +267,74 @@ def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
     assert (counts[0], calls) == (0.0, [])
 
 
+def _root_count(roots, spike=None):
+    """A synthetic count for ``fem._close_brackets``: member ``i`` has its
+    eigenvalues at ``roots[i]`` in ``t``, so ``N(t)`` is the number below
+    ``t``, and the values are ``t - r``, descending, whose ``j``-th crosses 0
+    at the ``j``-th root.  Inside ``spike = (lo, hi)`` it counts one more."""
+    padded = np.full((len(roots), max(map(len, roots))), np.inf)
+    for i, r in enumerate(roots):
+        padded[i, : len(r)] = np.sort(r)
+
+    def count(points, owners):
+        values = points[:, None] - padded[owners]
+        shift = np.zeros(len(points), dtype=int)
+        if spike is not None:
+            shift += (spike[0] < points) & (points < spike[1])
+        return shift + (values > 0).sum(axis=1), shift, values
+
+    return count
+
+
+def _brackets(count, want, member, seeds, owner, below=None, first=None):
+    below = np.zeros(len(seeds), bool) if below is None else np.array(below)
+    seeds, owner = np.array(seeds), np.array(owner)
+    first = count(seeds, owner) if first is None else first
+    return fem._close_brackets(count, np.array(want), np.array(member), seeds, owner, below, first, 1e-12)
+
+
+def test_close_brackets_finds_known_roots_with_their_multiplicity():
+    # member 0 has a double root at 0.7; member 1's first bracket starts at 0
+    roots = [[0.3, 0.7, 0.7], [0.2, 0.9]]
+    count = _root_count(roots)
+    want, member = [1, 2, 3, 1, 2], [0, 0, 0, 1, 1]
+    root, lo, hi = _brackets(count, want, member, [0.5, 1.0, 0.25, 0.5, 1.0], [0, 0, 1, 1, 1])
+    expected = np.array([0.3, 0.7, 0.7, 0.2, 0.9])
+    assert root == pytest.approx(expected, rel=1e-12, abs=0)
+    assert np.all((lo <= expected) & (expected < hi) & (hi - lo <= 1e-12 * hi))
+    assert np.all(count(lo, np.array(member))[0] < want)
+    assert np.all(count(hi, np.array(member))[0] >= want)
+
+
+def _refused(points, owners):
+    raise AssertionError("counted past the first count")
+
+
+def test_close_brackets_takes_a_bracket_around_a_pole_as_certified():
+    # a bracket from the seed flagged just below a pole to the next seed
+    # certifies the root on the pole, however wide: nothing more is counted,
+    # and the root is the bracket's midpoint
+    seeds = [0.4, 0.6, 1.0]
+    first = _root_count([[0.5]])(np.array(seeds), np.zeros(3, dtype=int))
+    root, lo, hi = _brackets(_refused, [1], [0], seeds, [0, 0, 0], below=[True, False, False], first=first)
+    assert (lo[0], hi[0], root[0]) == (0.4, 0.6, 0.5)
+
+
+def test_close_brackets_refuses_a_count_that_falls():
+    # at the seeds, before any bracket is narrowed
+    first = (np.array([2, 1]), np.zeros(2, dtype=int), np.array([[0.2], [0.7]]))
+    with pytest.raises(fem.SolverError, match="count falls"):
+        _brackets(_refused, [1], [0], [0.5, 1.0], [0, 0], first=first)
+    # one more eigenvalue counted on (0.45, 0.55), below the seed at 1 that counts one
+    with pytest.raises(fem.SolverError, match="count falls"):
+        _brackets(_root_count([[0.3]], spike=(0.45, 0.55)), [1], [0], [1.0], [0])
+
+
+def test_close_brackets_refuses_seeds_that_reach_too_few_eigenvalues():
+    with pytest.raises(fem.SolverError, match="the count reaches only 1 of 2 eigenvalues below t = 1"):
+        _brackets(_root_count([[0.3]]), [1, 2], [0, 0], [1.0], [0])
+
+
 def test_certificate_rejects_symmetric_start_vector(monkeypatch):
     # a start vector invariant under the Y graph's leg permutations spans no
     # antisymmetric state, so Lanczos misses the second copies of pi^2 and 4 pi^2
