@@ -768,7 +768,6 @@ def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray
         points, at = np.unique(points, return_inverse=True)
         return tuple(part[at] for part in count(floor + alpha * points**2))
 
-    # one seed, at E = 0: nothing lies below min V, so every bracket starts at [0, seed]
     seed, owner = np.array([math.sqrt(-floor / alpha)]), np.zeros(1, dtype=int)
     member = np.zeros(len(want), dtype=int)
     root = _close_brackets(counted, want, member, seed, owner, np.zeros(1, bool), first, BOUND_RTOL)[0]
