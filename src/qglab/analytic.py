@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem
-from .fem import _close_brackets, require_budget
+from .fem import _close_brackets, _free_vertices, require_budget
 from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps
 
 
@@ -344,10 +344,6 @@ def _pole(m, lengths: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
     return np.where(m < cells, np.sqrt(6.0 * s2 / (1.5 - s2)) * cells / lengths, np.inf)
 
 
-def _free_vertices(graph: MetricGraph) -> list[int]:
-    return [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
-
-
 def _shape(graph: MetricGraph) -> tuple:
     """What the members of a family share (``piecewise_constant_family``),
     on a graph of constant edges: its vertex count, edge ends in order,
@@ -466,31 +462,27 @@ def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | Non
     eigenvalue spacing wide of every gap between clusters, the points
     ``0.4 COUNT_RTOL`` (relative) below and above each cluster, or halfway
     to the nearest midpoint where that is nearer, and the last seed, which
-    splits the gap above the cluster of the ``k``-th pole."""
-    # N(t) is at least the number of poles below t, so it reaches k at
-    # `top`, which splits the gap above the cluster of poles that holds the
-    # k-th.  A P1 mesh whose k-th pole is missing or in its last cluster
-    # ends at a `top` above sqrt(12) / h_min, which bounds its spectrum.
+    splits the gap above the cluster of the ``k``-th pole, where ``N(t)``,
+    at least the number of poles below ``t``, reaches ``k``.
+
+    The poles are listed up to the least ``(k + 1)``-th pole of any edge:
+    that edge's first ``k + 1`` poles lie at or below it, each in a cluster
+    of its own, so the cluster of the ``k``-th pole and the next one are
+    both listed.  A P1 member whose every edge has fewer poles lists them
+    all, below ``sqrt(12) / h_min``, which bounds its spectrum and is its
+    last seed where no cluster lies above that of the ``k``-th pole."""
     ceiling = math.inf if cells is None else math.sqrt(12.0) * (cells / lengths).max() * (1.0 + 1e-9)
-    per_edge = cells if cells is not None else [None] * len(lengths)
-    bound = math.pi * (k + 1) / lengths.sum()
-    while True:
-        bound = min(bound, ceiling)
-        # a P1 edge's m-th pole lies at or above m pi / l, as the exact one
-        # does, and an offset d puts it at sqrt((m pi / l)^2 + d)
-        poles = [_pole(np.arange(1.0, bound * l / math.pi + 2.0), l, c) for l, c in zip(lengths, per_edge)]
-        poles = np.concatenate([np.sqrt(p * p + d) if d else p for p, d in zip(poles, offsets)])
-        poles = np.sort(poles[poles <= bound])
-        starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > POLE_MERGE_RTOL * poles)  # of each cluster
-        lows, highs = poles[starts], poles[np.append(starts[1:], len(poles))[: len(starts)] - 1]
-        kth = np.searchsorted(starts, k - 1, side="right") - 1  # the cluster of the k-th pole
-        if kth + 1 < len(starts):
-            top, lows, highs = 0.5 * (highs[kth] + lows[kth + 1]), lows[: kth + 1], highs[: kth + 1]
-            break
-        if bound == ceiling:
-            top = ceiling
-            break
-        bound *= 2.0
+    # every edge's first k + 1 poles, one row each; an offset d puts a pole p at sqrt(p^2 + d)
+    poles = _pole(np.arange(1.0, k + 2.0)[:, None], lengths, cells)
+    poles = np.where(offsets > 0.0, np.sqrt(poles * poles + offsets), poles)
+    bound = min(poles[-1].min(), ceiling)
+    poles = np.sort(poles[poles <= bound])
+    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > POLE_MERGE_RTOL * poles)  # of each cluster
+    lows, highs = poles[starts], poles[np.append(starts[1:], len(poles))[: len(starts)] - 1]
+    kth = np.searchsorted(starts, k - 1, side="right") - 1  # the cluster of the k-th pole
+    top = ceiling
+    if kth + 1 < len(starts):
+        top, lows, highs = 0.5 * (highs[kth] + lows[kth + 1]), lows[: kth + 1], highs[: kth + 1]
     # cut each gap between clusters into parts about half an eigenvalue
     # spacing (pi / 2L) wide, and count at their midpoints
     starts, ends = np.append(0.0, highs), np.append(lows, top)
@@ -575,7 +567,7 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
         for graph, row in zip(family, cells):
             if row.shape != (len(graph.edges),) or row.dtype.kind not in "iu" or np.any(row < 1):
                 raise ValueError(f"cells must be one whole number of at least 1 per edge, got {row.tolist()}")
-            unknowns = len(_free_vertices(graph)) + (row - 1).sum()
+            unknowns = fem.unknowns(graph, row)
             if k > unknowns:
                 raise ValueError(f"k must be at most the {unknowns} unknowns of the mesh, got {k}")
     shapes = {}

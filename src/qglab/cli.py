@@ -26,6 +26,7 @@ import numpy as np
 
 from . import analytic, circuits, colorings, families, fem, inequalities as ineq
 from .graphs import (
+    DIRICHLET,
     NEUMANN,
     InvalidGraphError,
     MetricGraph,
@@ -167,7 +168,9 @@ def cmd_spectrum(args) -> int:
 
     for j, e in enumerate(spectrum.energies):
         print(f"E_{j + 1} = {fmt_float(e)}")
-    if len(spectrum) >= 2 and spectrum.energies[0] != 0:
+    # with V = 0 and no Dirichlet vertex, E_1 = 0 (the constant mode) and the solve holds its roundoff
+    constant_mode = graph.potential_is_zero() and DIRICHLET not in graph.boundary.values()
+    if len(spectrum) >= 2 and spectrum.energies[0] != 0 and not constant_mode:
         print(f"E_2/E_1 = {fmt_float(spectrum.energies[1] / spectrum.energies[0])}")
     return EXIT_OK
 
@@ -529,22 +532,20 @@ def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[lis
     """``[x, E1, E2, E2/E1]`` for each ``x``: the balloon with string length
     ``x`` (``balloon-L``) or the fancy balloon with ``x`` rungs (``fancy-N``).
 
-    The ``fem`` engine builds and checks the mesh at ``h`` of every point
-    first, then reads the lowest ``k`` P1 energies of each from the vertex
-    count of ``analytic.piecewise_constant_family`` (both graphs have ``V =
-    0``), with no sparse eigensolve, in one call: it counts the points of one
-    shape together, so the balloons of every string length are one family
-    and each rung count is a family of its own."""
+    The ``fem`` engine builds no mesh: it checks ``k`` against the unknowns
+    of each point's cells at ``h``, then reads the lowest ``k`` P1 energies
+    from the vertex count of ``analytic.piecewise_constant_family`` (``V =
+    0``), with no eigensolve, in one call: it counts the points of one shape
+    together, so the balloons of every string length are one family and
+    each rung count is a family of its own."""
     balloon = sweep == "balloon-L"
     if engine == "fem":
         graphs, cells = [], []
         for x in xs:
-            graph = families.balloon(string_length=x) if balloon else families.fancy_balloon(x)
-            mesh = fem.build_mesh(graph, h)
-            at = f"{'L' if balloon else 'N'} = {x:g}"
-            _require(k <= mesh.ndof, "--k", k, f"at most {mesh.ndof}, the unknowns of the --h {h:g} mesh at {at}")
-            graphs.append(graph)
-            cells.append(mesh.edge_cells)
+            graphs.append(families.balloon(string_length=x) if balloon else families.fancy_balloon(x))
+            cells.append(fem.edge_cells(graphs[-1], h))
+            n, at = fem.unknowns(graphs[-1], cells[-1]), f"{'L' if balloon else 'N'} = {x:g}"
+            _require(k <= n, "--k", k, f"at most {n}, the unknowns of the --h {h:g} mesh at {at}")
         energies = [e for e, _ in analytic.piecewise_constant_family(graphs, k, cells)]
     elif balloon:
         energies = [[m.energy for m in analytic.balloon_eigenvalues(x, 2)] for x in xs]

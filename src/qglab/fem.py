@@ -9,6 +9,7 @@ Self-loops are expanded into two half-edges of equal length joined at a
 synthetic midpoint vertex; a degree-2 Kirchhoff vertex is spectrally
 invisible, so this changes nothing but makes assembly uniform.  Every mesh
 segment owns its node arrays: arclength, degree of freedom and potential.
+Its cell rule (``edge_cells``) and size rule (``unknowns``) need no mesh.
 
 Eigenpairs come from shift-invert Lanczos, or from dense LAPACK for small
 systems and large shares of the spectrum.  Every Lanczos result is certified
@@ -142,47 +143,54 @@ class Mesh:
         return [seg.cells for seg in self.segments]
 
     @property
-    def edge_cells(self) -> list[int]:
-        """Cells per graph edge, both halves of a self-loop together."""
-        cells = [0] * len(self.graph.edges)
-        for seg in self.segments:
-            cells[seg.edge_id] += seg.cells
-        return cells
-
-    @property
     def min_potential(self) -> float:
         return min(float(seg.v.min()) for seg in self.segments)
 
 
-def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
-    """Uniform subdivision per edge: ``max(2, ceil(length / target_h))`` cells,
-    overridden by an edge's ``cells`` hint (split evenly across loop halves).
-
-    A self-loop becomes two half-edges joined at a fresh midpoint vertex.  A
-    mesh whose smallest solve exceeds ``MEMORY_BUDGET`` is refused first.
-    """
+def edge_cells(graph: MetricGraph, target_h: float) -> list[int]:
+    """Cells per edge of the mesh at ``target_h``: ``max(2, ceil(length /
+    target_h))``, or the edge's ``cells`` hint; a self-loop, both halves of
+    half its length or hint (rounded up).  A mesh whose smallest solve
+    exceeds ``MEMORY_BUDGET`` is refused here, before anything is built."""
     if target_h <= 0:
         raise ValueError("target_h must be positive")
     require_valid(graph)
     if not math.isfinite(graph.total_length / target_h):  # a subnormal target_h
         raise MemoryBudgetError("target_h", "the smallest solve on infinitely many cells", math.inf)
+    cells = []
+    for e in graph.edges:
+        halves = 2 if e.is_loop else 1
+        per_half = max(2, math.ceil(e.length / halves / target_h)) if e.cells is None else -(-e.cells // halves)
+        cells.append(halves * per_half)
+    require_budget("target_h", f"the smallest solve on {sum(cells)} cells", sum(cells) * MIN_NCV * 8)
+    return cells
 
+
+def _free_vertices(graph: MetricGraph) -> list[int]:
+    return [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
+
+
+def unknowns(graph: MetricGraph, cells) -> int:
+    """Size of P1 on ``cells`` per edge: its free vertices and every edge's
+    interior nodes, a self-loop's midpoint among them."""
+    return len(_free_vertices(graph)) + sum(c - 1 for c in cells)
+
+
+def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
+    """Uniform subdivision of each edge into its ``edge_cells``; a self-loop
+    becomes two half-edges, joined at a fresh midpoint vertex."""
     pieces = []  # (edge id, edge, start vertex, end vertex, length, x0 = arclength of the start, cells)
     n_solver_vertices = graph.num_vertices
-    for i, e in enumerate(graph.edges):
+    for i, (e, c) in enumerate(zip(graph.edges, edge_cells(graph, target_h))):
         if e.is_loop:
             mid = n_solver_vertices
             n_solver_vertices += 1
             half = 0.5 * e.length
-            c = max(2, math.ceil(half / target_h)) if e.cells is None else max(1, math.ceil(e.cells / 2))
-            pieces += [(i, e, e.u, mid, half, 0.0, c), (i, e, mid, e.v, half, half, c)]
+            pieces += [(i, e, e.u, mid, half, 0.0, c // 2), (i, e, mid, e.v, half, half, c // 2)]
         else:
-            c = max(2, math.ceil(e.length / target_h)) if e.cells is None else e.cells
             pieces.append((i, e, e.u, e.v, e.length, 0.0, c))
-    cells = sum(piece[-1] for piece in pieces)
-    require_budget("target_h", f"the smallest solve on {cells} cells", cells * MIN_NCV * 8)
 
-    free = [v for v in range(n_solver_vertices) if graph.boundary.get(v) != DIRICHLET]
+    free = _free_vertices(graph) + list(range(graph.num_vertices, n_solver_vertices))  # and every midpoint
     dof_of = np.full(n_solver_vertices, -1, dtype=int)
     dof_of[free] = np.arange(len(free))
     ndof = len(free)

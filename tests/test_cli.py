@@ -152,6 +152,15 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         (["verify", *Y, "--h", "nan"], "--h must be finite and positive, got nan"),
         (["spectrum", *Y, "--h", "0"], "--h must be finite and positive, got 0.0"),
         (["spectrum", *Y, "--h", "5e-324"], "--h too small: the smallest solve on infinitely many cells"),
+        # the fem sweeps read each point's cells, with no mesh, under the same guards
+        (
+            ["sweep", "--sweep", "balloon-L", "--range", "1:2", "--steps", "2", "--h", "5e-324"],
+            "--h too small: the smallest solve on infinitely many cells",
+        ),
+        (
+            ["sweep", "--sweep", "fancy-N", "--engine", "fem", "--range", "2:3", "--steps", "2", "--h", "1e-9"],
+            "--h too small: the smallest solve on 9424777962 cells",
+        ),
         (
             ["sweep", "--sweep", "fancy-N", "--range", "2:4", "--steps", "5"],
             "--steps must be at most 3 (the whole N in --range 2:4), got 5",
@@ -208,7 +217,8 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "balloon-length-inf", "interval-length-nan", "balloon-length-nan", "interval-length-0", "rungs-1",
         "lead-0", "lead-inf",
         "lead-neg", "terminals-not-int", "terminals-empty", "terminals-one", "terminals-repeated",
-        "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal", "fancy-steps", "fancy-lo",
+        "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal",
+        "balloon-h-subnormal", "fancy-h-too-small", "fancy-steps", "fancy-lo",
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
         "balloon-fem-range-zero", "balloon-oracle-range-negative",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
@@ -442,6 +452,18 @@ def test_verify_skips_riesz_and_mean_ratio_without_a_positive_ground_state(tmp_p
     assert _summary_checks(tmp_path / "out") == [("yang", "informational"), ("weyl", "guaranteed")]
 
 
+def test_spectrum_prints_no_ratio_over_a_constant_mode(tmp_path, capsys):
+    # with every leaf Neumann, y_graph (V = 0) has E_1 = 0: spectrum printed
+    # the solve's roundoff of the constant mode and E_2/E_1 = 1.7e12
+    code = main(["spectrum", "--graph", str(_neumann_y(tmp_path, {1, 2, 3})), "--k", "4",
+                 "--out-dir", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("E_1 = ") and "E_4 = " in out
+    assert "E_2/E_1" not in out
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 5
+
+
 def test_alpha_sweep_refuses_a_well_that_binds_nothing_at_the_lowest_coupling(tmp_path, capsys):
     # the well is negative at every node but E_1 = alpha pi^2 - 0.1 > 0 for
     # alpha >= 0.5: the sweep printed four zero rows and exited 0
@@ -610,9 +632,10 @@ def test_sweep_fem_engine_reads_p1_without_an_eigensolve(tmp_path, monkeypatch, 
     p1 = [fem.solve_graph(graph, h, 2).energies for graph in graphs]
 
     def refused(*args, **kwargs):
-        raise AssertionError("a sweep point ran an eigensolver")
+        raise AssertionError("a sweep point built a mesh or ran an eigensolver")
 
-    monkeypatch.setattr(fem, "_eigensolve", refused)
+    for name in ("build_mesh", "assemble", "_eigensolve"):
+        monkeypatch.setattr(fem, name, refused)
     code = main(["sweep", "--sweep", sweep, "--engine", "fem", "--range", grid, "--steps", "3",
                  "--out-dir", str(tmp_path)])
     assert code == 0

@@ -46,6 +46,32 @@ def test_mesh_rejects_bad_target():
         fem.build_mesh(families.interval(), 0.0)
 
 
+@st.composite
+def hinted_multigraphs(draw):
+    """A connected multigraph with self-loops, a ``cells`` hint on some
+    edges (odd ones on self-loops too), and a Dirichlet or Neumann condition
+    at every leaf."""
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    assume(pairs)
+    edges = tuple(Edge(u, v, draw(st.floats(0.05, 3.0)), cells=draw(st.none() | st.integers(1, 9))) for u, v in pairs)
+    leaves = MetricGraph(n, edges).leaf_vertices()
+    return MetricGraph(n, edges, {v: draw(st.sampled_from([DIRICHLET, NEUMANN])) for v in leaves})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hinted_multigraphs(), st.floats(0.01, 2.0))
+def test_edge_cells_are_the_cells_of_the_mesh(graph, h):
+    # the cell rule read with no mesh, and the unknowns of P1 on those cells
+    mesh = fem.build_mesh(graph, h)
+    cells = [0] * len(graph.edges)
+    for seg in mesh.segments:
+        cells[seg.edge_id] += seg.cells
+    assert fem.edge_cells(graph, h) == cells
+    assert fem.unknowns(graph, cells) == mesh.ndof
+
+
 def test_single_element_stiffness():
     h = 0.37
     g = MetricGraph(2, (Edge(0, 1, h, cells=1),), {0: NEUMANN, 1: NEUMANN})
