@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fem
 from .fem import _close_brackets, _free_vertices, require_budget
-from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps
+from .graphs import DIRICHLET, Edge, MetricGraph, SquareWell, require_valid, split_at_jumps
 
 
 class BracketError(RuntimeError):
@@ -622,7 +622,8 @@ class ExactModel:
     every edge, with no mesh.
 
     ``graph`` is the graph split at its jumps (``split_at_jumps``), with the
-    constant ``values`` and the ``lengths`` of its edges.  ``alpha``,
+    constant ``values`` and the ``lengths`` of its edges, and ``edge_of``,
+    the edge of the unsplit graph that each lies on.  ``alpha``,
     ``min_potential``, ``bound_states`` and ``negative_integral`` mean what
     they mean on ``fem.AssembledSystem``.
     """
@@ -631,6 +632,8 @@ class ExactModel:
         self.graph = split_at_jumps(graph)
         self.values = _edge_values(self.graph)
         self.lengths = np.array([e.length for e in self.graph.edges])
+        # split_at_jumps puts the pieces of each edge together, in its order
+        self.edge_of = np.repeat(np.arange(len(graph.edges)), [len(e.potential.pieces(e.length)) for e in graph.edges])
 
     @property
     def alpha(self) -> float:
@@ -663,3 +666,30 @@ class ExactModel:
     def negative_integral(self, power: float, shift: float = 0.0) -> float:
         """``int ((V - shift)_-)^power = sum_e l_e ((c_e - shift)_-)^power``."""
         return float(self.lengths @ np.maximum(shift - self.values, 0.0) ** power)
+
+    def varied(self, edges, offset: float, step: float) -> list[MetricGraph]:
+        """``graph`` varied in central pairs on the pieces of ``edges`` (of the
+        unsplit graph), for ``tables``: ``V`` offset by ``+-offset``, lengths
+        stretched by ``1 +- step``, and ``V`` scaled by ``1 +- step`` unless it is one constant there."""
+        on = np.isin(self.edge_of, edges)
+        pairs = [(offset, 0.0, 0.0), (0.0, step, 0.0), (0.0, 0.0, step)][: 2 + bool(np.ptp(self.values[on]))]
+        members = []
+        for d, s, v in (sign * np.array(pair) for pair in pairs for sign in (1.0, -1.0)):
+            members.append(replace(self.graph, edges=tuple(
+                Edge(e.u, e.v, e.length * (1 + s), SquareWell(c * (1 + v) + d, 0.0, e.length * (1 + s))) if x else e
+                for e, c, x in zip(self.graph.edges, self.values, on)
+            )))
+        return members
+
+    def tables(self, edges, energies: np.ndarray, varied: list[np.ndarray], offset: float, step: float):
+        """Each state's mass ``m = int |phi|^2`` and ``d = int |phi'|^2`` on
+        the pieces of ``edges``, by central differences of its energies at the
+        members of ``varied`` (same arguments).  The offset gives ``m`` and the
+        scale ``sum_e c_e m_e`` (Hellmann-Feynman); the stretch gives ``-(alpha
+        d + sum_e (E - c_e) m_e)`` (Hadamard), as ``alpha |phi'|^2 + (E - c_e)
+        |phi|^2`` is constant on an edge of constant ``V`` (Berkolaiko and
+        Kuchment, 2013).  In a degenerate cluster only its sums are defined."""
+        steps = (offset, step, step)
+        mass, stretch, *scale = ((up - down) / (2.0 * h) for up, down, h in zip(varied[::2], varied[1::2], steps))
+        weighted = scale[0] if scale else self.values[np.isin(self.edge_of, edges)][0] * mass
+        return mass, (weighted - energies * mass - stretch) / self.alpha

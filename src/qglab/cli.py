@@ -4,12 +4,11 @@ Subcommands: ``spectrum``, ``verify``, ``sweep``, ``oracle``, ``colorings``,
 ``circuit``.  Exit codes: 0 success, 1 check failure, 2 input error,
 3 numeric failure.  Every subcommand writes only below ``--out-dir``.
 
-``verify`` reads the exact spectrum of ``analytic.piecewise_constant_eigenvalues``
-and the moment checks' ``analytic.ExactModel`` on a graph whose potential is
-constant on each piece of every edge and that has no loop pair, with no mesh;
-it solves P1 eigenpairs on every other graph.  ``spectrum``, the ``alpha``
-sweep and the ``fem`` sweeps always stay on P1, the ``V = 0`` sweeps counting
-its energies through the same vertex count.
+``verify`` and the ``alpha`` sweep take one spectral model (``_model``):
+``analytic.ExactModel``, with no mesh, on a graph whose potential is constant
+on each piece of every edge, and the P1 assembly on every other graph.
+``spectrum`` and the ``fem`` sweeps always stay on P1, the ``V = 0`` sweeps
+counting its energies through the vertex count of the exact model.
 """
 
 from __future__ import annotations
@@ -130,6 +129,15 @@ def _mesh(graph: MetricGraph, k: int, requested: float | None, alpha_min: float)
     return mesh
 
 
+def _model(graph: MetricGraph, k: int, h: float | None, alpha_min: float) -> analytic.ExactModel | fem.AssembledSystem:
+    """The spectral model of ``graph``: ``analytic.ExactModel``, with no mesh,
+    where its potential is constant on each piece of every edge, which reads
+    neither ``k`` nor ``h``; else the P1 assembly on ``_mesh``."""
+    if graph.potential_is_piecewise_constant():
+        return analytic.ExactModel(graph)
+    return fem.assemble(_mesh(graph, k, h, alpha_min))
+
+
 def _load(args) -> MetricGraph:
     graph = load_graph(args.graph)
     require_valid(graph)
@@ -188,10 +196,9 @@ class SolveContext:
     ``energies`` holds the lowest ``trusted_count(k)`` energies and one more;
     ``trusted`` is the trusted part.  ``grad_norms`` is each state's
     ``int |phi'|^2``.  ``model`` is the spectral model the moment checks
-    read: the ``analytic.ExactModel`` of an exactly solved graph, or the P1
-    assembly, whose eigenpairs are ``spectrum`` (``None`` when solved
-    exactly; ``_solve``).  ``loop`` is the graph's loop pair, found once per
-    run, or ``None``.
+    read (``_model``).  ``loop`` is the graph's loop pair, found once per
+    run, or ``None``; ``tables`` are then each state's ``int |phi|^2`` and
+    ``int |phi'|^2`` over its leads and its loop (``_solve``).
     """
 
     graph: MetricGraph
@@ -200,7 +207,7 @@ class SolveContext:
     model: analytic.ExactModel | fem.AssembledSystem
     energies: np.ndarray
     grad_norms: np.ndarray
-    spectrum: fem.Spectrum | None
+    tables: tuple[np.ndarray, np.ndarray] | None
     trusted: np.ndarray
     roles: dict[str, str]  # role of each check in this graph's POLICY row
 
@@ -362,7 +369,8 @@ def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
     m = len(ctx.trusted)
     energies = ctx.energies
     zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in (0, 1, 2, 4, 7) if j + 1 < m]
-    steps = [ineq.sum_rule_steps_check(ctx.spectrum, ctx.loop, z, tol_rel=ctx.tol) for z in zsamples]
+    check = partial(ineq.sum_rule_steps_check, energies, ctx.graph.alpha, ctx.loop.q, *ctx.tables, tol_rel=ctx.tol)
+    steps = [check(z) for z in zsamples]
     return CheckReport(
         check="sum_rule_steps",
         params={},
@@ -425,55 +433,56 @@ PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
 #: Relative step of the coupling in the central difference ``dE / dalpha``,
-#: which is each state's ``int |phi'|^2`` (Hellmann-Feynman).
+#: which is each state's ``int |phi'|^2`` (Hellmann-Feynman), and of the
+#: loop tables' stretch and scale (``analytic.ExactModel.tables``).
 ALPHA_STEP = 1e-5
 
 
 def _solve(
     graph: MetricGraph, loop: ineq.LoopLeads | None, k: int, h: float | None
-) -> tuple[analytic.ExactModel | fem.AssembledSystem, np.ndarray, np.ndarray, fem.Spectrum | None, dict]:
-    """The spectrum one ``verify`` run reads: the spectral model, the lowest
-    ``trusted_count(k)`` energies and one more (yang's coverage, and
-    lt_quotient's bound states when the top is nonnegative), each one's
-    ``int |phi'|^2``, the P1 eigenpairs (``None`` on the exact path), and a
-    record of the solve for the summary.
+) -> tuple[analytic.ExactModel | fem.AssembledSystem, np.ndarray, np.ndarray, tuple | None, dict]:
+    """The spectrum one ``verify`` run reads: the spectral model
+    (``_model``), the lowest ``trusted_count(k)`` energies and one more
+    (yang's coverage, and lt_quotient's bound states when the top is
+    nonnegative), each one's ``int |phi'|^2``, the loop pair's tables
+    (``SolveContext``), and a record of the solve for the summary.
 
-    A graph whose potential is constant on each piece of every edge and that
-    has no loop pair takes the exact energies of
-    ``analytic.piecewise_constant_family`` and the model
-    ``analytic.ExactModel``, and builds no mesh.  Its ``int |phi'|^2`` is
-    ``dE / dalpha``, by central differences from the exact energies at
-    ``alpha (1 -+ ALPHA_STEP)``, solved in one family with its own.  Every
-    other graph solves P1 eigenpairs on a mesh that resolves ``k`` and reads
-    ``int |phi'|^2`` from them.  On ``V =
-    0`` either way it is ``E / alpha``: ``H = alpha K``, so a mass-normalized
-    eigenvector has ``v^T K v = E / alpha`` exactly, in the discrete problem
-    too, and the exact eigenfunctions satisfy the same identity.
+    The exact model counts the energies of one ``piecewise_constant_family``
+    call.  ``int |phi'|^2`` is ``E / alpha`` on ``V = 0`` and else ``dE /
+    dalpha``, by central differences at ``alpha (1 -+ ALPHA_STEP)``, members
+    of the family.  A loop pair's loop tables come from more members
+    (``ExactModel.varied``), whose offset step is ``ALPHA_STEP`` times a Weyl
+    estimate of the top energy, as roundoff in the mass is about ``1e-13 E``
+    over the step; the leads take the rest of each state's mass (1) and of
+    its ``int |phi'|^2``.  The P1 assembly solves eigenpairs on a mesh that
+    resolves ``k`` and sums their per-edge tables.
     """
-    exact = loop is None and graph.potential_is_piecewise_constant()
+    model = _model(graph, k, h, graph.alpha)
+    exact = isinstance(model, analytic.ExactModel)
     if not exact:
-        system = fem.assemble(_mesh(graph, k, h, graph.alpha))
-        k = min(k, system.ndof)  # a mesh resolves at most its ndof eigenvalues
+        k = min(k, model.ndof)  # a mesh resolves at most its ndof eigenvalues
     trusted = ineq.trusted_count(k)
     solved = min(trusted + 1, k)
+    tables = None
     if exact:
-        model, spectrum = analytic.ExactModel(graph), None
         steps = () if graph.potential_is_zero() else (ALPHA_STEP, -ALPHA_STEP)
         family = [model.graph, *(replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in steps)]
-        energies, *stepped = (e for e, _ in analytic.piecewise_constant_family(family, solved))
+        if loop is not None:
+            offset = ALPHA_STEP * graph.alpha * (math.pi * solved / graph.total_length) ** 2
+            family += model.varied(loop.cycle_edges, offset, ALPHA_STEP)
+        energies, *rest = (e for e, _ in analytic.piecewise_constant_family(family, solved))
+        grad_norms = (rest[0] - rest[1]) / (family[1].alpha - family[2].alpha) if steps else energies / graph.alpha
+        if loop is not None:
+            mass, dirichlet = model.tables(loop.cycle_edges, energies, rest[len(steps) :], offset, ALPHA_STEP)
+            tables = (np.stack([1.0 - mass, mass]), np.stack([grad_norms - dirichlet, dirichlet]))
         solve = {"source": "exact", "solved": solved, "trusted": trusted}
     else:
-        model, spectrum = system, fem.solve_spectrum(system, solved)
-        energies = spectrum.energies
-        solve = {"source": "p1", "ndof": system.ndof, "solved": solved, "trusted": trusted}
-    if graph.potential_is_zero():
-        grad_norms = energies / graph.alpha
-    elif spectrum is not None:
-        grad_norms = spectrum.total_dirichlet()
-    else:
-        (e_up, e_down), (up, down) = stepped, family[1:]
-        grad_norms = (e_up - e_down) / (up.alpha - down.alpha)
-    return model, energies, grad_norms, spectrum, solve
+        spectrum = fem.solve_spectrum(model, solved)
+        energies, grad_norms = spectrum.energies, spectrum.total_dirichlet()
+        if loop is not None:
+            tables = (loop.rows(spectrum.edge_mass), loop.rows(spectrum.edge_dirichlet))
+        solve = {"source": "p1", "ndof": model.ndof, "solved": solved, "trusted": trusted}
+    return model, energies, grad_norms, tables, solve
 
 
 def cmd_verify(args) -> int:
@@ -485,16 +494,16 @@ def cmd_verify(args) -> int:
         # the tree and slope-family arguments need Dirichlet leaves (free ends carry boundary data)
         policy = [(name, _I if role == _G and name != "weyl" else role) for name, role in policy]
     loop = _loop_pair(graph, topo.topology_class)
-    model, energies, grad_norms, spectrum, solve = _solve(graph, loop, args.k or 90, args.h)
+    model, energies, grad_norms, tables, solve = _solve(graph, loop, args.k or 90, args.h)
     if args.corrupt_spectrum:
         # no Dirichlet energy: every sum rule fails, whatever its coefficient ratio
         grad_norms = np.zeros_like(grad_norms)
-        if spectrum is not None:
-            spectrum.edge_dirichlet[:] = 0.0
+        if tables is not None:
+            tables = (tables[0], np.zeros_like(tables[1]))
 
     tol = args.tol if args.tol is not None else ineq.TOL_FEM
     trusted = energies[: solve["trusted"]]
-    ctx = SolveContext(graph, loop, tol, model, energies, grad_norms, spectrum, trusted, dict(policy))
+    ctx = SolveContext(graph, loop, tol, model, energies, grad_norms, tables, trusted, dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
         report = CHECKS[name](ctx)
@@ -561,7 +570,7 @@ def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[lis
 def cmd_sweep(args) -> int:
     engine = args.engine or ("fem" if args.sweep == "balloon-L" else "oracle")
     if args.sweep == "alpha":
-        _require(args.engine is None, "--engine", args.engine, "left out of the alpha sweep, which solves P1")
+        _require(args.engine is None, "--engine", args.engine, "left out of the alpha sweep")
     else:
         _require(args.graph is None, "--graph", args.graph, f"left out of the {args.sweep} sweep")
         if engine == "fem":
@@ -599,12 +608,12 @@ def cmd_sweep(args) -> int:
             raise InvalidGraphError("alpha sweep needs --graph")
         _require(lo > 0, "--range", args.sweep_range, "positive for the alpha sweep")
         graph = _load(args)
-        # one assembly serves every coupling: alpha only rescales the stiffness
-        system = fem.assemble(_mesh(graph, args.k or 16, args.h, lo))
+        # one model serves every coupling: a P1 assembly's alpha only rescales its stiffness
+        model = _model(graph, args.k or 16, args.h, lo)
         # with no bound state an all-zero column proves nothing: none at V >= 0, and
         # none at any coupling of the range when none at its lowest, which binds the most
-        _require(system.min_potential < 0, "--graph", args.graph, "a graph whose V is negative at a mesh node")
-        stubbe = ineq.stubbe_monotonicity(system, grid)
+        _require(model.min_potential < 0, "--graph", args.graph, "a graph whose V has a negative part")
+        stubbe = ineq.stubbe_monotonicity(model, grid)
         _require(stubbe.moments[0] > 0, "--range", args.sweep_range, "lo:hi with a bound state at alpha = lo")
         rows = zip(stubbe.alphas, stubbe.moments, stubbe.values)
         write_csv(os.path.join(out, "sweep.csv"), ["alpha", "moment2", "stubbe_value"], rows)

@@ -12,7 +12,6 @@ plain quadratic form by the per-edge count, which is the same for every edge.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,18 +98,6 @@ def edge_counts(colorings: list[Coloring]) -> EdgeCountReport:
     return EdgeCountReport(counts, len(set(counts)) <= 1)
 
 
-def binomial_identity_check(n_max: int) -> bool:
-    """Even and odd subset counts of an (n-1)-set agree (both are 2^(n-2))."""
-    if n_max > 60:
-        raise ValueError("n_max capped at 60")
-    for n in range(2, n_max + 1):
-        even = sum(math.comb(n - 1, 2 * k) for k in range(0, (n - 1) // 2 + 1))
-        odd = sum(math.comb(n - 1, 2 * k + 1) for k in range(0, n // 2))
-        if even != odd or even != 2 ** (n - 2):
-            return False
-    return True
-
-
 @dataclass
 class GFunction:
     """Continuous piecewise-affine function given by integer edge slopes.
@@ -168,80 +155,3 @@ def realize_g(graph: MetricGraph, coloring: Coloring) -> GFunction:
                 values[w] = values[v] + (slopes[eid] * e.length if e.u == v else -slopes[eid] * e.length)
 
     return GFunction(tuple(slopes), tuple(values))
-
-
-def validate_g(g: GFunction, graph: MetricGraph, coloring: Coloring | None = None) -> list[str]:
-    """Invariant check for a piecewise-affine function; empty list means valid."""
-    problems = []
-    if coloring is not None:
-        for eid, bit in enumerate(coloring):
-            if abs(g.slopes[eid]) != bit:
-                problems.append(f"edge {eid}: |slope| != coloring bit")
-    degrees = graph.degrees()
-    adj = graph.adjacency()
-    for v in range(graph.num_vertices):
-        if degrees[v] < 2:
-            continue
-        total = 0
-        for eid, _ in adj[v]:
-            e = graph.edges[eid]
-            if e.is_loop:
-                continue  # loop slopes cancel pairwise by symmetry of the split
-            total += g.slopes[eid] if e.u == v else -g.slopes[eid]
-        if total != 0:
-            problems.append(f"vertex {v}: outward slopes sum to {total}")
-    for eid, e in enumerate(graph.edges):
-        if e.is_loop:
-            continue
-        expect = g.vertex_values[e.u] + g.slopes[eid] * e.length
-        if abs(expect - g.vertex_values[e.v]) > 1e-9 * max(1.0, abs(expect)):
-            problems.append(f"edge {eid}: values not continuous")
-    return problems
-
-
-@dataclass
-class AveragedYangReport:
-    z_grid: np.ndarray
-    count: int
-    max_rel_deviation: float
-    verdict: str
-
-
-def averaged_yang(
-    energies: np.ndarray,
-    edge_mass: np.ndarray,
-    edge_dirichlet: np.ndarray,
-    alpha: float,
-    colorings: list[Coloring],
-    z_grid: np.ndarray,
-) -> AveragedYangReport:
-    """Sum the per-coloring sum-rule expressions and compare with ``p * S(z)``.
-
-    Each coloring weights edge ``m`` by its bit; summing over all admissible
-    colorings must reproduce the plain quadratic form times the uniform
-    per-edge count ``p``, giving a construction-level consistency check.
-    """
-    report = edge_counts(colorings)
-    if not report.uniform:
-        raise ColoringError("per-edge coloring counts are not uniform")
-    p = report.counts[0] if report.counts else 0
-
-    z = np.asarray(z_grid, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    pos = np.maximum(z[:, None] - energies[None, :], 0.0)
-
-    averaged = np.zeros(len(z))
-    for coloring in colorings:
-        w = np.asarray(coloring, dtype=float)
-        mass_w = w @ edge_mass
-        dir_w = w @ edge_dirichlet
-        averaged += pos**2 @ mass_w - 4.0 * alpha * (pos @ dir_w)
-
-    grad = edge_dirichlet.sum(axis=0)
-    plain = p * ((pos**2).sum(axis=1) - 4.0 * alpha * (pos @ grad))
-
-    scale = np.maximum(np.abs(plain), p * np.maximum((pos**2).sum(axis=1), 1e-300))
-    dev = float(np.max(np.abs(averaged - plain) / scale)) if len(z) else 0.0
-    holds = bool(np.all(plain <= p * 1e-3 * z * z))
-    verdict = "holds" if holds else "violated"
-    return AveragedYangReport(z, p, dev, verdict)

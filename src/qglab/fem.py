@@ -139,10 +139,6 @@ class Mesh:
     ndof: int
 
     @property
-    def cells(self) -> list[int]:
-        return [seg.cells for seg in self.segments]
-
-    @property
     def min_potential(self) -> float:
         return min(float(seg.v.min()) for seg in self.segments)
 
@@ -790,45 +786,6 @@ def solve_graph(
     """Mesh, assemble, and solve in one call, at the graph's own coupling."""
     mesh = build_mesh(graph, target_h)
     return solve_spectrum(assemble(mesh), k)
-
-
-def degenerate_clusters(energies: np.ndarray) -> list[tuple[int, ...]]:
-    """Group indices of eigenvalues that coincide to relative tolerance ``1e-8``.
-
-    Per-state quantities inside a cluster depend on the eigenbasis the solver
-    happened to return; only cluster sums of the per-edge tables are well
-    defined, and every check in this package consumes sums.
-    """
-    energies = np.asarray(energies, dtype=float)
-    clusters: list[tuple[int, ...]] = []
-    current = [0]
-    for j in range(1, len(energies)):
-        scale = max(abs(energies[j]), abs(energies[j - 1]), 1e-300)
-        if abs(energies[j] - energies[j - 1]) <= 1e-8 * scale:
-            current.append(j)
-        else:
-            clusters.append(tuple(current))
-            current = [j]
-    if len(energies):
-        clusters.append(tuple(current))
-    return clusters
-
-
-def kirchhoff_residuals(spectrum: Spectrum) -> np.ndarray:
-    """Sum of outward one-sided difference quotients per free vertex.
-
-    Shape ``(n_solver_vertices, k)``; rows of eliminated (Dirichlet) vertices
-    are zero.  Tends to zero with the mesh for every true Kirchhoff vertex.
-    """
-    mesh = spectrum.mesh
-    res = np.zeros((mesh.n_solver_vertices, len(spectrum)))
-    for seg in mesh.segments:
-        vals = seg.values(spectrum.vectors)
-        if seg.dofs[0] >= 0:
-            res[seg.start] += (vals[1] - vals[0]) / seg.h
-        if seg.dofs[-1] >= 0:
-            res[seg.end] += (vals[-2] - vals[-1]) / seg.h
-    return res
 
 
 def eigenfunction_samples(spectrum: Spectrum, j: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -20,6 +20,8 @@ Conventions shared by all checks:
   ``fem.AssembledSystem`` is one, on its own mesh, and
   ``analytic.ExactModel`` is one with no mesh.  The moment quotients
   take the bound states from their caller, which reads them once.
+* The sum-rule steps of the one-loop bound read each state's ``int |phi|^2``
+  and ``int |phi'|^2`` over the leads and over the loop, from either model.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import classical_lt_constant
-from .fem import Spectrum
 from .graphs import MetricGraph, TopologyClass, classify_topology
 
 TOL_ANALYTIC = 1e-6
@@ -239,6 +240,11 @@ class LoopLeads:
     lead_edges: tuple[int, ...]
     q: float  # 2*pi / semicircle length
 
+    def rows(self, per_edge: np.ndarray) -> np.ndarray:
+        """The sums of a table with one row per edge over the leads and over
+        the loop, as two rows."""
+        return np.stack([per_edge[list(self.lead_edges)].sum(axis=0), per_edge[list(self.cycle_edges)].sum(axis=0)])
+
 
 def loop_structure(graph: MetricGraph) -> LoopLeads:
     """Identify the two equal semicircles and the two leads, or fail."""
@@ -348,25 +354,23 @@ class SumRuleSteps:
         return "holds" if (self.in1_holds and self.perid_holds) else "violated"
 
 
-def sum_rule_steps_check(spectrum: Spectrum, loop: LoopLeads, z: float, tol_rel: float = TOL_FEM) -> SumRuleSteps:
+def sum_rule_steps_check(
+    energies: np.ndarray, alpha: float, q: float, mass: np.ndarray, dirichlet: np.ndarray, z: float,
+    tol_rel: float = TOL_FEM,
+) -> SumRuleSteps:
     """Intermediate inequalities behind the one-loop bound, at one ``z``, on
-    the graph whose loop pair is ``loop`` (``loop_structure``).
-
-    Uses per-edge masses and derivative norms: the lead pair enters with
-    slope weight 4, the semicircle pair with weight 1, then the exponential
-    commutator step bounds the semicircle quadratic term.  Both are
-    evaluated over the eigenvalues at or below ``z``.
+    a graph with a loop pair (``loop_structure``) of ``q = 2 pi / semicircle
+    length``, from each state's ``int |phi|^2`` (``mass``) and ``int
+    |phi'|^2`` (``dirichlet``) over the leads and over the loop, two rows
+    (``LoopLeads.rows``).  The lead pair enters with slope weight 4, the
+    semicircle pair with weight 1, then the exponential commutator step
+    bounds the semicircle quadratic term.  Both are evaluated over the
+    eigenvalues at or below ``z``.
     """
-    energies = spectrum.energies
     _require_coverage(energies, z)
-    alpha = spectrum.alpha
-    q = loop.q
     w1 = np.maximum(z - energies, 0.0)
     w2 = w1**2
-    p12 = spectrum.edge_mass[list(loop.lead_edges)].sum(axis=0)
-    p34 = spectrum.edge_mass[list(loop.cycle_edges)].sum(axis=0)
-    d12 = spectrum.edge_dirichlet[list(loop.lead_edges)].sum(axis=0)
-    d34 = spectrum.edge_dirichlet[list(loop.cycle_edges)].sum(axis=0)
+    (p12, p34), (d12, d34) = mass, dirichlet
 
     in1 = 4.0 * (w2 @ p12 - 4.0 * alpha * (w1 @ d12)) + (w2 @ p34) - 4.0 * alpha * (w1 @ d34)
     in1_scale = float(4.0 * (w2 @ p12) + (w2 @ p34))

@@ -1,9 +1,12 @@
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qglab import inequalities as ineq
+from qglab.colorings import Coloring, ColoringError, edge_counts
 from qglab.graphs import DIRICHLET, Edge, MetricGraph
 
 
@@ -54,3 +57,85 @@ def gf2_cycle_rank(graph: MetricGraph) -> int:
                 rank += 1
                 break
     return len(graph.edges) - rank
+
+
+def degenerate_clusters(energies: np.ndarray, rtol: float = 1e-8) -> list[tuple[int, ...]]:
+    """Group indices of eigenvalues that coincide to relative tolerance ``rtol``.
+
+    Per-state quantities inside a cluster depend on the eigenbasis the solver
+    happened to return; only cluster sums of the per-edge tables are well
+    defined, and every check of ``qglab`` consumes sums.
+    """
+    energies = np.asarray(energies, dtype=float)
+    clusters: list[tuple[int, ...]] = []
+    current = [0]
+    for j in range(1, len(energies)):
+        scale = max(abs(energies[j]), abs(energies[j - 1]), 1e-300)
+        if abs(energies[j] - energies[j - 1]) <= rtol * scale:
+            current.append(j)
+        else:
+            clusters.append(tuple(current))
+            current = [j]
+    if len(energies):
+        clusters.append(tuple(current))
+    return clusters
+
+
+def binomial_identity_check(n_max: int) -> bool:
+    """Even and odd subset counts of an (n-1)-set agree (both are 2^(n-2))."""
+    if n_max > 60:
+        raise ValueError("n_max capped at 60")
+    for n in range(2, n_max + 1):
+        even = sum(math.comb(n - 1, 2 * k) for k in range(0, (n - 1) // 2 + 1))
+        odd = sum(math.comb(n - 1, 2 * k + 1) for k in range(0, n // 2))
+        if even != odd or even != 2 ** (n - 2):
+            return False
+    return True
+
+
+@dataclass
+class AveragedYangReport:
+    z_grid: np.ndarray
+    count: int
+    max_rel_deviation: float
+    verdict: str
+
+
+def averaged_yang(
+    energies: np.ndarray,
+    edge_mass: np.ndarray,
+    edge_dirichlet: np.ndarray,
+    alpha: float,
+    colorings: list[Coloring],
+    z_grid: np.ndarray,
+) -> AveragedYangReport:
+    """Sum the per-coloring sum-rule expressions and compare with ``p * S(z)``.
+
+    Each coloring weights edge ``m`` by its bit; summing over all admissible
+    colorings must reproduce the plain quadratic form times the uniform
+    per-edge count ``p``, giving a construction-level consistency check.
+    """
+    report = edge_counts(colorings)
+    if not report.uniform:
+        raise ColoringError("per-edge coloring counts are not uniform")
+    p = report.counts[0] if report.counts else 0
+
+    z = np.asarray(z_grid, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    pos = np.maximum(z[:, None] - energies[None, :], 0.0)
+
+    averaged = np.zeros(len(z))
+    for coloring in colorings:
+        w = np.asarray(coloring, dtype=float)
+        mass_w = w @ edge_mass
+        dir_w = w @ edge_dirichlet
+        averaged += pos**2 @ mass_w - 4.0 * alpha * (pos @ dir_w)
+
+    grad = edge_dirichlet.sum(axis=0)
+    plain = p * ((pos**2).sum(axis=1) - 4.0 * alpha * (pos @ grad))
+
+    scale = np.maximum(np.abs(plain), p * np.maximum((pos**2).sum(axis=1), 1e-300))
+    dev = float(np.max(np.abs(averaged - plain) / scale)) if len(z) else 0.0
+    holds = bool(np.all(plain <= p * 1e-3 * z * z))
+    verdict = "holds" if holds else "violated"
+    return AveragedYangReport(z, p, dev, verdict)

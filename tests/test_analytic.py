@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qglab import analytic, families, fem
+from qglab import analytic, families, fem, inequalities as ineq
+from qglab.cli import ALPHA_STEP
 from qglab.graphs import (
     DIRICHLET,
     NEUMANN,
@@ -18,6 +19,8 @@ from qglab.graphs import (
     load_graph,
     split_at_jumps,
 )
+
+from conftest import degenerate_clusters
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -655,6 +658,55 @@ def test_exact_model_reads_the_split_graph():
         lowest = analytic.piecewise_constant_eigenvalues(dataclasses.replace(model.graph, alpha=alpha), 6)[0]
         assert lowest[-1] > 0
         assert np.array_equal(model.bound_states(alpha), lowest[lowest < 0])
+
+
+def _random_loop_pair(rng):
+    """Two equal semicircles with a lead at each junction: random lengths,
+    square wells on random edges, the loop among them, with ends on a grid of
+    twentieths (no piece shorter than a cell), and Dirichlet or Neumann leaves."""
+    half, leads = rng.uniform(0.8, 2.5), rng.uniform(0.5, 2.0, 2)
+    edges = [Edge(0, 1, half), Edge(0, 1, half), Edge(0, 2, leads[0]), Edge(1, 3, leads[1])]
+    for i in {int(rng.integers(0, 2)), *rng.choice(4, size=int(rng.integers(0, 3)), replace=False).tolist()}:
+        ends = np.sort(rng.integers(0, 21, 2)) / 20.0 * edges[i].length
+        edges[i] = dataclasses.replace(edges[i], potential=SquareWell(rng.uniform(-20.0, 10.0), *ends))
+    boundary = {v: str(rng.choice([DIRICHLET, NEUMANN])) for v in (2, 3)}
+    return MetricGraph(4, tuple(edges), boundary, rng.uniform(0.5, 2.0))
+
+
+def test_loop_pair_tables_are_derivatives_of_the_exact_energies():
+    # each group's tables from its own varied members: the masses of leads
+    # and loop sum to 1 and their Dirichlet rows to dE / dalpha, and P1 on
+    # the split graph converges onto the loop's cluster sums as h^2; the
+    # clusters are wider than the steps, which split a degenerate one
+    rng = np.random.default_rng(2026)
+    k = 8
+    for _ in range(6):
+        graph = _random_loop_pair(rng)
+        model, loop = analytic.ExactModel(graph), ineq.loop_structure(graph)
+        offset = ALPHA_STEP * graph.alpha * (math.pi * k / graph.total_length) ** 2
+        groups = (loop.lead_edges, loop.cycle_edges)
+        varied = [model.varied(edges, offset, ALPHA_STEP) for edges in groups]
+        alphas = [dataclasses.replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in (ALPHA_STEP, -ALPHA_STEP)]
+        family = [model.graph, *alphas, *varied[0], *varied[1]]
+        energies, up, down, *rest = (e for e, _ in analytic.piecewise_constant_family(family, k))
+        split = len(varied[0])
+        (m_leads, d_leads), (m_loop, d_loop) = (
+            model.tables(edges, energies, members, offset, ALPHA_STEP)
+            for edges, members in zip(groups, (rest[:split], rest[split:]))
+        )
+        assert m_leads + m_loop == pytest.approx(np.ones(k), rel=0, abs=1e-8)
+        grad_norms = (up - down) / (alphas[0].alpha - alphas[1].alpha)
+        assert d_leads + d_loop == pytest.approx(grad_norms, rel=1e-6, abs=0)
+        clusters = [list(c) for c in degenerate_clusters(energies, rtol=1e-4)]
+        on = np.isin(model.edge_of, loop.cycle_edges)
+        errors = []
+        for h in (0.02, 0.01):
+            spectrum = fem.solve_graph(model.graph, h, k)
+            p1 = spectrum.edge_mass[on].sum(axis=0), spectrum.edge_dirichlet[on].sum(axis=0)
+            errors.append([max(abs(p[c].sum() - x[c].sum()) for c in clusters) for p, x in zip(p1, (m_loop, d_loop))])
+        (mass, dirichlet), ratios = errors[0], np.divide(*errors)
+        assert mass < 1e-3 and dirichlet < 2e-3 * np.abs(d_loop).max()
+        assert np.all((3.0 < ratios) & (ratios < 6.0))
 
 
 # --- families -------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         ),
         (
             [*ALPHA_SWEEP, "0.5:4", "--engine", "fem"],
-            "--engine must be left out of the alpha sweep, which solves P1, got fem",
+            "--engine must be left out of the alpha sweep, got fem",
         ),
         # once "k must be in [1, 5], got 6", which named neither the option nor the mesh
         (
@@ -209,7 +209,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         # once exit 0 with an all-zero Stubbe column judged nonincreasing
         (
             ["sweep", "--sweep", "alpha", *Y, "--range", "0.5:4", "--steps", "4"],
-            f"--graph must be a graph whose V is negative at a mesh node, got {Y[1]}",
+            f"--graph must be a graph whose V has a negative part, got {Y[1]}",
         ),
     ],
     ids=[
@@ -272,11 +272,16 @@ def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, k, solved):
-    """``verify --k k`` on a fixture, with every P1 stage refused."""
+def _no_p1(monkeypatch):
+    """Refuse every P1 stage: mesh, assembly, inertia count and eigensolver."""
     _no_eigensolver(monkeypatch)
     for p1 in ("build_mesh", "assemble", "_eigensolve", "_chain_counter"):
         monkeypatch.setattr(fem, p1, lambda *args, **kwargs: pytest.fail("P1 was called"))
+
+
+def _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, k, solved):
+    """``verify --k k`` on a fixture, with every P1 stage refused."""
+    _no_p1(monkeypatch)
     code = main(["verify", "--graph", fixture(f"{name}.json"), "--k", str(k), "--out-dir", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
@@ -295,6 +300,21 @@ def test_exact_verify_of_a_square_well_needs_no_mesh(tmp_path, capsys, monkeypat
     # are counted exactly, with no mesh, assembly, inertia count or
     # eigensolver (CI runs it at --k 5000 too)
     _verify_with_no_p1(tmp_path, capsys, monkeypatch, "tree_well", 90, 61)
+
+
+@pytest.mark.parametrize("name", ["circle_two_leads", "loop_leads_well"])
+def test_exact_verify_of_a_loop_pair_needs_no_mesh(tmp_path, capsys, monkeypatch, name):
+    # the lead and loop tables of sum_rule_steps are derivatives of the exact
+    # energies, counted in the same family as the row's own
+    _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, 90, 61)
+
+
+@pytest.mark.parametrize("name, steps", [("tree_well", "5"), ("loop_leads_well", "4")])
+def test_exact_alpha_sweep_needs_no_mesh(tmp_path, capsys, monkeypatch, name, steps):
+    _no_p1(monkeypatch)
+    argv = ["sweep", "--sweep", "alpha", "--graph", fixture(f"{name}.json"), "--range", "0.5:4", "--steps", steps]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert "nonincreasing: True" in capsys.readouterr().out
 
 
 def test_exact_count_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -476,6 +496,18 @@ def test_alpha_sweep_refuses_a_well_that_binds_nothing_at_the_lowest_coupling(tm
     assert not (tmp_path / "out").exists()
 
 
+def test_alpha_sweep_counts_a_well_narrower_than_a_cell(tmp_path, capsys):
+    # P1 nodes missed the well, and the sweep refused the graph as having no
+    # negative V at a mesh node (exit 2); the exact model binds a state at
+    # -99.798 at alpha = 1
+    path = tmp_path / "narrow_deep.json"
+    save_graph(families.interval(1.0, graphs.SquareWell(-1e5, 0.4001, 0.4003)), path)
+    argv = ["sweep", "--sweep", "alpha", "--graph", str(path), "--range", "0.5:4", "--steps", "4"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+    assert "nonincreasing: True" in capsys.readouterr().out
+    assert analytic.ExactModel(load_graph(str(path))).bound_states(1.0) == pytest.approx([-99.798], abs=1e-3)
+
+
 def test_verify_runs_the_moment_checks_on_a_well_narrower_than_a_cell(tmp_path, capsys):
     # the well is 2e-4 wide, below any default cell, so P1 nodes missed it
     # and verify ran yang alone, as if V >= 0; the exact model integrates
@@ -490,27 +522,31 @@ def test_verify_runs_the_moment_checks_on_a_well_narrower_than_a_cell(tmp_path, 
 
 
 def test_verify_one_loop_shifted_grid_follows_a_negative_ground_state(tmp_path, capsys, monkeypatch):
-    calls = _record_solves(monkeypatch)
+    calls = _record_exact_solves(monkeypatch)
     out = tmp_path / "out"
     code = main(["verify", "--graph", fixture("loop_leads_well.json"), "--format", "json", "--out-dir", str(out)])
     assert code == 0, capsys.readouterr().err
-    e1 = calls[0][2][0]
+    e1 = calls[0][1][0]
     assert e1 < 0
     grid = json.loads((out / "verify_one_loop_shifted.json").read_text())["grid"]
     assert grid == pytest.approx(np.linspace(0.9 * e1, 0.05 * e1, 6), rel=1e-9, abs=0)
 
 
-def test_verify_one_loop_row_without_sum_rule_steps_solves_p1(tmp_path, capsys, monkeypatch):
-    # the spectrum follows the graph, not the row's check names: a V = 0
-    # loop pair is solved on P1 even when no check reads its eigenvectors,
-    # since one_loop_shifted reads the P1 system
-    key = (TopologyClass.ONE_LOOP_WITH_LEADS, True)
-    monkeypatch.setitem(POLICY, key, [row for row in POLICY[key] if row[0] != "sum_rule_steps"])
-    code = main(["verify", "--graph", fixture("circle_two_leads.json"), "--out-dir", str(tmp_path)])
+def test_verify_reads_p1_loop_tables_where_a_loop_pair_has_a_smooth_well(tmp_path, capsys, monkeypatch):
+    # a sech-squared well on one semicircle keeps the loop pair on P1, and
+    # sum_rule_steps sums its eigenpairs' per-edge tables over leads and loop
+    calls = _record_solves(monkeypatch)
+    graph = load_graph(fixture("loop_leads_well.json"))
+    well = graphs.PoschlTeller(a=math.sqrt(6.0), center=0.5 * math.pi)
+    path = tmp_path / "loop_leads_sech2.json"
+    save_graph(dataclasses.replace(graph, edges=(dataclasses.replace(graph.edges[0], potential=well), *graph.edges[1:])), path)
+    code = main(["verify", "--graph", str(path), "--format", "json", "--out-dir", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
-    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    summary = json.loads((tmp_path / "out" / "verify_summary.json").read_text())
     assert summary["spectrum"]["source"] == "p1"
-    assert [c["name"] for c in summary["checks"]] == ["weak_yang", "weyl", "one_loop_shifted"]
+    assert [k for _, k, _ in calls] == [61]
+    steps = json.loads((tmp_path / "out" / "verify_sum_rule_steps.json").read_text())
+    assert steps["verdict"] == "holds" and len(steps["grid"]) == 5
 
 
 def test_colorings_cli(tmp_path, capsys):
@@ -705,6 +741,17 @@ def test_verify_lt_quotient_scales_with_alpha(tmp_path, capsys):
     assert report["values"]["quotient"][0] == pytest.approx(0.1496, abs=1e-3)
 
 
+def _tree_sech2(tmp_path):
+    """tree_well with a sech-squared well of the same depth in place of its
+    square well, which keeps it on P1."""
+    graph = load_graph(fixture("tree_well.json"))
+    well = graphs.PoschlTeller(a=math.sqrt(7.0), center=0.75)
+    edges = tuple(dataclasses.replace(e, potential=well) if i == 2 else e for i, e in enumerate(graph.edges))
+    path = tmp_path / "tree_sech2.json"
+    save_graph(dataclasses.replace(graph, edges=edges), path)
+    return str(path)
+
+
 def test_sweep_alpha_moments_independent_of_k(tmp_path, capsys):
     # at alpha = 0.01 the well holds more than 4 bound states
     columns = []
@@ -712,7 +759,7 @@ def test_sweep_alpha_moments_independent_of_k(tmp_path, capsys):
         out = tmp_path / k
         code = main(
             ["sweep", "--sweep", "alpha", "--range", "0.01:0.1", "--steps", "4",
-             "--graph", fixture("tree_well.json"), "--h", "0.02", "--k", k,
+             "--graph", _tree_sech2(tmp_path), "--h", "0.01", "--k", k,
              "--out-dir", str(out)]
         )
         assert code == 0
@@ -726,7 +773,7 @@ def test_sweep_alpha_default_mesh_resolves_weak_coupling(tmp_path, capsys):
     # Stubbe column rises; the default mesh scales with sqrt(alpha)
     code = main(
         ["sweep", "--sweep", "alpha", "--range", "0.001:0.01", "--steps", "4",
-         "--graph", fixture("tree_well.json"), "--k", "4", "--out-dir", str(tmp_path)]
+         "--graph", _tree_sech2(tmp_path), "--k", "4", "--out-dir", str(tmp_path / "out")]
     )
     assert code == 0
     assert "nonincreasing: True" in capsys.readouterr().out
@@ -833,13 +880,13 @@ def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkey
 
 @pytest.mark.parametrize(
     "name, spectrum_solves",
-    [("y_graph", 0), ("hash_graph", 0), ("tree_well", 0), ("circle_two_leads", 1), ("pt_interval", 1)],
+    [("y_graph", 0), ("hash_graph", 0), ("tree_well", 0), ("circle_two_leads", 0), ("pt_interval", 1)],
 )
 def test_verify_solves_eigenvectors_only_where_a_check_reads_them(tmp_path, monkeypatch, name, spectrum_solves):
-    # a graph of constant pieces without a loop pair (y_graph, hash_graph,
-    # tree_well) is solved exactly; a loop pair (circle_two_leads) and a
-    # sech-squared well (pt_interval) solve P1 eigenpairs once, and the
-    # Stubbe couplings of pt_interval count their bound states with no solve
+    # a graph of constant pieces (y_graph, hash_graph, tree_well, the loop
+    # pair circle_two_leads) is solved exactly; a sech-squared well
+    # (pt_interval) solves P1 eigenpairs once, and its Stubbe couplings
+    # count their bound states with no solve
     calls = []
     solve = fem.solve_spectrum
 
@@ -905,9 +952,11 @@ def test_checks_report_under_their_keys():
         spectrum = fem.solve_spectrum(system, 90)
         topology = classify_topology(graph).topology_class
         policy = POLICY[(topology, graph.potential_is_zero())]
+        loop = _loop_pair(graph, topology)
+        tables = None if loop is None else (loop.rows(spectrum.edge_mass), loop.rows(spectrum.edge_dirichlet))
         ctx = SolveContext(
-            graph, _loop_pair(graph, topology), ineq.TOL_FEM, system, spectrum.energies,
-            spectrum.total_dirichlet(), spectrum, spectrum.energies[: ineq.trusted_count(90)], dict(policy),
+            graph, loop, ineq.TOL_FEM, system, spectrum.energies,
+            spectrum.total_dirichlet(), tables, spectrum.energies[: ineq.trusted_count(90)], dict(policy),
         )
         for key, _ in policy:
             assert CHECKS[key](ctx).check == key

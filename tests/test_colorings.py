@@ -5,19 +5,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qglab import families, fem
-from qglab.colorings import (
-    ColoringError,
-    GFunction,
-    averaged_yang,
-    binomial_identity_check,
-    edge_counts,
-    enumerate_admissible,
-    realize_g,
-    validate_g,
-)
+from qglab.colorings import Coloring, ColoringError, GFunction, edge_counts, enumerate_admissible, realize_g
 from qglab.graphs import DIRICHLET, Edge, MetricGraph
 
-from conftest import brute_force_admissible, make_path, verify_yang
+from conftest import averaged_yang, binomial_identity_check, brute_force_admissible, make_path, verify_yang
+
+
+def validate_g(g: GFunction, graph: MetricGraph, coloring: Coloring | None = None) -> list[str]:
+    """Invariant check for a piecewise-affine function; empty list means valid."""
+    problems = []
+    if coloring is not None:
+        for eid, bit in enumerate(coloring):
+            if abs(g.slopes[eid]) != bit:
+                problems.append(f"edge {eid}: |slope| != coloring bit")
+    degrees = graph.degrees()
+    adj = graph.adjacency()
+    for v in range(graph.num_vertices):
+        if degrees[v] < 2:
+            continue
+        total = 0
+        for eid, _ in adj[v]:
+            e = graph.edges[eid]
+            if e.is_loop:
+                continue  # loop slopes cancel pairwise by symmetry of the split
+            total += g.slopes[eid] if e.u == v else -g.slopes[eid]
+        if total != 0:
+            problems.append(f"vertex {v}: outward slopes sum to {total}")
+    for eid, e in enumerate(graph.edges):
+        if e.is_loop:
+            continue
+        expect = g.vertex_values[e.u] + g.slopes[eid] * e.length
+        if abs(expect - g.vertex_values[e.v]) > 1e-9 * max(1.0, abs(expect)):
+            problems.append(f"edge {eid}: values not continuous")
+    return problems
 
 
 def test_y_graph_colorings():

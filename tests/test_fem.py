@@ -11,14 +11,14 @@ from qglab import analytic, families, fem
 from qglab.cli import _mesh
 from qglab.graphs import DIRICHLET, NEUMANN, ZERO, Edge, MetricGraph, SquareWell, load_graph
 
-from conftest import make_path
+from conftest import degenerate_clusters, make_path
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_mesh_interval_counts():
     mesh = fem.build_mesh(families.interval(1.0), 0.1)
-    assert mesh.cells == [10]
+    assert [seg.cells for seg in mesh.segments] == [10]
     assert mesh.ndof == 9  # Dirichlet at both ends
 
 
@@ -38,7 +38,7 @@ def test_mesh_balloon_loop_split():
 def test_mesh_resolution_hint_wins():
     g = MetricGraph(2, (Edge(0, 1, 1.0, cells=5),), {0: DIRICHLET, 1: DIRICHLET})
     mesh = fem.build_mesh(g, 1e-6)
-    assert mesh.cells == [5]
+    assert [seg.cells for seg in mesh.segments] == [5]
 
 
 def test_mesh_rejects_bad_target():
@@ -149,12 +149,29 @@ def test_mass_normalization_and_rayleigh_identity():
     assert np.allclose(spec.total_dirichlet(), spec.energies, rtol=1e-10)
 
 
+def kirchhoff_residuals(spectrum: fem.Spectrum) -> np.ndarray:
+    """Sum of outward one-sided difference quotients per free vertex.
+
+    Shape ``(n_solver_vertices, k)``; rows of eliminated (Dirichlet) vertices
+    are zero.  Tends to zero with the mesh for every true Kirchhoff vertex.
+    """
+    mesh = spectrum.mesh
+    res = np.zeros((mesh.n_solver_vertices, len(spectrum)))
+    for seg in mesh.segments:
+        vals = seg.values(spectrum.vectors)
+        if seg.dofs[0] >= 0:
+            res[seg.start] += (vals[1] - vals[0]) / seg.h
+        if seg.dofs[-1] >= 0:
+            res[seg.end] += (vals[-2] - vals[-1]) / seg.h
+    return res
+
+
 def _ground_state_kirchhoff_slope(graph, row):
     res = []
     hs = [0.04, 0.02, 0.01]
     for h in hs:
         spec = fem.solve_graph(graph, h, 1)
-        r = fem.kirchhoff_residuals(spec)
+        r = kirchhoff_residuals(spec)
         res.append(abs(r[row, 0]))  # ground state
     return np.polyfit(np.log(hs), np.log(res), 1)[0]
 
@@ -209,7 +226,7 @@ def test_sparse_path_keeps_multiplicities(monkeypatch, graph, h, k, repeated):
     for energy, multiplicity in repeated.items():
         assert np.count_nonzero(np.isclose(sparse.energies, energy, rtol=1e-3)) == multiplicity
     # inside a degenerate cluster only the sums are basis independent
-    for cluster in fem.degenerate_clusters(dense.energies):
+    for cluster in degenerate_clusters(dense.energies):
         cols = list(cluster)
         assert np.allclose(dense.edge_mass[:, cols].sum(axis=1), sparse.edge_mass[:, cols].sum(axis=1), atol=1e-7)
 
@@ -465,7 +482,7 @@ def test_eigenfunction_samples_cover_edges():
 
 def test_degenerate_clusters_found_at_tolerance():
     spec = fem.solve_graph(families.fancy_balloon(3), 0.02, 4)
-    clusters = fem.degenerate_clusters(spec.energies)
+    clusters = degenerate_clusters(spec.energies)
     # the antisymmetric pair near E = 1 forms one cluster of size 2
     sizes = sorted(len(c) for c in clusters)
     assert sizes == [1, 1, 2]

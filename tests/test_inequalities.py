@@ -252,12 +252,13 @@ def test_one_loop_rejects_positive_windows():
 def test_sum_rule_steps():
     spec = fem.solve_graph(_loop_instance(), 0.02, 24)
     loop = ineq.loop_structure(_loop_instance())
+    tables = loop.rows(spec.edge_mass), loop.rows(spec.edge_dirichlet)
     for j in (2, 3, 6):
         z = 0.5 * (spec.energies[j] + spec.energies[j + 1])
-        step = ineq.sum_rule_steps_check(spec, loop, float(z))
+        step = ineq.sum_rule_steps_check(spec.energies, spec.alpha, loop.q, *tables, float(z))
         assert step.verdict == "holds"
     # below the ground state both sides are empty
-    trivial = ineq.sum_rule_steps_check(spec, loop, float(spec.energies[0]) - 1.0)
+    trivial = ineq.sum_rule_steps_check(spec.energies, spec.alpha, loop.q, *tables, float(spec.energies[0]) - 1.0)
     assert trivial.in1_value == 0.0
     assert trivial.perid_lhs == trivial.perid_rhs == 0.0
 
