@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fem
 from .fem import _close_brackets, _free_vertices, require_budget
-from .graphs import DIRICHLET, Edge, MetricGraph, SquareWell, require_valid, split_at_jumps
+from .graphs import DIRICHLET, Edge, MetricGraph, SquareWell, require_valid, split_at_jumps, split_with_sources
 
 
 class BracketError(RuntimeError):
@@ -629,11 +629,9 @@ class ExactModel:
     """
 
     def __init__(self, graph: MetricGraph):
-        self.graph = split_at_jumps(graph)
+        self.graph, self.edge_of = split_with_sources(graph)
         self.values = _edge_values(self.graph)
         self.lengths = np.array([e.length for e in self.graph.edges])
-        # split_at_jumps puts the pieces of each edge together, in its order
-        self.edge_of = np.repeat(np.arange(len(graph.edges)), [len(e.potential.pieces(e.length)) for e in graph.edges])
 
     @property
     def alpha(self) -> float:

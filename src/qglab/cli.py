@@ -363,12 +363,17 @@ def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
     )
 
 
+#: ``sum_rule_steps`` samples ``z`` between ``E_j`` and ``E_(j+1)`` (from 0)
+#: for these ``j``, so it reads the loop tables of the lowest 8 states only.
+SUM_RULE_JS = (0, 1, 2, 4, 7)
+
+
 def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
     if ctx.loop is None:
         return None
     m = len(ctx.trusted)
     energies = ctx.energies
-    zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in (0, 1, 2, 4, 7) if j + 1 < m]
+    zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in SUM_RULE_JS if j + 1 < m]
     check = partial(ineq.sum_rule_steps_check, energies, ctx.graph.alpha, ctx.loop.q, *ctx.tables, tol_rel=ctx.tol)
     steps = [check(z) for z in zsamples]
     return CheckReport(
@@ -452,10 +457,12 @@ def _solve(
     dalpha``, by central differences at ``alpha (1 -+ ALPHA_STEP)``, members
     of the family.  A loop pair's loop tables come from more members
     (``ExactModel.varied``), whose offset step is ``ALPHA_STEP`` times a Weyl
-    estimate of the top energy, as roundoff in the mass is about ``1e-13 E``
-    over the step; the leads take the rest of each state's mass (1) and of
-    its ``int |phi'|^2``.  The P1 assembly solves eigenpairs on a mesh that
-    resolves ``k`` and sums their per-edge tables.
+    estimate of the top energy the tables serve (``SUM_RULE_JS``), as
+    roundoff in the mass is about ``1e-13 E`` over the step and the step
+    must stay far below the gaps of those states; the leads take the rest
+    of each state's mass (1) and of its ``int |phi'|^2``.  The P1 assembly
+    solves eigenpairs on a mesh that resolves ``k`` and sums their per-edge
+    tables.
     """
     model = _model(graph, k, h, graph.alpha)
     exact = isinstance(model, analytic.ExactModel)
@@ -468,7 +475,8 @@ def _solve(
         steps = () if graph.potential_is_zero() else (ALPHA_STEP, -ALPHA_STEP)
         family = [model.graph, *(replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in steps)]
         if loop is not None:
-            offset = ALPHA_STEP * graph.alpha * (math.pi * solved / graph.total_length) ** 2
+            served = min(solved, SUM_RULE_JS[-1] + 2)
+            offset = ALPHA_STEP * graph.alpha * (math.pi * served / graph.total_length) ** 2
             family += model.varied(loop.cycle_edges, offset, ALPHA_STEP)
         energies, *rest = (e for e, _ in analytic.piecewise_constant_family(family, solved))
         grad_norms = (rest[0] - rest[1]) / (family[1].alpha - family[2].alpha) if steps else energies / graph.alpha
@@ -610,9 +618,12 @@ def cmd_sweep(args) -> int:
         graph = _load(args)
         # one model serves every coupling: a P1 assembly's alpha only rescales its stiffness
         model = _model(graph, args.k or 16, args.h, lo)
+        if isinstance(model, analytic.ExactModel):  # no mesh, and every bound state
+            for option, value in (("--h", args.h), ("--k", args.k)):
+                _require(value is None, option, value, "left out of the alpha sweep when V is constant on pieces")
         # with no bound state an all-zero column proves nothing: none at V >= 0, and
         # none at any coupling of the range when none at its lowest, which binds the most
-        _require(model.min_potential < 0, "--graph", args.graph, "a graph whose V has a negative part")
+        _require(model.min_potential < 0, "--graph", args.graph, "a graph with V < 0 somewhere (at a mesh node, on P1)")
         stubbe = ineq.stubbe_monotonicity(model, grid)
         _require(stubbe.moments[0] > 0, "--range", args.sweep_range, "lo:hi with a bound state at alpha = lo")
         rows = zip(stubbe.alphas, stubbe.moments, stubbe.values)

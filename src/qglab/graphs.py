@@ -246,11 +246,18 @@ def split_at_jumps(graph: MetricGraph) -> MetricGraph:
     jump is returned unchanged.  Raises ``ValueError`` on a potential
     that is not piecewise constant.
     """
-    edges, n = [], graph.num_vertices
+    return split_with_sources(graph)[0]
+
+
+def split_with_sources(graph: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
+    """``split_at_jumps(graph)`` and, for each of its edges, the index of
+    the edge of ``graph`` that it lies on."""
+    edges, sources, n = [], [], graph.num_vertices
     for i, e in enumerate(graph.edges):
         pieces = e.potential.pieces(e.length)
         if not pieces:
             raise ValueError(f"edge {i}: a {e.potential.kind} potential is not piecewise constant")
+        sources += [i] * len(pieces)
         if len(pieces) == 1:
             edges.append(e)
             continue
@@ -260,8 +267,8 @@ def split_at_jumps(graph: MetricGraph) -> MetricGraph:
             length = right - left
             edges.append(Edge(u, v, length, SquareWell(value, 0.0, length) if value else ZERO))
     if n == graph.num_vertices:
-        return graph
-    return MetricGraph(n, tuple(edges), dict(graph.boundary), graph.alpha)
+        return graph, tuple(sources)
+    return MetricGraph(n, tuple(edges), dict(graph.boundary), graph.alpha), tuple(sources)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qglab import analytic, families, fem, graphs, inequalities as ineq
-from qglab.cli import CHECKS, POLICY, SolveContext, _loop_pair, _mesh, main
+from qglab.cli import ALPHA_STEP, CHECKS, POLICY, SolveContext, _loop_pair, _mesh, _solve, main
 from qglab.graphs import TopologyClass, classify_topology, load_graph, save_graph
 from qglab.reports import fmt_float, round_sig
 
@@ -209,7 +209,13 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         # once exit 0 with an all-zero Stubbe column judged nonincreasing
         (
             ["sweep", "--sweep", "alpha", *Y, "--range", "0.5:4", "--steps", "4"],
-            f"--graph must be a graph whose V has a negative part, got {Y[1]}",
+            f"--graph must be a graph with V < 0 somewhere (at a mesh node, on P1), got {Y[1]}",
+        ),
+        # tree_well is counted exactly: both options once had no effect
+        *(
+            ([*ALPHA_SWEEP, "0.5:4", option, value],
+             f"{option} must be left out of the alpha sweep when V is constant on pieces, got {shown}")
+            for option, value, shown in (("--h", "0.01", "0.01"), ("--k", "6", "6"))
         ),
     ],
     ids=[
@@ -223,7 +229,7 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "balloon-fem-range-zero", "balloon-oracle-range-negative",
         "balloon-range-nan-lo", "balloon-range-one-number", "balloon-range-reversed", "balloon-range-three-numbers",
         "sweep-steps-1", "balloon-graph", "fancy-graph", "oracle-h", "oracle-k", "alpha-engine", "balloon-k-over-ndof",
-        "alpha-graph-without-well",
+        "alpha-graph-without-well", "alpha-exact-h", "alpha-exact-k",
     ],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
@@ -307,6 +313,27 @@ def test_exact_verify_of_a_loop_pair_needs_no_mesh(tmp_path, capsys, monkeypatch
     # the lead and loop tables of sum_rule_steps are derivatives of the exact
     # energies, counted in the same family as the row's own
     _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, 90, 61)
+
+
+@pytest.mark.parametrize("name", ["circle_two_leads", "loop_leads_well"])
+def test_loop_tables_of_the_states_read_do_not_move_with_k(name):
+    # the loop offset once grew with the top solved energy, as k^2: at --k 1000
+    # the loop mass of circle_two_leads' lowest 8 states (sum_rule_steps reads
+    # no other) moved by 9e-4, a secant far outside the perturbative range.
+    # Each is simple, so each state's row is defined; at steps ten times smaller
+    # the tables stay within 1e-6 of their largest entry
+    graph = load_graph(fixture(f"{name}.json"))
+    loop = _loop_pair(graph, classify_topology(graph).topology_class)
+    model = analytic.ExactModel(graph)
+    offset = 0.1 * ALPHA_STEP * graph.alpha * (math.pi * 9 / graph.total_length) ** 2
+    members = model.varied(loop.cycle_edges, offset, 0.1 * ALPHA_STEP)
+    energies, *varied = (e for e, _ in analytic.piecewise_constant_family([model.graph, *members], 9))
+    fine = model.tables(loop.cycle_edges, energies, varied, offset, 0.1 * ALPHA_STEP)
+    for k in (90, 1000):
+        solved, tables = _solve(graph, loop, k, None)[1:4:2]
+        assert np.all(np.diff(solved[:9]) > 1e-3)
+        for rows, loop_row in zip(tables, fine):
+            assert rows[1, :8] == pytest.approx(loop_row[:8], rel=0, abs=1e-6 * np.abs(loop_row[:8]).max())
 
 
 @pytest.mark.parametrize("name, steps", [("tree_well", "5"), ("loop_leads_well", "4")])

@@ -25,6 +25,7 @@ from qglab.graphs import (
     save_graph,
     scale_graph,
     split_at_jumps,
+    split_with_sources,
     validate,
 )
 
@@ -415,6 +416,8 @@ def test_split_at_jumps_cuts_each_edge_into_its_constant_pieces():
         Edge(1, 5, 0.25, SquareWell(4.0, 0.0, 0.25)), Edge(5, 2, 0.75, ZERO), Edge(0, 2, 1.5),
     )
     assert split_at_jumps(split) is split
+    assert split_with_sources(graph) == (split, (0, 0, 0, 1, 1, 2))
+    assert split_with_sources(split) == (split, (0, 1, 2, 3, 4, 5))
     assert split.potential_is_piecewise_constant()
     with pytest.raises(ValueError, match="edge 0: a poschl_teller potential is not piecewise constant"):
         split_at_jumps(families.poschl_teller_interval(5.0))
