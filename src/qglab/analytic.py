@@ -345,12 +345,10 @@ def _pole(m, lengths: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
 
 
 def _shape(graph: MetricGraph) -> tuple:
-    """What the members of a family share (``piecewise_constant_family``),
-    on a graph of constant edges: its vertex count, edge ends in order,
-    boundary, and the edges above its least ``V``."""
-    values = _edge_values(graph)
-    ends = tuple((e.u, e.v) for e in graph.edges)
-    return graph.num_vertices, ends, tuple(sorted(graph.boundary.items())), tuple(values > values.min())
+    """What the members of a family share before their potentials are read
+    (``piecewise_constant_family``), on a graph of constant edges: its vertex
+    count, edge ends in order, and boundary."""
+    return graph.num_vertices, tuple((e.u, e.v) for e in graph.edges), tuple(sorted(graph.boundary.items()))
 
 
 def _tables(family: list[MetricGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -455,51 +453,102 @@ def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
     return count
 
 
-def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | None, k: int):
-    """The ``seeds`` in ``t`` that one member counts first, ascending, and
-    ``below``, which flags the seed just below each cluster of its poles up
-    to the one that holds the ``k``-th: the midpoints of parts about half an
-    eigenvalue spacing wide of every gap between clusters, the points
-    ``0.4 COUNT_RTOL`` (relative) below and above each cluster, or halfway
-    to the nearest midpoint where that is nearer, and the last seed, which
-    splits the gap above the cluster of the ``k``-th pole, where ``N(t)``,
-    at least the number of poles below ``t``, reaches ``k``.
+#: Arrays the size of the pole table that ``_pole_gaps`` holds at once, in
+#: float64 entries per pole: the poles and their squares, the sorted table,
+#: its gaps, the cluster numbers, and the masks.
+POLE_TABLE_COPIES = 8
 
-    The poles are listed up to the least ``(k + 1)``-th pole of any edge:
-    that edge's first ``k + 1`` poles lie at or below it, each in a cluster
-    of its own, so the cluster of the ``k``-th pole and the next one are
-    both listed.  A P1 member whose every edge has fewer poles lists them
-    all, below ``sqrt(12) / h_min``, which bounds its spectrum and is its
-    last seed where no cluster lies above that of the ``k``-th pole."""
-    ceiling = math.inf if cells is None else math.sqrt(12.0) * (cells / lengths).max() * (1.0 + 1e-9)
-    # every edge's first k + 1 poles, one row each; an offset d puts a pole p at sqrt(p^2 + d)
-    poles = _pole(np.arange(1.0, k + 2.0)[:, None], lengths, cells)
-    poles = np.where(offsets > 0.0, np.sqrt(poles * poles + offsets), poles)
-    bound = min(poles[-1].min(), ceiling)
-    poles = np.sort(poles[poles <= bound])
-    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > POLE_MERGE_RTOL * poles)  # of each cluster
-    lows, highs = poles[starts], poles[np.append(starts[1:], len(poles))[: len(starts)] - 1]
-    kth = np.searchsorted(starts, k - 1, side="right") - 1  # the cluster of the k-th pole
-    top = ceiling
-    if kth + 1 < len(starts):
-        top, lows, highs = 0.5 * (highs[kth] + lows[kth + 1]), lows[: kth + 1], highs[: kth + 1]
+
+def _pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | None, k: np.ndarray):
+    """The ``seeds`` in ``t`` that the members of one shape count first, one
+    row of ``lengths``, ``offsets`` and ``cells`` (``None`` for the exact
+    count) and one ``k`` each; their ``owner``, the member of each, in
+    ascending order, with the seeds ascending within each member; and
+    ``below``, which flags the seed just below each cluster of a member's
+    poles up to the one that holds its ``k``-th.  A member's seeds are the
+    midpoints of parts about half an eigenvalue spacing wide of every gap
+    between its clusters, the points ``0.4 COUNT_RTOL`` (relative) below and
+    above each cluster, or halfway to the nearest midpoint where that is
+    nearer, and the last seed, which splits the gap above the cluster of the
+    ``k``-th pole, where ``N(t)``, at least the number of poles below ``t``,
+    reaches ``k``.
+
+    A member's poles are listed up to the least ``(k + 1)``-th pole of any of
+    its edges: that edge's first ``k + 1`` poles lie at or below it, each in
+    a cluster of its own, so the cluster of the ``k``-th pole and the next
+    one are both listed.  A P1 member whose every edge has fewer poles lists
+    them all, below ``sqrt(12) / h_min``, which bounds its spectrum and is
+    its last seed where no cluster lies above that of the ``k``-th pole.
+
+    The members are listed together, from a table of every edge's first
+    ``k + 1`` poles per member, in slices of members whose tables
+    (``POLE_TABLE_COPIES``) fit ``fem.MEMORY_BUDGET``."""
+    rows, m = int(k.max()) + 1, lengths.shape[1]
+    need = 8 * POLE_TABLE_COPIES * rows * m
+    require_budget("k", f"a table of {rows} poles on each of {m} edges", need)
+    size = fem.MEMORY_BUDGET // need  # members per slice
+    listed = []
+    for first in range(0, len(k), size):
+        part = slice(first, first + size)
+        own = None if cells is None else cells[part]
+        seeds, below, owner = _slice_gaps(lengths[part], offsets[part], own, k[part])
+        listed.append((seeds, below, owner + first))
+    return tuple(np.concatenate(arrays) for arrays in zip(*listed))
+
+
+def _slice_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | None, k: np.ndarray):
+    """``_pole_gaps`` of one slice of members, all at once."""
+    who = np.arange(len(k))
+    if cells is None:
+        ceiling = np.full(len(k), math.inf)
+    else:
+        ceiling = math.sqrt(12.0) * (cells / lengths).max(axis=1) * (1.0 + 1e-9)
+    # every edge's first k + 1 poles, a (member, pole, edge) table; an offset
+    # d puts a pole p at sqrt(p^2 + d)
+    order = np.arange(1.0, k.max() + 2.0)[:, None]
+    poles = _pole(order, lengths[:, None, :], None if cells is None else cells[:, None, :])
+    deep = offsets[:, None, :]
+    poles = np.where(deep > 0.0, np.sqrt(poles * poles + deep), poles)
+    bound = np.minimum(poles[who, k].min(axis=1), ceiling)
+    keep = (poles <= bound[:, None, None]) & (order[:, 0] <= k[:, None] + 1.0)[:, :, None]
+    table = np.sort(np.where(keep, poles, np.inf).reshape(len(k), -1), axis=1)
+    valid = np.arange(table.shape[1]) < keep.sum(axis=(1, 2))[:, None]
+    heads = valid.copy()  # of each cluster
+    with np.errstate(invalid="ignore"):  # inf - inf past each member's poles
+        heads[:, 1:] &= table[:, 1:] - table[:, :-1] > POLE_MERGE_RTOL * table[:, 1:]
+    tails = valid.copy()  # and the last pole of each
+    tails[:, :-1] &= ~valid[:, 1:] | heads[:, 1:]
+    lows, highs = table[heads], table[tails]  # member by member
+    clusters = heads.sum(axis=1)
+    kth = np.cumsum(heads, axis=1)[who, k - 1] - 1  # the cluster of the k-th pole
+    first = np.cumsum(clusters) - clusters  # each member's first cluster in lows
+    top = ceiling.copy()
+    more = kth + 1 < clusters
+    top[more] = 0.5 * (highs[(first + kth)[more]] + lows[(first + kth + 1)[more]])
+    kept = np.arange(len(lows)) - np.repeat(first, clusters) <= np.repeat(kth, clusters)
+    lows, highs, owner = lows[kept], highs[kept], np.repeat(who, clusters)[kept]
     # cut each gap between clusters into parts about half an eigenvalue
     # spacing (pi / 2L) wide, and count at their midpoints
-    starts, ends = np.append(0.0, highs), np.append(lows, top)
-    parts = np.maximum(1, np.rint((ends - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
+    gap_owner, last = np.repeat(who, kth + 2), np.cumsum(kth + 2) - 1
+    opening, closing = np.zeros((2, len(gap_owner)), bool)
+    opening[last - kth - 1], closing[last] = True, True  # each member's first and top gap
+    starts, ends = np.zeros(len(gap_owner)), np.empty(len(gap_owner))
+    starts[~opening], ends[~closing], ends[closing] = highs, lows, top
+    parts = np.maximum(1, np.rint((ends - starts) * 2.0 * lengths.sum(axis=1)[gap_owner] / math.pi)).astype(int)
     gap = np.repeat(np.arange(len(ends)), parts)
     part = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
     mids = starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap]
     # and just below and just above each cluster: a bracket between these
     # two certifies an eigenvalue on the cluster, and no other holds a pole
-    after = np.cumsum(parts)[:-1]  # the first midpoint above each cluster
+    after = np.cumsum(parts)[~closing]  # the first midpoint above each cluster
     step = 0.4 * COUNT_RTOL * lows
     under = lows - np.minimum(step, 0.5 * (lows - mids[after - 1]))
     over = highs + np.minimum(step, 0.5 * (mids[after] - highs))
-    points = np.concatenate([mids, under, over, [top]])
-    order = np.argsort(points, kind="stable")
+    points = np.concatenate([mids, under, over, top])
+    owners = np.concatenate([gap_owner[gap], owner, owner, who])
+    order = np.lexsort((points, owners))  # stable, as each member's own sort was
     below = (len(mids) <= order) & (order < len(mids) + len(lows))
-    return points[order], below
+    return points[order], below, owners[order]
 
 
 def piecewise_constant_eigenvalues(
@@ -509,20 +558,23 @@ def piecewise_constant_eigenvalues(
     return piecewise_constant_family([graph], k, None if cells is None else [cells])[0]
 
 
-def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def piecewise_constant_family(graphs, k, cells=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """The lowest ``k`` eigenvalues of each graph of a family whose potential
     is constant on each piece of every edge (``split_at_jumps``), and their
     brackets, shape ``(k, 2)``: exact to roundoff, or, with ``cells`` (one
     row per member) on ``V = 0`` graphs (one whole number per edge, both
     halves of a self-loop together), those of P1 on that many equal cells
-    per edge.
+    per edge.  ``k`` is one number for every member or one per member.
 
-    The graphs are grouped by their shape once split at their jumps
-    (``_shape``): the same vertices, the same edge ends in the same order,
-    the same boundary, and the same edges above their least ``V``.  The
-    members of a group may differ in edge lengths, edge constants, ``alpha``
-    and ``cells``, and are solved together; the results come back in the
-    order of ``graphs``.
+    The graphs are grouped by their shape once split at their jumps: the
+    same vertices, the same edge ends in the same order, the same boundary
+    (``_shape``), and the same edges above their least ``V``.  The members
+    of a group may differ in edge lengths, edge constants, ``alpha``,
+    ``cells`` and ``k``, and are solved together; the results come back in
+    the order of ``graphs``.  Each graph is validated, split and read into
+    its group's tables (``_tables``) once; the rest of a group's setup, its
+    listing of seeds, its budget and its results, is array work, which
+    takes the same few calls for any number of members.
 
     The count runs in ``t``, where ``E = c_min + alpha t^2`` and ``c_min`` is
     a member's least ``c_e``: ``t = kappa = sqrt(E / alpha)`` where ``V =
@@ -538,26 +590,30 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
     ``fem._close_brackets``, one batched count per step, so a group costs
     about as many counts as its hardest member.  No count is taken on a pole
     (an edge Dirichlet eigenvalue ``c_e + alpha (m pi / l_e)^2``), where
-    ``Lambda`` is singular.  The first count is at each member's seeds
-    (``_pole_gaps``): points that split the gaps between its clusters of
-    poles, and a point just below and one just above each cluster.  A
-    bracket between the two around a cluster certifies the eigenvalue on
-    it; every other bracket is free of poles, and there the crossing
-    eigenvalue of ``Lambda`` (the one whose sign decides ``N >= j``) rises
-    with ``t`` and has one root.  Next to a pole, where the point is
+    ``Lambda`` is singular.  The first count is at each member's seeds,
+    listed for the whole group at once (``_pole_gaps``): points that split
+    the gaps between its clusters of poles, and a point just below and one
+    just above each cluster.  A bracket between the two around a cluster
+    certifies the eigenvalue on it; every other bracket is free of poles,
+    and there the crossing eigenvalue of ``Lambda`` (the one whose sign
+    decides ``N >= j``) rises with ``t`` and has one root.  Next to a pole, where the point is
     bordered, the crossing eigenvalue of the bordered matrix has the same
     root.  A member's counts that fall as ``t`` rises raise
-    ``SolverError``.  A member whose batch of matrices is over the memory
-    budget raises ``MemoryBudgetError`` against ``k``
-    (``fem.require_budget``), before any is counted; a group over it is
-    solved in consecutive chunks that fit.
+    ``SolverError``.  A member whose batch of matrices, or whose table of
+    poles, is over the memory budget raises ``MemoryBudgetError`` against
+    ``k`` (``fem.require_budget``), before any is counted; a group over it
+    is listed in slices and solved in consecutive chunks that fit.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = np.asarray(k)
+    if k.size and k.min() < 1:
+        raise ValueError(f"k must be at least 1, got {k.min()}")
     family = []
     for graph in graphs:
         require_valid(graph)
         family.append(split_at_jumps(graph))
+    if not family:
+        return []
+    k = np.broadcast_to(k, len(family))
     if cells is not None:
         if not all(graph.potential_is_zero() for graph in family):
             raise ValueError("the P1 count with cells needs V = 0 on every edge")
@@ -565,55 +621,85 @@ def piecewise_constant_family(graphs, k: int, cells=None) -> list[tuple[np.ndarr
             raise ValueError(f"cells must have one row per member, got {len(cells)} for {len(family)}")
         cells = [np.asarray(row) for row in cells]
         for graph, row in zip(family, cells):
-            if row.shape != (len(graph.edges),) or row.dtype.kind not in "iu" or np.any(row < 1):
+            if row.shape != (len(graph.edges),) or row.dtype.kind not in "iu":
                 raise ValueError(f"cells must be one whole number of at least 1 per edge, got {row.tolist()}")
-            unknowns = fem.unknowns(graph, row)
-            if k > unknowns:
-                raise ValueError(f"k must be at most the {unknowns} unknowns of the mesh, got {k}")
+    owners, results = [], []
+    for members, lengths, floors, offsets, own in _groups(family, cells, k):
+        owners.append(np.repeat(members, k[members]))
+        results.append(_solve_group([family[i] for i in members], k[members], lengths, floors, offsets, own))
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    energies, *ends = np.concatenate(results, axis=1)[:, order]
+    brackets, stops = np.stack(ends, axis=1), np.cumsum(k)
+    return [(energies[a:b], brackets[a:b]) for a, b in zip((stops - k).tolist(), stops.tolist())]
+
+
+def _groups(family: list[MetricGraph], cells, k: np.ndarray) -> list[tuple]:
+    """The members of ``family`` that ``piecewise_constant_family`` solves
+    together, in the order of their first: the indices of each group, its
+    tables (``_tables``) and its rows of ``cells`` (``None`` for the exact
+    count), with each row's cells and ``k`` checked against its unknowns."""
     shapes = {}
     for i, graph in enumerate(family):
         shapes.setdefault(_shape(graph), []).append(i)
-
-    # per count: the direct and the bordered matrices, and a few dozen
-    # per-edge arrays; the incidence tensor once per chunk.  A chunk holds
-    # members of one shape.
-    chunks = []
+    groups = []
     for members in shapes.values():
-        lengths, _, offsets = _tables([family[i] for i in members])
-        n, m = len(_free_vertices(family[members[0]])), lengths.shape[1]
-        size, fixed = n + m, 2 * m * n * n
-        chunks.append([])
-        need = fixed
-        for i, length, offset in zip(members, lengths, offsets):
-            gaps = _pole_gaps(length, offset, None if cells is None else cells[i], k)
-            batch = max(len(gaps[0]), 4 * k)
-            own = batch * (2 * size * size + 32 * size)
-            require_budget("k", f"an exact count of {batch} matrices of size {size}", 8 * (own + fixed))
-            if chunks[-1] and 8 * (need + own) > fem.MEMORY_BUDGET:
-                chunks.append([])
-                need = fixed
-            chunks[-1].append((i, gaps))
-            need += own
-    solved = [None] * len(family)
-    for chunk in chunks:
+        members = np.array(members)
+        lengths, floors, offsets = _tables([family[i] for i in members])
+        kinds = {}  # the edges above the least V
+        for i, above in enumerate(offsets > 0.0):
+            kinds.setdefault(above.tobytes(), []).append(i)
+        for rows in kinds.values():
+            own = None if cells is None else np.array([cells[i] for i in members[rows]])
+            groups.append((members[rows], lengths[rows], floors[rows], offsets[rows], own))
+    groups.sort(key=lambda group: group[0][0])
+    if cells is None:
+        return groups
+    for members, *_, own in groups:
+        unknowns = fem.unknowns(family[members[0]], own.T)
+        bad = np.flatnonzero((own < 1).any(axis=1) | (k[members] > unknowns))
+        if len(bad) and (own[bad[0]] < 1).any():
+            raise ValueError(f"cells must be one whole number of at least 1 per edge, got {own[bad[0]].tolist()}")
+        if len(bad):
+            raise ValueError(f"k must be at most the {unknowns[bad[0]]} unknowns of the mesh, got {k[members[bad[0]]]}")
+    return groups
+
+
+def _solve_group(group: list[MetricGraph], k: np.ndarray, lengths, floors, offsets, cells) -> np.ndarray:
+    """The rows ``E``, ``lo`` and ``hi`` of one group of
+    ``piecewise_constant_family``, each member's ``k`` entries in turn: its
+    seeds listed together (``_pole_gaps``), its budget checked, and its
+    brackets closed in chunks of consecutive members that fit."""
+    seeds, below, owner = _pole_gaps(lengths, offsets, cells, k)
+    # per count: the direct and the bordered matrices, and a few dozen
+    # per-edge arrays; the incidence tensor once per chunk
+    n, m = len(_free_vertices(group[0])), lengths.shape[1]
+    size, fixed = n + m, 2 * m * n * n
+    batch = np.maximum(np.bincount(owner, minlength=len(group)), 4 * k)
+    need = batch * (2 * size * size + 32 * size)
+    i = np.argmax(8 * (need + fixed) > fem.MEMORY_BUDGET)  # the first over, if any
+    require_budget("k", f"an exact count of {batch[i]} matrices of size {size}", 8 * (need[i] + fixed))
+    # each member's k entries: a zero mode at the floor, the others solved
+    zero_modes = 0 if DIRICHLET in group[0].boundary.values() or offsets[0].any() else 1
+    entry = np.repeat(np.arange(len(group)), k)
+    rank = np.arange(len(entry)) - np.repeat(np.cumsum(k) - k, k)
+    solved = rank >= zero_modes
+    total, start, roots = np.cumsum(need), 0, []
+    while start < len(group):
         # every bracket of every member of the chunk in one loop
-        group = [family[i] for i, _ in chunk]
-        count = _dtn_counter(group, None if cells is None else np.array([cells[i] for i, _ in chunk]))
-        _, floors, offsets = _tables(group)
-        zero_modes = 0 if DIRICHLET in group[0].boundary.values() or offsets[0].any() else 1
-        solves = np.arange(zero_modes + 1, k + 1)
-        member = np.repeat(np.arange(len(group)), len(solves))
-        seeds, below = (np.concatenate(part) for part in zip(*(gaps for _, gaps in chunk)))
-        owner = np.repeat(np.arange(len(group)), [len(gaps[0]) for _, gaps in chunk])
-        want = np.tile(solves, len(group))
-        root, lo, hi = _close_brackets(count, want, member, seeds, owner, below, count(seeds, owner), COUNT_RTOL)
-        ends = np.stack([lo, hi], axis=1).reshape(len(group), -1, 2)
-        for (i, _), graph, floor, t, bracket in zip(chunk, group, floors, root.reshape(len(group), -1), ends):
-            energies, brackets = np.full(k, floor), np.full((k, 2), floor)
-            energies[zero_modes:] = floor + graph.alpha * t**2
-            brackets[zero_modes:] = floor + graph.alpha * bracket**2
-            solved[i] = (energies, brackets)
-    return solved
+        held = 8 * (fixed + total[start:] - (total[start - 1] if start else 0))
+        end = start + int(np.searchsorted(held, fem.MEMORY_BUDGET, side="right"))  # each member fits alone
+        count = _dtn_counter(group[start:end], None if cells is None else cells[start:end])
+        mine, at = solved & (start <= entry) & (entry < end), slice(*np.searchsorted(owner, [start, end]))
+        points, owners = seeds[at], owner[at] - start
+        first = count(points, owners)
+        roots.append(np.stack(  # root, lo, hi
+            _close_brackets(count, rank[mine] + 1, entry[mine] - start, points, owners, below[at], first, COUNT_RTOL)
+        ))
+        start = end
+    values = np.tile(floors[entry], (3, 1))
+    alphas = np.array([graph.alpha for graph in group])
+    values[:, solved] = floors[entry[solved]] + alphas[entry[solved]] * np.concatenate(roots, axis=1) ** 2
+    return values
 
 
 class ExactModel:
@@ -625,7 +711,8 @@ class ExactModel:
     constant ``values`` and the ``lengths`` of its edges, and ``edge_of``,
     the edge of the unsplit graph that each lies on.  ``alpha``,
     ``min_potential``, ``bound_states`` and ``negative_integral`` mean what
-    they mean on ``fem.AssembledSystem``.
+    they mean on ``fem.AssembledSystem``; ``bound_states`` solves a whole
+    grid of couplings as one family.
     """
 
     def __init__(self, graph: MetricGraph):
@@ -641,25 +728,31 @@ class ExactModel:
     def min_potential(self) -> float:
         return float(self.values.min())
 
-    def bound_states(self, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
-        """Every negative eigenvalue at coupling ``alpha``, ascending.
+    def bound_states(self, alphas, solved: np.ndarray | None = None) -> list[np.ndarray]:
+        """Every negative eigenvalue at each coupling of ``alphas``, ascending,
+        one array per coupling.
 
         With every ``c_e >= 0`` there is none.  ``solved`` may hold the lowest
-        eigenvalues at ``alpha``; if its top is nonnegative, none below is
-        missing and its negative part is returned.  Otherwise one count at
-        ``t_0 = sqrt(-c_min / alpha)``, which is ``E = 0``, gives their number
-        ``m``, and ``piecewise_constant_eigenvalues`` solves exactly ``m``.
+        eigenvalues at the one coupling of ``alphas``; if its top is
+        nonnegative, none below is missing and its negative part is returned.
+        Otherwise one batched count at each coupling's ``t_0 = sqrt(-c_min /
+        alpha)``, which is ``E = 0``, gives its number ``m`` of them, and one
+        ``piecewise_constant_family`` call solves the couplings that bind any,
+        each for exactly its own ``m``, from the seeds it would get alone.
         """
+        alphas = np.asarray(alphas, dtype=float)
         if self.min_potential >= 0.0:
-            return np.empty(0)
+            return [np.empty(0) for _ in alphas]
         if solved is not None and solved[-1] >= 0.0:
-            return solved[solved < 0.0]
-        graph = replace(self.graph, alpha=alpha)
-        count = _dtn_counter([graph])
-        negative = int(count(np.array([math.sqrt(-self.min_potential / alpha)]))[0][0])
-        if negative == 0:
-            return np.empty(0)
-        return piecewise_constant_eigenvalues(graph, negative)[0]
+            return [solved[solved < 0.0]]
+        graphs = [replace(self.graph, alpha=float(alpha)) for alpha in alphas]
+        negative = _dtn_counter(graphs)(np.sqrt(-self.min_potential / alphas), np.arange(len(graphs)))[0]
+        binding = np.flatnonzero(negative)
+        states = [np.empty(0) for _ in alphas]
+        solved = piecewise_constant_family([graphs[i] for i in binding], negative[binding])
+        for i, (energies, _) in zip(binding, solved):
+            states[i] = energies
+        return states
 
     def negative_integral(self, power: float, shift: float = 0.0) -> float:
         """``int ((V - shift)_-)^power = sum_e l_e ((c_e - shift)_-)^power``."""

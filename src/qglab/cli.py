@@ -215,7 +215,7 @@ class SolveContext:
     def bound_states(self) -> np.ndarray:
         """Every negative eigenvalue at the graph's coupling, read once for
         all moment checks."""
-        return self.model.bound_states(self.model.alpha, solved=self.energies)
+        return self.model.bound_states([self.model.alpha], solved=self.energies)[0]
 
 
 def _loop_pair(graph: MetricGraph, topology: TopologyClass) -> ineq.LoopLeads | None:
@@ -462,11 +462,13 @@ def _solve(
     must stay far below the gaps of those states; the leads take the rest
     of each state's mass (1) and of its ``int |phi'|^2``.  The P1 assembly
     solves eigenpairs on a mesh that resolves ``k`` and sums their per-edge
-    tables.
+    tables.  ``h`` on the exact model, which builds no mesh, is refused.
     """
     model = _model(graph, k, h, graph.alpha)
     exact = isinstance(model, analytic.ExactModel)
-    if not exact:
+    if exact:  # no mesh to size
+        _require(h is None, "--h", h, "left out of verify when V is constant on pieces")
+    else:
         k = min(k, model.ndof)  # a mesh resolves at most its ndof eigenvalues
     trusted = ineq.trusted_count(k)
     solved = min(trusted + 1, k)

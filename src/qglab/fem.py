@@ -146,11 +146,11 @@ class Mesh:
 def edge_cells(graph: MetricGraph, target_h: float) -> list[int]:
     """Cells per edge of the mesh at ``target_h``: ``max(2, ceil(length /
     target_h))``, or the edge's ``cells`` hint; a self-loop, both halves of
-    half its length or hint (rounded up).  A mesh whose smallest solve
-    exceeds ``MEMORY_BUDGET`` is refused here, before anything is built."""
+    half its length or hint (rounded up), on a valid graph
+    (``require_valid``).  A mesh whose smallest solve exceeds
+    ``MEMORY_BUDGET`` is refused here, before anything is built."""
     if target_h <= 0:
         raise ValueError("target_h must be positive")
-    require_valid(graph)
     if not math.isfinite(graph.total_length / target_h):  # a subnormal target_h
         raise MemoryBudgetError("target_h", "the smallest solve on infinitely many cells", math.inf)
     cells = []
@@ -166,15 +166,17 @@ def _free_vertices(graph: MetricGraph) -> list[int]:
     return [v for v in range(graph.num_vertices) if graph.boundary.get(v) != DIRICHLET]
 
 
-def unknowns(graph: MetricGraph, cells) -> int:
+def unknowns(graph: MetricGraph, cells):
     """Size of P1 on ``cells`` per edge: its free vertices and every edge's
-    interior nodes, a self-loop's midpoint among them."""
+    interior nodes, a self-loop's midpoint among them.  Where each edge's
+    entry is an array, one per graph of ``graph``'s shape, so is the size."""
     return len(_free_vertices(graph)) + sum(c - 1 for c in cells)
 
 
 def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:
     """Uniform subdivision of each edge into its ``edge_cells``; a self-loop
     becomes two half-edges, joined at a fresh midpoint vertex."""
+    require_valid(graph)
     pieces = []  # (edge id, edge, start vertex, end vertex, length, x0 = arclength of the start, cells)
     n_solver_vertices = graph.num_vertices
     for i, (e, c) in enumerate(zip(graph.edges, edge_cells(graph, target_h))):
@@ -232,8 +234,10 @@ class AssembledSystem:
     def chains(self) -> ChainSplit:
         return _split_chains(self)
 
-    def bound_states(self, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
-        return solve_bound_states(self, alpha, solved=solved)
+    def bound_states(self, alphas, solved: np.ndarray | None = None) -> list[np.ndarray]:
+        """``solve_bound_states`` at each coupling of ``alphas``; ``solved``
+        may hold the lowest eigenvalues at the one coupling of ``alphas``."""
+        return [solve_bound_states(self, float(alpha), solved=solved) for alpha in alphas]
 
     def negative_integral(self, power: float, shift: float = 0.0) -> float:
         return integrate_potential_power(self.mesh, power, shift=shift)

@@ -14,9 +14,10 @@ Conventions shared by all checks:
 * ``(x)_+`` is ``max(x, 0)``.
 * Checks of the negative spectrum (moment quotients, coupling monotonicity,
   the shifted one-loop bound) read a spectral model: its coupling
-  ``alpha``, ``min_potential``, ``bound_states(alpha, solved=None)`` (every
-  negative eigenvalue at that coupling, so no moment is truncated) and
-  ``negative_integral(power, shift=0.0)`` (``int ((V - shift)_-)^power``).
+  ``alpha``, ``min_potential``, ``bound_states(alphas, solved=None)`` (every
+  negative eigenvalue at each coupling of a grid, one array per coupling,
+  so no moment is truncated) and ``negative_integral(power, shift=0.0)``
+  (``int ((V - shift)_-)^power``).
   ``fem.AssembledSystem`` is one, on its own mesh, and
   ``analytic.ExactModel`` is one with no mesh.  The moment quotients
   take the bound states from their caller, which reads them once.
@@ -177,14 +178,16 @@ def lt_quotient(model, bound_states: np.ndarray, gamma: float, tol_rel: float = 
 
 
 def _coupling_sweep(model, alpha_grid, zs: np.ndarray, q: float, floor: float):
-    """The couplings of an ascending grid, the bound states at each, the map
-    ``sqrt(alpha) sum (z - (3/16) q^2 alpha - E)_+^2`` (a row per ``z``, a
-    column per coupling; Stubbe's is ``q = 0``, ``z = 0``) and its largest
-    rise between neighbouring couplings, relative to ``max(value, floor)``."""
+    """The couplings of an ascending grid, the bound states at each (one
+    ``model.bound_states`` call for the grid: one family solve on
+    ``analytic.ExactModel``), the map ``sqrt(alpha) sum (z - (3/16) q^2
+    alpha - E)_+^2`` (a row per ``z``, a column per coupling; Stubbe's is
+    ``q = 0``, ``z = 0``) and its largest rise between neighbouring
+    couplings, relative to ``max(value, floor)``."""
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if len(alphas) < 2 or np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be ascending with at least 2 points")
-    bound = [model.bound_states(float(a)) for a in alphas]
+    bound = model.bound_states(alphas)
     map_values = np.zeros((len(zs), len(alphas)))
     for ia, (a, energies) in enumerate(zip(alphas, bound)):
         shift = (3.0 / 16.0) * q * q * a

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from qglab import inequalities as ineq
+from qglab import analytic, inequalities as ineq
 from qglab.colorings import Coloring, ColoringError, edge_counts
 from qglab.graphs import DIRICHLET, Edge, MetricGraph
 
@@ -139,3 +139,36 @@ def averaged_yang(
     holds = bool(np.all(plain <= p * 1e-3 * z * z))
     verdict = "holds" if holds else "violated"
     return AveragedYangReport(z, p, dev, verdict)
+
+
+def member_pole_gaps(lengths: np.ndarray, offsets: np.ndarray, cells: np.ndarray | None, k: int):
+    """``analytic._pole_gaps`` of one member, listed on its own: the
+    reference that the family-wide listing must equal, ``(seeds, below)``."""
+    ceiling = math.inf if cells is None else math.sqrt(12.0) * (cells / lengths).max() * (1.0 + 1e-9)
+    # every edge's first k + 1 poles, one row each; an offset d puts a pole p at sqrt(p^2 + d)
+    poles = analytic._pole(np.arange(1.0, k + 2.0)[:, None], lengths, cells)
+    poles = np.where(offsets > 0.0, np.sqrt(poles * poles + offsets), poles)
+    bound = min(poles[-1].min(), ceiling)
+    poles = np.sort(poles[poles <= bound])
+    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > analytic.POLE_MERGE_RTOL * poles)  # of each cluster
+    lows, highs = poles[starts], poles[np.append(starts[1:], len(poles))[: len(starts)] - 1]
+    kth = np.searchsorted(starts, k - 1, side="right") - 1  # the cluster of the k-th pole
+    top = ceiling
+    if kth + 1 < len(starts):
+        top, lows, highs = 0.5 * (highs[kth] + lows[kth + 1]), lows[: kth + 1], highs[: kth + 1]
+    # cut each gap between clusters into parts about half an eigenvalue
+    # spacing (pi / 2L) wide, and count at their midpoints
+    starts, ends = np.append(0.0, highs), np.append(lows, top)
+    parts = np.maximum(1, np.rint((ends - starts) * 2.0 * lengths.sum() / math.pi)).astype(int)
+    gap = np.repeat(np.arange(len(ends)), parts)
+    part = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
+    mids = starts[gap] + (ends - starts)[gap] * (part + 0.5) / parts[gap]
+    # and just below and just above each cluster
+    after = np.cumsum(parts)[:-1]  # the first midpoint above each cluster
+    step = 0.4 * analytic.COUNT_RTOL * lows
+    under = lows - np.minimum(step, 0.5 * (lows - mids[after - 1]))
+    over = highs + np.minimum(step, 0.5 * (mids[after] - highs))
+    points = np.concatenate([mids, under, over, [top]])
+    order = np.argsort(points, kind="stable")
+    below = (len(mids) <= order) & (order < len(mids) + len(lows))
+    return points[order], below

@@ -20,7 +20,7 @@ from qglab.graphs import (
     split_at_jumps,
 )
 
-from conftest import degenerate_clusters
+from conftest import degenerate_clusters, member_pole_gaps
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -483,7 +483,9 @@ def test_pole_gaps_seed_just_below_and_above_every_cluster(member, k):
     # as the count merges them; each cluster is bracketed by a flagged seed
     # just below it and the next seed just above it, and no seed lies on one
     lengths, offsets, cells = member
-    seeds, below = analytic._pole_gaps(lengths, offsets, cells, k)
+    rows = None if cells is None else cells[None]
+    seeds, below, owner = analytic._pole_gaps(lengths[None], offsets[None], rows, np.array([k]))
+    assert not owner.any()
     top = seeds[-1]
     poles = []
     for i, (length, offset) in enumerate(zip(lengths, offsets)):
@@ -502,6 +504,88 @@ def test_pole_gaps_seed_just_below_and_above_every_cluster(member, k):
     assert np.array_equal(np.searchsorted(seeds, highs, side="right"), at + 1)  # none on a cluster
     near = (0.4 * analytic.COUNT_RTOL + 4 * np.finfo(float).eps) * lows
     assert np.all(lows - seeds[at] <= near) and np.all(seeds[at + 1] - highs <= near)
+
+
+@st.composite
+def pole_rich_families(draw):
+    """The rows of the members of one shape, as ``_pole_gaps`` takes them:
+    1-5 members of 1-6 edges, each with its own lengths (multiples of 1/4,
+    so that poles of different edges coincide, or any), its own ``k`` from 1
+    to 40, and either no offset (the exact count), its own P1 cells (1-8 per
+    edge) or offsets on some edges, each one of a few values, so that offset
+    poles coincide too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["exact", "cells", "offsets"]))
+    if draw(st.booleans()):
+        lengths = rng.integers(1, 9, (members, m)) / 4
+    else:
+        lengths = rng.uniform(0.05, 3.0, (members, m))
+    offsets = np.zeros((members, m))
+    if kind == "offsets":
+        deep = rng.random(m) < 0.5
+        offsets[:, deep] = rng.choice([1.5, 6.0, 40.0], (members, int(deep.sum())))
+    cells = rng.integers(1, 9, (members, m)) if kind == "cells" else None
+    return lengths, offsets, cells, rng.integers(1, 41, members)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pole_rich_families())
+# an edge of 3 cells has 2 poles, short of k + 1 = 6: that member's seeds end at sqrt(12) / h
+@example((np.array([[1.0], [2.0]]), np.zeros((2, 1)), np.array([[3], [40]]), np.array([5, 7])))
+def test_family_listing_is_each_members_own(family):
+    # listed together, each member's seeds and flags are those it gets alone,
+    # as arrays, bit for bit
+    lengths, offsets, cells, k = family
+    seeds, below, owner = analytic._pole_gaps(lengths, offsets, cells, k)
+    assert np.array_equal(np.unique(owner), np.arange(len(k))) and np.all(np.diff(owner) >= 0)
+    for i in range(len(k)):
+        alone = member_pole_gaps(lengths[i], offsets[i], None if cells is None else cells[i], int(k[i]))
+        assert np.array_equal(seeds[owner == i], alone[0]) and np.array_equal(below[owner == i], alone[1])
+
+
+def test_listing_over_the_budget_is_taken_in_slices(monkeypatch):
+    # the benchmark sweep's 56 balloons at k = 6: each member's pole table is
+    # 7 x 2, 896 bytes with its copies.  A budget of ten of them lists the
+    # family in 6 slices, with the same seeds; one member over it is refused
+    graphs = [families.balloon(string_length=L) for L in np.linspace(0.5, 6.0, 56)]
+    lengths, _, offsets = analytic._tables(graphs)
+    cells, k = np.array([fem.edge_cells(g, 0.01) for g in graphs]), np.full(56, 6)
+    whole = analytic._pole_gaps(lengths, offsets, cells, k)
+    listing, slices = analytic._slice_gaps, []
+
+    def sliced(lengths, offsets, cells, k):
+        slices.append(len(k))
+        return listing(lengths, offsets, cells, k)
+
+    monkeypatch.setattr(analytic, "_slice_gaps", sliced)
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 10 * 8 * analytic.POLE_TABLE_COPIES * 7 * 2)
+    for part, all_at_once in zip(analytic._pole_gaps(lengths, offsets, cells, k), whole):
+        assert np.array_equal(part, all_at_once)
+    assert slices == [10] * 5 + [6]
+    monkeypatch.setattr(fem, "MEMORY_BUDGET", 800)
+    with pytest.raises(fem.MemoryBudgetError, match="a table of 7 poles on each of 2 edges"):
+        analytic._pole_gaps(lengths, offsets, cells, k)
+
+
+def test_family_lists_each_shape_in_one_call(monkeypatch):
+    # 56 balloons are one listing, not 56; balloons and fancy balloons of
+    # 2-5 rungs, shuffled, are one listing per shape
+    listing, calls = analytic._pole_gaps, []
+
+    def spied(lengths, offsets, cells, k):
+        calls.append(len(k))
+        return listing(lengths, offsets, cells, k)
+
+    monkeypatch.setattr(analytic, "_pole_gaps", spied)
+    balloons = [families.balloon(string_length=L) for L in np.linspace(0.5, 6.0, 56)]
+    analytic.piecewise_constant_family(balloons, 6, [fem.edge_cells(g, 0.01) for g in balloons])
+    assert calls == [56]
+    calls.clear()
+    fancy = [families.fancy_balloon(n) for n in range(2, 6)]
+    graphs = [balloons[0], fancy[0], balloons[1], fancy[1], fancy[2], balloons[2], fancy[3], fancy[0]]
+    analytic.piecewise_constant_family(graphs, 8)
+    assert calls == [3, 2, 1, 1, 1]
 
 
 def test_p1_count_rejects_more_than_the_mesh_holds():
@@ -633,7 +717,7 @@ def test_weak_coupling_borders_both_hyperbolic_terms(alpha, k):
     graph = dataclasses.replace(model.graph, alpha=alpha)
     width, offset = model.lengths[model.values < 0][0], 14.0 / alpha
     if k is None:
-        energies = model.bound_states(alpha)
+        energies = model.bound_states([alpha])[0]
         assert len(energies) == 396 and energies[-1] < 0
     else:
         energies = analytic.piecewise_constant_eigenvalues(graph, k)[0]
@@ -657,7 +741,69 @@ def test_exact_model_reads_the_split_graph():
     for alpha in (0.25, 1.0, 4.0):
         lowest = analytic.piecewise_constant_eigenvalues(dataclasses.replace(model.graph, alpha=alpha), 6)[0]
         assert lowest[-1] > 0
-        assert np.array_equal(model.bound_states(alpha), lowest[lowest < 0])
+        assert np.array_equal(model.bound_states([alpha])[0], lowest[lowest < 0])
+
+
+@pytest.mark.parametrize("name", ["tree_well", "loop_leads_well"])
+def test_coupling_grid_is_each_couplings_own_solve(name):
+    # a grid is one family, and each coupling keeps its own number of bound
+    # states as its k, so its seeds, brackets and bound states are those of
+    # its own solve, bit for bit: from weak coupling, with 40-70 bound
+    # states, to a coupling that binds nothing
+    model = analytic.ExactModel(load_graph(os.path.join(FIXTURES, f"{name}.json")))
+    alphas = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 4.0, 1e3])
+    grid = model.bound_states(alphas)
+    assert len(grid[0]) >= 40 and len(grid[-1]) == 0
+    for alpha, states in zip(alphas, grid):
+        assert np.array_equal(states, model.bound_states([alpha])[0])
+
+
+def test_coupling_grid_on_random_square_well_trees():
+    # random trees of 1-5 edges with square wells: each coupling of the grid
+    # binds as many states as it does alone, each within the bracket of its
+    # own solve.  Bit for bit they agree on most couplings, not all (72 of
+    # the 84 here; the rest differ by about 1e-14): BLAS rounds a row of the
+    # batched count's matrix product by its place in the batch, which moves
+    # the secant steps, though never a count
+    rng = np.random.default_rng(28)
+    for _ in range(12):
+        shape = families.random_tree(rng, int(rng.integers(1, 6)))
+        edges = []
+        for e in shape.edges:
+            left, right = np.sort(rng.uniform(0.0, e.length, 2))
+            edges.append(Edge(e.u, e.v, e.length, SquareWell(-rng.uniform(0.5, 60.0), left, right)))
+        model = analytic.ExactModel(dataclasses.replace(shape, edges=tuple(edges)))
+        alphas = np.append(np.sort(rng.uniform(0.01, 20.0, 6)), 1e6)
+        grid = model.bound_states(alphas)
+        assert len(grid[-1]) == 0
+        for alpha, states in zip(alphas, grid):
+            alone = model.bound_states([alpha])[0]
+            assert len(states) == len(alone)
+            if len(alone):
+                graph = dataclasses.replace(model.graph, alpha=alpha)
+                _, brackets = analytic.piecewise_constant_eigenvalues(graph, len(alone))
+                slack = 1e-13 * np.abs(brackets).max(axis=1)
+                assert np.all((brackets[:, 0] - slack <= states) & (states <= brackets[:, 1] + slack))
+
+
+@pytest.mark.parametrize("check", ["stubbe", "one_loop"])
+def test_coupling_grids_are_one_family_solve(monkeypatch, check):
+    # the Stubbe grid and the one-loop grid each make one family solve on
+    # the exact model, of every coupling that binds a state
+    calls, solve = [], analytic.piecewise_constant_family
+
+    def spied(graphs, k, cells=None):
+        calls.append(len(graphs))
+        return solve(graphs, k, cells)
+
+    monkeypatch.setattr(analytic, "piecewise_constant_family", spied)
+    graph = load_graph(os.path.join(FIXTURES, "loop_leads_well.json"))
+    model, alphas = analytic.ExactModel(graph), np.linspace(0.5, 2.0, 8)
+    if check == "stubbe":
+        ineq.stubbe_monotonicity(model, alphas)
+    else:
+        ineq.one_loop_shifted_check(model, ineq.loop_structure(graph), alphas, np.linspace(-8.0, -2.0, 4))
+    assert calls == [8]
 
 
 def _random_loop_pair(rng):

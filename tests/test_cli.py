@@ -150,6 +150,12 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         (["verify", *Y, "--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
         (["verify", *Y, "--tol", "-0.5"], "--tol must be finite and nonnegative, got -0.5"),
         (["verify", *Y, "--h", "nan"], "--h must be finite and positive, got nan"),
+        # once accepted and ignored: the exact count builds no mesh
+        *(
+            (["verify", "--graph", fixture(f"{name}.json"), "--h", "0.05"],
+             "--h must be left out of verify when V is constant on pieces, got 0.05")
+            for name in ("y_graph", "tree_well")
+        ),
         (["spectrum", *Y, "--h", "0"], "--h must be finite and positive, got 0.0"),
         (["spectrum", *Y, "--h", "5e-324"], "--h too small: the smallest solve on infinitely many cells"),
         # the fem sweeps read each point's cells, with no mesh, under the same guards
@@ -223,7 +229,8 @@ def test_nonpositive_k_exits_2(tmp_path, capsys, k):
         "balloon-length-inf", "interval-length-nan", "balloon-length-nan", "interval-length-0", "rungs-1",
         "lead-0", "lead-inf",
         "lead-neg", "terminals-not-int", "terminals-empty", "terminals-one", "terminals-repeated",
-        "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "h-0", "h-subnormal",
+        "terminals-not-a-vertex", "tol-nan", "tol-neg", "h-nan", "verify-exact-h", "verify-square-well-h",
+        "h-0", "h-subnormal",
         "balloon-h-subnormal", "fancy-h-too-small", "fancy-steps", "fancy-lo",
         "alpha-range-nan-lo", "alpha-range-inf-hi", "alpha-range-nan-hi", "alpha-range-zero",
         "balloon-fem-range-zero", "balloon-oracle-range-negative",
@@ -532,7 +539,7 @@ def test_alpha_sweep_counts_a_well_narrower_than_a_cell(tmp_path, capsys):
     argv = ["sweep", "--sweep", "alpha", "--graph", str(path), "--range", "0.5:4", "--steps", "4"]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0, capsys.readouterr().err
     assert "nonincreasing: True" in capsys.readouterr().out
-    assert analytic.ExactModel(load_graph(str(path))).bound_states(1.0) == pytest.approx([-99.798], abs=1e-3)
+    assert analytic.ExactModel(load_graph(str(path))).bound_states([1.0])[0] == pytest.approx([-99.798], abs=1e-3)
 
 
 def test_verify_runs_the_moment_checks_on_a_well_narrower_than_a_cell(tmp_path, capsys):
@@ -834,14 +841,14 @@ def _record_solves(monkeypatch):
 
 
 def _record_exact_solves(monkeypatch):
-    """Wrap ``analytic.piecewise_constant_family`` to record ``k`` and the
+    """Wrap ``analytic.piecewise_constant_family`` to record the ``k`` and the
     energies of each member of each call."""
     calls = []
     solve = analytic.piecewise_constant_family
 
     def recording(graphs, k, cells=None):
         solved = solve(graphs, k, cells)
-        calls.extend((k, energies) for energies, _ in solved)
+        calls.extend((int(own), energies) for own, (energies, _) in zip(np.broadcast_to(k, len(solved)), solved))
         return solved
 
     monkeypatch.setattr(analytic, "piecewise_constant_family", recording)
@@ -934,7 +941,7 @@ def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(monkeyp
     system = fem.assemble(_mesh(graph, 36, None, graph.alpha))
     calls = _record_solves(monkeypatch)
     solved = fem.solve_energies(system, 25)
-    bound = system.bound_states(graph.alpha, solved=solved)
+    bound = system.bound_states([graph.alpha], solved=solved)[0]
     assert [k for _, k, _ in calls] == [25]
     assert len(bound) == 28
     q = ineq.lt_quotient(system, bound, 2.0)

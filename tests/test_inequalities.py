@@ -279,10 +279,13 @@ class DirichletWell:
     def min_potential(self):
         return -self.c
 
-    def bound_states(self, alpha, solved=None):
-        n = np.arange(1, math.floor(self.l / math.pi * math.sqrt(self.c / alpha)) + 2)
-        energies = -self.c + alpha * (n * math.pi / self.l) ** 2
-        return energies[energies < 0]
+    def bound_states(self, alphas, solved=None):
+        states = []
+        for alpha in alphas:
+            n = np.arange(1, math.floor(self.l / math.pi * math.sqrt(self.c / alpha)) + 2)
+            energies = -self.c + alpha * (n * math.pi / self.l) ** 2
+            states.append(energies[energies < 0])
+        return states
 
     def negative_integral(self, power, shift=0.0):
         return self.l * max(self.c + shift, 0.0) ** power
@@ -296,7 +299,7 @@ def test_moment_checks_read_only_the_model():
     assert not hasattr(model, "mesh")
     system = assembled(families.interval(l, SquareWell(-c, 0.0, l)), 0.002)
     for gamma in (1.5, 2.0):
-        exact = ineq.lt_quotient(model, model.bound_states(model.alpha), gamma)
+        exact = ineq.lt_quotient(model, model.bound_states([model.alpha])[0], gamma)
         p1 = lt_quotient(system, fem.solve_energies(system, 4), gamma)
         assert exact.integral == pytest.approx(p1.integral, rel=1e-12)
         assert exact.quotient == pytest.approx(p1.quotient, rel=1e-5)
