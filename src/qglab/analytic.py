@@ -430,7 +430,8 @@ def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
             huge, border = np.concatenate([huge, small], axis=1), np.concatenate([border, again], axis=1)
             big = np.concatenate([big, ~big[:, deep]], axis=1)  # the slot holds a
         coef = np.concatenate([np.where(cut_a, 0.0, a), np.where(cut_b, 0.0, b)], axis=1)
-        lam = (coef @ outer).reshape(len(t), n, n)
+        # one product per point, which rounds the same in any batch
+        lam = (coef[:, None, :] @ outer)[:, 0].reshape(len(t), n, n)
         shift = poles.sum(axis=1).astype(int)
         values = np.full((len(t), size), np.nan)
         rows = border.any(axis=1)
