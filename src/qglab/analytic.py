@@ -18,8 +18,9 @@ It needs no eigensolver, counts multiplicities, and certifies every
 eigenvalue by a bracket of ``fem._close_brackets``, the driver it shares
 with the P1 count: one on a pole of the count from its seeds, which lie just
 below and just above every pole; any other by secant steps on the crossing
-eigenvalue of that matrix.
-``ExactModel`` serves the same count to the moment checks.
+eigenvalue of that matrix.  ``edge_tables`` reads each state's per-edge
+integrals in closed form at those eigenvalues.  ``ExactModel`` serves the
+same count to the moment checks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import fem
 from .fem import _close_brackets, _free_vertices, require_budget
-from .graphs import DIRICHLET, Edge, MetricGraph, SquareWell, require_valid, split_at_jumps, split_with_sources
+from .graphs import DIRICHLET, MetricGraph, require_valid, split_at_jumps, split_with_sources
 
 
 class BracketError(RuntimeError):
@@ -703,6 +704,80 @@ def _solve_group(group: list[MetricGraph], k: np.ndarray, lengths, floors, offse
     return values
 
 
+#: A singular value of a matching matrix (``edge_tables``) below this is null.
+KERNEL_TOL = 1e-8
+
+
+def edge_tables(graph: MetricGraph, energies: np.ndarray, brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's mass ``int |phi|^2`` and Dirichlet energy ``int |phi'|^2``
+    on each edge (rows) of ``graph``, a graph of constant edges, for its
+    lowest ``energies`` and ``brackets`` from ``piecewise_constant_family``.
+
+    They are the kernel of the matrix that matches the edges' amplitudes
+    (Berkolaiko and Kuchment, 2013), ``u = A cos kappa x + B s sin(kappa x)
+    / kappa``, ``s = max(kappa, 1)``, above an edge's floor and ``A e^{-eta
+    x} + B e^{-eta (l - x)}`` below it, with the vertex conditions as rows:
+    no row is scaled by its norm, as a self-loop's continuity row is
+    roundoff at its Dirichlet modes.  States whose brackets meet are one
+    cluster, whose kernel (``KERNEL_TOL``) must have the dimension the count
+    gives, also where the states solved cut it, or ``SolverError`` is
+    raised.  Its sums on edge ``e`` are ``trace(G^-1 G_e)`` for its Gram
+    matrix ``G``, with ``int |u'|^2 = [u u']_0^l + kappa^2 int |u|^2``, and
+    each of its states reads their mean.  README's numerical contract has
+    the details.
+    """
+    values, lengths = _edge_values(graph), np.array([e.length for e in graph.edges])
+    m, heads = len(lengths), np.flatnonzero(np.r_[True, brackets[1:, 0] > brackets[:-1, 1]])
+    sizes = np.diff(np.r_[heads, len(energies)])
+    whole = sizes.copy()  # each cluster's multiplicity
+    if brackets[-1, 1] > values.min():
+        t = math.sqrt((brackets[-1, 1] - values.min()) / graph.alpha) * (1.0 + COUNT_RTOL)
+        whole[-1] = _dtn_counter([graph])(np.array([t]))[0][0] - heads[-1]
+    require_budget("k", f"{len(heads)} matching matrices of size {2 * m}", 8 * 8 * len(heads) * 4 * m * m)
+    rows, row = np.zeros((2 * m, 2 * m, 2)), 0  # each row's coefficients of u and u' at end 2 e + side
+    for v in range(graph.num_vertices):
+        ends = np.array([2 * i + side for i, e in enumerate(graph.edges) for side, x in enumerate((e.u, e.v)) if x == v])
+        at = row + np.arange(len(ends))
+        rows[at[:-1], ends[0], 0], rows[at[:-1], ends[1:], 0] = 1.0, -1.0  # continuity with the first end
+        # and the value at a Dirichlet leaf, or Kirchhoff on the outward derivatives
+        rows[at[-1], ends, int(graph.boundary.get(v) != DIRICHLET)] = 1.0 - 2.0 * (ends % 2)
+        row += len(ends)
+    z = (energies[heads, None] - values) / graph.alpha  # kappa^2, or -eta^2 below the floor
+    w, up, zero = np.sqrt(np.abs(z)), z >= 0.0, np.zeros_like(z)
+    theta, s, x = w * lengths, np.maximum(w, 1.0), np.exp(-w * lengths)
+    cos, sin, sinc = np.cos(theta), np.sin(theta), np.sinc(theta / math.pi)
+    # each basis function's value and derivative at each end: (value or derivative, side, basis, head, edge)
+    ends = np.array([
+        np.where(up, [[zero + 1.0, zero], [cos, s * lengths * sinc]], [[zero + 1.0, x], [x, zero + 1.0]]),
+        np.where(up, [[zero, s], [-w * sin, s * cos]], [[-w, w * x], [-w * x, w]]),
+    ])
+    rows = rows.reshape(-1, m, 2, 2)  # row, edge, side, value or derivative
+    scale = 1.0 / np.maximum(1.0, np.where(rows[..., 1].any(axis=2), w[:, None, :], 0.0).max(axis=2))
+    matrix = np.einsum("resk,ksaqe,qr->qrea", rows, ends, scale).reshape(-1, 2 * m, 2 * m)
+    singular, vectors = np.linalg.svd(matrix)[1:]
+    null = (singular < KERNEL_TOL).sum(axis=1)
+    for i in np.flatnonzero(null != whole)[:1]:
+        E, dims = energies[heads[i]], f"{null[i]} where the count gives {whole[i]}"
+        raise fem.SolverError(f"the matching matrix at E = {E:.12g} has a kernel of dimension {dims}")
+    # int of each product of basis functions, with (1 - sinc y) / y^2 by its Taylor series below y = 1
+    series = sum((-1.0) ** n / math.factorial(2 * n + 3) * (2.0 * theta) ** (2 * n) for n in range(9))
+    with np.errstate(divide="ignore", invalid="ignore"):  # at theta = 0
+        defect = np.where(theta < 0.5, series, (1.0 - sinc * cos) / (2.0 * theta) ** 2)
+        decay, half = -np.expm1(-2.0 * theta) / (2.0 * w), 0.5 * s * (lengths * sinc) ** 2
+    square = [[0.5 * lengths * (1.0 + sinc * cos), half], [half, 2.0 * (s * lengths) ** 2 * lengths * defect]]
+    gram = np.where(up, square, [[decay, lengths * x], [lengths * x, decay]])
+    r = whole.max()
+    kernel = np.arange(r) >= r - whole[:, None]  # among the last r right singular vectors
+    X = (vectors[:, -r:] * kernel[:, :, None]).reshape(-1, r, m, 2)
+    per_edge = np.einsum("qiea,abqe,qjeb->qeij", X, gram, X)
+    inverse = np.linalg.inv(per_edge.sum(axis=1) + np.eye(r) * ~kernel[:, None, :])
+    u, du = np.einsum("qiea,ksaqe->ksqie", X, ends)
+    mass = np.einsum("qij,qeji->qe", inverse, per_edge)
+    at_ends = np.einsum("sqie,qij,sqje->sqe", du, inverse, u)
+    tables = np.stack([mass, at_ends[1] - at_ends[0] + z * mass]) / whole[:, None]
+    return tuple(np.repeat(tables, sizes, axis=1).transpose(0, 2, 1))
+
+
 class ExactModel:
     """The spectral model that the moment checks of ``inequalities`` read,
     solved exactly on a graph whose potential is constant on each piece of
@@ -710,7 +785,8 @@ class ExactModel:
 
     ``graph`` is the graph split at its jumps (``split_at_jumps``), with the
     constant ``values`` and the ``lengths`` of its edges, and ``edge_of``,
-    the edge of the unsplit graph that each lies on.  ``alpha``,
+    the edge of the unsplit graph that each lies on, onto which the tables
+    of ``edge_tables`` on ``graph`` sum.  ``alpha``,
     ``min_potential``, ``bound_states`` and ``negative_integral`` mean what
     they mean on ``fem.AssembledSystem``; ``bound_states`` solves a whole
     grid of couplings as one family.
@@ -758,30 +834,3 @@ class ExactModel:
     def negative_integral(self, power: float, shift: float = 0.0) -> float:
         """``int ((V - shift)_-)^power = sum_e l_e ((c_e - shift)_-)^power``."""
         return float(self.lengths @ np.maximum(shift - self.values, 0.0) ** power)
-
-    def varied(self, edges, offset: float, step: float) -> list[MetricGraph]:
-        """``graph`` varied in central pairs on the pieces of ``edges`` (of the
-        unsplit graph), for ``tables``: ``V`` offset by ``+-offset``, lengths
-        stretched by ``1 +- step``, and ``V`` scaled by ``1 +- step`` unless it is one constant there."""
-        on = np.isin(self.edge_of, edges)
-        pairs = [(offset, 0.0, 0.0), (0.0, step, 0.0), (0.0, 0.0, step)][: 2 + bool(np.ptp(self.values[on]))]
-        members = []
-        for d, s, v in (sign * np.array(pair) for pair in pairs for sign in (1.0, -1.0)):
-            members.append(replace(self.graph, edges=tuple(
-                Edge(e.u, e.v, e.length * (1 + s), SquareWell(c * (1 + v) + d, 0.0, e.length * (1 + s))) if x else e
-                for e, c, x in zip(self.graph.edges, self.values, on)
-            )))
-        return members
-
-    def tables(self, edges, energies: np.ndarray, varied: list[np.ndarray], offset: float, step: float):
-        """Each state's mass ``m = int |phi|^2`` and ``d = int |phi'|^2`` on
-        the pieces of ``edges``, by central differences of its energies at the
-        members of ``varied`` (same arguments).  The offset gives ``m`` and the
-        scale ``sum_e c_e m_e`` (Hellmann-Feynman); the stretch gives ``-(alpha
-        d + sum_e (E - c_e) m_e)`` (Hadamard), as ``alpha |phi'|^2 + (E - c_e)
-        |phi|^2`` is constant on an edge of constant ``V`` (Berkolaiko and
-        Kuchment, 2013).  In a degenerate cluster only its sums are defined."""
-        steps = (offset, step, step)
-        mass, stretch, *scale = ((up - down) / (2.0 * h) for up, down, h in zip(varied[::2], varied[1::2], steps))
-        weighted = scale[0] if scale else self.values[np.isin(self.edge_of, edges)][0] * mass
-        return mass, (weighted - energies * mass - stretch) / self.alpha

@@ -17,9 +17,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -59,6 +59,7 @@ def _add_parser(sub, name: str, help: str, *shared: str) -> argparse.ArgumentPar
     return p
 
 
+@cache  # built once per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qglab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -194,11 +195,12 @@ class SolveContext:
     """What the checks of one ``verify`` run read: one solve.
 
     ``energies`` holds the lowest ``trusted_count(k)`` energies and one more;
-    ``trusted`` is the trusted part.  ``grad_norms`` is each state's
-    ``int |phi'|^2``.  ``model`` is the spectral model the moment checks
-    read (``_model``).  ``loop`` is the graph's loop pair, found once per
-    run, or ``None``; ``tables`` are then each state's ``int |phi|^2`` and
-    ``int |phi'|^2`` over its leads and its loop (``_solve``).
+    ``trusted`` is the trusted part.  ``grad_norms`` is each state's ``int
+    |phi'|^2``, summed from its per-edge tables (closed-form on the exact
+    model), or ``E / alpha`` on ``V = 0``.  ``model`` is the spectral model
+    the moment checks read (``_model``).  ``loop`` is the graph's loop pair,
+    found once per run, or ``None``; ``tables`` are then each state's ``int
+    |phi|^2`` and ``int |phi'|^2`` over its leads and its loop (``_solve``).
     """
 
     graph: MetricGraph
@@ -437,12 +439,6 @@ FALLBACK = {"weak_yang": ("yang", _I)}
 PASSING = {_G: ("holds",), _E: ("violated",), _I: ("holds", "violated")}
 
 
-#: Relative step of the coupling in the central difference ``dE / dalpha``,
-#: which is each state's ``int |phi'|^2`` (Hellmann-Feynman), and of the
-#: loop tables' stretch and scale (``analytic.ExactModel.tables``).
-ALPHA_STEP = 1e-5
-
-
 def _solve(
     graph: MetricGraph, loop: ineq.LoopLeads | None, k: int, h: float | None
 ) -> tuple[analytic.ExactModel | fem.AssembledSystem, np.ndarray, np.ndarray, tuple | None, dict]:
@@ -452,17 +448,12 @@ def _solve(
     nonnegative), each one's ``int |phi'|^2``, the loop pair's tables
     (``SolveContext``), and a record of the solve for the summary.
 
-    The exact model counts the energies of one ``piecewise_constant_family``
-    call.  ``int |phi'|^2`` is ``E / alpha`` on ``V = 0`` and else ``dE /
-    dalpha``, by central differences at ``alpha (1 -+ ALPHA_STEP)``, members
-    of the family.  A loop pair's loop tables come from more members
-    (``ExactModel.varied``), whose offset step is ``ALPHA_STEP`` times a Weyl
-    estimate of the top energy the tables serve (``SUM_RULE_JS``), as
-    roundoff in the mass is about ``1e-13 E`` over the step and the step
-    must stay far below the gaps of those states; the leads take the rest
-    of each state's mass (1) and of its ``int |phi'|^2``.  The P1 assembly
-    solves eigenpairs on a mesh that resolves ``k`` and sums their per-edge
-    tables.  ``h`` on the exact model, which builds no mesh, is refused.
+    The exact model counts its graph alone and reads each state's per-edge
+    tables in closed form (``analytic.edge_tables``), except on ``V = 0``
+    without a loop pair; the P1 assembly solves eigenpairs on a mesh that
+    resolves ``k``.  ``int |phi'|^2`` is then ``E / alpha`` on ``V = 0`` and
+    else the sum of the Dirichlet table, and the loop tables are the sums
+    over the leads and over the loop.  ``h`` on the exact model is refused.
     """
     model = _model(graph, k, h, graph.alpha)
     exact = isinstance(model, analytic.ExactModel)
@@ -472,26 +463,19 @@ def _solve(
         k = min(k, model.ndof)  # a mesh resolves at most its ndof eigenvalues
     trusted = ineq.trusted_count(k)
     solved = min(trusted + 1, k)
-    tables = None
     if exact:
-        steps = () if graph.potential_is_zero() else (ALPHA_STEP, -ALPHA_STEP)
-        family = [model.graph, *(replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in steps)]
-        if loop is not None:
-            served = min(solved, SUM_RULE_JS[-1] + 2)
-            offset = ALPHA_STEP * graph.alpha * (math.pi * served / graph.total_length) ** 2
-            family += model.varied(loop.cycle_edges, offset, ALPHA_STEP)
-        energies, *rest = (e for e, _ in analytic.piecewise_constant_family(family, solved))
-        grad_norms = (rest[0] - rest[1]) / (family[1].alpha - family[2].alpha) if steps else energies / graph.alpha
-        if loop is not None:
-            mass, dirichlet = model.tables(loop.cycle_edges, energies, rest[len(steps) :], offset, ALPHA_STEP)
-            tables = (np.stack([1.0 - mass, mass]), np.stack([grad_norms - dirichlet, dirichlet]))
+        energies, brackets = analytic.piecewise_constant_eigenvalues(model.graph, solved)
+        per_edge = None
+        if loop is not None or not graph.potential_is_zero():
+            onto = np.equal.outer(np.arange(len(graph.edges)), model.edge_of)  # each piece onto its edge
+            per_edge = [onto @ table for table in analytic.edge_tables(model.graph, energies, brackets)]
         solve = {"source": "exact", "solved": solved, "trusted": trusted}
     else:
         spectrum = fem.solve_spectrum(model, solved)
-        energies, grad_norms = spectrum.energies, spectrum.total_dirichlet()
-        if loop is not None:
-            tables = (loop.rows(spectrum.edge_mass), loop.rows(spectrum.edge_dirichlet))
+        energies, per_edge = spectrum.energies, (spectrum.edge_mass, spectrum.edge_dirichlet)
         solve = {"source": "p1", "ndof": model.ndof, "solved": solved, "trusted": trusted}
+    grad_norms = energies / graph.alpha if graph.potential_is_zero() else per_edge[1].sum(axis=0)
+    tables = None if loop is None else tuple(loop.rows(table) for table in per_edge)
     return model, energies, grad_norms, tables, solve
 
 

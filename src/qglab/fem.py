@@ -293,9 +293,6 @@ class Spectrum:
     edge_mass: np.ndarray
     edge_dirichlet: np.ndarray
 
-    def total_dirichlet(self) -> np.ndarray:
-        return self.edge_dirichlet.sum(axis=0)
-
     def __len__(self) -> int:
         return len(self.energies)
 

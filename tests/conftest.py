@@ -26,7 +26,7 @@ def verify_yang(spectrum, coeff_ratio: float = 1.0) -> ineq.YangCheck:
     eigenpair a mesh resolves: a ``z`` grid up to the top trusted eigenvalue."""
     z_grid = ineq.make_z_grid(spectrum.energies[: ineq.trusted_count(len(spectrum))])
     return ineq.yang_check(
-        spectrum.energies, spectrum.total_dirichlet(), spectrum.alpha, z_grid, coeff_ratio=coeff_ratio
+        spectrum.energies, spectrum.edge_dirichlet.sum(axis=0), spectrum.alpha, z_grid, coeff_ratio=coeff_ratio
     )
 
 

@@ -8,7 +8,6 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qglab import analytic, families, fem, inequalities as ineq
-from qglab.cli import ALPHA_STEP
 from qglab.graphs import (
     DIRICHLET,
     NEUMANN,
@@ -817,30 +816,31 @@ def _random_loop_pair(rng):
     return MetricGraph(4, tuple(edges), boundary, rng.uniform(0.5, 2.0))
 
 
+def _loop_rows(model, loop, k):
+    """The closed-form mass and Dirichlet tables of the lowest ``k`` states
+    of a loop pair, summed over its leads and over its loop, and the
+    energies."""
+    energies, brackets = analytic.piecewise_constant_eigenvalues(model.graph, k)
+    tables = analytic.edge_tables(model.graph, energies, brackets)
+    groups = [np.isin(model.edge_of, edges) for edges in (loop.lead_edges, loop.cycle_edges)]
+    return energies, *(np.stack([table[on].sum(axis=0) for on in groups]) for table in tables)
+
+
 def test_loop_pair_tables_are_derivatives_of_the_exact_energies():
-    # each group's tables from its own varied members: the masses of leads
-    # and loop sum to 1 and their Dirichlet rows to dE / dalpha, and P1 on
-    # the split graph converges onto the loop's cluster sums as h^2; the
-    # clusters are wider than the steps, which split a degenerate one
+    # the closed-form tables of random loop pairs: the masses of leads and
+    # loop sum to 1 and their Dirichlet rows to dE / dalpha, by a central
+    # difference of the exact energies, and P1 on the split graph converges
+    # onto the loop's cluster sums as h^2
     rng = np.random.default_rng(2026)
     k = 8
     for _ in range(6):
         graph = _random_loop_pair(rng)
         model, loop = analytic.ExactModel(graph), ineq.loop_structure(graph)
-        offset = ALPHA_STEP * graph.alpha * (math.pi * k / graph.total_length) ** 2
-        groups = (loop.lead_edges, loop.cycle_edges)
-        varied = [model.varied(edges, offset, ALPHA_STEP) for edges in groups]
-        alphas = [dataclasses.replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in (ALPHA_STEP, -ALPHA_STEP)]
-        family = [model.graph, *alphas, *varied[0], *varied[1]]
-        energies, up, down, *rest = (e for e, _ in analytic.piecewise_constant_family(family, k))
-        split = len(varied[0])
-        (m_leads, d_leads), (m_loop, d_loop) = (
-            model.tables(edges, energies, members, offset, ALPHA_STEP)
-            for edges, members in zip(groups, (rest[:split], rest[split:]))
-        )
+        energies, (m_leads, m_loop), (d_leads, d_loop) = _loop_rows(model, loop, k)
         assert m_leads + m_loop == pytest.approx(np.ones(k), rel=0, abs=1e-8)
-        grad_norms = (up - down) / (alphas[0].alpha - alphas[1].alpha)
-        assert d_leads + d_loop == pytest.approx(grad_norms, rel=1e-6, abs=0)
+        up, down = (dataclasses.replace(model.graph, alpha=graph.alpha * (1.0 + s)) for s in (1e-5, -1e-5))
+        e_up, e_down = (analytic.piecewise_constant_eigenvalues(g, k)[0] for g in (up, down))
+        assert d_leads + d_loop == pytest.approx((e_up - e_down) / (up.alpha - down.alpha), rel=1e-6, abs=0)
         clusters = [list(c) for c in degenerate_clusters(energies, rtol=1e-4)]
         on = np.isin(model.edge_of, loop.cycle_edges)
         errors = []
@@ -851,6 +851,92 @@ def test_loop_pair_tables_are_derivatives_of_the_exact_energies():
         (mass, dirichlet), ratios = errors[0], np.divide(*errors)
         assert mass < 1e-3 and dirichlet < 2e-3 * np.abs(d_loop).max()
         assert np.all((3.0 < ratios) & (ratios < 6.0))
+
+
+def _random_square_well_tree(rng):
+    """A random tree of 1-5 edges, each with a square well of random depth
+    and ends, Dirichlet leaves and a random ``alpha``."""
+    shape = families.random_tree(rng, int(rng.integers(1, 6)))
+    edges = []
+    for e in shape.edges:
+        left, right = np.sort(rng.uniform(0.0, e.length, 2))
+        edges.append(Edge(e.u, e.v, e.length, SquareWell(rng.uniform(-40.0, 20.0), left, right)))
+    return dataclasses.replace(shape, edges=tuple(edges), alpha=rng.uniform(0.3, 3.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 40))
+def test_edge_tables_hold_the_energy_identity(seed, loop_pair, k):
+    # on random square-well loop pairs and trees, each state's masses sum to
+    # 1 and its energy is its Dirichlet and potential energy,
+    # sum_e (alpha d_e + c_e m_e) = E, to roundoff
+    rng = np.random.default_rng(seed)
+    graph = split_at_jumps(_random_loop_pair(rng) if loop_pair else _random_square_well_tree(rng))
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, k)
+    mass, dirichlet = analytic.edge_tables(graph, energies, brackets)
+    assert np.all(mass >= -1e-15) and np.all(dirichlet >= -1e-15)
+    assert mass.sum(axis=0) == pytest.approx(np.ones(k), rel=0, abs=1e-13)
+    scale = np.maximum(1.0, np.abs(energies)) + np.abs(analytic._edge_values(graph)).max()
+    identity = graph.alpha * dirichlet.sum(axis=0) + analytic._edge_values(graph) @ mass
+    assert np.all(np.abs(identity - energies) <= 1e-13 * scale)
+
+
+#: The Neumann interval of length 3 with a square well over all of it: its
+#: ground state is the constant at the well's floor.
+_NEUMANN_WELL = MetricGraph(2, (Edge(0, 1, 3.0, SquareWell(-4.0, 0.0, 3.0)),), {0: NEUMANN, 1: NEUMANN})
+
+
+@pytest.mark.parametrize("name", [
+    "balloon_pi", "circle_two_leads", "fancy_balloon_3", "hash_graph", "interval_unit", "loop_leads_well",
+    "tree_well", "wheatstone_balanced", "wheatstone_unbalanced", "y_graph", "neumann_well",
+])
+def test_matching_kernel_has_the_count_multiplicity(name, monkeypatch):
+    # at k = 61 the kernel of every cluster's matching matrix has the
+    # dimension the count gives (edge_tables raises SolverError otherwise):
+    # eigenvalues on poles (interval_unit, hash_graph), wheatstone_balanced's
+    # triple pi^2, balloon_pi's loop modes n^2, and the Neumann well's zero
+    # mode, whose Dirichlet energy is 0
+    graph = _NEUMANN_WELL if name == "neumann_well" else load_graph(os.path.join(FIXTURES, f"{name}.json"))
+    graph = split_at_jumps(graph)
+    svd, kernels = np.linalg.svd, []
+
+    def spied(matrix):
+        values = svd(matrix)
+        kernels.append((values[1] < analytic.KERNEL_TOL).sum(axis=1))
+        return values
+
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, 61)
+    mass, dirichlet = analytic.edge_tables(graph, energies, brackets)
+    assert mass.sum(axis=0) == pytest.approx(np.ones(61), rel=0, abs=1e-13)
+    clusters = degenerate_clusters(energies, rtol=1e-10)
+    assert sorted(kernels[0][:-1]) == sorted(len(c) for c in clusters[:-1])
+    if name == "wheatstone_balanced":
+        assert 3 in kernels[0]
+    if name == "neumann_well":
+        assert energies[0] == -4.0 and abs(dirichlet[:, 0]).max() < 1e-15
+
+
+def test_matching_kernel_of_a_cut_cluster_is_its_whole_multiplicity():
+    # the states solved may cut a cluster: its kernel is compared with the
+    # count's whole multiplicity, and the states read are orthonormal in it
+    graph = load_graph(os.path.join(FIXTURES, "wheatstone_balanced.json"))
+    energies, brackets = analytic.piecewise_constant_eigenvalues(graph, 61)
+    triple = np.flatnonzero(np.abs(energies - math.pi**2) < 1e-9)
+    assert len(triple) == 3
+    k = int(triple[1]) + 1
+    mass, _ = analytic.edge_tables(graph, energies[:k], brackets[:k])
+    assert mass.sum(axis=0) == pytest.approx(np.ones(k), rel=0, abs=1e-13)
+
+
+def test_edge_tables_off_the_spectrum_raise():
+    # an energy between two eigenvalues has no kernel
+    graph = load_graph(os.path.join(FIXTURES, "tree_well.json"))
+    split = split_at_jumps(graph)
+    energies, brackets = analytic.piecewise_constant_eigenvalues(split, 3)
+    off = 0.5 * (energies[1] + energies[2])
+    with pytest.raises(fem.SolverError, match="kernel of dimension 0 where the count gives 1"):
+        analytic.edge_tables(split, np.array([energies[0], off]), np.array([brackets[0], [off, off]]))
 
 
 # --- families -------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qglab import analytic, families, fem, graphs, inequalities as ineq
-from qglab.cli import ALPHA_STEP, CHECKS, POLICY, SolveContext, _loop_pair, _mesh, _solve, main
+from qglab.cli import CHECKS, POLICY, SolveContext, _loop_pair, _mesh, _solve, main
 from qglab.graphs import TopologyClass, classify_topology, load_graph, save_graph
 from qglab.reports import fmt_float, round_sig
 
@@ -309,33 +309,48 @@ def test_exact_verify_at_large_k_needs_no_mesh(tmp_path, capsys, monkeypatch):
 
 def test_exact_verify_of_a_square_well_needs_no_mesh(tmp_path, capsys, monkeypatch):
     # tree_well's square well is cut at its ends into edges of constant V:
-    # its energies, their dE / dalpha and its bound states at every coupling
-    # are counted exactly, with no mesh, assembly, inertia count or
-    # eigensolver (CI runs it at --k 5000 too)
+    # its energies and bound states at every coupling are counted exactly,
+    # and each state's int |phi'|^2 is read in closed form, with no mesh,
+    # assembly, inertia count or eigensolver (CI runs it at --k 5000 too)
     _verify_with_no_p1(tmp_path, capsys, monkeypatch, "tree_well", 90, 61)
 
 
 @pytest.mark.parametrize("name", ["circle_two_leads", "loop_leads_well"])
 def test_exact_verify_of_a_loop_pair_needs_no_mesh(tmp_path, capsys, monkeypatch, name):
-    # the lead and loop tables of sum_rule_steps are derivatives of the exact
-    # energies, counted in the same family as the row's own
+    # the lead and loop tables of sum_rule_steps are read in closed form from
+    # the kernels of the matching matrices at the exact energies
     _verify_with_no_p1(tmp_path, capsys, monkeypatch, name, 90, 61)
+
+
+@pytest.mark.parametrize("name", ["tree_well", "circle_two_leads", "loop_leads_well"])
+def test_exact_solve_is_one_family_of_one_graph(monkeypatch, name):
+    # a row with a well or a loop pair reads its tables in closed form, so
+    # it counts its own graph alone: one call, one member
+    graph = load_graph(fixture(f"{name}.json"))
+    calls, solve = [], analytic.piecewise_constant_family
+
+    def spied(graphs, k, cells=None):
+        calls.append(len(graphs))
+        return solve(graphs, k, cells)
+
+    monkeypatch.setattr(analytic, "piecewise_constant_family", spied)
+    _solve(graph, _loop_pair(graph, classify_topology(graph).topology_class), 90, None)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("name", ["circle_two_leads", "loop_leads_well"])
 def test_loop_tables_of_the_states_read_do_not_move_with_k(name):
-    # the loop offset once grew with the top solved energy, as k^2: at --k 1000
-    # the loop mass of circle_two_leads' lowest 8 states (sum_rule_steps reads
-    # no other) moved by 9e-4, a secant far outside the perturbative range.
-    # Each is simple, so each state's row is defined; at steps ten times smaller
-    # the tables stay within 1e-6 of their largest entry
+    # the loop tables of the lowest 8 states (sum_rule_steps reads no other)
+    # must not move with k: a step that grew with the top solved energy, as
+    # k^2, once moved circle_two_leads' loop mass by 9e-4 at --k 1000.  Each
+    # is simple, so each state's row is defined; at --k 90 and 1000 the rows
+    # stay within 1e-6 of their largest entry of the closed form at k = 9
     graph = load_graph(fixture(f"{name}.json"))
     loop = _loop_pair(graph, classify_topology(graph).topology_class)
     model = analytic.ExactModel(graph)
-    offset = 0.1 * ALPHA_STEP * graph.alpha * (math.pi * 9 / graph.total_length) ** 2
-    members = model.varied(loop.cycle_edges, offset, 0.1 * ALPHA_STEP)
-    energies, *varied = (e for e, _ in analytic.piecewise_constant_family([model.graph, *members], 9))
-    fine = model.tables(loop.cycle_edges, energies, varied, offset, 0.1 * ALPHA_STEP)
+    energies, brackets = analytic.piecewise_constant_eigenvalues(model.graph, 9)
+    on = np.equal.outer(np.arange(len(graph.edges)), model.edge_of)
+    fine = [loop.rows(on @ table)[1] for table in analytic.edge_tables(model.graph, energies, brackets)]
     for k in (90, 1000):
         solved, tables = _solve(graph, loop, k, None)[1:4:2]
         assert np.all(np.diff(solved[:9]) > 1e-3)
@@ -903,7 +918,7 @@ def test_verify_reads_the_same_trusted_spectrum_as_a_full_solve(tmp_path, monkey
     else:
         system, k, energies = calls[0]
         spectrum = fem.solve_spectrum(system, 90)
-        full, grad_norms = spectrum.energies, spectrum.total_dirichlet()
+        full, grad_norms = spectrum.energies, spectrum.edge_dirichlet.sum(axis=0)
     assert (k, ineq.trusted_count(90)) == (61, 60)
     assert energies[:60] == pytest.approx(full[:60], rel=1e-9, abs=0)
     reference = ineq.yang_check(full, grad_norms, graph.alpha, ineq.make_z_grid(full[:60]))
@@ -968,14 +983,13 @@ def test_verify_solves_every_bound_state_exactly_when_the_trusted_ones_are_bound
 
 
 def test_verify_reads_the_bound_states_once(tmp_path, capsys, monkeypatch):
-    # the 25 solved at alpha = 0.002 (then twice more for dE / dalpha) are
-    # all bound, so the 28 bound states are counted and solved once for both
-    # lt_quotient rows; the Stubbe grid follows with 2 bound states at
-    # alpha = 0.5
+    # the 25 solved at alpha = 0.002 are all bound, so the 28 bound states
+    # are counted and solved once for both lt_quotient rows; the Stubbe grid
+    # follows with 2 bound states at alpha = 0.5
     calls = _record_exact_solves(monkeypatch)
     code = main(["verify", "--graph", str(_tree_well_weak(tmp_path)), "--k", "36", "--out-dir", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
-    assert [k for k, _ in calls][:5] == [25, 25, 25, 28, 2]
+    assert [k for k, _ in calls][:3] == [25, 28, 2]
 
 
 def test_checks_report_under_their_keys():
@@ -990,7 +1004,7 @@ def test_checks_report_under_their_keys():
         tables = None if loop is None else (loop.rows(spectrum.edge_mass), loop.rows(spectrum.edge_dirichlet))
         ctx = SolveContext(
             graph, loop, ineq.TOL_FEM, system, spectrum.energies,
-            spectrum.total_dirichlet(), tables, spectrum.energies[: ineq.trusted_count(90)], dict(policy),
+            spectrum.edge_dirichlet.sum(axis=0), tables, spectrum.energies[: ineq.trusted_count(90)], dict(policy),
         )
         for key, _ in policy:
             assert CHECKS[key](ctx).check == key

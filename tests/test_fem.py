@@ -146,7 +146,7 @@ def test_mass_normalization_and_rayleigh_identity():
     assert np.allclose(spec.edge_mass.sum(axis=0), 1.0, atol=1e-12)
     # V = 0, alpha = 1: the derivative form reproduces the eigenvalue exactly
     # at the discrete level
-    assert np.allclose(spec.total_dirichlet(), spec.energies, rtol=1e-10)
+    assert np.allclose(spec.edge_dirichlet.sum(axis=0), spec.energies, rtol=1e-10)
 
 
 def kirchhoff_residuals(spectrum: fem.Spectrum) -> np.ndarray:
