@@ -716,9 +716,10 @@ def edge_tables(graph: MetricGraph, energies: np.ndarray, brackets: np.ndarray) 
     They are the kernel of the matrix that matches the edges' amplitudes
     (Berkolaiko and Kuchment, 2013), ``u = A cos kappa x + B s sin(kappa x)
     / kappa``, ``s = max(kappa, 1)``, above an edge's floor and ``A e^{-eta
-    x} + B e^{-eta (l - x)}`` below it, with the vertex conditions as rows:
-    no row is scaled by its norm, as a self-loop's continuity row is
-    roundoff at its Dirichlet modes.  States whose brackets meet are one
+    x} + B e^{-eta (l - x)}`` below it, with the vertex conditions as rows,
+    Kirchhoff's scaled by ``1 / max(1, kappa or eta there)`` and none by its
+    norm, as a self-loop's continuity row is roundoff at its Dirichlet
+    modes.  States whose brackets meet are one
     cluster, whose kernel (``KERNEL_TOL``) must have the dimension the count
     gives, also where the states solved cut it, or ``SolverError`` is
     raised.  Its sums on edge ``e`` are ``trace(G^-1 G_e)`` for its Gram
@@ -747,13 +748,13 @@ def edge_tables(graph: MetricGraph, energies: np.ndarray, brackets: np.ndarray) 
     theta, s, x = w * lengths, np.maximum(w, 1.0), np.exp(-w * lengths)
     cos, sin, sinc = np.cos(theta), np.sin(theta), np.sinc(theta / math.pi)
     # each basis function's value and derivative at each end: (value or derivative, side, basis, head, edge)
-    ends = np.array([
+    basis = np.array([
         np.where(up, [[zero + 1.0, zero], [cos, s * lengths * sinc]], [[zero + 1.0, x], [x, zero + 1.0]]),
         np.where(up, [[zero, s], [-w * sin, s * cos]], [[-w, w * x], [-w * x, w]]),
     ])
     rows = rows.reshape(-1, m, 2, 2)  # row, edge, side, value or derivative
     scale = 1.0 / np.maximum(1.0, np.where(rows[..., 1].any(axis=2), w[:, None, :], 0.0).max(axis=2))
-    matrix = np.einsum("resk,ksaqe,qr->qrea", rows, ends, scale).reshape(-1, 2 * m, 2 * m)
+    matrix = np.einsum("resk,ksaqe,qr->qrea", rows, basis, scale).reshape(-1, 2 * m, 2 * m)
     singular, vectors = np.linalg.svd(matrix)[1:]
     null = (singular < KERNEL_TOL).sum(axis=1)
     for i in np.flatnonzero(null != whole)[:1]:
@@ -771,7 +772,7 @@ def edge_tables(graph: MetricGraph, energies: np.ndarray, brackets: np.ndarray) 
     X = (vectors[:, -r:] * kernel[:, :, None]).reshape(-1, r, m, 2)
     per_edge = np.einsum("qiea,abqe,qjeb->qeij", X, gram, X)
     inverse = np.linalg.inv(per_edge.sum(axis=1) + np.eye(r) * ~kernel[:, None, :])
-    u, du = np.einsum("qiea,ksaqe->ksqie", X, ends)
+    u, du = np.einsum("qiea,ksaqe->ksqie", X, basis)
     mass = np.einsum("qij,qeji->qe", inverse, per_edge)
     at_ends = np.einsum("sqie,qij,sqje->sqe", du, inverse, u)
     tables = np.stack([mass, at_ends[1] - at_ends[0] + z * mass]) / whole[:, None]
