@@ -919,14 +919,19 @@ def test_matching_kernel_has_the_count_multiplicity(name, monkeypatch):
 
 def test_matching_kernel_of_a_cut_cluster_is_its_whole_multiplicity():
     # the states solved may cut a cluster: its kernel is compared with the
-    # count's whole multiplicity, and the states read are orthonormal in it
+    # count's whole multiplicity, and each state read takes the mean of the
+    # whole cluster, as when all of it is solved
     graph = load_graph(os.path.join(FIXTURES, "wheatstone_balanced.json"))
     energies, brackets = analytic.piecewise_constant_eigenvalues(graph, 61)
     triple = np.flatnonzero(np.abs(energies - math.pi**2) < 1e-9)
     assert len(triple) == 3
+    whole = analytic.edge_tables(graph, energies, brackets)
     k = int(triple[1]) + 1
-    mass, _ = analytic.edge_tables(graph, energies[:k], brackets[:k])
-    assert mass.sum(axis=0) == pytest.approx(np.ones(k), rel=0, abs=1e-13)
+    cut = analytic.edge_tables(graph, energies[:k], brackets[:k])
+    for table, full in zip(cut, whole):
+        mean = full[:, triple].mean(axis=1)
+        assert table[:, triple[:2]] == pytest.approx(np.stack([mean, mean], axis=1), rel=1e-12, abs=1e-14)
+    assert cut[0].sum(axis=0) == pytest.approx(np.ones(k), rel=0, abs=1e-13)
 
 
 def test_edge_tables_off_the_spectrum_raise():
