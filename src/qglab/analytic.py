@@ -361,7 +361,7 @@ def _tables(family: list[MetricGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return lengths, floors, (values - floors[:, None]) / np.array([g.alpha for g in family])[:, None]
 
 
-def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
+def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None, tables=None):
     """``count(t, member) -> (N, shift, values)`` for an array of ``t > 0``
     off the poles and the family member of each point (an array, or one
     index for all).
@@ -369,7 +369,8 @@ def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
     ``family`` holds graphs of constant edges and one shape (``_shape``):
     the incidence is built once, from the first, and each point reads its
     member's row of the edge lengths, offsets and ``cells`` (one row per
-    member; ``None`` for the exact count).  ``N`` is the number of
+    member; ``None`` for the exact count), from ``tables``, the family's
+    ``(lengths, offsets)``, or ``_tables``.  ``N`` is the number of
     eigenvalues below ``c_min + alpha t^2`` of the member, exact or, where
     ``V = 0``, P1 (``_edge_terms``).  Edge ``e`` takes ``kappa_e^2 = t^2 -
     (c_e - c_min) / alpha`` (``_offset_terms``); where every edge has the
@@ -406,7 +407,7 @@ def _dtn_counter(family: list[MetricGraph], cells: np.ndarray | None = None):
                 minus[i, slot[v]] += sign * math.sqrt(0.5)
     outer = np.concatenate([np.einsum("ei,ej->eij", plus, plus), np.einsum("ei,ej->eij", minus, minus)])
     outer = outer.reshape(2 * m, n * n)
-    lengths, _, offsets = _tables(family)
+    lengths, offsets = _tables(family)[::2] if tables is None else tables
     deep = np.flatnonzero(offsets[0] > 0.0)  # the edges with a second border slot
     slots = np.concatenate([np.arange(m), deep])
     plus_at, minus_at, corners = plus[slots], minus[slots], n + np.arange(len(slots))
@@ -690,7 +691,8 @@ def _solve_group(group: list[MetricGraph], k: np.ndarray, lengths, floors, offse
         # every bracket of every member of the chunk in one loop
         held = 8 * (fixed + total[start:] - (total[start - 1] if start else 0))
         end = start + int(np.searchsorted(held, fem.MEMORY_BUDGET, side="right"))  # each member fits alone
-        count = _dtn_counter(group[start:end], None if cells is None else cells[start:end])
+        tables = lengths[start:end], offsets[start:end]
+        count = _dtn_counter(group[start:end], None if cells is None else cells[start:end], tables)
         mine, at = solved & (start <= entry) & (entry < end), slice(*np.searchsorted(owner, [start, end]))
         points, owners = seeds[at], owner[at] - start
         first = count(points, owners)
@@ -826,11 +828,8 @@ class ExactModel:
         graphs = [replace(self.graph, alpha=float(alpha)) for alpha in alphas]
         negative = _dtn_counter(graphs)(np.sqrt(-self.min_potential / alphas), np.arange(len(graphs)))[0]
         binding = np.flatnonzero(negative)
-        states = [np.empty(0) for _ in alphas]
-        solved = piecewise_constant_family([graphs[i] for i in binding], negative[binding])
-        for i, (energies, _) in zip(binding, solved):
-            states[i] = energies
-        return states
+        solved = iter(piecewise_constant_family([graphs[i] for i in binding], negative[binding]))
+        return [next(solved)[0] if m else np.empty(0) for m in negative]
 
     def negative_integral(self, power: float, shift: float = 0.0) -> float:
         """``int ((V - shift)_-)^power = sum_e l_e ((c_e - shift)_-)^power``."""

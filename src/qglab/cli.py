@@ -536,8 +536,8 @@ def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[lis
     ``x`` (``balloon-L``) or the fancy balloon with ``x`` rungs (``fancy-N``).
 
     The ``fem`` engine builds no mesh: it checks ``k`` against the unknowns
-    of each point's cells at ``h``, then reads the lowest ``k`` P1 energies
-    from the vertex count of ``analytic.piecewise_constant_family`` (``V =
+    of each point's cells at ``h`` and reads it no further, then counts the
+    2 lowest P1 energies by ``analytic.piecewise_constant_family`` (``V =
     0``), with no eigensolve, in one call: it counts the points of one shape
     together, so the balloons of every string length are one family and
     each rung count is a family of its own."""
@@ -549,7 +549,7 @@ def _ratio_rows(sweep: str, xs: list, engine: str, h: float, k: int) -> list[lis
             cells.append(fem.edge_cells(graphs[-1], h))
             n, at = fem.unknowns(graphs[-1], cells[-1]), f"{'L' if balloon else 'N'} = {x:g}"
             _require(k <= n, "--k", k, f"at most {n}, the unknowns of the --h {h:g} mesh at {at}")
-        energies = [e for e, _ in analytic.piecewise_constant_family(graphs, k, cells)]
+        energies = [e for e, _ in analytic.piecewise_constant_family(graphs, 2, cells)]
     elif balloon:
         energies = [[m.energy for m in analytic.balloon_eigenvalues(x, 2)] for x in xs]
     else:

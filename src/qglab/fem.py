@@ -21,12 +21,12 @@ nodes are a tridiagonal chain, counted by LAPACK's tridiagonal routines, and
 the free vertices a small separator, counted through its dense Schur
 complement.  ``solve_spectrum`` returns eigenpairs with their per-edge
 tables; ``solve_energies`` returns the energies alone, through the same
-solver path without eigenvector extraction.  ``solve_bound_states`` is the
-one rule for the negative eigenvalues: those of a certified solve with a
-nonnegative top, or else the count at 0 and one bracket per bound state,
-with no eigensolver.  ``_close_brackets`` is the one bracket driver of this
-count and of the exact count of ``analytic``: it starts each bracket from
-seeds already counted, closes it, and checks that every count rises.
+solver path without eigenvector extraction.  ``AssembledSystem.bound_states``
+is the one rule for the negative eigenvalues: those of a certified solve with
+a nonnegative top, or else the count at 0 and one bracket pass for a grid of
+couplings, with no eigensolver.  ``_close_brackets`` is the one bracket driver
+of this count and of the exact count of ``analytic``: it starts each bracket
+from seeds already counted, closes it, and checks that every count rises.
 """
 
 from __future__ import annotations
@@ -235,9 +235,45 @@ class AssembledSystem:
         return _split_chains(self)
 
     def bound_states(self, alphas, solved: np.ndarray | None = None) -> list[np.ndarray]:
-        """``solve_bound_states`` at each coupling of ``alphas``; ``solved``
-        may hold the lowest eigenvalues at the one coupling of ``alphas``."""
-        return [solve_bound_states(self, float(alpha), solved=solved) for alpha in alphas]
+        """Every negative eigenvalue at each coupling of ``alphas``, ascending,
+        one array per coupling, with no eigensolver.
+
+        With ``V >= 0`` at every node there is none, and nothing is counted:
+        ``alpha K`` is positive semidefinite, and so is each cell's block of
+        ``W``, whose determinant is ``(2 va^2 + 8 va vb + 2 vb^2) (h / 12)^2``.
+        ``solved`` may hold the lowest eigenvalues at the one coupling of
+        ``alphas`` from a certified solve; if its top is nonnegative, none
+        below is missing and its negative part is returned.  Otherwise one
+        chain count at 0 (``_chain_counter``) gives each coupling its number
+        ``m``, and one ``_close_brackets`` pass closes all of them in ``t``,
+        where ``E = min V + alpha t^2``, each point at its own coupling.  A
+        coupling's one seed is that count, ``t = sqrt(-min V / alpha)``, so
+        its brackets start at ``[0, seed]``, as nothing lies below ``min V``,
+        and close to ``BOUND_RTOL``.  A graph without a Dirichlet vertex whose
+        ``V`` is one constant at every node has ``E_1 = min V``, the constant.
+        """
+        alphas, floor = np.asarray(alphas, dtype=float), self.mesh.min_potential
+        if floor >= 0.0:
+            return [np.empty(0) for _ in alphas]
+        if solved is not None and solved[-1] >= 0.0:
+            return [solved[solved < 0.0]]
+        count, grid = _chain_counter(self, alphas), np.arange(len(alphas))
+        first = count(np.zeros(len(alphas)), grid)
+        flat = DIRICHLET not in self.mesh.graph.boundary.values() and max(s.v.max() for s in self.mesh.segments) == floor
+        brackets = first[0] - flat * (first[0] > 0)  # per coupling, past E_1 = min V where flat
+        member = np.repeat(grid, brackets)
+        want = np.arange(len(member)) - (np.cumsum(brackets) - first[0])[member] + 1
+
+        def counted(points, owners):
+            # one count per (coupling, t), in a complex key that holds both exactly
+            keys, at = np.unique(owners + 1j * points, return_inverse=True)
+            owners, points = keys.real.astype(int), keys.imag
+            return tuple(part[at] for part in count(floor + alphas[owners] * points**2, owners))
+
+        seeds, below = np.sqrt(-floor / alphas), np.zeros(len(alphas), bool)  # E = 0, each coupling's one seed
+        root = _close_brackets(counted, want, member, seeds, grid, below, first, BOUND_RTOL)[0]
+        states = np.split(floor + alphas[member] * root**2, np.cumsum(brackets)[:-1])
+        return [np.concatenate([np.full(n, floor), part]) for n, part in zip(first[0] - brackets, states)]
 
     def negative_integral(self, power: float, shift: float = 0.0) -> float:
         return integrate_potential_power(self.mesh, power, shift=shift)
@@ -528,10 +564,12 @@ def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray, energy: fl
     return negative, x
 
 
-def _chain_counter(system: AssembledSystem, alpha: float):
-    """``count(E) -> (N, shift, values)`` for an array of energies: ``N`` the
-    eigenvalues of the pencil ``(H, M)`` at coupling ``alpha`` below each
-    ``E``, multiplicities included, with no sparse factorization.
+def _chain_counter(system: AssembledSystem, alphas):
+    """``count(E, member=0) -> (N, shift, values)`` for an array of energies,
+    each at the coupling ``alphas[member]`` (``member`` an array, or one index
+    for all; ``alphas`` an array, or one number): ``N`` the eigenvalues of the
+    pencil ``(H, M)`` below each ``E``, multiplicities included, with no
+    sparse factorization, bit for bit the same in any batch.
 
     ``M`` is positive definite, so by Sylvester's law of inertia ``N`` is
     the number of negative eigenvalues of ``A = H - E M``.  On the split of
@@ -551,7 +589,7 @@ def _chain_counter(system: AssembledSystem, alpha: float):
     """
     split = system.chains
     stiffness, potential, mass = split.parts
-    h_diag, h_off, h_sep, h_ends = (alpha * k + w for k, w in zip(stiffness, potential))
+    hamiltonians = [tuple(alpha * k + w for k, w in zip(stiffness, potential)) for alpha in np.atleast_1d(alphas)]
     m_diag, m_off, m_sep, m_ends = mass
     chains = []  # per chain: its dofs, its ends, the node of each, and unit vectors there
     for c, (lo, hi, (slots, side)) in enumerate(zip(split.lo, split.hi, split.ends)):
@@ -560,10 +598,11 @@ def _chain_counter(system: AssembledSystem, alpha: float):
         chains.append((lo, hi, slots, side, block, pick, _unit_columns(hi - lo, nodes)))
     n = len(split.separator)
 
-    def count(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def count(energies: np.ndarray, member=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shift = np.zeros(len(energies), dtype=int)
         matrices = []
-        for p, energy in enumerate(energies):
+        for p, (energy, of) in enumerate(zip(energies, np.broadcast_to(member, len(energies)))):
+            h_diag, h_off, h_sep, h_ends = hamiltonians[of]
             lam, peeled, ends = energy * m_sep - h_sep, [], h_ends - energy * m_ends
             for c, (lo, hi, slots, side, block, pick, rhs) in enumerate(chains):
                 d, e = h_diag[lo:hi] - energy * m_diag[lo:hi], h_off[lo : hi - 1] - energy * m_off[lo : hi - 1]
@@ -737,46 +776,8 @@ def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) 
 
 
 def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
-    """Every negative eigenvalue at coupling ``alpha``, ascending, with no
-    eigensolver.
-
-    With ``V >= 0`` at every node there is none, and nothing is counted:
-    ``alpha K`` is positive semidefinite, and so is each cell's block of
-    ``W``, whose determinant is ``(2 va^2 + 8 va vb + 2 vb^2) (h / 12)^2``.
-    ``solved`` may hold the lowest eigenvalues at ``alpha`` from a certified
-    solve; if its top is nonnegative, none below is missing and its negative
-    part is returned.  Otherwise one chain count at 0 (``_chain_counter``)
-    gives their number ``m``, and ``_close_brackets`` brackets each in
-    ``t``, where ``E = min V + alpha t^2``, from that count as its one seed,
-    ``t = sqrt(-min V / alpha)``: every bracket starts at ``[0, seed]``, as
-    nothing lies below ``min V``, and closes to ``BOUND_RTOL``.  A graph
-    without a Dirichlet vertex whose ``V`` is one constant at every node has
-    ``E_1 = min V``, the constant.  Moments of the negative spectrum are
-    never truncated.
-    """
-    floor = system.mesh.min_potential
-    if floor >= 0.0:
-        return np.empty(0)
-    if solved is not None and solved[-1] >= 0.0:
-        return solved[solved < 0.0]
-    count = _chain_counter(system, alpha)
-    first = count(np.zeros(1))
-    negative = int(first[0][0])
-    if not negative:
-        return np.empty(0)
-    graph = system.mesh.graph
-    flat = DIRICHLET not in graph.boundary.values() and all(np.all(seg.v == floor) for seg in system.mesh.segments)
-    want = np.arange(1 + flat, negative + 1)
-
-    def counted(points, _):
-        # brackets that share their ends share their points
-        points, at = np.unique(points, return_inverse=True)
-        return tuple(part[at] for part in count(floor + alpha * points**2))
-
-    seed, owner = np.array([math.sqrt(-floor / alpha)]), np.zeros(1, dtype=int)
-    member = np.zeros(len(want), dtype=int)
-    root = _close_brackets(counted, want, member, seed, owner, np.zeros(1, bool), first, BOUND_RTOL)[0]
-    return np.concatenate([np.full(int(flat), floor), floor + alpha * root**2])
+    """``AssembledSystem.bound_states`` at the one coupling ``alpha``, with its ``solved``."""
+    return system.bound_states([alpha], solved=solved)[0]
 
 
 def solve_graph(

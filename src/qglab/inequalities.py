@@ -180,10 +180,10 @@ def lt_quotient(model, bound_states: np.ndarray, gamma: float, tol_rel: float = 
 def _coupling_sweep(model, alpha_grid, zs: np.ndarray, q: float, floor: float):
     """The couplings of an ascending grid, the bound states at each (one
     ``model.bound_states`` call for the grid: one family solve on
-    ``analytic.ExactModel``), the map ``sqrt(alpha) sum (z - (3/16) q^2
-    alpha - E)_+^2`` (a row per ``z``, a column per coupling; Stubbe's is
-    ``q = 0``, ``z = 0``) and its largest rise between neighbouring
-    couplings, relative to ``max(value, floor)``."""
+    ``analytic.ExactModel``, one bracket pass on ``fem.AssembledSystem``),
+    the map ``sqrt(alpha) sum (z - (3/16) q^2 alpha - E)_+^2`` (a row per
+    ``z``, a column per coupling; Stubbe's is ``q = 0``, ``z = 0``) and its
+    largest rise between neighbouring couplings, relative to ``max(value, floor)``."""
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if len(alphas) < 2 or np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be ascending with at least 2 points")

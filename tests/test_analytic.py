@@ -15,6 +15,7 @@ from qglab.graphs import (
     MetricGraph,
     PoschlTeller,
     ZERO,
+    Sampled,
     SquareWell,
     load_graph,
     split_at_jumps,
@@ -415,8 +416,8 @@ def _tallied_counts(monkeypatch) -> list[int]:
     """Wrap ``analytic._dtn_counter`` to record the points of each batched count."""
     counter, counts = analytic._dtn_counter, []
 
-    def tallied(family, cells=None):
-        count = counter(family, cells)
+    def tallied(family, *args):
+        count = counter(family, *args)
 
         def tally(t, member=0):
             counts.append(len(t))
@@ -783,6 +784,60 @@ def test_coupling_grid_on_random_square_well_trees():
                 assert np.all((brackets[:, 0] - slack <= states) & (states <= brackets[:, 1] + slack))
 
 
+@pytest.mark.parametrize("name", ["pt_interval", "pt_balloon"])
+def test_p1_coupling_grid_is_each_couplings_own_solve(name):
+    # the P1 system's grid is one bracket pass, whose points are each counted
+    # at their own coupling: every coupling's bound states are bit for bit
+    # those of its solve alone, from weak coupling to one that binds nothing
+    system = fem.assemble(fem.build_mesh(load_graph(os.path.join(FIXTURES, f"{name}.json")), 0.05))
+    alphas = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 4.0, 1e3])
+    grid = system.bound_states(alphas)
+    assert len(grid[0]) >= 15 and len(grid[-1]) == 0
+    for alpha, states in zip(alphas, grid):
+        assert np.array_equal(states, fem.solve_bound_states(system, alpha))
+
+
+def test_p1_coupling_grid_on_random_wells():
+    # random trees with sech-squared wells, and trees with Neumann leaves of
+    # one constant negative V, whose E_1 is that constant: each coupling of
+    # the grid is its solve alone, bit for bit
+    rng = np.random.default_rng(35)
+    for trial in range(6):
+        shape = families.random_tree(rng, int(rng.integers(1, 5)))
+        if trial % 3:
+            wells = [PoschlTeller(rng.uniform(0.5, 3.0), rng.uniform(0.0, e.length)) for e in shape.edges]
+            boundary = shape.boundary
+        else:
+            wells = [Sampled((-rng.uniform(1.0, 20.0),) * 2)] * len(shape.edges)
+            boundary = dict.fromkeys(shape.boundary, NEUMANN)
+        edges = tuple(Edge(e.u, e.v, e.length, w) for e, w in zip(shape.edges, wells))
+        graph = dataclasses.replace(shape, edges=edges, boundary=boundary)
+        system = fem.assemble(fem.build_mesh(graph, 0.05))
+        alphas = np.append(np.sort(rng.uniform(0.01, 4.0, 5)), 1e6)
+        grid = system.bound_states(alphas)
+        assert len(grid[0]) and len(grid[-1]) == (0 if trial % 3 else 1)
+        for alpha, states in zip(alphas, grid):
+            assert np.array_equal(states, fem.solve_bound_states(system, alpha))
+
+
+def test_p1_stubbe_grid_is_one_bracket_pass(monkeypatch):
+    # the Stubbe grid's 8 couplings on a P1 system close in one pass of the
+    # bracket driver, not in one pass per coupling; one t counted for two
+    # couplings in one batch is counted at each coupling
+    calls, close = [], fem._close_brackets
+
+    def spied(count, want, member, seeds, *args):
+        calls.append(np.unique(member).tolist())
+        alone = [count(seeds[:1], np.array([i]))[0][0] for i in (0, 7)]
+        assert count(np.repeat(seeds[:1], 2), np.array([0, 7]))[0].tolist() == alone and alone[0] < alone[1]
+        return close(count, want, member, seeds, *args)
+
+    monkeypatch.setattr(fem, "_close_brackets", spied)
+    system = fem.assemble(fem.build_mesh(load_graph(os.path.join(FIXTURES, "pt_interval.json")), 0.05))
+    report = ineq.stubbe_monotonicity(system, np.geomspace(0.5, 4.0, 8))
+    assert calls == [list(range(8))] and np.all(report.moments > 0)
+
+
 @pytest.mark.parametrize("check", ["stubbe", "one_loop"])
 def test_coupling_grids_are_one_family_solve(monkeypatch, check):
     # the Stubbe grid and the one-loop grid each make one family solve on
@@ -1063,9 +1118,9 @@ def test_family_over_the_budget_is_solved_in_chunks(monkeypatch):
     whole = analytic.piecewise_constant_family(graphs, 6, cells)
     counter, builds = analytic._dtn_counter, []
 
-    def built(family, cells=None):
+    def built(family, *args):
         builds.append(len(family))
-        return counter(family, cells)
+        return counter(family, *args)
 
     monkeypatch.setattr(analytic, "_dtn_counter", built)
     monkeypatch.setattr(fem, "MEMORY_BUDGET", 60_000)

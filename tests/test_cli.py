@@ -378,8 +378,8 @@ def test_exact_count_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
 def test_exact_count_failure_exits_3(tmp_path, capsys, monkeypatch):
     counter = analytic._dtn_counter
 
-    def falling(family, cells=None):
-        count = counter(family, cells)
+    def falling(family, *args):
+        count = counter(family, *args)
 
         def fall(t, member=0):
             total, below, values = count(t, member)
@@ -712,7 +712,8 @@ def test_sweep_engines_agree_on_the_ratio(tmp_path, sweep, grid, first):
 )
 def test_sweep_fem_engine_reads_p1_without_an_eigensolve(tmp_path, monkeypatch, sweep, grid, graphs):
     # the P1 energies of the mesh come from the vertex count, and agree with
-    # the eigensolver's to its own accuracy
+    # the eigensolver's to its own accuracy; the family is asked for the 2
+    # energies reported, whatever --k is, so --k 2 and --k 6 write one file
     h = 0.01 if sweep == "balloon-L" else 0.02
     p1 = [fem.solve_graph(graph, h, 2).energies for graph in graphs]
 
@@ -721,10 +722,20 @@ def test_sweep_fem_engine_reads_p1_without_an_eigensolve(tmp_path, monkeypatch, 
 
     for name in ("build_mesh", "assemble", "_eigensolve"):
         monkeypatch.setattr(fem, name, refused)
-    code = main(["sweep", "--sweep", sweep, "--engine", "fem", "--range", grid, "--steps", "3",
-                 "--out-dir", str(tmp_path)])
-    assert code == 0
-    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    asked, family = [], analytic.piecewise_constant_family
+
+    def spied(graphs, k, cells=None):
+        asked.append(k)
+        return family(graphs, k, cells)
+
+    monkeypatch.setattr(analytic, "piecewise_constant_family", spied)
+    for k in ("2", "6"):
+        code = main(["sweep", "--sweep", sweep, "--engine", "fem", "--range", grid, "--steps", "3",
+                     "--k", k, "--out-dir", str(tmp_path / k)])
+        assert code == 0
+    assert asked == [2, 2]
+    assert (tmp_path / "2" / "sweep.csv").read_bytes() == (tmp_path / "6" / "sweep.csv").read_bytes()
+    rows = [r.split(",") for r in (tmp_path / "6" / "sweep.csv").read_text().splitlines()[1:]]
     assert [[float(r[1]), float(r[2])] for r in rows] == pytest.approx(np.array(p1), rel=1e-9, abs=0)
 
 
@@ -736,9 +747,9 @@ def _counters_built(monkeypatch):
     """Wrap ``analytic._dtn_counter`` to record the members of each counter built."""
     builds, counter = [], analytic._dtn_counter
 
-    def built(family, cells=None):
+    def built(family, *args):
         builds.append(len(family))
-        return counter(family, cells)
+        return counter(family, *args)
 
     monkeypatch.setattr(analytic, "_dtn_counter", built)
     return builds
@@ -747,26 +758,29 @@ def _counters_built(monkeypatch):
 def test_balloon_sweep_counts_every_point_in_one_family(tmp_path, monkeypatch):
     # the 56 balloons share one shape: one counter for all of them, not one
     # per point; under a budget of 0.5 MB (above the 0.39 MB that the
-    # finest mesh's smallest solve needs) they take three chunks, with the
-    # same table
+    # finest mesh's smallest solve needs) their 2-energy counts take two
+    # chunks, with the same table
     builds = _counters_built(monkeypatch)
     assert main([*BENCHMARK_SWEEP, "--out-dir", str(tmp_path / "whole")]) == 0
     assert builds == [56]
     builds.clear()
     monkeypatch.setattr(fem, "MEMORY_BUDGET", 500_000)
     assert main([*BENCHMARK_SWEEP, "--out-dir", str(tmp_path / "chunked")]) == 0
-    assert sum(builds) == 56 and len(builds) == 3
+    assert builds == [49, 7]
     assert (tmp_path / "chunked" / "sweep.csv").read_text() == (tmp_path / "whole" / "sweep.csv").read_text()
 
 
-def test_balloon_sweep_member_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # a point whose own count is over the budget is refused before any is counted
+def test_balloon_sweep_k_over_a_member_budget_counts_two_energies(tmp_path, capsys, monkeypatch):
+    # a --k whose count of each point would be over the budget is not
+    # counted: the sweep counts the 2 energies it reports, which always fit
+    # under the smallest-solve guard of edge_cells, so it runs (the family's
+    # refusal of a member over the budget is tested on the family itself)
     builds = _counters_built(monkeypatch)
     monkeypatch.setattr(fem, "MEMORY_BUDGET", 200_000)
     code = main([*BALLOON_RANGE, "0.5:6", "--h", "0.05", "--k", "100", "--out-dir", str(tmp_path / "out")])
-    assert code == 2
-    assert "input error: --k too large: an exact count of 439 matrices of size 3" in capsys.readouterr().err
-    assert builds == [] and not (tmp_path / "out").exists()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert builds == [3] and (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_sweep_fancy_cli_takes_steps_whole_n(tmp_path, capsys):

@@ -296,9 +296,9 @@ def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
     def counter(system, alpha):
         count = chain_counter(system, alpha)
 
-        def counted(energies):
+        def counted(energies, member=0):
             counts.extend(energies)
-            return count(energies)
+            return count(energies, member)
 
         return counted
 
