@@ -808,23 +808,19 @@ class ExactModel:
     def min_potential(self) -> float:
         return float(self.values.min())
 
-    def bound_states(self, alphas, solved: np.ndarray | None = None) -> list[np.ndarray]:
+    def bound_states(self, alphas) -> list[np.ndarray]:
         """Every negative eigenvalue at each coupling of ``alphas``, ascending,
         one array per coupling.
 
-        With every ``c_e >= 0`` there is none.  ``solved`` may hold the lowest
-        eigenvalues at the one coupling of ``alphas``; if its top is
-        nonnegative, none below is missing and its negative part is returned.
-        Otherwise one batched count at each coupling's ``t_0 = sqrt(-c_min /
-        alpha)``, which is ``E = 0``, gives its number ``m`` of them, and one
-        ``piecewise_constant_family`` call solves the couplings that bind any,
-        each for exactly its own ``m``, from the seeds it would get alone.
+        With every ``c_e >= 0`` there is none.  Otherwise one batched count at
+        each coupling's ``t_0 = sqrt(-c_min / alpha)``, which is ``E = 0``,
+        gives its number ``m`` of them, and one ``piecewise_constant_family``
+        call solves the couplings that bind any, each for exactly its own
+        ``m``, from the seeds it would get alone.
         """
         alphas = np.asarray(alphas, dtype=float)
         if self.min_potential >= 0.0:
             return [np.empty(0) for _ in alphas]
-        if solved is not None and solved[-1] >= 0.0:
-            return [solved[solved < 0.0]]
         graphs = [replace(self.graph, alpha=float(alpha)) for alpha in alphas]
         negative = _dtn_counter(graphs)(np.sqrt(-self.min_potential / alphas), np.arange(len(graphs)))[0]
         binding = np.flatnonzero(negative)

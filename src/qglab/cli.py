@@ -201,6 +201,7 @@ class SolveContext:
     the moment checks read (``_model``).  ``loop`` is the graph's loop pair,
     found once per run, or ``None``; ``tables`` are then each state's ``int
     |phi|^2`` and ``int |phi'|^2`` over its leads and its loop (``_solve``).
+    ``slope_family`` and ``bound_states`` are read at most once per run.
     """
 
     graph: MetricGraph
@@ -214,10 +215,17 @@ class SolveContext:
     roles: dict[str, str]  # role of each check in this graph's POLICY row
 
     @cached_property
+    def slope_family(self) -> circuits.GFamilyVerdict:
+        """The graph's full-support slope family, if one exists (weak_yang)."""
+        return circuits.g_family_verdict(self.graph)
+
+    @cached_property
     def bound_states(self) -> np.ndarray:
-        """Every negative eigenvalue at the graph's coupling, read once for
-        all moment checks."""
-        return self.model.bound_states([self.model.alpha], solved=self.energies)[0]
+        """Every negative eigenvalue at the graph's coupling: the solve's
+        negative part if its top is nonnegative (none below is missing), else the model's."""
+        if self.energies[-1] >= 0.0:
+            return self.energies[self.energies < 0.0]
+        return self.model.bound_states([self.model.alpha])[0]
 
 
 def _loop_pair(graph: MetricGraph, topology: TopologyClass) -> ineq.LoopLeads | None:
@@ -231,7 +239,8 @@ def _loop_pair(graph: MetricGraph, topology: TopologyClass) -> ineq.LoopLeads | 
         return None
 
 
-def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
+def _yang(ctx: SolveContext, weak: bool) -> CheckReport:
+    ratio = float(ctx.slope_family.a_max / ctx.slope_family.a_min) if weak else 1.0
     z_grid = ineq.make_z_grid(ctx.trusted)
     check = ineq.yang_check(
         ctx.energies, ctx.grad_norms, ctx.graph.alpha, z_grid, tol_rel=ctx.tol, coeff_ratio=ratio
@@ -244,13 +253,6 @@ def _yang_report(ctx: SolveContext, ratio: float) -> CheckReport:
         verdict=check.verdict,
         worst_margin=check.worst_margin,
     )
-
-
-def _weak_yang(ctx: SolveContext) -> CheckReport | None:
-    family = circuits.g_family_verdict(ctx.graph)
-    if not family.exists_full_support:
-        return None
-    return _yang_report(ctx, float(family.a_max / family.a_min))
 
 
 def _weyl(ctx: SolveContext) -> CheckReport:
@@ -266,9 +268,7 @@ def _weyl(ctx: SolveContext) -> CheckReport:
     )
 
 
-def _riesz(ctx: SolveContext) -> CheckReport | None:
-    if ctx.trusted[0] <= 0:
-        return None
+def _riesz(ctx: SolveContext) -> CheckReport:
     riesz = ineq.riesz_suite(ctx.trusted, ctx.graph.total_length, tol_rel=ctx.tol)
     return CheckReport(
         check="riesz",
@@ -285,9 +285,7 @@ def _riesz(ctx: SolveContext) -> CheckReport | None:
     )
 
 
-def _mean_ratio(ctx: SolveContext) -> CheckReport | None:
-    if ctx.trusted[0] <= 0:
-        return None
+def _mean_ratio(ctx: SolveContext) -> CheckReport:
     pairs = [(j, k) for j, k in ((1, 2), (2, 5), (5, 10), (1, 12), (10, 20), (20, 40)) if k <= len(ctx.trusted)]
     bounds = ineq.mean_ratio_bounds(ctx.trusted, pairs, tol_rel=ctx.tol)
     return CheckReport(
@@ -304,9 +302,7 @@ def _mean_ratio(ctx: SolveContext) -> CheckReport | None:
     )
 
 
-def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
-    if ctx.model.min_potential >= 0:
-        return None
+def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport:
     name = f"lt_quotient_gamma_{gamma}"
     q = ineq.lt_quotient(ctx.model, ctx.bound_states, gamma, tol_rel=ctx.tol)
     verdict = "violated" if q.exceeds_classical else "holds"
@@ -328,9 +324,7 @@ def _lt_quotient(ctx: SolveContext, gamma: float) -> CheckReport | None:
     )
 
 
-def _stubbe(ctx: SolveContext) -> CheckReport | None:
-    if ctx.model.min_potential >= 0:
-        return None
+def _stubbe(ctx: SolveContext) -> CheckReport:
     stubbe = ineq.stubbe_monotonicity(ctx.model, np.geomspace(0.5, 4.0, 8))
     return CheckReport(
         check="stubbe_monotonicity",
@@ -342,9 +336,7 @@ def _stubbe(ctx: SolveContext) -> CheckReport | None:
     )
 
 
-def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
-    if ctx.loop is None:
-        return None
+def _one_loop_shifted(ctx: SolveContext) -> CheckReport:
     e1 = float(ctx.energies[0])
     if e1 < 0:
         zs = np.linspace(0.9 * e1, 0.05 * e1, 6)
@@ -370,9 +362,7 @@ def _one_loop_shifted(ctx: SolveContext) -> CheckReport | None:
 SUM_RULE_JS = (0, 1, 2, 4, 7)
 
 
-def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
-    if ctx.loop is None:
-        return None
+def _sum_rule_steps(ctx: SolveContext) -> CheckReport:
     m = len(ctx.trusted)
     energies = ctx.energies
     zsamples = [0.5 * (energies[j] + energies[j + 1]) for j in SUM_RULE_JS if j + 1 < m]
@@ -392,23 +382,29 @@ def _sum_rule_steps(ctx: SolveContext) -> CheckReport | None:
     )
 
 
-#: Every check ``verify`` can run, by report name.  A check returns ``None``
-#: when the graph lacks its precondition: a negative part of V (moment
-#: quotients, Stubbe), a loop of two equal semicircles with one lead at each
-#: junction (one-loop checks), a full-support slope family (weak_yang), or
-#: ``E_1 > 0`` (riesz, mean_ratio: a ``V = 0`` graph without a Dirichlet
-#: vertex has ``E_1 = 0``).
+#: One predicate on a ``SolveContext`` per precondition, by its README tag: a
+#: negative part of V, a loop pair, a full-support slope family, ``E_1 > 0``.
+PRECONDITIONS = {
+    None: lambda ctx: True,
+    "V_-": lambda ctx: ctx.model.min_potential < 0,
+    "loop": lambda ctx: ctx.loop is not None,
+    "g": lambda ctx: ctx.slope_family.exists_full_support,
+    "E_1": lambda ctx: ctx.trusted[0] > 0,
+}
+
+#: Every check ``verify`` can run, by report name: its precondition's tag and
+#: the check, which runs only on a ``SolveContext`` that meets it.
 CHECKS = {
-    "yang": partial(_yang_report, ratio=1.0),
-    "weak_yang": _weak_yang,
-    "weyl": _weyl,
-    "riesz": _riesz,
-    "mean_ratio": _mean_ratio,
-    "lt_quotient_gamma_1.5": partial(_lt_quotient, gamma=1.5),
-    "lt_quotient_gamma_2.0": partial(_lt_quotient, gamma=2.0),
-    "stubbe_monotonicity": _stubbe,
-    "one_loop_shifted": _one_loop_shifted,
-    "sum_rule_steps": _sum_rule_steps,
+    "yang": (None, partial(_yang, weak=False)),
+    "weak_yang": ("g", partial(_yang, weak=True)),
+    "weyl": (None, _weyl),
+    "riesz": ("E_1", _riesz),
+    "mean_ratio": ("E_1", _mean_ratio),
+    "lt_quotient_gamma_1.5": ("V_-", partial(_lt_quotient, gamma=1.5)),
+    "lt_quotient_gamma_2.0": ("V_-", partial(_lt_quotient, gamma=2.0)),
+    "stubbe_monotonicity": ("V_-", _stubbe),
+    "one_loop_shifted": ("loop", _one_loop_shifted),
+    "sum_rule_steps": ("loop", _sum_rule_steps),
 }
 
 _LT = [("lt_quotient_gamma_1.5", _I), ("lt_quotient_gamma_2.0", _I), ("stubbe_monotonicity", _I)]
@@ -431,8 +427,8 @@ POLICY: dict[tuple[TopologyClass, bool], list[tuple[str, str]]] = {
     (TopologyClass.GENERAL, False): [("weak_yang", _I), *_LT],
 }
 
-#: A check that returns ``None`` is skipped, except the weak sum rule: without
-#: a full-support slope family the plain one runs, for information only.
+#: A check whose graph lacks its precondition is skipped, except the weak sum
+#: rule: without a full-support slope family the plain one runs, for information only.
 FALLBACK = {"weak_yang": ("yang", _I)}
 
 #: Verdicts that pass under each role.
@@ -500,12 +496,12 @@ def cmd_verify(args) -> int:
     ctx = SolveContext(graph, loop, tol, model, energies, grad_norms, tables, trusted, dict(policy))
     ran: list[tuple[CheckReport, str]] = []
     for name, role in policy:
-        report = CHECKS[name](ctx)
-        if report is None and name in FALLBACK:
+        tag, check = CHECKS[name]
+        if PRECONDITIONS[tag](ctx):
+            ran.append((check(ctx), role))
+        elif name in FALLBACK:
             name, role = FALLBACK[name]
-            report = CHECKS[name](ctx)
-        if report is not None:
-            ran.append((report, role))
+            ran.append((CHECKS[name][1](ctx), role))
 
     for report, _ in ran:
         write_report(report, out, f"verify_{report.check}", args.format)

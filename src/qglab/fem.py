@@ -22,11 +22,12 @@ the free vertices a small separator, counted through its dense Schur
 complement.  ``solve_spectrum`` returns eigenpairs with their per-edge
 tables; ``solve_energies`` returns the energies alone, through the same
 solver path without eigenvector extraction.  ``AssembledSystem.bound_states``
-is the one rule for the negative eigenvalues: those of a certified solve with
-a nonnegative top, or else the count at 0 and one bracket pass for a grid of
-couplings, with no eigensolver.  ``_close_brackets`` is the one bracket driver
-of this count and of the exact count of ``analytic``: it starts each bracket
-from seeds already counted, closes it, and checks that every count rises.
+is the one rule for the negative eigenvalues: the count at 0 and one bracket
+pass for a grid of couplings, with no eigensolver.  ``verify`` reads a
+certified solve's negative part instead when its top is nonnegative.
+``_close_brackets`` is the one bracket driver of this count and of the exact
+count of ``analytic``: it starts each bracket from seeds already counted,
+closes it, and checks that every count rises.
 """
 
 from __future__ import annotations
@@ -234,29 +235,25 @@ class AssembledSystem:
     def chains(self) -> ChainSplit:
         return _split_chains(self)
 
-    def bound_states(self, alphas, solved: np.ndarray | None = None) -> list[np.ndarray]:
+    def bound_states(self, alphas) -> list[np.ndarray]:
         """Every negative eigenvalue at each coupling of ``alphas``, ascending,
         one array per coupling, with no eigensolver.
 
         With ``V >= 0`` at every node there is none, and nothing is counted:
         ``alpha K`` is positive semidefinite, and so is each cell's block of
         ``W``, whose determinant is ``(2 va^2 + 8 va vb + 2 vb^2) (h / 12)^2``.
-        ``solved`` may hold the lowest eigenvalues at the one coupling of
-        ``alphas`` from a certified solve; if its top is nonnegative, none
-        below is missing and its negative part is returned.  Otherwise one
-        chain count at 0 (``_chain_counter``) gives each coupling its number
-        ``m``, and one ``_close_brackets`` pass closes all of them in ``t``,
-        where ``E = min V + alpha t^2``, each point at its own coupling.  A
-        coupling's one seed is that count, ``t = sqrt(-min V / alpha)``, so
-        its brackets start at ``[0, seed]``, as nothing lies below ``min V``,
-        and close to ``BOUND_RTOL``.  A graph without a Dirichlet vertex whose
-        ``V`` is one constant at every node has ``E_1 = min V``, the constant.
+        Otherwise one chain count at 0 (``_chain_counter``) gives each
+        coupling its number ``m``, and one ``_close_brackets`` pass closes all
+        of them in ``t``, where ``E = min V + alpha t^2``, each point at its
+        own coupling.  A coupling's one seed is that count, ``t = sqrt(-min V
+        / alpha)``, so its brackets start at ``[0, seed]``, as nothing lies
+        below ``min V``, and close to ``BOUND_RTOL``.  A graph without a
+        Dirichlet vertex whose ``V`` is one constant at every node has ``E_1 =
+        min V``, the constant.
         """
         alphas, floor = np.asarray(alphas, dtype=float), self.mesh.min_potential
         if floor >= 0.0:
             return [np.empty(0) for _ in alphas]
-        if solved is not None and solved[-1] >= 0.0:
-            return [solved[solved < 0.0]]
         count, grid = _chain_counter(self, alphas), np.arange(len(alphas))
         first = count(np.zeros(len(alphas)), grid)
         flat = DIRICHLET not in self.mesh.graph.boundary.values() and max(s.v.max() for s in self.mesh.segments) == floor
@@ -775,9 +772,9 @@ def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) 
     return _eigensolve(system, k, alpha, vectors=False)[0]
 
 
-def solve_bound_states(system: AssembledSystem, alpha: float, solved: np.ndarray | None = None) -> np.ndarray:
-    """``AssembledSystem.bound_states`` at the one coupling ``alpha``, with its ``solved``."""
-    return system.bound_states([alpha], solved=solved)[0]
+def solve_bound_states(system: AssembledSystem, alpha: float) -> np.ndarray:
+    """``AssembledSystem.bound_states`` at the one coupling ``alpha``."""
+    return system.bound_states([alpha])[0]
 
 
 def solve_graph(

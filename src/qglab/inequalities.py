@@ -14,13 +14,14 @@ Conventions shared by all checks:
 * ``(x)_+`` is ``max(x, 0)``.
 * Checks of the negative spectrum (moment quotients, coupling monotonicity,
   the shifted one-loop bound) read a spectral model: its coupling
-  ``alpha``, ``min_potential``, ``bound_states(alphas, solved=None)`` (every
-  negative eigenvalue at each coupling of a grid, one array per coupling,
-  so no moment is truncated) and ``negative_integral(power, shift=0.0)``
-  (``int ((V - shift)_-)^power``).
-  ``fem.AssembledSystem`` is one, on its own mesh, and
-  ``analytic.ExactModel`` is one with no mesh.  The moment quotients
-  take the bound states from their caller, which reads them once.
+  ``alpha``, ``min_potential``, ``bound_states(alphas)`` (every negative
+  eigenvalue at each coupling of a grid, one array per coupling, so no
+  moment is truncated) and ``negative_integral(power, shift=0.0)`` (``int
+  ((V - shift)_-)^power``).  ``fem.AssembledSystem`` is one, on its own
+  mesh, and ``analytic.ExactModel`` is one with no mesh.  The moment
+  quotients take the bound states from their caller, which reads them once
+  (``verify`` reads a certified solve's negative part when its top is
+  nonnegative).
 * The sum-rule steps of the one-loop bound read each state's ``int |phi|^2``
   and ``int |phi'|^2`` over the leads and over the loop, from either model.
 """

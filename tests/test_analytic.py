@@ -750,13 +750,19 @@ def test_coupling_grid_is_each_couplings_own_solve(name):
     # a grid is one family, and each coupling keeps its own number of bound
     # states as its k, so its seeds, brackets and bound states are those of
     # its own solve, bit for bit: from weak coupling, with 40-70 bound
-    # states, to a coupling that binds nothing
+    # states, to a coupling that binds nothing; so is a grid of 1 or of 8
     model = analytic.ExactModel(load_graph(os.path.join(FIXTURES, f"{name}.json")))
     alphas = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 4.0, 1e3])
     grid = model.bound_states(alphas)
+    assert len(grid) == len(alphas)
     assert len(grid[0]) >= 40 and len(grid[-1]) == 0
     for alpha, states in zip(alphas, grid):
         assert np.array_equal(states, model.bound_states([alpha])[0])
+    for alphas in ([0.5], np.geomspace(0.5, 4.0, 8)):
+        grid = model.bound_states(alphas)
+        assert len(grid) == len(alphas)
+        for alpha, states in zip(alphas, grid):
+            assert np.array_equal(states, model.bound_states([alpha])[0])
 
 
 def test_coupling_grid_on_random_square_well_trees():
@@ -773,6 +779,7 @@ def test_coupling_grid_on_random_square_well_trees():
         model = analytic.ExactModel(dataclasses.replace(shape, edges=tuple(edges)))
         alphas = np.append(np.sort(rng.uniform(0.01, 20.0, 6)), 1e6)
         grid = model.bound_states(alphas)
+        assert len(grid) == len(alphas)
         assert len(grid[-1]) == 0
         for alpha, states in zip(alphas, grid):
             alone = model.bound_states([alpha])[0]
@@ -788,13 +795,20 @@ def test_coupling_grid_on_random_square_well_trees():
 def test_p1_coupling_grid_is_each_couplings_own_solve(name):
     # the P1 system's grid is one bracket pass, whose points are each counted
     # at their own coupling: every coupling's bound states are bit for bit
-    # those of its solve alone, from weak coupling to one that binds nothing
+    # those of its solve alone, from weak coupling to one that binds nothing;
+    # so are those of a grid of 1 or of 8
     system = fem.assemble(fem.build_mesh(load_graph(os.path.join(FIXTURES, f"{name}.json")), 0.05))
     alphas = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 4.0, 1e3])
     grid = system.bound_states(alphas)
+    assert len(grid) == len(alphas)
     assert len(grid[0]) >= 15 and len(grid[-1]) == 0
     for alpha, states in zip(alphas, grid):
         assert np.array_equal(states, fem.solve_bound_states(system, alpha))
+    for alphas in ([0.5], np.geomspace(0.5, 4.0, 8)):
+        grid = system.bound_states(alphas)
+        assert len(grid) == len(alphas)
+        for alpha, states in zip(alphas, grid):
+            assert np.array_equal(states, fem.solve_bound_states(system, alpha))
 
 
 def test_p1_coupling_grid_on_random_wells():
@@ -815,6 +829,7 @@ def test_p1_coupling_grid_on_random_wells():
         system = fem.assemble(fem.build_mesh(graph, 0.05))
         alphas = np.append(np.sort(rng.uniform(0.01, 4.0, 5)), 1e6)
         grid = system.bound_states(alphas)
+        assert len(grid) == len(alphas)
         assert len(grid[0]) and len(grid[-1]) == (0 if trial % 3 else 1)
         for alpha, states in zip(alphas, grid):
             assert np.array_equal(states, fem.solve_bound_states(system, alpha))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qglab import analytic, families, fem, graphs, inequalities as ineq
-from qglab.cli import CHECKS, POLICY, SolveContext, _loop_pair, _mesh, _solve, main
+from qglab.cli import CHECKS, FALLBACK, POLICY, PRECONDITIONS, SolveContext, _loop_pair, _mesh, _solve, main
 from qglab.graphs import TopologyClass, classify_topology, load_graph, save_graph
 from qglab.reports import fmt_float, round_sig
 
@@ -970,12 +970,45 @@ def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(monkeyp
     system = fem.assemble(_mesh(graph, 36, None, graph.alpha))
     calls = _record_solves(monkeypatch)
     solved = fem.solve_energies(system, 25)
-    bound = system.bound_states([graph.alpha], solved=solved)[0]
+    assert solved[-1] < 0.0
+    bound = system.bound_states([graph.alpha])[0]
     assert [k for _, k, _ in calls] == [25]
     assert len(bound) == 28
     q = ineq.lt_quotient(system, bound, 2.0)
     assert round_sig(q.moment) == 2897.43506769
     assert round_sig(q.quotient) == 0.168320869195
+
+
+def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
+    # a certified solve topped at or above 0 holds every bound state; one
+    # topped below 0 may miss some, so they are counted and bracketed anew
+    star = families.star([1.5, 1.5, 1.5])
+    for leg in range(3):
+        star = families.with_square_well(star, leg, depth=-12.0, width_fraction=0.5)
+    system = fem.assemble(fem.build_mesh(star, 0.01))
+    solved = fem.solve_energies(system, 4)
+    assert solved[2] < 0.0 <= solved[3]
+    counts, calls = [], _record_solves(monkeypatch)
+    chain_counter = fem._chain_counter
+
+    def counter(system, alpha):
+        count = chain_counter(system, alpha)
+
+        def counted(energies, member=0):
+            counts.extend(energies)
+            return count(energies, member)
+
+        return counted
+
+    def context(energies):
+        return SolveContext(star, None, ineq.TOL_FEM, system, energies, None, None, energies, {})
+
+    monkeypatch.setattr(fem, "_chain_counter", counter)
+    bound = context(solved).bound_states
+    assert (counts, calls) == ([], [])
+    assert np.array_equal(bound, solved[solved < 0.0])
+    assert context(solved[:2]).bound_states == pytest.approx(bound, rel=1e-9, abs=0)
+    assert (counts[0], calls) == (0.0, [])
 
 
 def _tree_well_weak(tmp_path):
@@ -1021,7 +1054,7 @@ def test_checks_report_under_their_keys():
             spectrum.edge_dirichlet.sum(axis=0), tables, spectrum.energies[: ineq.trusted_count(90)], dict(policy),
         )
         for key, _ in policy:
-            assert CHECKS[key](ctx).check == key
+            assert CHECKS[key][1](ctx).check == key
             covered.add(key)
     assert covered == set(CHECKS)
 
@@ -1043,3 +1076,23 @@ def test_readme_verify_table_matches_policy():
         key: {role: [n for n, r in rows if r == role] for role in roles} for key, rows in POLICY.items()
     }
     assert table == expected
+
+
+def test_readme_tags_are_the_check_preconditions():
+    # each bracket in the README's verify table is its check's precondition
+    # tag in CHECKS, and a check with no bracket has none; the legend names
+    # every tag, and a fallback runs with no precondition
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    tags = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("`"):
+            continue
+        for entry in ",".join(cells[2:]).split(","):
+            name, tag = re.fullmatch(r"(\S+)(?: \[([^\]]*)\])?", entry.strip()).groups()
+            if name != "--":
+                tags.setdefault(name, set()).add(tag)
+    assert tags == {name: {tag} for name, (tag, _) in CHECKS.items()}
+    legend = readme[readme.index("A bracket names") :].split("\n\n")[0]
+    assert set(re.findall(r"`\[([^\]]+)\]`", legend)) == set(PRECONDITIONS) - {None}
+    assert all(CHECKS[name][0] is None for name, _ in FALLBACK.values())

@@ -281,35 +281,6 @@ def test_no_bound_states_needs_no_inertia_count(monkeypatch):
         assert fem.solve_bound_states(system, 0.5).shape == (0,)
 
 
-def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
-    # a certified solve topped at or above 0 holds every bound state; one
-    # topped below 0 may miss some, so they are counted and bracketed anew
-    star = families.star([1.5, 1.5, 1.5])
-    for leg in range(3):
-        star = families.with_square_well(star, leg, depth=-12.0, width_fraction=0.5)
-    system = fem.assemble(fem.build_mesh(star, 0.01))
-    solved = fem.solve_energies(system, 4)
-    assert solved[2] < 0.0 <= solved[3]
-    counts, calls = [], _count_solves(monkeypatch)
-    chain_counter = fem._chain_counter
-
-    def counter(system, alpha):
-        count = chain_counter(system, alpha)
-
-        def counted(energies, member=0):
-            counts.extend(energies)
-            return count(energies, member)
-
-        return counted
-
-    monkeypatch.setattr(fem, "_chain_counter", counter)
-    bound = fem.solve_bound_states(system, 1.0, solved=solved)
-    assert (counts, calls) == ([], [])
-    assert np.array_equal(bound, solved[solved < 0.0])
-    assert fem.solve_bound_states(system, 1.0, solved=solved[:2]) == pytest.approx(bound, rel=1e-9, abs=0)
-    assert (counts[0], calls) == (0.0, [])
-
-
 def _root_count(roots, spike=None):
     """A synthetic count for ``fem._close_brackets``: member ``i`` has its
     eigenvalues at ``roots[i]`` in ``t``, so ``N(t)`` is the number below

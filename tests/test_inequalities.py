@@ -20,8 +20,12 @@ def assembled(graph, h):
 
 def lt_quotient(system, energies, gamma):
     """The moment quotient as ``verify`` computes it: every bound state is
-    read through ``solve_bound_states`` from a certified solve's energies."""
-    bound = fem.solve_bound_states(system, system.mesh.graph.alpha, solved=energies)
+    the negative part of a certified solve whose top is nonnegative, or else
+    read through ``solve_bound_states``."""
+    if energies[-1] >= 0.0:
+        bound = energies[energies < 0.0]
+    else:
+        bound = fem.solve_bound_states(system, system.mesh.graph.alpha)
     return ineq.lt_quotient(system, bound, gamma)
 
 
@@ -279,7 +283,7 @@ class DirichletWell:
     def min_potential(self):
         return -self.c
 
-    def bound_states(self, alphas, solved=None):
+    def bound_states(self, alphas):
         states = []
         for alpha in alphas:
             n = np.arange(1, math.floor(self.l / math.pi * math.sqrt(self.c / alpha)) + 2)
