@@ -120,10 +120,10 @@ def _balloon_even_k(string_length: float, k_max: float) -> list[float]:
     poles = {m * math.pi / L for m in range(int(k_max * L / math.pi) + 3)}
     poles |= {m + 0.5 for m in range(int(k_max) + 2)}
     grid = sorted(poles)
-    # drop near-coincident poles: the degenerate gap holds no root
+    # drop near-coincident poles (relative below 1): the degenerate gap holds no root
     cleaned = [grid[0]]
     for p in grid[1:]:
-        if p - cleaned[-1] > 1e-10:
+        if p - cleaned[-1] > 1e-10 * min(1.0, p):
             cleaned.append(p)
     roots = []
     f = lambda k: balloon_secular(k, L)
@@ -138,6 +138,10 @@ def _balloon_even_k(string_length: float, k_max: float) -> list[float]:
     return roots
 
 
+#: Longest balloon string: there ``(pi / 2L)^2``, just above E_1, is 4 times the smallest normal float.
+BALLOON_MAX_LENGTH = math.pi / (4 * math.sqrt(np.finfo(float).tiny))
+
+
 def balloon_eigenvalues(string_length: float, n: int = 10) -> list[BalloonMode]:
     """Lowest ``n`` balloon eigenvalues, tagged by loop parity.
 
@@ -145,8 +149,8 @@ def balloon_eigenvalues(string_length: float, n: int = 10) -> list[BalloonMode]:
     the transcendental junction condition.  Coincidences (never at
     ``string_length = pi``) are merged into a single ``"both"`` entry.
     """
-    if string_length <= 0:
-        raise ValueError("string length must be positive")
+    if not 0 < string_length <= BALLOON_MAX_LENGTH:
+        raise ValueError(f"string length must be positive and at most {BALLOON_MAX_LENGTH:.6g}")
     # k density is (L + 2 pi)/pi per unit: about n + 2 modes lie below k_max
     k_max = (n + 2) * math.pi / (string_length + 2.0 * math.pi)
     while True:
@@ -155,7 +159,7 @@ def balloon_eigenvalues(string_length: float, n: int = 10) -> list[BalloonMode]:
         modes = sorted(even + odd, key=lambda m: m.energy)
         merged: list[BalloonMode] = []
         for m in modes:
-            if merged and abs(m.k - merged[-1].k) < 1e-12:
+            if merged and abs(m.k - merged[-1].k) < 1e-12 * min(1.0, m.k):
                 prev = merged.pop()
                 merged.append(BalloonMode(prev.k, prev.energy, "both"))
             else:
@@ -174,16 +178,16 @@ def fancy_balloon_eigenvalues(n_parallel: int, n: int = 10) -> np.ndarray:
     """Sorted eigenvalues (with multiplicity) of the many-rung balloon.
 
     Permutation-even modes ``(j +/- arctan(1/sqrt(N))/pi)^2`` are simple;
-    odd modes ``j^2`` carry multiplicity ``N - 1``.
+    odd modes ``j^2`` carry multiplicity ``N - 1`` (at most ``n`` listed).
     """
     if n_parallel < 2:
         raise ValueError("need at least 2 parallel edges")
     theta = math.atan(1.0 / math.sqrt(n_parallel)) / math.pi
     out: list[float] = []
     j = 0
-    while len(out) < n + 2 * n_parallel:
+    while len(out) < n:  # each round j lies below the next, as theta < 1/2
         if j > 0:
-            out.extend([float(j * j)] * (n_parallel - 1))
+            out.extend([float(j * j)] * min(n_parallel - 1, n))
             if j - theta > 0:
                 out.append((j - theta) ** 2)
         out.append((j + theta) ** 2)

@@ -623,6 +623,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     _require(args.n >= 1, "--n", args.n, "at least 1")
     _require(0 < args.length < math.inf, "--length", args.length, "finite and positive")
+    longest = analytic.BALLOON_MAX_LENGTH if args.family == "balloon" else math.inf
+    _require(args.length <= longest, "--length", args.length, f"at most {longest:.6g}, where E_1 is a normal float")
     _require(args.rungs >= 2, "--rungs", args.rungs, "at least 2")
     out = args.out_dir
     if args.family == "interval":

@@ -19,15 +19,13 @@ raises ``SolverError`` where that would not fit the memory budget.  The
 count (``_chain_counter``) factors no sparse matrix: each segment's interior
 nodes are a tridiagonal chain, counted by LAPACK's tridiagonal routines, and
 the free vertices a small separator, counted through its dense Schur
-complement.  ``solve_spectrum`` returns eigenpairs with their per-edge
-tables; ``solve_energies`` returns the energies alone, through the same
-solver path without eigenvector extraction.  ``AssembledSystem.bound_states``
-is the one rule for the negative eigenvalues: the count at 0 and one bracket
-pass for a grid of couplings, with no eigensolver.  ``verify`` reads a
-certified solve's negative part instead when its top is nonnegative.
-``_close_brackets`` is the one bracket driver of this count and of the exact
-count of ``analytic``: it starts each bracket from seeds already counted,
-closes it, and checks that every count rises.
+complement.  ``solve_spectrum`` is the one eigensolve: it returns
+eigenpairs with their per-edge tables.  ``AssembledSystem.bound_states`` is
+the one rule for the negative eigenvalues: the count at 0 and one bracket
+pass for a grid of couplings, with no eigensolver.  ``_close_brackets`` is
+the one bracket driver of this count and of the exact count of
+``analytic``: it starts each bracket from seeds already counted, closes it,
+and checks that every count rises.
 """
 
 from __future__ import annotations
@@ -59,8 +57,8 @@ DENSE_K_FRACTION = 1.0 / 6.0
 #: were exact at a tenth of this distance from every eigenvalue.
 CERT_RTOL = 1e-8
 
-#: ``solve_bound_states`` stops a bracket at this width relative to its
-#: top, in ``t = sqrt((E - min V) / alpha)``.
+#: ``AssembledSystem.bound_states`` stops a bracket at this width relative
+#: to its top, in ``t = sqrt((E - min V) / alpha)``.
 BOUND_RTOL = 1e-12
 
 #: Smallest Lanczos basis, in vectors, that a sparse solve asks for.
@@ -228,8 +226,8 @@ class AssembledSystem:
     def min_potential(self) -> float:
         return self.mesh.min_potential
 
-    def hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
-        return (alpha * self.base_stiffness + self.potential).tocsr()
+    def hamiltonian(self) -> scipy.sparse.csr_matrix:
+        return (self.alpha * self.base_stiffness + self.potential).tocsr()
 
     @cached_property
     def chains(self) -> ChainSplit:
@@ -642,10 +640,9 @@ def _chain_counter(system: AssembledSystem, alphas):
     return count
 
 
-def _certify(system: AssembledSystem, alpha: float, energies: np.ndarray, sigma: float) -> None:
+def _certify(system: AssembledSystem, energies: np.ndarray, sigma: float) -> None:
     """Raise ``SolverError`` unless ascending ``energies`` are the lowest
-    ``len(energies)`` eigenvalues of the pencil at coupling ``alpha``,
-    multiplicities included.
+    ``len(energies)`` eigenvalues of the pencil, multiplicities included.
 
     Every eigenvalue below ``E_k - delta`` must have been found, and at least
     ``k`` must lie below ``E_k + delta``; one chain count (``_chain_counter``)
@@ -656,7 +653,7 @@ def _certify(system: AssembledSystem, alpha: float, energies: np.ndarray, sigma:
     top = float(energies[-1])
     delta = CERT_RTOL * max(abs(top), top - sigma)
     found = int(np.count_nonzero(energies < top - delta))
-    below, upto = _chain_counter(system, alpha)(np.array([top - delta, top + delta]))[0]
+    below, upto = _chain_counter(system, system.alpha)(np.array([top - delta, top + delta]))[0]
     if below != found or upto < len(energies):
         raise SolverError(
             f"incomplete spectrum: {below} eigenvalues lie below {top - delta:.12g} but the solver"
@@ -664,11 +661,9 @@ def _certify(system: AssembledSystem, alpha: float, energies: np.ndarray, sigma:
         )
 
 
-def _eigensolve(
-    system: AssembledSystem, k: int, alpha: float, vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The one eigensolver path: the lowest ``k`` energies, ascending, and
-    their raw eigenvectors as columns when ``vectors`` (else ``None``).
+def solve_spectrum(system: AssembledSystem, k: int) -> Spectrum:
+    """The one eigensolver path: the lowest ``k`` eigenpairs of the assembled
+    generalized problem, at the graph's coupling, ascending.
 
     Dense LAPACK when ``n <= DENSE_DOF_CAP`` or ``k / n > DENSE_K_FRACTION``;
     otherwise shift-invert Lanczos from a start vector seeded by ``n``,
@@ -681,13 +676,14 @@ def _eigensolve(
     interpolant of ``V``, and scales with the graph's own level spacing, so
     a shallow band of wanted eigenvalues is not crowded together.  A solve
     over ``MEMORY_BUDGET`` is refused first.
+
+    Vectors are mass-orthonormal with the first nonzero coefficient
+    positive, so repeat runs are reproducible.
     """
-    n = system.ndof
+    n, alpha = system.ndof, system.alpha
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    ham = system.hamiltonian(alpha)
+    ham = system.hamiltonian()
     dense = n <= DENSE_DOF_CAP or k > DENSE_K_FRACTION * n
     sigma = min(0.0, system.mesh.min_potential) - alpha * (math.pi / system.mesh.graph.total_length) ** 2
     ncv = min(n - 1, max(2 * k + 1, MIN_NCV))
@@ -697,10 +693,10 @@ def _eigensolve(
     else:
         require_budget("k", f"a Lanczos basis of {ncv} vectors of length {n}", n * ncv * 8)
 
-    def lowest(sparse: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def lowest(sparse: bool) -> tuple[np.ndarray, np.ndarray]:
         try:
             if sparse:
-                result = scipy.sparse.linalg.eigsh(
+                w, vecs = scipy.sparse.linalg.eigsh(
                     ham,
                     k=k,
                     M=system.mass.tocsc(),
@@ -712,39 +708,25 @@ def _eigensolve(
                     v0=np.random.default_rng(n).standard_normal(n),
                     ncv=ncv,
                     tol=0,
-                    return_eigenvectors=vectors,
                 )
             else:
-                result = scipy.linalg.eigh(
-                    ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors
-                )
+                w, vecs = scipy.linalg.eigh(ham.toarray(), system.mass.toarray(), subset_by_index=(0, k - 1))
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             raise SolverError(f"eigensolver failed: {exc}") from exc
-        w, vecs = result if vectors else (result, None)
         order = np.argsort(w, kind="stable")
-        w = np.asarray(w)[order]
         if sparse:
-            _certify(system, alpha, w, sigma)
-        return w, None if vecs is None else np.asarray(vecs)[:, order]
+            _certify(system, w[order], sigma)
+        return w[order], vecs[:, order]
 
-    if not dense:
+    if dense:
+        w, vecs = lowest(sparse=False)
+    else:
         try:
-            return lowest(sparse=True)
+            w, vecs = lowest(sparse=True)
         except SolverError:  # e.g. Lanczos missed one copy of a repeated eigenvalue
             if dense_bytes > MEMORY_BUDGET:
                 raise
-    return lowest(sparse=False)
-
-
-def solve_spectrum(system: AssembledSystem, k: int) -> Spectrum:
-    """Lowest ``k`` eigenpairs of the assembled generalized problem, at the
-    graph's coupling.
-
-    Vectors are mass-orthonormal with the first nonzero coefficient
-    positive, so repeat runs are reproducible.
-    """
-    alpha = system.mesh.graph.alpha
-    w, vecs = _eigensolve(system, k, alpha, vectors=True)
+            w, vecs = lowest(sparse=False)
     # enforce mass-orthonormal columns regardless of backend
     mnorm = np.sqrt(np.einsum("ij,ij->j", vecs, system.mass @ vecs))
     vecs = vecs / mnorm
@@ -759,22 +741,6 @@ def solve_spectrum(system: AssembledSystem, k: int) -> Spectrum:
         edge_mass=mass,
         edge_dirichlet=dirich,
     )
-
-
-def solve_energies(system: AssembledSystem, k: int, alpha: float | None = None) -> np.ndarray:
-    """The lowest ``k`` energies alone, ascending, from the same backend,
-    start vector, shift and certificate as ``solve_spectrum``.
-
-    The eigensolver skips its eigenvector extraction, and no vector is
-    normalized or tabulated.
-    """
-    alpha = system.mesh.graph.alpha if alpha is None else alpha
-    return _eigensolve(system, k, alpha, vectors=False)[0]
-
-
-def solve_bound_states(system: AssembledSystem, alpha: float) -> np.ndarray:
-    """``AssembledSystem.bound_states`` at the one coupling ``alpha``."""
-    return system.bound_states([alpha])[0]
 
 
 def solve_graph(

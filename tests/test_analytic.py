@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -107,12 +108,42 @@ def test_balloon_cost_does_not_grow_with_the_string(monkeypatch):
         return bisect(f, lo, hi)
 
     monkeypatch.setattr(analytic, "bisect", counting)
-    for L in (1e3, 1e5):
+    for L in (1e11, 1e13, 1e100, analytic.BALLOON_MAX_LENGTH, 1e3, 1e5):
         calls.clear()
         modes = analytic.balloon_eigenvalues(L, 3)
         assert len(calls) <= 50
     exact, _ = analytic.piecewise_constant_eigenvalues(families.balloon(string_length=1e5), 3)
     assert [m.energy for m in modes] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [1e11, 1e13, 1e100, analytic.BALLOON_MAX_LENGTH])
+def test_balloon_modes_of_a_string_longer_than_the_coincidence_rules(L):
+    # pi / L lies below 1e-10, the gap under which poles merge, and below
+    # 1e-12, the one under which modes merge: both rules are relative below
+    # k = 1, so the string's poles and modes stay apart
+    modes = analytic.balloon_eigenvalues(L, 3)
+    assert [m.family for m in modes] == ["even"] * 3
+    assert [m.k for m in modes] == pytest.approx([(j + 0.5) * math.pi / L for j in range(3)], rel=1e-9, abs=0)
+    assert modes[0].energy >= sys.float_info.min
+
+
+def test_balloon_refuses_a_string_whose_lowest_energy_underflows():
+    with pytest.raises(ValueError, match="string length must be positive and at most 5.26523e"):
+        analytic.balloon_eigenvalues(1e200, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 60])
+def test_fancy_balloon_lists_the_lowest_values_of_every_copy(n):
+    # each round j lies below the next, so n copies of j^2 and rounds up to
+    # n values give the lowest n of the full multiset, bit for bit
+    for rungs in range(2, 40):
+        theta = math.atan(1.0 / math.sqrt(rungs)) / math.pi
+        rounds = ([float(j * j)] * (rungs - 1) + [(j - theta) ** 2, (j + theta) ** 2] for j in range(1, n + 2))
+        full = [theta**2] + [v for values in rounds for v in values]
+        assert np.array_equal(analytic.fancy_balloon_eigenvalues(rungs, n), np.sort(full)[:n])
+    e = analytic.fancy_balloon_eigenvalues(10**9, 3)  # no list of a billion copies
+    theta = math.atan(1.0 / math.sqrt(1e9)) / math.pi
+    assert e == pytest.approx([theta**2, (1.0 - theta) ** 2, 1.0], rel=1e-14, abs=0)
 
 
 def test_fancy_balloon_exact():
@@ -326,7 +357,7 @@ def test_p1_count_is_the_whole_p1_spectrum(graph):
     system = fem.assemble(mesh)
     assume(system.ndof >= 1)
     energies, brackets = analytic.piecewise_constant_eigenvalues(graph, system.ndof, fem.edge_cells(graph, 1.0))
-    dense = fem.solve_energies(system, system.ndof)
+    dense = fem.solve_spectrum(system, system.ndof).energies
     assert energies == pytest.approx(dense, rel=1e-9, abs=1e-12 * dense[-1])
     assert np.all((brackets[:, 0] <= energies) & (energies <= brackets[:, 1]))
 
@@ -374,7 +405,7 @@ def test_chain_count_is_the_dense_count(graph, where):
     # left out
     system = fem.assemble(fem.build_mesh(graph, 1.0))  # the cells of every edge are given
     assume(system.ndof >= 1)
-    ham, mass = system.hamiltonian(graph.alpha).toarray(), system.mass.toarray()
+    ham, mass = system.hamiltonian().toarray(), system.mass.toarray()
     dense = scipy.linalg.eigh(ham, mass, eigvals_only=True)
     scale = np.abs(dense).max()
     blocks = [(seg.dofs[1], seg.dofs[-2] + 1) for seg in system.mesh.segments if seg.cells > 1]
@@ -390,7 +421,7 @@ def test_chain_count_is_the_dense_count(graph, where):
     assert np.array_equal(count(energies)[0], expected)
     # and the bound states are dense LAPACK's negative spectrum
     assume(np.abs(dense).min() > 1e-9 * scale)
-    bound = fem.solve_bound_states(system, graph.alpha)
+    bound = system.bound_states([graph.alpha])[0]
     assert bound == pytest.approx(dense[dense < 0.0], rel=1e-9, abs=1e-12 * scale)
     v = np.concatenate([seg.v for seg in system.mesh.segments])
     if np.all(v == v[0]) and DIRICHLET not in graph.boundary.values() and v[0] < 0.0:
@@ -408,7 +439,7 @@ def test_p1_count_keeps_the_multiplicity_on_a_pole(n):
     c = math.cos(math.pi / cells)
     pole = 6.0 * (cells / math.pi) ** 2 * (1.0 - c) / (2.0 + c)
     assert np.count_nonzero(np.abs(energies / pole - 1.0) < 1e-13) == n - 1
-    p1 = fem.solve_energies(fem.assemble(mesh), n + 2)
+    p1 = fem.solve_spectrum(fem.assemble(mesh), n + 2).energies
     assert energies == pytest.approx(p1, rel=1e-9, abs=0)
 
 
@@ -683,7 +714,7 @@ def test_square_well_spectrum_lies_below_split_p1(graph):
     k = min(12, system.ndof // 3)
     assume(k > 0)
     exact, brackets = analytic.piecewise_constant_eigenvalues(graph, k)
-    assert np.all(fem.solve_energies(system, k) >= exact - 1e-12 * np.abs(exact).max())
+    assert np.all(fem.solve_spectrum(system, k).energies >= exact - 1e-12 * np.abs(exact).max())
     assert np.all((brackets[:, 0] <= exact) & (exact <= brackets[:, 1]))
 
 
@@ -699,7 +730,7 @@ def test_square_well_fixtures_match_richardson_extrapolated_split_p1(name):
     for refine in (1, 2, 4):
         edges = tuple(dataclasses.replace(e, cells=c * refine) for e, c in zip(graph.edges, base))
         mesh = fem.build_mesh(dataclasses.replace(graph, edges=edges), 1.0)
-        p1.append(fem.solve_energies(fem.assemble(mesh), 8))
+        p1.append(fem.solve_spectrum(fem.assemble(mesh), 8).energies)
     once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(p1, p1[1:])]
     twice = (16.0 * once[1] - once[0]) / 15.0
     exact, _ = analytic.piecewise_constant_eigenvalues(graph, 8)
@@ -803,12 +834,12 @@ def test_p1_coupling_grid_is_each_couplings_own_solve(name):
     assert len(grid) == len(alphas)
     assert len(grid[0]) >= 15 and len(grid[-1]) == 0
     for alpha, states in zip(alphas, grid):
-        assert np.array_equal(states, fem.solve_bound_states(system, alpha))
+        assert np.array_equal(states, system.bound_states([alpha])[0])
     for alphas in ([0.5], np.geomspace(0.5, 4.0, 8)):
         grid = system.bound_states(alphas)
         assert len(grid) == len(alphas)
         for alpha, states in zip(alphas, grid):
-            assert np.array_equal(states, fem.solve_bound_states(system, alpha))
+            assert np.array_equal(states, system.bound_states([alpha])[0])
 
 
 def test_p1_coupling_grid_on_random_wells():
@@ -832,7 +863,7 @@ def test_p1_coupling_grid_on_random_wells():
         assert len(grid) == len(alphas)
         assert len(grid[0]) and len(grid[-1]) == (0 if trial % 3 else 1)
         for alpha, states in zip(alphas, grid):
-            assert np.array_equal(states, fem.solve_bound_states(system, alpha))
+            assert np.array_equal(states, system.bound_states([alpha])[0])
 
 
 def test_p1_stubbe_grid_is_one_bracket_pass(monkeypatch):

@@ -288,7 +288,7 @@ def test_k_beyond_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
 def _no_p1(monkeypatch):
     """Refuse every P1 stage: mesh, assembly, inertia count and eigensolver."""
     _no_eigensolver(monkeypatch)
-    for p1 in ("build_mesh", "assemble", "_eigensolve", "_chain_counter"):
+    for p1 in ("build_mesh", "assemble", "solve_spectrum", "_chain_counter"):
         monkeypatch.setattr(fem, p1, lambda *args, **kwargs: pytest.fail("P1 was called"))
 
 
@@ -630,6 +630,19 @@ def test_circuit_cli_wheatstone(tmp_path, capsys):
     assert currents[5] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["oracle", "--family", "balloon", "--length", "1e200", "--n", "3"], "--length must be at most 5.26523e+153"),
+        (["sweep", "--sweep", "balloon-L", "--engine", "oracle", "--range", "1e199:1e200", "--steps", "2"], "at most"),
+    ],
+)
+def test_balloon_oracle_refuses_a_string_whose_lowest_energy_underflows(tmp_path, capsys, argv, option):
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_cli_families(tmp_path, capsys):
     for family, extra in [
         ("interval", ["--length", "1.0", "--n", "4"]),
@@ -720,7 +733,7 @@ def test_sweep_fem_engine_reads_p1_without_an_eigensolve(tmp_path, monkeypatch, 
     def refused(*args, **kwargs):
         raise AssertionError("a sweep point built a mesh or ran an eigensolver")
 
-    for name in ("build_mesh", "assemble", "_eigensolve"):
+    for name in ("build_mesh", "assemble", "solve_spectrum"):
         monkeypatch.setattr(fem, name, refused)
     asked, family = [], analytic.piecewise_constant_family
 
@@ -855,17 +868,17 @@ def test_verify_negative_spectrum_too_short_is_numeric(tmp_path, capsys):
 
 
 def _record_solves(monkeypatch):
-    """Wrap ``fem._eigensolve``, which every certified solve goes through, to
-    record each call's system, ``k`` and energies."""
+    """Wrap ``fem.solve_spectrum``, the one eigensolve, which every certified
+    solve goes through, to record each call's system, ``k`` and energies."""
     calls = []
-    solve = fem._eigensolve
+    solve = fem.solve_spectrum
 
-    def recording(system, k, *args, **kwargs):
-        energies, vectors = solve(system, k, *args, **kwargs)
-        calls.append((system, k, energies))
-        return energies, vectors
+    def recording(system, k):
+        spectrum = solve(system, k)
+        calls.append((system, k, spectrum.energies))
+        return spectrum
 
-    monkeypatch.setattr(fem, "_eigensolve", recording)
+    monkeypatch.setattr(fem, "solve_spectrum", recording)
     return calls
 
 
@@ -969,7 +982,7 @@ def test_verify_solves_every_bound_state_when_the_trusted_ones_are_bound(monkeyp
     graph = dataclasses.replace(load_graph(fixture("tree_well.json")), alpha=0.002)
     system = fem.assemble(_mesh(graph, 36, None, graph.alpha))
     calls = _record_solves(monkeypatch)
-    solved = fem.solve_energies(system, 25)
+    solved = fem.solve_spectrum(system, 25).energies
     assert solved[-1] < 0.0
     bound = system.bound_states([graph.alpha])[0]
     assert [k for _, k, _ in calls] == [25]
@@ -986,7 +999,7 @@ def test_bound_states_read_a_solve_that_reaches_zero(monkeypatch):
     for leg in range(3):
         star = families.with_square_well(star, leg, depth=-12.0, width_fraction=0.5)
     system = fem.assemble(fem.build_mesh(star, 0.01))
-    solved = fem.solve_energies(system, 4)
+    solved = fem.solve_spectrum(system, 4).energies
     assert solved[2] < 0.0 <= solved[3]
     counts, calls = [], _record_solves(monkeypatch)
     chain_counter = fem._chain_counter

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,8 +114,8 @@ def test_interval_eigenvalue_count_monotone_in_alpha():
     g = families.interval(1.0, alpha=1.0)
     mesh = fem.build_mesh(g, 0.02)
     system = fem.assemble(mesh)
-    e1 = fem.solve_energies(system, 5, alpha=1.0)
-    e2 = fem.solve_energies(system, 5, alpha=2.5)
+    e1 = fem.solve_spectrum(system, 5).energies
+    e2 = fem.solve_spectrum(fem.assemble(fem.build_mesh(replace(g, alpha=2.5), 0.02)), 5).energies
     assert np.allclose(e2, 2.5 * e1, rtol=1e-11)
 
 
@@ -232,15 +233,15 @@ def test_sparse_path_keeps_multiplicities(monkeypatch, graph, h, k, repeated):
 
 
 def _count_solves(monkeypatch) -> list[int]:
-    # the core that every certified solve goes through
+    # the one eigensolve, which every certified solve goes through
     calls: list[int] = []
-    solve = fem._eigensolve
+    solve = fem.solve_spectrum
 
-    def counted(system, k, *args, **kwargs):
+    def counted(system, k):
         calls.append(k)
-        return solve(system, k, *args, **kwargs)
+        return solve(system, k)
 
-    monkeypatch.setattr(fem, "_eigensolve", counted)
+    monkeypatch.setattr(fem, "solve_spectrum", counted)
     return calls
 
 
@@ -253,7 +254,7 @@ def test_bound_states_are_the_negative_spectrum(monkeypatch):
     system = fem.assemble(fem.build_mesh(star, 0.01))
     assert system.ndof == 448 > fem.DENSE_DOF_CAP
     calls = _count_solves(monkeypatch)
-    bound = fem.solve_bound_states(system, 1.0)
+    bound = system.bound_states([1.0])[0]
     assert calls == []  # counted and bracketed, with no eigensolve
     assert bound == pytest.approx([-6.8328, -5.8101, -5.8101], abs=1e-4)
     monkeypatch.setattr(fem, "DENSE_DOF_CAP", system.ndof)
@@ -264,7 +265,7 @@ def test_bound_states_are_the_negative_spectrum(monkeypatch):
 def test_no_bound_states_means_no_solve(monkeypatch):
     system = fem.assemble(fem.build_mesh(families.y_graph(), 0.01))
     calls = _count_solves(monkeypatch)
-    bound = fem.solve_bound_states(system, 1.0)
+    bound = system.bound_states([1.0])[0]
     assert bound.shape == (0,)
     assert calls == []
 
@@ -278,7 +279,7 @@ def test_no_bound_states_needs_no_inertia_count(monkeypatch):
     bump = families.with_square_well(families.y_graph(), 0, depth=3.0)
     for graph in (families.y_graph(), families.balloon(), bump):
         system = fem.assemble(fem.build_mesh(graph, 0.01))
-        assert fem.solve_bound_states(system, 0.5).shape == (0,)
+        assert system.bound_states([0.5])[0].shape == (0,)
 
 
 def _root_count(roots, spike=None):
@@ -367,11 +368,11 @@ def test_certificate_rejects_symmetric_start_vector(monkeypatch):
         with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
             fem.solve_graph(families.y_graph(), 0.005, 6)
         with pytest.raises(fem.SolverError, match="7 eigenvalues lie below .* the solver found 5"):
-            fem.solve_energies(system, 6)
+            fem.solve_spectrum(system, 6).energies
     # where they fit, dense LAPACK recovers the missed copies
     expected = np.array([0.25, 1.0, 1.0, 2.25, 4.0, 4.0]) * math.pi**2
     assert fem.solve_graph(families.y_graph(), 0.005, 6).energies == pytest.approx(expected, rel=1e-4)
-    assert fem.solve_energies(system, 6) == pytest.approx(expected, rel=1e-4)
+    assert fem.solve_spectrum(system, 6).energies == pytest.approx(expected, rel=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -388,16 +389,8 @@ def test_failed_certificate_falls_back_to_dense(monkeypatch, name, h, k):
         with pytest.raises(fem.SolverError, match="incomplete spectrum"):
             fem.solve_spectrum(system, k)
     spectrum = fem.solve_spectrum(system, k)
-    lapack = scipy.linalg.eigh(system.hamiltonian(1.0).toarray(), system.mass.toarray(), eigvals_only=True)[:k]
+    lapack = scipy.linalg.eigh(system.hamiltonian().toarray(), system.mass.toarray(), eigvals_only=True)[:k]
     assert spectrum.energies == pytest.approx(lapack, rel=1e-9, abs=0)
-
-
-@pytest.mark.parametrize("h, k, dense", [(0.005, 12, False), (0.02, 10, True)], ids=["sparse", "dense"])
-def test_energies_alone_match_the_eigenpair_solve(h, k, dense):
-    system = fem.assemble(fem.build_mesh(families.y_graph(), h))
-    assert (system.ndof <= fem.DENSE_DOF_CAP) == dense
-    energies = fem.solve_energies(system, k)
-    assert energies == pytest.approx(fem.solve_spectrum(system, k).energies, rel=1e-12, abs=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -412,10 +405,10 @@ def test_alpha_scaling_of_the_spectrum(alpha, depth, left):
         well = SquareWell(depth=d, left=left, right=left + 0.2)
         return families.star([1.0, 1.0, 1.3], potentials=[well, well, ZERO])
 
-    mesh = fem.build_mesh(y_with_well(depth), 0.01)
+    mesh = fem.build_mesh(replace(y_with_well(depth), alpha=alpha), 0.01)
     scaled = fem.build_mesh(y_with_well(depth / alpha), 0.01)
-    energies = fem.solve_energies(fem.assemble(mesh), 6, alpha=alpha)
-    unit = fem.solve_energies(fem.assemble(scaled), 6, alpha=1.0)
+    energies = fem.solve_spectrum(fem.assemble(mesh), 6).energies
+    unit = fem.solve_spectrum(fem.assemble(scaled), 6).energies
     assert np.allclose(energies, alpha * unit, rtol=1e-9, atol=1e-9 * alpha)
 
 
@@ -495,7 +488,7 @@ def test_p1_is_the_exact_spectrum_through_the_dispersion_relation(case):
     system = fem.assemble(fem.build_mesh(graph, h))
     k = min(40, system.ndof // 4)
     assume(k > 0)
-    p1 = fem.solve_energies(system, k)
+    p1 = fem.solve_spectrum(system, k).energies
     exact, _ = analytic.piecewise_constant_eigenvalues(graph, k)
     c = np.cos(h * np.sqrt(exact / graph.alpha))
     dispersed = 6.0 * graph.alpha / h**2 * (1.0 - c) / (2.0 + c)
@@ -513,7 +506,7 @@ def test_p1_lies_above_the_exact_spectrum_on_trees(seed, n_edges, h):
     assert len({round(seg.h, 12) for seg in system.mesh.segments}) > 1  # mixed cell sizes
     k = min(30, system.ndof // 3)
     exact, _ = analytic.piecewise_constant_eigenvalues(tree, k)
-    assert np.all(fem.solve_energies(system, k) >= exact)
+    assert np.all(fem.solve_spectrum(system, k).energies >= exact)
 
 
 @pytest.mark.parametrize(
@@ -525,7 +518,7 @@ def test_p1_at_the_verify_mesh_sits_just_above_the_exact_spectrum(name):
     # verify's default P1 mesh puts its 61 energies at most 1.1e-3 (relative)
     # above the exact ones, which the V = 0 rows now read
     graph = load_graph(os.path.join(FIXTURES, f"{name}.json"))
-    p1 = fem.solve_energies(fem.assemble(_mesh(graph, 90, None, graph.alpha)), 61)
+    p1 = fem.solve_spectrum(fem.assemble(_mesh(graph, 90, None, graph.alpha)), 61).energies
     exact, _ = analytic.piecewise_constant_eigenvalues(graph, 61)
     assert np.all(p1 >= exact)
     assert np.all(p1 <= exact * (1.0 + 1.1e-3))

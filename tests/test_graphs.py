@@ -170,7 +170,7 @@ def test_scale_graph_covariance(n_edges, seed, depth, s):
     scaled = fem.build_mesh(scale_graph(g, s), 0.02 * s)
     assert [seg.cells for seg in scaled.segments] == [seg.cells for seg in mesh.segments]
     system, system_s = fem.assemble(mesh), fem.assemble(scaled)
-    k = len(fem.solve_bound_states(system, 1.0)) + 1
+    k = len(system.bound_states([1.0])[0]) + 1
     spec = fem.solve_spectrum(system, k)
     spec_s = fem.solve_spectrum(system_s, k)
     scale = np.abs(spec.energies).max() / s**2

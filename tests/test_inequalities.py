@@ -21,11 +21,11 @@ def assembled(graph, h):
 def lt_quotient(system, energies, gamma):
     """The moment quotient as ``verify`` computes it: every bound state is
     the negative part of a certified solve whose top is nonnegative, or else
-    read through ``solve_bound_states``."""
+    read through ``system.bound_states``."""
     if energies[-1] >= 0.0:
         bound = energies[energies < 0.0]
     else:
-        bound = fem.solve_bound_states(system, system.mesh.graph.alpha)
+        bound = system.bound_states([system.mesh.graph.alpha])[0]
     return ineq.lt_quotient(system, bound, gamma)
 
 
@@ -92,16 +92,16 @@ def test_yang_tree_fem_holds(rng):
 def test_lt_quotient_rejections():
     system = assembled(families.poschl_teller_balloon(20.0), 0.02)
     with pytest.raises(ValueError, match="gamma"):
-        lt_quotient(system, fem.solve_energies(system, 4), 1.0)
+        lt_quotient(system, fem.solve_spectrum(system, 4).energies, 1.0)
     zero = assembled(families.interval(1.0), 0.02)
     with pytest.raises(ValueError, match="negative part"):
-        lt_quotient(zero, fem.solve_energies(zero, 4), 1.5)
+        lt_quotient(zero, fem.solve_spectrum(zero, 4).energies, 1.5)
 
 
 def test_lt_quotient_no_bound_state_note():
     g = families.interval(1.0, potential=SquareWell(depth=-0.5, left=0.4, right=0.6))
     system = assembled(g, 0.01)
-    q = lt_quotient(system, fem.solve_energies(system, 4), 1.5)
+    q = lt_quotient(system, fem.solve_spectrum(system, 4).energies, 1.5)
     assert q.quotient == 0.0
     assert "no negative eigenvalues" in q.note
 
@@ -111,7 +111,7 @@ def test_lt_quotient_refuses_truncated_moment():
     # moment is not truncated to the 4 solved but reads every bound state
     g = dataclasses.replace(load_graph(os.path.join(FIXTURES, "tree_well.json")), alpha=0.01)
     system = assembled(g, 0.02)
-    lowest = fem.solve_energies(system, 4)
+    lowest = fem.solve_spectrum(system, 4).energies
     assert lowest[-1] < 0.0
     assert lt_quotient(system, lowest, 2.0).quotient == pytest.approx(0.1646, abs=1e-3)
 
@@ -122,8 +122,8 @@ def test_lt_quotient_moment_does_not_depend_on_the_solved_count(seed, depth, log
     tree = families.random_tree(np.random.default_rng(seed), 4)
     g = dataclasses.replace(families.with_square_well(tree, 0, depth=-depth), alpha=math.exp(log_alpha))
     system = assembled(g, min(0.02, 0.08 * math.sqrt(g.alpha / depth)))
-    m = len(fem.solve_bound_states(system, g.alpha))
-    moments = [lt_quotient(system, fem.solve_energies(system, k), 2.0).moment for k in (1, 4, m + 1)]
+    m = len(system.bound_states([g.alpha])[0])
+    moments = [lt_quotient(system, fem.solve_spectrum(system, k).energies, 2.0).moment for k in (1, 4, m + 1)]
     assert moments[1] == pytest.approx(moments[0], rel=1e-9, abs=0)
     assert moments[2] == pytest.approx(moments[0], rel=1e-9, abs=0)
 
@@ -183,7 +183,7 @@ def test_lieb_thirring_gamma_2_holds_on_trees(seed, n_edges, depth, log_alpha):
     longest = int(np.argmax([e.length for e in tree.edges]))
     g = dataclasses.replace(families.with_square_well(tree, longest, depth=-depth), alpha=alpha)
     system = assembled(g, min(0.02, 0.08 * math.sqrt(alpha / depth)))
-    q = lt_quotient(system, fem.solve_energies(system, 1), 2.0)
+    q = lt_quotient(system, fem.solve_spectrum(system, 1).energies, 2.0)
     assert q.quotient <= q.classical_constant * (1.0 + ineq.TOL_FEM)
 
 
@@ -304,7 +304,7 @@ def test_moment_checks_read_only_the_model():
     system = assembled(families.interval(l, SquareWell(-c, 0.0, l)), 0.002)
     for gamma in (1.5, 2.0):
         exact = ineq.lt_quotient(model, model.bound_states([model.alpha])[0], gamma)
-        p1 = lt_quotient(system, fem.solve_energies(system, 4), gamma)
+        p1 = lt_quotient(system, fem.solve_spectrum(system, 4).energies, gamma)
         assert exact.integral == pytest.approx(p1.integral, rel=1e-12)
         assert exact.quotient == pytest.approx(p1.quotient, rel=1e-5)
         assert exact.exceeds_classical == p1.exceeds_classical
